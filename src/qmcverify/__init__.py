@@ -40,7 +40,6 @@ from .linalg import (
     SpectralData,
     is_positive_semidefinite,
     kron,
-    loewner_leq,
     spectral_decompose,
 )
 from .model import Model, ModelOptions, load_model, model_hash, save_model
@@ -117,7 +116,6 @@ __all__ = [
     "power_norm_bound_check",
     "filtered_power_residual",
     "load_model",
-    "loewner_leq",
     "matrix_representation",
     "maximally_entangled_vector",
     "model_hash",

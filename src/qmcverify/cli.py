@@ -10,6 +10,7 @@ requires Q-termination (QV3).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from . import __version__
 from .channels import Observable
 from .errors import QmcError, ValidationError
 from .invariant import check_conditions, expectation_via_invariant, least_fixed_point_q
+from .linalg import is_positive_semidefinite, max_abs, psd_split
 from .model import Model, ModelOptions, load_model, model_hash
 from .oracle import oracle_expectation
 from .program import step_probabilities
@@ -47,12 +49,12 @@ def _add_common(sub: argparse.ArgumentParser):
 
 def _load(args) -> tuple[Model, ModelOptions]:
     model = load_model(args.model)
-    opts = model.options
-    for name in ("tail_tol", "n_max", "eps_unit", "tol"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(opts, name, value)
-    return model, opts
+    overrides = {
+        name: value
+        for name in ("tail_tol", "n_max", "eps_unit", "tol")
+        if (value := getattr(args, name, None)) is not None
+    }
+    return model, dataclasses.replace(model.options, **overrides)
 
 
 def _new_report(command: str, args, model: Model, opts: ModelOptions) -> VerificationReport:
@@ -68,6 +70,59 @@ def _emit(report: VerificationReport, args) -> None:
     sys.stdout.write(report.render_text())
     if args.json_out:
         Path(args.json_out).write_text(report.to_json())
+
+
+# How the diagnostics of the positive parts of a general observable combine.
+_COMBINE_PARTS = {
+    "iterations": sum,
+    "converged": all,
+    "qv1": all,
+    "qv1_value": sum,
+    "qv2": all,
+    "qv2_residual": max,
+    "qv3": all,
+    "qv3_limit": max,
+}
+
+
+def _invariant_method(prog, p: Observable, rep, n_max: int) -> tuple[float, dict]:
+    """Terminal expectation by the least invariant, with its diagnostics.
+
+    A positive observable gets one certificate.  Any other Hermitian one
+    is split into positive parts ``p = pos - neg``; each part gets its own
+    certificate, the reported value is the difference, and the parts'
+    diagnostics combine as in :data:`_COMBINE_PARTS` (``qv1_value`` is the
+    difference too).
+    """
+    if is_positive_semidefinite(p.mat):
+        parts = [(1.0, p)]
+    else:
+        parts = [
+            (sign, Observable(part))
+            for sign, part in zip((1.0, -1.0), psd_split(p.mat))
+            if max_abs(part) > 0.0
+        ]
+    values, diags = [], []
+    for sign, part in parts:
+        cert = least_fixed_point_q(prog, part, n_max=n_max, rep=rep)
+        cond = check_conditions(prog, part, cert, rep=rep)
+        values.append(sign * expectation_via_invariant(prog, part, cert))
+        diags.append(
+            {
+                "iterations": cert.iterations,
+                "converged": cert.converged,
+                "qv1": cond.qv1,
+                "qv1_value": sign * cond.qv1_value,
+                "qv2": cond.qv2,
+                "qv2_residual": cond.qv2_residual,
+                "qv3": cond.qv3,
+                "qv3_limit": cond.qv3_limit,
+            }
+        )
+    if len(parts) == 1:
+        return values[0], diags[0]
+    combined = {key: how(d[key] for d in diags) for key, how in _COMBINE_PARTS.items()}
+    return sum(values), combined
 
 
 def cmd_verify(args) -> int:
@@ -96,22 +151,9 @@ def cmd_verify(args) -> int:
                 residual=result.p_table.residual_mass,
             )
         elif method == "invariant":
-            cert = least_fixed_point_q(prog, p, rep=rep)
-            cond = check_conditions(prog, p, cert, rep=rep)
-            qv3_failed = qv3_failed or not cond.qv3
-            report.add_method(
-                "invariant",
-                expectation_via_invariant(prog, p, cert),
-                opts.tol,
-                iterations=cert.iterations,
-                converged=cert.converged,
-                qv1=cond.qv1,
-                qv1_value=cond.qv1_value,
-                qv2=cond.qv2,
-                qv2_residual=cond.qv2_residual,
-                qv3=cond.qv3,
-                qv3_limit=cond.qv3_limit,
-            )
+            value, diagnostics = _invariant_method(prog, p, rep, opts.n_max)
+            qv3_failed = qv3_failed or not diagnostics["qv3"]
+            report.add_method("invariant", value, opts.tol, **diagnostics)
         elif method == "spectral":
             report.add_method(
                 "spectral",

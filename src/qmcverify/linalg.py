@@ -84,11 +84,6 @@ def is_positive_semidefinite(a, tol: float = TOL_NUM) -> bool:
     return bool(w.min() >= -tol * scale) if w.size else True
 
 
-def loewner_leq(a, b, tol: float = TOL_NUM) -> bool:
-    """Loewner order test: a <= b iff b - a is positive semidefinite."""
-    return is_positive_semidefinite(np.asarray(b, dtype=complex) - np.asarray(a, dtype=complex), tol)
-
-
 def psd_split(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a Hermitian matrix into positive and negative parts with
     orthogonal supports: ``h = pos - neg``, both PSD."""

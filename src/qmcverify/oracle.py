@@ -2,7 +2,9 @@
 
 These deliberately reuse nothing from the invariant or spectral modules;
 they ground the expected values of every derived test and the three-way
-agreement suite.
+agreement suite.  :func:`oracle_expectation` makes a single pass over the
+series: the terminal state, the step table and the running time all come
+from the same stepping loop, which keeps only scalars per step.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from .program import (
     DEFAULT_TAIL_TOL,
     QuantumProgram,
     StepTrace,
-    step_probabilities,
-    terminal_state_series,
+    terminal_series_with_steps,
 )
 
 ORACLE_N_MAX = 1_000_000
@@ -45,11 +46,11 @@ def oracle_expectation(
     The running time partial sum is flagged infinite (returned as
     ``math.inf``) when the leftover nontermination mass exceeds
     ``sqrt(tail_tol)``, i.e. when the series demonstrably failed to
-    exhaust the probability mass.
+    exhaust the probability mass.  ``p_table`` holds one record per term
+    of the sum, ``n_used + 1`` in all.
     """
-    series = terminal_state_series(prog, tail_tol, n_max)
+    series, table = terminal_series_with_steps(prog, tail_tol, n_max)
     expectation = float(np.trace(p.mat @ series.rho_star.mat).real)
-    table = step_probabilities(prog, max(series.n_used + 1, 1))
     if series.residual > math.sqrt(tail_tol):
         running_time = math.inf
     else:

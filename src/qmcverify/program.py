@@ -7,11 +7,16 @@ outcome 0, and otherwise applies ``E``, so the surviving (unnormalized)
 state evolves under ``G = E . E1`` with ``E_i(rho) = M_i rho M_i^dag``.
 
 The truncated series ``sum_n E0(G^n(rho0))`` computed here is the oracle
-against which the invariant and closed-form methods are checked.
+against which the invariant and closed-form methods are checked.  One
+private loop, :func:`_series_pass`, steps ``sigma <- G(sigma)`` once per
+step and serves the terminal sum, the step table and the running time
+alike.  It keeps only scalars per step (``tr E0(sigma_n)`` and the
+surviving mass) and validates the terminal sum once, at the end.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -133,7 +138,6 @@ class StepRecord:
     n: int
     p: float
     p_nontermination: float
-    partial_terminal: DensityOperator
 
 
 @dataclass(frozen=True)
@@ -141,42 +145,15 @@ class StepTrace:
     """Per-step termination/survival probabilities.
 
     ``steps[k]`` describes step ``n = k + 1``:
-    ``p = tr(E0(G^(n-1)(rho0)))`` and
-    ``p_nontermination = tr(E1(G^(n-1)(rho0)))``.
+    ``p = tr(E0(G^(n-1)(rho0)))`` and ``p_nontermination = tr(G^n(rho0))``,
+    the mass that survives n steps (equal to ``tr(E1(G^(n-1)(rho0)))``
+    because ``E`` is trace-preserving).  ``residual_mass`` is
+    ``tr(E1(G^(N-1)(rho0)))`` for the last step ``N``.
     For every prefix, ``sum(p_1..p_n) + p_nontermination_n = 1``.
     """
 
     steps: tuple[StepRecord, ...]
     residual_mass: float
-
-
-def _real_trace(mat: np.ndarray) -> float:
-    return float(np.trace(mat).real)
-
-
-def step_probabilities(prog: QuantumProgram, n_max: int) -> StepTrace:
-    """Tabulate p_n and the nontermination probability for n = 1..n_max."""
-    if n_max < 1:
-        raise ValidationError(f"n_max must be >= 1, got {n_max}")
-    e0, e1, g = prog.meas.e0, prog.meas.e1, prog.g
-    sigma = prog.rho0.mat
-    steps = []
-    p_nonterm = 1.0
-    for n in range(1, n_max + 1):
-        terminal = e0.apply_mat(sigma)
-        p = _real_trace(terminal)
-        p_nonterm = _real_trace(e1.apply_mat(sigma))
-        steps.append(
-            StepRecord(
-                n=n,
-                p=p,
-                p_nontermination=p_nonterm,
-                partial_terminal=DensityOperator(terminal),
-            )
-        )
-        if n < n_max:
-            sigma = g.apply_mat(sigma)
-    return StepTrace(steps=tuple(steps), residual_mass=p_nonterm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,23 +163,75 @@ class SeriesResult:
     n_used: int
 
 
-def _terminal_series_mat(
+def _real_trace(mat: np.ndarray) -> float:
+    return float(np.trace(mat).real)
+
+
+@dataclass(frozen=True, eq=False)
+class _SeriesPass:
+    """Outcome of one pass of :func:`_series_pass`; only ``acc`` and
+    ``last`` are matrices, everything kept per step is a scalar."""
+
+    acc: np.ndarray  # sum_{n <= n_used} E0(sigma_n), unvalidated
+    last: np.ndarray  # sigma_{n_used}
+    p: list[float]  # tr E0(sigma_n) for n = 0..n_used
+    mass: list[float]  # tr sigma_{n+1} for n = 0..n_used
+    n_used: int
+
+    def series(self) -> SeriesResult:
+        return SeriesResult(
+            rho_star=DensityOperator(self.acc), residual=self.mass[-1], n_used=self.n_used
+        )
+
+    def step_trace(self, e1: SuperOperator) -> StepTrace:
+        steps = tuple(
+            StepRecord(n=n, p=p, p_nontermination=m)
+            for n, (p, m) in enumerate(zip(self.p, self.mass), start=1)
+        )
+        return StepTrace(steps=steps, residual_mass=_real_trace(e1.apply_mat(self.last)))
+
+
+def _series_pass(
     scheme: ProgramScheme, rho_mat: np.ndarray, tail_tol: float, n_max: int
-) -> tuple[np.ndarray, float, int]:
-    """Sum E0(G^n(rho)) until the surviving mass drops below tail_tol or
-    n reaches n_max.  The mass tr(G^(n+1)(rho)) is monotone nonincreasing,
-    which makes it the natural stopping functional."""
+) -> _SeriesPass:
+    """The one stepping loop behind every series quantity.
+
+    Steps ``sigma_{n+1} = G(sigma_n)`` from ``sigma_0 = rho``, adding
+    ``E0(sigma_n)`` to the terminal sum and recording the scalars
+    ``tr E0(sigma_n)`` and ``tr sigma_{n+1}``, until the surviving mass
+    drops below ``tail_tol`` or ``n`` reaches ``n_max``.  The mass is
+    monotone nonincreasing, which makes it the natural stopping
+    functional.  Nothing is validated per step."""
     e0, g = scheme.meas.e0, scheme.g
     sigma = rho_mat
     acc = e0.apply_mat(sigma)
+    ps = [_real_trace(acc)]
+    masses = []
     n = 0
     while True:
-        sigma = g.apply_mat(sigma)
-        mass = _real_trace(sigma)
+        nxt = g.apply_mat(sigma)
+        mass = _real_trace(nxt)
+        masses.append(mass)
         if mass < tail_tol or n >= n_max:
-            return acc, mass, n
+            return _SeriesPass(acc=acc, last=sigma, p=ps, mass=masses, n_used=n)
         n += 1
-        acc += e0.apply_mat(sigma)
+        sigma = nxt
+        term = e0.apply_mat(sigma)
+        ps.append(_real_trace(term))
+        acc += term
+
+
+def _check_tail_tol(tail_tol: float) -> None:
+    if tail_tol <= 0:
+        raise ValidationError(f"tail_tol must be positive, got {tail_tol}")
+
+
+def step_probabilities(prog: QuantumProgram, n_max: int) -> StepTrace:
+    """Tabulate p_n and the nontermination probability for n = 1..n_max."""
+    if n_max < 1:
+        raise ValidationError(f"n_max must be >= 1, got {n_max}")
+    run = _series_pass(prog, prog.rho0.mat, -math.inf, n_max - 1)
+    return run.step_trace(prog.meas.e1)
 
 
 def terminal_state_series(
@@ -216,10 +245,20 @@ def terminal_state_series(
     converges, but the program may not terminate almost surely and any
     expectation taken in ``rho_star`` is a lower estimate.
     """
-    if tail_tol <= 0:
-        raise ValidationError(f"tail_tol must be positive, got {tail_tol}")
-    acc, residual, n_used = _terminal_series_mat(prog, prog.rho0.mat, tail_tol, n_max)
-    return SeriesResult(rho_star=DensityOperator(acc), residual=residual, n_used=n_used)
+    _check_tail_tol(tail_tol)
+    return _series_pass(prog, prog.rho0.mat, tail_tol, n_max).series()
+
+
+def terminal_series_with_steps(
+    prog: QuantumProgram,
+    tail_tol: float = DEFAULT_TAIL_TOL,
+    n_max: int = DEFAULT_N_MAX,
+) -> tuple[SeriesResult, StepTrace]:
+    """:func:`terminal_state_series` together with the step table of the
+    same pass: ``n_used + 1`` records, one per term of the sum."""
+    _check_tail_tol(tail_tol)
+    run = _series_pass(prog, prog.rho0.mat, tail_tol, n_max)
+    return run.series(), run.step_trace(prog.meas.e1)
 
 
 def check_recursion(
@@ -230,8 +269,8 @@ def check_recursion(
 ) -> float:
     """Self-consistency residual ||F(rho) - E0(rho) - F(G(rho))||_max,
     with F evaluated by series summation on both sides."""
-    lhs, _, _ = _terminal_series_mat(prog, rho.mat, tail_tol, n_max)
+    lhs = _series_pass(prog, rho.mat, tail_tol, n_max).acc
     g_rho = prog.g.apply_mat(rho.mat)
-    tail, _, _ = _terminal_series_mat(prog, g_rho, tail_tol, n_max)
+    tail = _series_pass(prog, g_rho, tail_tol, n_max).acc
     rhs = prog.meas.e0.apply_mat(rho.mat) + tail
     return max_abs(lhs - rhs)

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from qmcverify.cli import main
 from qmcverify.model import dumps, load_model
@@ -195,3 +196,54 @@ def test_regen_goldens_round_trip(tmp_path, capsys):
         (Path(__file__).parent / "goldens" / "oracle_goldens.json").read_text()
     )
     assert fresh == committed
+
+
+def test_verify_general_observable_on_terminating_program(tmp_path, capsys):
+    out = tmp_path / "z.json"
+    code = main(["verify", model("bitflip_p05.model"), "-o", "Z", "--json-out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert {m["method"] for m in doc["methods"]} == {"series", "invariant", "spectral"}
+    for m in doc["methods"]:
+        assert m["value"] == pytest.approx(1.0, abs=1e-6)
+    inv = next(m for m in doc["methods"] if m["method"] == "invariant")["diagnostics"]
+    assert inv["converged"] and inv["qv2"] and inv["qv3"]
+
+
+def test_verify_general_observable_on_stuck_program_exits_4(tmp_path, capsys):
+    out = tmp_path / "z.json"
+    code = main(["verify", model("bitflip_p1.model"), "-o", "Z", "--json-out", str(out)])
+    assert "QV3" in capsys.readouterr().err
+    assert code == 4
+    doc = json.loads(out.read_text())
+    for m in doc["methods"]:
+        assert m["value"] == pytest.approx(0.36, abs=1e-6)
+
+
+def test_n_max_caps_fixed_point_iteration(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = main(
+        [
+            "verify", model("bitflip_p05.model"), "-o", "P0", "--method", "invariant",
+            "--n-max", "10", "--json-out", str(out),
+        ]
+    )
+    capsys.readouterr()
+    assert code == 0
+    (inv,) = json.loads(out.read_text())["methods"]
+    assert inv["diagnostics"]["iterations"] <= 10
+    assert not inv["diagnostics"]["converged"]
+
+
+def test_option_overrides_leave_the_model_unchanged(monkeypatch):
+    from qmcverify import cli
+
+    loaded = load_model(model("bitflip_p05.model"))
+    monkeypatch.setattr(cli, "load_model", lambda path: loaded)
+    args = cli.build_parser().parse_args(
+        ["verify", model("bitflip_p05.model"), "-o", "P0", "--n-max", "10"]
+    )
+    _, opts = cli._load(args)
+    assert opts.n_max == 10
+    assert loaded.options.n_max == 1_000_000

@@ -130,7 +130,7 @@ def test_monotone_iteration_bounded_by_terminal_dual(rng):
     # Q_n <= F*(P) for every iterate, tested weakly on a basis of density
     # matrices: tr(Q_n rho) <= tr(P F(rho))
     from qmcverify.invariant import _completion_mat
-    from qmcverify.program import _terminal_series_mat
+    from qmcverify.program import _series_pass
 
     prog = random_contracting_program(2, rng)
     p = random_observable(2, rng, psd=True)
@@ -142,7 +142,7 @@ def test_monotone_iteration_bounded_by_terminal_dual(rng):
     ]
     bounds = []
     for rho in basis:
-        f_rho, _, _ = _terminal_series_mat(prog, rho, 1e-13, 10**6)
+        f_rho = _series_pass(prog, rho, 1e-13, 10**6).acc
         bounds.append(np.trace(p.mat @ f_rho).real)
     q_n = np.zeros((2, 2), dtype=complex)
     for _ in range(30):

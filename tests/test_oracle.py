@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 from pathlib import Path
@@ -5,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qmcverify
 from qmcverify import oracle_expectation, oracle_fixed_point
 from qmcverify.cli import golden_records
+from qmcverify.model import ModelOptions
 from qmcverify.sampling import random_contracting_program, random_observable
 
 from helpers import P0, bitflip_program, m1_zero_program
@@ -100,3 +103,36 @@ def test_committed_goldens_match_deep_recomputation():
         )
         for a, b in zip(got["values"]["p_first"], want["values"]["p_first"]):
             assert a == pytest.approx(b, abs=1e-9)
+
+
+def test_oracle_near_unit_bitflip_from_one():
+    # from |1> every run halts in |0>; the first flip comes after a
+    # geometric number of steps, so the mean time is 1 + 1/(1-p)
+    p = 0.999
+    tol = ModelOptions().tol
+    result = oracle_expectation(bitflip_program(p, 0.0, 1.0), P0)
+    assert result.expectation_series == pytest.approx(1.0, abs=tol)
+    assert result.running_time_series == pytest.approx(1.0 + 1.0 / (1.0 - p), abs=tol)
+
+
+def test_oracle_step_table_has_one_record_per_term(rng):
+    for prog in (bitflip_program(0.5, 0.6, 0.8), m1_zero_program()) + tuple(
+        random_contracting_program(2, rng) for _ in range(3)
+    ):
+        result = oracle_expectation(prog, P0)
+        steps = result.p_table.steps
+        assert len(steps) == result.n_used + 1
+        assert [rec.n for rec in steps] == list(range(1, result.n_used + 2))
+
+
+@pytest.mark.parametrize("module", ["oracle", "program"])
+def test_series_route_imports_nothing_from_other_routes(module):
+    source = Path(qmcverify.__file__).with_name(f"{module}.py").read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    assert not imported & {"invariant", "spectral"}

@@ -107,7 +107,7 @@ def test_recursion_exact_for_m0_zero():
 def test_dual_recursion_identity(rng):
     # tr(F*(M) rho) = tr(E0*(M) rho) + tr(F*(M) G(rho)), with F* evaluated
     # weakly through the series
-    from qmcverify.program import _terminal_series_mat
+    from qmcverify.program import _series_pass
 
     tail_tol = 1e-12
     for _ in range(5):
@@ -116,7 +116,7 @@ def test_dual_recursion_identity(rng):
         rho = random_density(2, rng)
 
         def f_star_expect(state_mat):
-            acc, _, _ = _terminal_series_mat(prog, state_mat, tail_tol, 10**6)
+            acc = _series_pass(prog, state_mat, tail_tol, 10**6).acc
             return np.trace(m.mat @ acc).real
 
         lhs = f_star_expect(rho.mat)
