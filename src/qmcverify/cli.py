@@ -2,9 +2,11 @@
 
 Subcommands: verify, runtime, terminate, spectrum, simulate,
 regen-goldens.  Exit codes: 0 success (all requested methods agree within
-tolerance), 2 model validation failure, 3 method disagreement beyond
-tolerance, 4 non-almost-terminating program when a requested method
-requires Q-termination (QV3).
+tolerance), 2 model validation failure or missing model file, 3 method
+disagreement beyond tolerance, 4 non-almost-terminating program when a
+requested method requires Q-termination (QV3), 5 numerical failure (an
+eigensolve, a structural check of the step representation, a resolvent
+solve or an internal consistency check).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DISAGREEMENT = 3
 EXIT_NONTERMINATION = 4
+EXIT_NUMERICAL = 5
 
 GOLDEN_SEEDS = (101, 102, 103, 104, 105, 106)
 
@@ -104,7 +107,7 @@ def _invariant_method(prog, p: Observable, rep, n_max: int) -> tuple[float, dict
         ]
     values, diags = [], []
     for sign, part in parts:
-        cert = least_fixed_point_q(prog, part, n_max=n_max, rep=rep)
+        cert = least_fixed_point_q(prog, part, n_max=n_max)
         cond = check_conditions(prog, part, cert, rep=rep)
         values.append(sign * expectation_via_invariant(prog, part, cert))
         diags.append(
@@ -382,15 +385,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except QmcError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -9,11 +9,10 @@ Q-termination (QV3) this pins the terminal expectation down to
 The least such ``Q`` always exists and is constructed here by the
 monotone iteration ``Q_0 = 0``,
 ``Q_{n+1} = M0^dag P M0 + M1^dag E*(Q_n) M1``, whose limit ``L`` is the
-completion itself; the invariant is ``Qbar = E*(L)``.  Solving the
-equivalent linear system instead can silently pick a non-least fixed
-point whenever the step representation has unit-modulus spectrum, so the
-solve is offered only as an opt-in fast path for strictly contracting
-programs.
+completion itself; the invariant is ``Qbar = E*(L)``.  There is no
+linear-solve shortcut: the equivalent linear system can silently pick a
+non-least fixed point whenever the step representation has unit-modulus
+spectrum, while the iteration cannot.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 
 from .channels import Observable
 from .errors import ConsistencyError, ValidationError
-from .linalg import EPS_UNIT, dagger, is_positive_semidefinite, max_abs, psd_split
+from .linalg import dagger, is_positive_semidefinite, max_abs, psd_split
 from .program import ProgramScheme, QuantumProgram
 from .spectral import ProgramRepresentation, build_representation
 
@@ -98,8 +97,6 @@ def least_fixed_point_q(
     p: Observable,
     tol: float = DEFAULT_FIXED_POINT_TOL,
     n_max: int = DEFAULT_FIXED_POINT_N_MAX,
-    method: str = "iterate",
-    rep: ProgramRepresentation | None = None,
 ) -> InvariantCertificate:
     """Least positive solution of ``E*(M0^dag P M0 + M1^dag Q M1) = Q``.
 
@@ -116,10 +113,6 @@ def least_fixed_point_q(
         Iteration cap; a certificate with ``converged=False`` is returned
         when it is hit (unit-modulus spectrum slows the iteration down to
         a crawl, but the partial result is still a valid lower bound).
-    method : {"iterate", "solve"}
-        "solve" replaces the iteration by one linear solve; it is accepted
-        only when the spectral radius of the step representation is
-        certified below ``1 - eps_unit``, where the fixed point is unique.
     """
     if p.dim != prog_or_scheme.dim:
         raise ValidationError(
@@ -135,45 +128,24 @@ def least_fixed_point_q(
     m1 = meas.m1
     base = _completion_mat(meas, p.mat, np.zeros_like(p.mat))
 
-    if method == "solve":
-        if rep is None:
-            rep = build_representation(prog_or_scheme)
-        radius = rep.spectral.spectral_radius()
-        if radius >= 1.0 - EPS_UNIT:
-            raise ValidationError(
-                f"linear-solve fast path needs spectral radius < 1 (got {radius:.9g}); "
-                "use the monotone iteration"
-            )
-        # vec(G*(Q)) = M^dag vec(Q), so L solves (I - M^dag) vec(L) = vec(base).
-        d = prog_or_scheme.dim
-        sol = np.linalg.solve(
-            np.eye(d * d) - dagger(rep.m), base.reshape(-1)
-        )
-        limit = sol.reshape(d, d)
-        limit = (limit + dagger(limit)) / 2
-        iterations = 0
-        converged = True
-    elif method == "iterate":
-        limit = np.zeros_like(p.mat)
-        iterations = 0
-        converged = False
-        check_until = 32
-        while iterations < n_max:
-            nxt = base + dagger(m1) @ e.apply_dual_mat(limit) @ m1
-            delta = max_abs(nxt - limit)
-            if iterations < check_until and delta > tol:
-                if not is_positive_semidefinite(nxt - limit, 1e-8):
-                    raise ConsistencyError(
-                        "fixed-point iteration lost Loewner monotonicity; "
-                        "the input data is inconsistent"
-                    )
-            limit = nxt
-            iterations += 1
-            if delta < tol:
-                converged = True
-                break
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    limit = np.zeros_like(p.mat)
+    iterations = 0
+    converged = False
+    check_until = 32
+    while iterations < n_max:
+        nxt = base + dagger(m1) @ e.apply_dual_mat(limit) @ m1
+        delta = max_abs(nxt - limit)
+        if iterations < check_until and delta > tol:
+            if not is_positive_semidefinite(nxt - limit, 1e-8):
+                raise ConsistencyError(
+                    "fixed-point iteration lost Loewner monotonicity; "
+                    "the input data is inconsistent"
+                )
+        limit = nxt
+        iterations += 1
+        if delta < tol:
+            converged = True
+            break
 
     q_mat = e.apply_dual_mat(limit)
     q_mat = (q_mat + dagger(q_mat)) / 2

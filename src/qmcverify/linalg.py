@@ -1,10 +1,14 @@
 """Dense complex linear algebra used throughout the toolkit.
 
 Everything here operates on plain ``numpy`` arrays of ``complex128``.
-The one nontrivial piece is :func:`spectral_decompose`, which pairs left
-and right eigenvectors and biorthonormalizes them inside each eigenvalue
-cluster, so that unit-modulus spectral projectors can be assembled as
+The one nontrivial piece is :func:`spectral_decompose`.  It eigensolves
+the matrix once, and the adjoint only when some eigenvalue lies on the
+unit circle: dual eigenvectors are needed only there, biorthonormalized
+inside each unit cluster so that the unit-modulus spectral projector is
 ``sum(right @ left.conj().T)`` without ever touching a Jordan basis.
+``scipy.linalg.eig(left=True)`` would give both sides from one call, but
+importing ``scipy.linalg`` adds about 0.3 s to every CLI start, so numpy
+stays the only dependency.
 """
 
 from __future__ import annotations
@@ -98,10 +102,13 @@ class SpectralData:
     """Eigendata of a (generally non-normal) square matrix.
 
     ``right_vectors`` and ``left_vectors`` hold one column per eigenvalue,
-    paired index-by-index.  Within every cluster whose Gram matrix is
-    nonsingular -- unit-modulus clusters of valid step representations
-    always are -- the left columns are rescaled so that
-    ``left[:, i].conj().T @ right[:, j] = delta_ij`` inside the cluster.
+    paired index-by-index.  Left columns are filled only inside clusters
+    that contain a unit-circle eigenvalue; every other left column is
+    zero, so :meth:`cluster_projector` is meaningful for unit clusters
+    only.  Within a unit cluster whose Gram matrix is nonsingular -- those
+    of valid step representations always are -- the left columns are
+    rescaled so that ``left[:, i].conj().T @ right[:, j] = delta_ij``
+    inside the cluster.  ``norm`` is the spectral norm ``||A||_2``.
     ``zero_nilpotent_index_bound`` is an upper bound on the largest Jordan
     block size at eigenvalue zero (rank stabilization of powers).
     """
@@ -113,6 +120,7 @@ class SpectralData:
     cluster_ids: np.ndarray
     unit_circle_flags: np.ndarray
     zero_nilpotent_index_bound: int
+    norm: float
 
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(self.eigenvalues))) if self.eigenvalues.size else 0.0
@@ -156,30 +164,6 @@ def _cluster_eigenvalues(evals: np.ndarray, threshold: float) -> np.ndarray:
     return ids
 
 
-def _pair_left_to_right(evals: np.ndarray, evals_left: np.ndarray) -> np.ndarray:
-    """Permutation p such that left column p[i] matches eigenvalue i.
-
-    Left eigenvectors come from the adjoint problem, whose eigenvalues are
-    the conjugates of the originals; greedy min-distance assignment is
-    adequate at these sizes.
-    """
-    n = evals.size
-    targets = evals_left.conj()
-    dist = np.abs(evals[:, None] - targets[None, :])
-    perm = -np.ones(n, dtype=int)
-    used = np.zeros(n, dtype=bool)
-    order = np.dstack(np.unravel_index(np.argsort(dist, axis=None), dist.shape))[0]
-    assigned = 0
-    for i, j in order:
-        if perm[i] < 0 and not used[j]:
-            perm[i] = j
-            used[j] = True
-            assigned += 1
-            if assigned == n:
-                break
-    return perm
-
-
 def _nilpotent_index_bound(a: np.ndarray) -> int:
     """Smallest k with rank(a^k) == rank(a^(k+1)), capped at dim."""
     n = a.shape[0]
@@ -195,7 +179,8 @@ def _nilpotent_index_bound(a: np.ndarray) -> int:
 
 
 def spectral_decompose(a, eps_unit: float = EPS_UNIT) -> SpectralData:
-    """Eigen-decompose ``a`` with paired left/right eigenvectors.
+    """Eigen-decompose ``a``, with dual eigenvectors for its unit-circle
+    clusters.
 
     Parameters
     ----------
@@ -212,48 +197,61 @@ def spectral_decompose(a, eps_unit: float = EPS_UNIT) -> SpectralData:
     Raises
     ------
     EigensolverError
-        If LAPACK fails to converge, or the returned pairs violate the
-        eigen-equation residual bound.
+        If LAPACK fails to converge, an eigenpair violates the residual
+        bound, or a unit-circle cluster does not get exactly as many
+        adjoint eigenvectors as it has eigenvalues.
     """
     arr = require_square(a)
     n = arr.shape[0]
     norm = float(np.linalg.norm(arr, 2)) if n else 0.0
+    tol = TOL_EIG * max(1.0, norm)
     try:
         evals, right = np.linalg.eig(arr)
-        evals_left, left = np.linalg.eig(dagger(arr))
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(n, norm, str(exc)) from exc
 
     res_right = max_abs(arr @ right - right * evals[None, :])
-    if res_right > TOL_EIG * max(1.0, norm):
+    if res_right > tol:
         raise EigensolverError(n, norm, f"right eigenpair residual {res_right:.3e}")
-
-    perm = _pair_left_to_right(evals, evals_left)
-    left = left[:, perm]
-    # Validate each left vector against its own adjoint eigenvalue; pairing
-    # slack inside a cluster is absorbed by the Gram normalization below.
-    mu = evals_left[perm].conj()
-    res_left = max_abs(dagger(left) @ arr - mu[:, None] * dagger(left))
-    if res_left > TOL_EIG * max(1.0, norm):
-        raise EigensolverError(n, norm, f"left eigenpair residual {res_left:.3e}")
 
     radius = float(np.max(np.abs(evals))) if n else 0.0
     threshold = CLUSTER_REL_TOL * max(1.0, radius)
     cluster_ids = _cluster_eigenvalues(evals, threshold)
     unit_flags = np.abs(np.abs(evals) - 1.0) <= eps_unit
 
-    # Biorthonormalize per cluster where the Gram matrix allows it.  A
-    # singular Gram means the cluster is defective; unit-circle clusters of
-    # valid programs never are, and downstream projector checks catch the
-    # rest.
-    left = left.copy()
-    for cid in range(cluster_ids.max() + 1 if n else 0):
-        idx = np.flatnonzero(cluster_ids == cid)
-        gram = dagger(left[:, idx]) @ right[:, idx]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = np.linalg.cond(gram)
-        if np.isfinite(cond) and cond < 1e10:
-            left[:, idx] = left[:, idx] @ dagger(np.linalg.inv(gram))
+    # Dual vectors only for the unit clusters, biorthonormalized inside each
+    # where its Gram matrix allows it.  A singular Gram means the cluster is
+    # defective; unit-circle clusters of valid programs never are, and the
+    # projector checks downstream catch the rest.
+    left = np.zeros_like(right)
+    # A set, not np.unique, which imports numpy.ma (about 10 ms) on first use.
+    unit_clusters = set(cluster_ids[unit_flags].tolist())
+    if unit_clusters:
+        try:
+            evals_adj, adj = np.linalg.eig(dagger(arr))
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(n, norm, str(exc)) from exc
+        mu = evals_adj.conj()
+        for cid in unit_clusters:
+            idx = np.flatnonzero(cluster_ids == cid)
+            jdx = np.flatnonzero(
+                np.min(np.abs(mu[:, None] - evals[None, idx]), axis=1) <= threshold
+            )
+            if jdx.size != idx.size:
+                raise EigensolverError(
+                    n, norm, f"{jdx.size} adjoint eigenvectors for a unit-circle "
+                    f"cluster of {idx.size} eigenvalues"
+                )
+            lc = adj[:, jdx]
+            res_left = max_abs(dagger(lc) @ arr - mu[jdx, None] * dagger(lc))
+            if res_left > tol:
+                raise EigensolverError(n, norm, f"left eigenpair residual {res_left:.3e}")
+            gram = dagger(lc) @ right[:, idx]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cond = np.linalg.cond(gram)
+            if np.isfinite(cond) and cond < 1e10:
+                lc = lc @ dagger(np.linalg.inv(gram))
+            left[:, idx] = lc
 
     return SpectralData(
         dim=n,
@@ -263,4 +261,5 @@ def spectral_decompose(a, eps_unit: float = EPS_UNIT) -> SpectralData:
         cluster_ids=cluster_ids,
         unit_circle_flags=unit_flags,
         zero_nilpotent_index_bound=_nilpotent_index_bound(arr),
+        norm=norm,
     )

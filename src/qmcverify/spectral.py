@@ -45,7 +45,6 @@ def unvec(v: np.ndarray, d: int) -> np.ndarray:
 class ProgramRepresentation:
     """Vectorized-space data of a program scheme.
 
-    ``n1`` is kept for completeness but feeds no formula here.
     ``margin`` is the gap ``1 - max{|lambda| : lambda below the unit
     circle}``; it quantifies the conditioning of the ``I - N`` solves.
     """
@@ -53,7 +52,6 @@ class ProgramRepresentation:
     dim: int
     dim2: int
     n0: np.ndarray
-    n1: np.ndarray
     m: np.ndarray
     spectral: SpectralData
     unit_projector: np.ndarray
@@ -70,7 +68,7 @@ def build_representation(
     eps_unit: float = EPS_UNIT,
     tol_proj: float = TOL_PROJ,
 ) -> ProgramRepresentation:
-    """Assemble N0, N1, M and the unit-circle-filtered N for a scheme.
+    """Assemble N0, M and the unit-circle-filtered N for a scheme.
 
     Raises
     ------
@@ -83,7 +81,6 @@ def build_representation(
     m0, m1 = scheme.meas.m0, scheme.meas.m1
     d = scheme.dim
     n0 = kron(m0, m0.conj())
-    n1 = kron(m1, m1.conj())
     m = np.zeros((d * d, d * d), dtype=complex)
     for k in scheme.e.kraus:
         km = k @ m1
@@ -97,7 +94,7 @@ def build_representation(
             "the channel is not trace-nonincreasing on the survival branch"
         )
 
-    m_norm = max(1.0, float(np.linalg.norm(m, 2)))
+    m_norm = max(1.0, sd.norm)
     p_u = sd.unit_projector()
     if np.any(sd.unit_circle_flags):
         if max_abs(p_u @ p_u - p_u) > tol_proj:
@@ -130,7 +127,6 @@ def build_representation(
         dim=d,
         dim2=d * d,
         n0=n0,
-        n1=n1,
         m=m,
         spectral=sd,
         unit_projector=p_u,

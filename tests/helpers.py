@@ -32,6 +32,14 @@ def bitflip_scheme(p):
     return ProgramScheme(bitflip_channel(p), computational_measurement())
 
 
+def bitflip_step_matrix(p):
+    """The step matrix of :func:`bitflip_scheme`, written out by hand."""
+    m = np.zeros((4, 4))
+    m[0, 3] = 1 - p
+    m[3, 3] = p
+    return m
+
+
 def bitflip_program(p, alpha, beta):
     rho0 = DensityOperator.from_pure([alpha, beta])
     return bitflip_scheme(p).with_initial_state(rho0)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qmcverify import EigensolverError
 from qmcverify.cli import main
 from qmcverify.model import dumps, load_model
 
@@ -60,6 +61,16 @@ def test_verify_malformed_model_exits_2(tmp_path, capsys):
 
 def test_verify_missing_file_exits_2(capsys):
     assert main(["verify", "nope.model", "-o", "P0"]) == 2
+
+
+def test_numerical_failure_exits_5(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise EigensolverError(4, 1.0, "did not converge")
+
+    monkeypatch.setattr("qmcverify.cli.build_representation", fail)
+    code = main(["verify", model("bitflip_p05.model"), "-o", "P0"])
+    assert code == 5
+    assert "eigensolver failed" in capsys.readouterr().err
     capsys.readouterr()
 
 

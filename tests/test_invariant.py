@@ -4,6 +4,7 @@ import pytest
 from qmcverify import (
     Observable,
     ValidationError,
+    build_representation,
     certificate_for,
     check_conditions,
     expectation_via_invariant,
@@ -55,18 +56,17 @@ def test_least_fixed_point_requires_psd_observable():
 
 
 def test_solve_fast_path_matches_iteration(rng):
+    # vec(G*(L)) = M^dag vec(L), so on a strictly contracting program the
+    # limit L of the iteration is the unique solution of
+    # (I - M^dag) vec(L) = vec(M0^dag P M0), and Q = E*(L).
     for _ in range(5):
         prog = random_contracting_program(2, rng)
         p = random_observable(2, rng, psd=True)
-        a = least_fixed_point_q(prog, p, method="iterate")
-        b = least_fixed_point_q(prog, p, method="solve")
-        assert max_abs(a.q.mat - b.q.mat) <= 1e-8
-
-
-def test_solve_fast_path_refused_on_unit_spectrum():
-    prog = bitflip_program(1.0, 0.6, 0.8)
-    with pytest.raises(ValidationError):
-        least_fixed_point_q(prog, P0, method="solve")
+        cert = least_fixed_point_q(prog, p)
+        m = build_representation(prog).m
+        base = prog.meas.m0.conj().T @ p.mat @ prog.meas.m0
+        limit = np.linalg.solve(np.eye(4) - m.conj().T, base.reshape(-1)).reshape(2, 2)
+        assert max_abs(cert.q.mat - prog.e.apply_dual_mat(limit)) <= 1e-8
 
 
 def test_conditions_hold_for_terminating_bitflip():

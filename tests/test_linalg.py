@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 
+from pathlib import Path
+
 from qmcverify import (
     DimensionMismatchError,
+    build_representation,
     is_positive_semidefinite,
     kron,
     maximally_entangled_vector,
     spectral_decompose,
 )
 from qmcverify.linalg import TOL_EIG, max_abs
+from qmcverify.model import load_model
 
-from helpers import X
+from helpers import X, bitflip_step_matrix
+
+MODELS_DIR = Path(__file__).parent.parent / "models"
 
 
 def random_complex(rng, d):
@@ -86,11 +92,7 @@ def test_spectral_diagonal():
 
 
 def test_spectral_bitflip_step_matrix():
-    p = 0.5
-    m = np.zeros((4, 4))
-    m[0, 3] = 1 - p
-    m[3, 3] = p
-    sd = spectral_decompose(m)
+    sd = spectral_decompose(bitflip_step_matrix(0.5))
     assert np.allclose(sorted(np.abs(sd.eigenvalues)), [0.0, 0.0, 0.0, 0.5], atol=1e-12)
     assert not sd.unit_circle_flags.any()
 
@@ -124,3 +126,75 @@ def test_unit_projector_idempotent_for_unitary(rng):
 def test_unit_projector_zero_without_unit_spectrum():
     sd = spectral_decompose(np.diag([0.5, 0.25]))
     assert max_abs(sd.unit_projector()) == 0.0
+
+
+def counter_step_matrix(d):
+    """Cyclic shift through the basis, halting on the last state."""
+    shift = np.roll(np.eye(d), 1, axis=0)
+    m1 = np.diag([1.0] * (d - 1) + [0.0])
+    km = shift @ m1
+    return kron(km, km.conj())
+
+
+@pytest.mark.parametrize(
+    "m, eig_calls",
+    [
+        (bitflip_step_matrix(0.5), 1),
+        (counter_step_matrix(4), 1),
+        (bitflip_step_matrix(1.0), 2),
+    ],
+    ids=["bitflip", "counter", "stuck_bitflip"],
+)
+def test_adjoint_eigensolve_only_with_unit_spectrum(monkeypatch, m, eig_calls):
+    calls = []
+    eig = np.linalg.eig
+
+    def counting_eig(a):
+        calls.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    sd = spectral_decompose(m)
+    assert len(calls) == eig_calls
+    assert sd.unit_circle_flags.any() == (eig_calls == 2)
+
+
+def rotation_jordan_half(theta=0.7):
+    """Rotation (eigenvalues exp(+-i theta)) + 3x3 Jordan block at 0 + 0.5,
+    with the exact projector onto the rotation block."""
+    m = np.zeros((6, 6), dtype=complex)
+    c, s = np.cos(theta), np.sin(theta)
+    m[:2, :2] = [[c, -s], [s, c]]
+    m[2, 3] = m[3, 4] = 1.0
+    m[5, 5] = 0.5
+    return m, np.diag([1.0, 1.0, 0.0, 0.0, 0.0, 0.0]).astype(complex)
+
+
+@pytest.mark.parametrize("similar", [False, True], ids=["plain", "similarity"])
+def test_unit_projector_next_to_defective_zero_block(rng, similar):
+    m, exact = rotation_jordan_half()
+    if similar:
+        t = random_complex(rng, 6)
+        t_inv = np.linalg.inv(t)
+        m, exact = t @ m @ t_inv, t @ exact @ t_inv
+    sd = spectral_decompose(m)
+    assert np.count_nonzero(sd.unit_circle_flags) == 2
+    p = sd.unit_projector()
+    assert max_abs(p - exact) <= 1e-12
+    assert max_abs(p @ p - p) <= 1e-12
+    assert max_abs(p @ m - m @ p) <= 1e-12
+    assert sd.zero_nilpotent_index_bound == 3
+
+
+@pytest.mark.parametrize("name", ["unitary_m0zero", "bitflip_p1"])
+def test_dual_vectors_biorthonormal_in_unit_clusters(name):
+    scheme = load_model(MODELS_DIR / f"{name}.model").to_scheme()
+    sd = build_representation(scheme).spectral
+    unit_clusters = np.unique(sd.cluster_ids[sd.unit_circle_flags])
+    assert unit_clusters.size > 0
+    for cid in unit_clusters:
+        idx = np.flatnonzero(sd.cluster_ids == cid)
+        gram = sd.left_vectors[:, idx].conj().T @ sd.right_vectors[:, idx]
+        assert max_abs(gram - np.eye(idx.size)) <= 1e-12
+    outside = ~np.isin(sd.cluster_ids, unit_clusters)
+    assert max_abs(sd.left_vectors[:, outside]) == 0.0

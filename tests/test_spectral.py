@@ -26,16 +26,10 @@ from helpers import (
     P0,
     bitflip_program,
     bitflip_scheme,
+    bitflip_step_matrix,
     block_unitary_scheme,
     m1_zero_program,
 )
-
-
-def bitflip_step_matrix(p):
-    m = np.zeros((4, 4))
-    m[0, 3] = 1 - p
-    m[3, 3] = p
-    return m
 
 
 def test_representation_matches_displayed_matrix():
@@ -44,7 +38,6 @@ def test_representation_matches_displayed_matrix():
     assert not rep.has_unit_spectrum()
     assert max_abs(rep.n_filtered - rep.m) == 0.0
     assert np.array_equal(rep.n0, np.diag([1.0, 0.0, 0.0, 0.0]))
-    assert np.array_equal(rep.n1, np.diag([0.0, 0.0, 0.0, 1.0]))
 
 
 def test_representation_stuck_bitflip():
