@@ -13,6 +13,7 @@ stays the only dependency.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,19 +109,25 @@ class SpectralData:
     only.  Within a unit cluster whose Gram matrix is nonsingular -- those
     of valid step representations always are -- the left columns are
     rescaled so that ``left[:, i].conj().T @ right[:, j] = delta_ij``
-    inside the cluster.  ``norm`` is the spectral norm ``||A||_2``.
-    ``zero_nilpotent_index_bound`` is an upper bound on the largest Jordan
-    block size at eigenvalue zero (rank stabilization of powers).
+    inside the cluster.  ``matrix`` is the decomposed array itself and
+    ``norm`` its spectral norm ``||A||_2``.  ``zero_nilpotent_index_bound``
+    is an upper bound on the largest Jordan block size at eigenvalue zero
+    (rank stabilization of powers); it costs one SVD per power and is
+    computed on first read only.
     """
 
     dim: int
+    matrix: np.ndarray
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray
     cluster_ids: np.ndarray
     unit_circle_flags: np.ndarray
-    zero_nilpotent_index_bound: int
     norm: float
+
+    @functools.cached_property
+    def zero_nilpotent_index_bound(self) -> int:
+        return _nilpotent_index_bound(self.matrix)
 
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(self.eigenvalues))) if self.eigenvalues.size else 0.0
@@ -255,11 +262,11 @@ def spectral_decompose(a, eps_unit: float = EPS_UNIT) -> SpectralData:
 
     return SpectralData(
         dim=n,
+        matrix=arr,
         eigenvalues=evals,
         right_vectors=right,
         left_vectors=left,
         cluster_ids=cluster_ids,
         unit_circle_flags=unit_flags,
-        zero_nilpotent_index_bound=_nilpotent_index_bound(arr),
         norm=norm,
     )

@@ -108,10 +108,11 @@ def build_representation(
                 "unit-circle spectral projector does not commute with the "
                 "step representation"
             )
-        for cid in np.unique(sd.cluster_ids[sd.unit_circle_flags]):
+        # Not np.unique, whose first call imports numpy.ma (about 10 ms).
+        for cid in sorted(set(sd.cluster_ids[sd.unit_circle_flags].tolist())):
             idx = np.flatnonzero(sd.cluster_ids == cid)
             lam = sd.eigenvalues[idx].mean()
-            p_c = sd.cluster_projector(int(cid))
+            p_c = sd.cluster_projector(cid)
             defect = max_abs((m - lam * np.eye(d * d)) @ p_c)
             if defect > tol_proj * m_norm:
                 raise RepresentationError(

@@ -79,3 +79,28 @@ def block_unitary_scheme(theta=0.7, phi=1.1):
     m1 = np.diag([0.0, 1.0, 1.0]).astype(complex)
     m0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
     return ProgramScheme(SuperOperator([u]), TerminationMeasurement(m0, m1))
+
+
+def counter_scheme(d):
+    """Cyclic shift through the basis, halting on the last state: from
+    |0> the run takes exactly d steps, and no start takes longer."""
+    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    m0 = np.zeros((d, d), dtype=complex)
+    m0[-1, -1] = 1.0
+    return ProgramScheme(SuperOperator([shift]), TerminationMeasurement(m0, np.eye(d) - m0))
+
+
+def decaying_block_program():
+    """d=8, identity channel, M1 = 0.1 I_3 (+) N_5 with N_5 the nilpotent
+    shift, M0 = sqrt(I - M1^dag M1), started in |0><0|.  The surviving
+    state is 0.01^n |0><0|: it never vanishes exactly, yet its mass falls
+    below 1e-9 at step 5, the nilpotent index of the step matrix."""
+    m1 = np.zeros((8, 8), dtype=complex)
+    m1[:3, :3] = 0.1 * np.eye(3)
+    m1[3:, 3:] = np.eye(5, k=-1)
+    # I - M1^dag M1 is diagonal, so the entrywise root is the matrix root.
+    m0 = np.sqrt(np.eye(8) - m1.conj().T @ m1)
+    scheme = ProgramScheme(SuperOperator([np.eye(8)]), TerminationMeasurement(m0, m1))
+    rho0 = np.zeros((8, 8))
+    rho0[0, 0] = 1.0
+    return scheme.with_initial_state(DensityOperator(rho0))

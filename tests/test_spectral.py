@@ -1,8 +1,12 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmcverify
 from qmcverify import (
     Observable,
     RepresentationError,
@@ -30,6 +34,8 @@ from helpers import (
     block_unitary_scheme,
     m1_zero_program,
 )
+
+MODELS_DIR = Path(__file__).parent.parent / "models"
 
 
 def test_representation_matches_displayed_matrix():
@@ -257,3 +263,21 @@ def test_unit_overlap_vector_convention():
     rep = build_representation(prog)
     overlap = np.linalg.norm(rep.unit_projector @ vec(prog.rho0.mat))
     assert overlap == pytest.approx(0.64, abs=1e-10)
+
+
+def test_unit_spectrum_build_does_not_import_numpy_ma():
+    # numpy's first np.unique call imports numpy.ma, about 10 ms per process.
+    package_root = Path(qmcverify.__file__).parents[1]
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(package_root)!r})\n"
+        "from qmcverify import build_representation\n"
+        "from qmcverify.model import load_model\n"
+        f"scheme = load_model({str(MODELS_DIR / 'unitary_m0zero.model')!r}).to_scheme()\n"
+        "assert build_representation(scheme).has_unit_spectrum()\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"

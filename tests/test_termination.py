@@ -1,19 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmcverify import (
     DensityOperator,
+    ProgramScheme,
+    SuperOperator,
+    TerminationMeasurement,
     build_representation,
     check_program_termination,
     check_scheme_termination,
     terminal_state_series,
 )
-from qmcverify.sampling import random_density, random_scheme
+from qmcverify.sampling import random_density, random_scheme, random_unitary
 
 from helpers import (
     bitflip_program,
     bitflip_scheme,
     block_unitary_scheme,
+    counter_scheme,
+    decaying_block_program,
     m1_zero_program,
     xflip_scheme,
 )
@@ -127,3 +134,91 @@ def test_unit_overlap_uses_dual_basis():
     rho_stuck = DensityOperator(np.diag([0.0, 0.5, 0.5]))
     assert check_program_termination(rep, rho_safe).almost_terminates
     assert not check_program_termination(rep, rho_stuck).almost_terminates
+
+
+def test_decaying_mass_is_not_exact_termination():
+    # The surviving mass drops below ZERO_VECTOR_RTOL at the nilpotent index
+    # of the step matrix, but the surviving state never vanishes.
+    prog = decaying_block_program()
+    rep = build_representation(prog)
+    for verdict in (check_program_termination(rep, prog.rho0), check_scheme_termination(rep)):
+        assert not verdict.terminates
+        assert verdict.terminates_at is None
+        assert verdict.almost_terminates
+
+
+def test_counter_terminates_at_d_without_rank_of_powers(monkeypatch):
+    calls = []
+    matrix_rank = np.linalg.matrix_rank
+
+    def counting_rank(*args, **kwargs):
+        calls.append(1)
+        return matrix_rank(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counting_rank)
+    d = 6
+    scheme = counter_scheme(d)
+    rep = build_representation(scheme)
+    first = DensityOperator(np.diag([1.0] + [0.0] * (d - 1)))
+    assert check_program_termination(rep, first).terminates_at == d
+    assert check_scheme_termination(rep).terminates_at == d
+    assert calls == []
+    assert rep.spectral.zero_nilpotent_index_bound == d
+
+
+@st.composite
+def permutation_programs(draw):
+    """Mixtures of one or two phased permutations halting on one or two
+    basis states (few, so that long runs are common), started uniformly on
+    a random set of basis states.  Every step maps diagonal matrices to
+    diagonal matrices, so zeros stay exact."""
+    d = draw(st.integers(2, 7))
+    n_kraus = draw(st.integers(1, 2))
+    w = draw(st.floats(0.1, 0.9))
+    weights = [1.0] if n_kraus == 1 else [w, 1.0 - w]
+    kraus = []
+    for weight in weights:
+        perm = draw(st.permutations(range(d)))
+        phases = draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=d, max_size=d))
+        k = np.zeros((d, d), dtype=complex)
+        k[perm, range(d)] = np.sqrt(weight) * np.exp(1j * np.array(phases))
+        kraus.append(k)
+    halting = draw(st.sets(st.integers(0, d - 1), min_size=1, max_size=2))
+    start = draw(st.sets(st.integers(0, d - 1), min_size=1, max_size=d))
+    m0 = np.diag([1.0 if j in halting else 0.0 for j in range(d)])
+    rho0 = np.diag([1.0 if j in start else 0.0 for j in range(d)]) / len(start)
+    seed = draw(st.integers(0, 2**32 - 1))
+    return kraus, m0, rho0, random_unitary(d, np.random.default_rng(seed))
+
+
+def _first_exact_zero(g, rho):
+    """First n <= d^2 + 1 with G^n(rho) exactly the zero matrix, else None."""
+    for n in range(1, rho.shape[0] ** 2 + 2):
+        rho = g.apply_mat(rho)
+        if not rho.any():
+            return n
+    return None
+
+
+def _scheme_in_basis(kraus, m0, u):
+    def conj(a):
+        return u @ a @ u.conj().T
+
+    d = m0.shape[0]
+    meas = TerminationMeasurement(conj(m0), conj(np.eye(d) - m0))
+    return ProgramScheme(SuperOperator([conj(k) for k in kraus]), meas)
+
+
+@settings(deadline=None, derandomize=True)
+@given(permutation_programs())
+def test_exact_termination_matches_exact_zero_reference(case):
+    kraus, m0, rho0, u = case
+    d = m0.shape[0]
+    scheme = _scheme_in_basis(kraus, m0, np.eye(d))
+    expected = _first_exact_zero(scheme.g, rho0)
+    expected_scheme = _first_exact_zero(scheme.g, np.eye(d) / d)
+    for basis in (np.eye(d), u):
+        rep = build_representation(_scheme_in_basis(kraus, m0, basis))
+        rho = DensityOperator(basis @ rho0 @ basis.conj().T)
+        assert check_program_termination(rep, rho).terminates_at == expected
+        assert check_scheme_termination(rep).terminates_at == expected_scheme
