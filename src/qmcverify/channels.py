@@ -6,11 +6,23 @@ A super-operator is stored as its Kraus family ``{E_i}`` with
 ``M -> sum(E_i^dag M E_i)``.  Equality of super-operators is always decided
 through :func:`matrix_representation`, never through the Kraus lists, which
 are not unique.
+
+Both actions run on the stacked Kraus array ``(K, d, d)`` and its stacked
+conjugate transpose, built once per super-operator on first use: one
+batched matmul pair forms every term ``E_i X E_i^dag`` (or
+``E_i^dag X E_i``) and the terms are then added in Kraus order.  numpy's
+batched matmul runs the same per-matrix product as a 2-D ``@``, and the
+sum is written out slice by slice, so the result is bit for bit that of
+a Python loop over the Kraus list (one that starts from a zero matrix
+could differ only in the sign of an exact zero).  ``np.add.reduce`` over
+axis 0 is not used: when the summed terms collapse to one element
+(``d = 1``) numpy sums them pairwise, in a different order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,19 +91,39 @@ class SuperOperator:
     def dim(self) -> int:
         return self.kraus[0].shape[0]
 
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """The Kraus operators stacked as ``(K, d, d)``; read-only, built
+        on first use."""
+        stack = np.array(self.kraus)
+        stack.setflags(write=False)
+        return stack
+
+    @cached_property
+    def stack_dagger(self) -> np.ndarray:
+        """The conjugate transposes of :attr:`stack`, contiguous and
+        read-only."""
+        stack_dagger = np.ascontiguousarray(self.stack.conj().transpose(0, 2, 1))
+        stack_dagger.setflags(write=False)
+        return stack_dagger
+
     def apply_mat(self, mat: np.ndarray) -> np.ndarray:
-        """Forward action on a raw matrix, no validation."""
-        out = np.zeros_like(mat, dtype=complex)
-        for k in self.kraus:
-            out += k @ mat @ dagger(k)
-        return out
+        """Forward action on a raw matrix, no validation.  The result is a
+        new writeable array."""
+        return _sum_terms(self.stack @ mat @ self.stack_dagger)
 
     def apply_dual_mat(self, mat: np.ndarray) -> np.ndarray:
-        """Heisenberg-picture action on a raw matrix, no validation."""
-        out = np.zeros_like(mat, dtype=complex)
-        for k in self.kraus:
-            out += dagger(k) @ mat @ k
-        return out
+        """Heisenberg-picture action on a raw matrix, no validation.  The
+        result is a new writeable array."""
+        return _sum_terms(self.stack_dagger @ mat @ self.stack)
+
+
+def _sum_terms(terms: np.ndarray) -> np.ndarray:
+    """Sum a fresh ``(K, d, d)`` array over axis 0 in order, in place."""
+    out = terms[0]
+    for i in range(1, len(terms)):
+        out += terms[i]
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,9 @@ Q-termination (QV3) this pins the terminal expectation down to
 
 The least such ``Q`` always exists and is constructed here by the
 monotone iteration ``Q_0 = 0``,
-``Q_{n+1} = M0^dag P M0 + M1^dag E*(Q_n) M1``, whose limit ``L`` is the
+``Q_{n+1} = M0^dag P M0 + M1^dag E*(Q_n) M1 = M0^dag P M0 + G*(Q_n)``
+(stepped through the dual of the scheme's survival step ``G = E . E1``,
+whose Kraus operators are ``E_i M1``), whose limit ``L`` is the
 completion itself; the invariant is ``Qbar = E*(L)``.  There is no
 linear-solve shortcut: the equivalent linear system can silently pick a
 non-least fixed point whenever the step representation has unit-modulus
@@ -124,8 +126,7 @@ def least_fixed_point_q(
             "split a general Hermitian one with general_expectation"
         )
     meas = prog_or_scheme.meas
-    e = prog_or_scheme.e
-    m1 = meas.m1
+    e, g = prog_or_scheme.e, prog_or_scheme.g
     base = _completion_mat(meas, p.mat, np.zeros_like(p.mat))
 
     limit = np.zeros_like(p.mat)
@@ -133,7 +134,7 @@ def least_fixed_point_q(
     converged = False
     check_until = 32
     while iterations < n_max:
-        nxt = base + dagger(m1) @ e.apply_dual_mat(limit) @ m1
+        nxt = base + g.apply_dual_mat(limit)
         delta = max_abs(nxt - limit)
         if iterations < check_until and delta > tol:
             if not is_positive_semidefinite(nxt - limit, 1e-8):

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,12 +43,42 @@ DEFAULT_OPTIONS = {
 }
 
 
+# Lower bound of each option and whether the bound itself is allowed.
+_OPTION_BOUNDS = {
+    "tail_tol": (0, False),
+    "n_max": (1, True),
+    "eps_unit": (0, True),
+    "tol": (0, True),
+}
+
+
 @dataclass
 class ModelOptions:
+    """Numerical options of a model.  Every construction is validated,
+    including ``dataclasses.replace`` with command-line overrides."""
+
     tail_tol: float = DEFAULT_OPTIONS["tail_tol"]
     n_max: int = DEFAULT_OPTIONS["n_max"]
     eps_unit: float = DEFAULT_OPTIONS["eps_unit"]
     tol: float = DEFAULT_OPTIONS["tol"]
+
+    def __post_init__(self):
+        for name, (low, inclusive) in _OPTION_BOUNDS.items():
+            value = getattr(self, name)
+            ok = (
+                isinstance(value, numbers.Real)
+                and not isinstance(value, bool)
+                and math.isfinite(value)
+                and (value >= low if inclusive else value > low)
+                and (name != "n_max" or value == int(value))
+            )
+            if not ok:
+                kind = "an integer" if name == "n_max" else "a finite number"
+                rel = ">=" if inclusive else ">"
+                raise ValidationError(
+                    f"option {name} must be {kind} {rel} {low}, got {value!r}"
+                )
+        self.n_max = int(self.n_max)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelOptions":
@@ -56,9 +88,7 @@ class ModelOptions:
                 f"unknown option keys {sorted(unknown)}; "
                 f"supported: {sorted(DEFAULT_OPTIONS)}"
             )
-        merged = {**DEFAULT_OPTIONS, **data}
-        merged["n_max"] = int(merged["n_max"])
-        return cls(**merged)
+        return cls(**{**DEFAULT_OPTIONS, **data})
 
     def to_dict(self) -> dict:
         return {

@@ -164,7 +164,7 @@ class SeriesResult:
 
 
 def _real_trace(mat: np.ndarray) -> float:
-    return float(np.trace(mat).real)
+    return float(mat.trace().real)
 
 
 @dataclass(frozen=True, eq=False)

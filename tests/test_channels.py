@@ -22,6 +22,31 @@ from qmcverify.sampling import random_channel, random_density, random_observable
 from helpers import I2, bitflip_channel
 
 
+def _kraus_loop(e, mat, dual):
+    """The written-out per-Kraus sum, added in Kraus order from zero."""
+    out = np.zeros((e.dim, e.dim), dtype=complex)
+    for k in e.kraus:
+        out += k.conj().T @ mat @ k if dual else k @ mat @ k.conj().T
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+@pytest.mark.parametrize("n_kraus", [1, 2, 5])
+def test_stacked_kernel_is_bit_identical_to_kraus_loop(d, n_kraus, rng):
+    e = random_channel(d, rng, n_kraus)
+    for _ in range(10):
+        for mat in (random_density(d, rng).mat, random_observable(d, rng).mat):
+            assert not mat.flags.writeable
+            for dual, act in ((False, e.apply_mat), (True, e.apply_dual_mat)):
+                out = act(mat)
+                assert np.array_equal(out, _kraus_loop(e, mat, dual))
+                # callers accumulate into the result in place
+                assert out.flags.writeable
+                assert not np.shares_memory(out, mat)
+                assert not np.shares_memory(out, e.stack)
+                assert not np.shares_memory(out, e.stack_dagger)
+
+
 def test_apply_identity_channel(rng):
     e = SuperOperator([I2])
     rho = random_density(2, rng)

@@ -258,3 +258,46 @@ def test_option_overrides_leave_the_model_unchanged(monkeypatch):
     _, opts = cli._load(args)
     assert opts.n_max == 10
     assert loaded.options.n_max == 1_000_000
+
+
+@pytest.mark.parametrize(
+    "flag,value,option",
+    [
+        ("--n-max", "0", "n_max"),
+        ("--n-max", "-3", "n_max"),
+        ("--tol", "-1", "tol"),
+        ("--tol", "nan", "tol"),
+        ("--tol", "inf", "tol"),
+        ("--eps-unit", "-1", "eps_unit"),
+        ("--eps-unit", "nan", "eps_unit"),
+        ("--tail-tol", "nan", "tail_tol"),
+        ("--tail-tol", "0", "tail_tol"),
+        ("--tail-tol", "-1e-12", "tail_tol"),
+    ],
+)
+def test_bad_option_override_exits_2(flag, value, option, capsys):
+    code = main(["verify", model("bitflip_p05.model"), "-o", "P0", f"{flag}={value}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"option {option} " in err
+
+
+@pytest.mark.parametrize(
+    "options,option",
+    [
+        ({"n_max": 0}, "n_max"),
+        ({"n_max": 2.5}, "n_max"),
+        ({"tail_tol": 0.0}, "tail_tol"),
+        ({"tol": -1.0}, "tol"),
+        ({"eps_unit": "1e-7"}, "eps_unit"),
+    ],
+)
+def test_bad_option_in_model_file_exits_2(options, option, tmp_path, capsys):
+    doc = json.loads(Path(model("bitflip_p05.model")).read_text())
+    doc["options"].update(options)
+    path = tmp_path / "bad.model"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", str(path), "-o", "P0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"option {option} " in err

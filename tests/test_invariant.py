@@ -3,6 +3,7 @@ import pytest
 
 from qmcverify import (
     Observable,
+    SuperOperator,
     ValidationError,
     build_representation,
     certificate_for,
@@ -13,6 +14,7 @@ from qmcverify import (
     completion_expansion_residual,
     least_fixed_point_q,
     oracle_expectation,
+    oracle_fixed_point,
     terminal_state_series,
 )
 from qmcverify.linalg import max_abs
@@ -206,3 +208,36 @@ def test_general_expectation_pauli_z_vs_series():
 def test_general_expectation_zero_observable():
     prog = bitflip_program(0.5, 0.6, 0.8)
     assert general_expectation(prog, Observable(np.zeros((2, 2)))) == 0.0
+
+
+def test_fixed_point_through_g_dual_matches_written_out_iteration(rng):
+    # least_fixed_point_q steps G* (Kraus operators E_i M1); the oracle
+    # keeps the written-out M1^dag E*(Q) M1.  At equal tolerance both stop
+    # at the same iterate of the same sequence.
+    cases = [(bitflip_program(0.999, 0.0, 1.0), P0)]
+    for d in (2, 3, 4):
+        for _ in range(3):
+            cases.append(
+                (random_contracting_program(d, rng), random_observable(d, rng, psd=True))
+            )
+    for prog, p in cases:
+        cert = least_fixed_point_q(prog, p, tol=1e-13)
+        assert cert.converged
+        assert max_abs(cert.q.mat - oracle_fixed_point(prog, p, tol=1e-13).mat) <= 1e-12
+
+
+def test_fixed_point_steps_g_and_the_oracle_does_not(monkeypatch):
+    prog = bitflip_program(0.9, 0.6, 0.8)
+    used = []
+    orig = SuperOperator.apply_dual_mat
+
+    def spy(self, mat):
+        used.append(self)
+        return orig(self, mat)
+
+    monkeypatch.setattr(SuperOperator, "apply_dual_mat", spy)
+    least_fixed_point_q(prog, P0)
+    assert any(e is prog.g for e in used)
+    used.clear()
+    oracle_fixed_point(prog, P0)
+    assert used and all(e is prog.e for e in used)

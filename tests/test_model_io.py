@@ -1,9 +1,10 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qmcverify import ValidationError, load_model, model_hash
+from qmcverify import ModelOptions, ValidationError, load_model, model_hash
 from qmcverify.model import dumps, loads, save_model
 
 MODELS_DIR = Path(__file__).parent.parent / "models"
@@ -70,6 +71,16 @@ def test_unknown_option_rejected():
 
     with pytest.raises(ValidationError, match="surprise"):
         model_from_dict(doc)
+
+
+def test_model_options_are_validated_on_every_construction():
+    opts = ModelOptions(n_max=1e6)
+    assert opts.n_max == 1_000_000 and isinstance(opts.n_max, int)
+    for name, value in (("n_max", 0), ("n_max", True), ("tail_tol", float("nan")), ("tol", -1e-9)):
+        with pytest.raises(ValidationError, match=f"option {name} "):
+            ModelOptions(**{name: value})
+        with pytest.raises(ValidationError, match=f"option {name} "):
+            dataclasses.replace(opts, **{name: value})
 
 
 def test_scheme_model_has_no_program():
