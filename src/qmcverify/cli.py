@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .channels import Observable
 from .errors import QmcError, ValidationError
-from .invariant import check_conditions, expectation_via_invariant, least_fixed_point_q
+from .invariant import STOP_REASONS, check_conditions, least_fixed_point_q
 from .linalg import is_positive_semidefinite, max_abs, psd_split
 from .model import Model, ModelOptions, load_model, model_hash
 from .oracle import oracle_expectation
@@ -80,6 +80,8 @@ def _emit(report: VerificationReport, args) -> None:
 _COMBINE_PARTS = {
     "iterations": sum,
     "converged": all,
+    "error_bound": sum,
+    "stop_reason": lambda reasons: max(reasons, key=STOP_REASONS.index),
     "qv1": all,
     "qv1_value": sum,
     "qv2": all,
@@ -96,7 +98,9 @@ def _invariant_method(prog, p: Observable, rep, n_max: int) -> tuple[float, dict
     is split into positive parts ``p = pos - neg``; each part gets its own
     certificate, the reported value is the difference, and the parts'
     diagnostics combine as in :data:`_COMBINE_PARTS` (``qv1_value`` is the
-    difference too).
+    difference too, the error bounds add up, and the stop reason is the
+    worse one).  The value and ``qv1_value`` are one number,
+    ``tr(completion rho0)``, computed once per part.
     """
     if is_positive_semidefinite(p.mat):
         parts = [(1.0, p)]
@@ -110,13 +114,15 @@ def _invariant_method(prog, p: Observable, rep, n_max: int) -> tuple[float, dict
     for sign, part in parts:
         cert = least_fixed_point_q(prog, part, n_max=n_max)
         cond = check_conditions(prog, part, cert, rep=rep)
-        values.append(sign * expectation_via_invariant(prog, part, cert))
+        values.append(sign * cond.qv1_value)
         diags.append(
             {
                 "iterations": cert.iterations,
                 "converged": cert.converged,
+                "error_bound": cert.error_bound,
+                "stop_reason": cert.stop_reason,
                 "qv1": cond.qv1,
-                "qv1_value": sign * cond.qv1_value,
+                "qv1_value": values[-1],
                 "qv2": cond.qv2,
                 "qv2_residual": cond.qv2_residual,
                 "qv3": cond.qv3,
@@ -280,6 +286,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_simulate(args) -> int:
     model, opts = _load(args)
+    if args.steps < 1:
+        raise ValidationError(f"option --steps must be >= 1, got {args.steps}")
     prog = model.to_program()
     trace = step_probabilities(prog, args.steps)
     sys.stdout.write(simulation_table(trace))

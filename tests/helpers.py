@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+from pathlib import Path
+
 import numpy as np
 
 from qmcverify import (
@@ -9,6 +11,8 @@ from qmcverify import (
     SuperOperator,
     TerminationMeasurement,
 )
+
+MODELS_DIR = Path(__file__).parent.parent / "models"
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)

@@ -8,7 +8,7 @@ from qmcverify import EigensolverError
 from qmcverify.cli import main
 from qmcverify.model import dumps, load_model
 
-MODELS_DIR = Path(__file__).parent.parent / "models"
+from helpers import MODELS_DIR
 
 
 def model(name):
@@ -245,6 +245,7 @@ def test_n_max_caps_fixed_point_iteration(tmp_path, capsys):
     (inv,) = json.loads(out.read_text())["methods"]
     assert inv["diagnostics"]["iterations"] <= 10
     assert not inv["diagnostics"]["converged"]
+    assert inv["diagnostics"]["stop_reason"] == "n_max"
 
 
 def test_option_overrides_leave_the_model_unchanged(monkeypatch):
@@ -301,3 +302,36 @@ def test_bad_option_in_model_file_exits_2(options, option, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert f"option {option} " in err
+
+
+def test_verify_invariant_certifies_near_unit_bitflip(tmp_path, capsys):
+    # stay with p = 0.99999, flip with 1 - p: from |1> everything halts in |0>
+    near = load_model(model("bitflip_p05.model"))
+    p = 0.99999
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    near.kraus = [np.sqrt(p) * np.eye(2, dtype=complex), np.sqrt(1 - p) * x]
+    path = tmp_path / "near.model"
+    path.write_text(dumps(near))
+    out = tmp_path / "r.json"
+    code = main(
+        ["verify", str(path), "-o", "P0", "--method", "invariant", "--json-out", str(out)]
+    )
+    capsys.readouterr()
+    assert code == 0
+    (inv,) = json.loads(out.read_text())["methods"]
+    diag = inv["diagnostics"]
+    assert diag["converged"] and diag["stop_reason"] == "bound"
+    assert diag["error_bound"] < 1e-12
+    assert diag["qv3"] and diag["qv3_limit"] < 1e-12
+    assert diag["iterations"] < 300
+    assert inv["value"] == pytest.approx(1.0, abs=1e-11)
+    assert diag["qv1_value"] == inv["value"]
+
+
+@pytest.mark.parametrize("steps", ["0", "-2"])
+def test_simulate_rejects_nonpositive_steps(steps, capsys):
+    code = main(["simulate", model("bitflip_p05.model"), "--steps", steps])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--steps" in err
+    assert "n_max" not in err

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from qmcverify import (
+    ConsistencyError,
+    DensityOperator,
     Observable,
+    ProgramScheme,
     SuperOperator,
+    TerminationMeasurement,
     ValidationError,
     build_representation,
     certificate_for,
@@ -17,10 +21,12 @@ from qmcverify import (
     oracle_fixed_point,
     terminal_state_series,
 )
-from qmcverify.linalg import max_abs
+from qmcverify.invariant import _LINEAR_STEPS, _qv3_tail_values
+from qmcverify.linalg import max_abs, psd_split
+from qmcverify.model import load_model
 from qmcverify.sampling import random_contracting_program, random_density, random_observable
 
-from helpers import P0, Z, bitflip_program, m1_zero_program
+from helpers import MODELS_DIR, P0, Z, bitflip_program, m1_zero_program
 
 
 def test_least_fixed_point_bitflip_terminating():
@@ -212,18 +218,22 @@ def test_general_expectation_zero_observable():
 
 def test_fixed_point_through_g_dual_matches_written_out_iteration(rng):
     # least_fixed_point_q steps G* (Kraus operators E_i M1); the oracle
-    # keeps the written-out M1^dag E*(Q) M1.  At equal tolerance both stop
-    # at the same iterate of the same sequence.
-    cases = [(bitflip_program(0.999, 0.0, 1.0), P0)]
+    # keeps the written-out M1^dag E*(Q) M1.  The random programs certify
+    # in the linear stage, where both run the same sequence.
     for d in (2, 3, 4):
         for _ in range(3):
-            cases.append(
-                (random_contracting_program(d, rng), random_observable(d, rng, psd=True))
-            )
-    for prog, p in cases:
-        cert = least_fixed_point_q(prog, p, tol=1e-13)
-        assert cert.converged
-        assert max_abs(cert.q.mat - oracle_fixed_point(prog, p, tol=1e-13).mat) <= 1e-12
+            prog = random_contracting_program(d, rng)
+            p = random_observable(d, rng, psd=True)
+            cert = least_fixed_point_q(prog, p, tol=1e-13)
+            assert cert.converged
+            assert max_abs(cert.q.mat - oracle_fixed_point(prog, p, tol=1e-13).mat) <= 1e-12
+    # Bitflip p = 0.999 from |1> goes on to the doubling stage, which ends
+    # closer to the least invariant than the oracle's linear iteration
+    # stopped at tol 1e-13 (about 1e-10 off); compare with the analytic
+    # q = I instead.
+    cert = least_fixed_point_q(bitflip_program(0.999, 0.0, 1.0), P0, tol=1e-13)
+    assert cert.converged and cert.stop_reason == "bound"
+    assert max_abs(cert.q.mat - np.eye(2)) <= 1e-12
 
 
 def test_fixed_point_steps_g_and_the_oracle_does_not(monkeypatch):
@@ -241,3 +251,96 @@ def test_fixed_point_steps_g_and_the_oracle_does_not(monkeypatch):
     used.clear()
     oracle_fixed_point(prog, P0)
     assert used and all(e is prog.e for e in used)
+
+
+def test_linear_bound_is_not_taken_from_the_first_ratio():
+    # increments 1, 1e-7, 1e-7 p, ...: the first ratio alone would claim
+    # convergence after two steps
+    prog = bitflip_program(1 - 1e-7, 0.0, 1.0)
+    cert = least_fixed_point_q(prog, P0)
+    assert cert.stop_reason == "bound"
+    assert cert.iterations > _LINEAR_STEPS
+    assert cert.qv1_value == pytest.approx(1.0, abs=1e-9)
+
+
+def test_power_read_tail_matches_stepped_tail():
+    prog = bitflip_program(0.99, 0.0, 1.0)
+    cert = least_fixed_point_q(prog, P0)
+    assert cert.iterations > _LINEAR_STEPS  # the doubling stage ran
+    stepped = _qv3_tail_values(prog, cert.q.mat)
+    # the power-read tail also closes the last pair n = 2^j, 2^j + 1
+    assert len(cert.qv3_tail) - len(stepped) in (0, 1)
+    assert max(abs(a - b) for a, b in zip(cert.qv3_tail, stepped)) <= 1e-12
+
+
+def test_non_psd_increment_in_doubling_stage_raises(monkeypatch):
+    from qmcverify.channels import matrix_representation
+
+    def corrupted(g):
+        m = matrix_representation(g)
+        m[0, 3] = -1.0  # G*(|0><0|) now has weight -1 on |1><1|
+        return m
+
+    monkeypatch.setattr("qmcverify.invariant.matrix_representation", corrupted)
+    with pytest.raises(ConsistencyError, match="Loewner"):
+        least_fixed_point_q(bitflip_program(0.999, 0.0, 1.0), P0)
+
+
+def test_committed_models_and_small_random_programs_stay_linear(monkeypatch, rng):
+    def no_doubling(g):
+        raise AssertionError("the doubling stage ran")
+
+    monkeypatch.setattr("qmcverify.invariant.matrix_representation", no_doubling)
+    cases = []
+    for path in sorted(MODELS_DIR.glob("*.model")):
+        model = load_model(path)
+        targets = [model.to_scheme()]
+        if model.rho0 is not None:
+            targets.append(model.to_program())
+        for name in model.observables:
+            for part in psd_split(model.observable(name).mat):
+                cases += [(t, Observable(part)) for t in targets]
+    for d in (2, 3, 4):
+        for _ in range(10):
+            prog = random_contracting_program(d, rng)
+            cases.append((prog, random_observable(d, rng, psd=True)))
+    for prog, p in cases:
+        cert = least_fixed_point_q(prog, p)
+        assert cert.stop_reason == "bound"
+        assert cert.iterations <= _LINEAR_STEPS
+
+
+def test_n_max_caps_linear_steps_plus_squarings():
+    prog = bitflip_program(0.999, 0.0, 1.0)
+    for n_max in (10, _LINEAR_STEPS, _LINEAR_STEPS + 3, _LINEAR_STEPS + 12):
+        cert = least_fixed_point_q(prog, P0, n_max=n_max)
+        assert cert.iterations == n_max
+        assert not cert.converged and cert.stop_reason == "n_max"
+        # a partial result stays a lower bound of q = I
+        assert np.all(np.linalg.eigvalsh(np.eye(2) - cert.q.mat) >= -1e-12)
+
+
+def test_qv1_value_is_the_invariant_expectation(rng):
+    for d in (2, 3, 4, 5):
+        for _ in range(5):
+            prog = random_contracting_program(d, rng)
+            p = random_observable(d, rng, psd=True)
+            cert = least_fixed_point_q(prog, p)
+            assert cert.qv1_value == expectation_via_invariant(prog, p, cert)
+            assert check_conditions(prog, p, cert).qv1_value == cert.qv1_value
+
+
+def test_unit_spectrum_stops_on_tol_without_a_bound():
+    # d=3: |2> survives forever, |1> flips to the halting |0> with
+    # probability 1 - p.  G* keeps |2><2|, so ||A^k||_inf never drops
+    # below 1, while the increments, which never reach |2>, still vanish.
+    p = 0.999
+    flip = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
+    e = SuperOperator([np.sqrt(p) * np.eye(3), np.sqrt(1 - p) * flip])
+    meas = TerminationMeasurement(np.diag([1.0, 0, 0]), np.diag([0, 1.0, 1.0]))
+    prog = ProgramScheme(e, meas).with_initial_state(DensityOperator(np.diag([0, 1.0, 0])))
+    cert = least_fixed_point_q(prog, Observable(np.diag([1.0, 0, 0])))
+    assert cert.stop_reason == "tol" and cert.converged
+    assert cert.error_bound == np.inf
+    assert cert.qv1_value == pytest.approx(1.0, abs=1e-9)
+    assert max_abs(cert.q.mat - np.diag([1.0, 1.0, 0])) <= 1e-9
