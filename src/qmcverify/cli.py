@@ -277,7 +277,7 @@ def cmd_spectrum(args) -> int:
         opts.eps_unit,
         margin=rep.margin,
         unit_eigenvalues=int(np.count_nonzero(rep.spectral.unit_circle_flags)),
-        zero_nilpotent_index_bound=rep.spectral.zero_nilpotent_index_bound,
+        scheme_terminates_at=check_scheme_termination(rep).terminates_at,
         semisimple_unit_part=True,
     )
     _emit(report, args)

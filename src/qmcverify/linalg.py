@@ -1,11 +1,14 @@
-"""Dense complex linear algebra used throughout the toolkit.
+"""Dense linear algebra used throughout the toolkit.
 
-Everything here operates on plain ``numpy`` arrays of ``complex128``.
-The one nontrivial piece is :func:`spectral_decompose`.  It eigensolves
-the matrix once, and the adjoint only when some eigenvalue lies on the
-unit circle: dual eigenvectors are needed only there, biorthonormalized
-inside each unit cluster so that the unit-modulus spectral projector is
-``sum(right @ left.conj().T)`` without ever touching a Jordan basis.
+Everything here operates on plain ``numpy`` arrays of ``complex128``,
+except that :func:`spectral_decompose` takes a real matrix as
+``float64``, so that it gets a real eigensolve and a real SVD; its
+eigendata come back ``complex128`` either way.  That function is the one
+nontrivial piece.  It eigensolves the matrix once, and the adjoint only
+when some eigenvalue lies on the unit circle: dual eigenvectors are
+needed only there, biorthonormalized inside each unit cluster so that
+the unit-modulus spectral projector is ``sum(right @ left.conj().T)``
+without ever touching a Jordan basis.
 ``scipy.linalg.eig(left=True)`` would give both sides from one call, but
 importing ``scipy.linalg`` adds about 0.3 s to every CLI start, so numpy
 stays the only dependency.
@@ -33,9 +36,8 @@ TOL_TP = 1e-9
 CLUSTER_REL_TOL = 1e-6
 
 
-def as_complex_matrix(a, name="matrix") -> np.ndarray:
-    """Coerce to a 2-D complex128 array and reject non-finite entries."""
-    arr = np.asarray(a, dtype=complex)
+def _as_matrix(a, name: str, dtype) -> np.ndarray:
+    arr = np.asarray(a, dtype=dtype)
     if arr.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
@@ -43,8 +45,15 @@ def as_complex_matrix(a, name="matrix") -> np.ndarray:
     return arr
 
 
-def require_square(a, name="matrix") -> np.ndarray:
-    arr = as_complex_matrix(a, name)
+def as_complex_matrix(a, name="matrix") -> np.ndarray:
+    """Coerce to a 2-D complex128 array and reject non-finite entries."""
+    return _as_matrix(a, name, complex)
+
+
+def require_square(a, name="matrix", dtype=complex) -> np.ndarray:
+    """Coerce to a square 2-D array of ``dtype`` and reject non-finite
+    entries."""
+    arr = _as_matrix(a, name, dtype)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {arr.shape}")
     return arr
@@ -104,18 +113,21 @@ def psd_split(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class SpectralData:
     """Eigendata of a (generally non-normal) square matrix.
 
-    ``right_vectors`` and ``left_vectors`` hold one column per eigenvalue,
-    paired index-by-index.  Left columns are filled only inside clusters
-    that contain a unit-circle eigenvalue; every other left column is
-    zero, so :meth:`cluster_projector` is meaningful for unit clusters
-    only.  Within a unit cluster whose Gram matrix is nonsingular -- those
-    of valid step representations always are -- the left columns are
-    rescaled so that ``left[:, i].conj().T @ right[:, j] = delta_ij``
-    inside the cluster.  ``matrix`` is the decomposed array itself and
-    ``norm`` its spectral norm ``||A||_2``.  ``zero_nilpotent_index_bound``
-    is an upper bound on the largest Jordan block size at eigenvalue zero
-    (rank stabilization of powers); it costs one SVD per power and is
-    computed on first read only.
+    ``eigenvalues``, ``right_vectors`` and ``left_vectors`` are complex128
+    even when the matrix is real.  The two vector arrays hold one column
+    per eigenvalue, paired index-by-index.  Left columns are filled only
+    inside clusters that contain a unit-circle eigenvalue; every other
+    left column is zero, so :meth:`cluster_projector` is meaningful for
+    unit clusters only.  Within a unit cluster whose Gram matrix is
+    nonsingular -- those of valid step representations always are -- the
+    left columns are rescaled so that ``left[:, i].conj().T @ right[:, j]
+    = delta_ij`` inside the cluster.  ``matrix`` is the matrix whose
+    eigendata these are (``spectral.build_representation`` decomposes a
+    unitarily similar real matrix and maps the vectors back) and ``norm``
+    its spectral norm ``||A||_2``.  ``zero_nilpotent_index_bound`` is an
+    upper bound on the largest Jordan block size at eigenvalue zero (rank
+    stabilization of powers); it costs one SVD per power and is computed
+    on first read only.
     """
 
     dim: int
@@ -153,24 +165,26 @@ class SpectralData:
 
 def _cluster_eigenvalues(evals: np.ndarray, threshold: float) -> np.ndarray:
     """Group eigenvalues into connected components under
-    |lambda_i - lambda_j| <= threshold.  O(n^2); n <= d^2 stays tiny."""
+    |lambda_i - lambda_j| <= threshold, numbered by their first index.
+
+    One n x n comparison gives the graph; each round replaces every label
+    by the least label among its neighbours and then jumps pointers
+    (``label <- label[label]``) to a fixed point, so every label ends at
+    the least index of its component.  O(n^2) per round; n <= d^2.
+    """
     n = evals.size
-    ids = -np.ones(n, dtype=int)
-    next_id = 0
-    for i in range(n):
-        if ids[i] >= 0:
-            continue
-        stack = [i]
-        ids[i] = next_id
-        while stack:
-            k = stack.pop()
-            near = np.flatnonzero(np.abs(evals - evals[k]) <= threshold)
-            for j in near:
-                if ids[j] < 0:
-                    ids[j] = next_id
-                    stack.append(j)
-        next_id += 1
-    return ids
+    near = np.abs(evals[:, None] - evals[None, :]) <= threshold
+    labels = np.arange(n)
+    while True:
+        new = np.where(near, labels[None, :], n).min(axis=1, initial=n)
+        while not np.array_equal(jumped := new[new], new):
+            new = jumped
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    # Not np.unique, whose first call imports numpy.ma (about 10 ms).
+    first = np.cumsum(labels == np.arange(n)) - 1
+    return first[labels]
 
 
 def _nilpotent_index_bound(a: np.ndarray) -> int:
@@ -194,7 +208,8 @@ def spectral_decompose(a, eps_unit: float = EPS_UNIT) -> SpectralData:
     Parameters
     ----------
     a : array_like
-        Square complex matrix.
+        Square matrix.  A real one is eigensolved and normed as it is,
+        in real arithmetic; anything else as complex128.
     eps_unit : float
         An eigenvalue is flagged unit-circle when ``| |lambda| - 1 | <=
         eps_unit``.
@@ -210,7 +225,7 @@ def spectral_decompose(a, eps_unit: float = EPS_UNIT) -> SpectralData:
         bound, or a unit-circle cluster does not get exactly as many
         adjoint eigenvectors as it has eigenvalues.
     """
-    arr = require_square(a)
+    arr = require_square(a, dtype=float if np.isrealobj(a) else complex)
     n = arr.shape[0]
     norm = float(np.linalg.norm(arr, 2)) if n else 0.0
     tol = TOL_EIG * max(1.0, norm)
@@ -218,6 +233,9 @@ def spectral_decompose(a, eps_unit: float = EPS_UNIT) -> SpectralData:
         evals, right = np.linalg.eig(arr)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(n, norm, str(exc)) from exc
+    # A real matrix with real spectrum gets real eigendata from LAPACK.
+    evals = evals.astype(complex, copy=False)
+    right = right.astype(complex, copy=False)
 
     res_right = max_abs(arr @ right - right * evals[None, :])
     if res_right > tol:

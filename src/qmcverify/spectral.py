@@ -7,10 +7,19 @@ removing their (rank-one, biorthogonal) spectral components yields a
 strictly contracting matrix ``N`` with ``N0 M^n = N0 N^n``.  Terminal
 expectations and the average running time then reduce to resolvent
 solves against ``(rho0 (x) I)|Phi>``.
+
+``G`` maps Hermitian operators to Hermitian operators, so in the
+orthonormal Hermitian basis ``E_ii``, ``(E_ij + E_ji)/sqrt2`` and
+``i(E_ij - E_ji)/sqrt2`` (``i < j``) its matrix ``R = T M T^dag`` is real.
+The eigensolve runs on ``R``, in real arithmetic, and its eigenvectors
+are mapped back with ``T^dag``; every other array here is in row-major
+``vec`` coordinates.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +38,10 @@ from .linalg import (
 from .program import ProgramScheme
 
 IMAG_TOL = 1e-9
+# Largest imaginary part, relative to max(1, ||M||_max), that the real
+# coordinates of the step matrix may carry.  Rounding leaves a few ulps;
+# a step that does not preserve Hermiticity leaves O(||M||).
+HERMITIAN_COORD_TOL = 1e-12
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
@@ -63,6 +76,58 @@ class ProgramRepresentation:
         return bool(np.any(self.spectral.unit_circle_flags))
 
 
+@functools.lru_cache(maxsize=16)
+def _hermitian_basis(d: int) -> tuple[np.ndarray, ...]:
+    """Index arithmetic for the unitary ``T`` from row-major ``vec``
+    coordinates to the Hermitian basis of the module docstring.
+
+    Slot ``i*d + j`` holds ``E_ii`` for ``i == j``, the symmetric element
+    of the pair for ``i < j`` and the antisymmetric one for ``i > j``.
+    Row ``a`` of ``T`` has ``alpha[a]`` in column ``a`` and ``beta[a]`` in
+    column ``swap[a]``, the slot of the transposed entry, and nothing
+    else.  Returns ``swap``, ``alpha`` and ``beta``, all read-only.
+    """
+    i, j = np.divmod(np.arange(d * d), d)
+    swap = j * d + i
+    h = math.sqrt(0.5)
+    alpha = np.where(i == j, 1.0, np.where(i < j, h, 1j * h))
+    beta = np.where(i == j, 0.0, np.where(i < j, h, -1j * h))
+    arrays = (swap, alpha, beta)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+def _real_coordinates(m: np.ndarray) -> np.ndarray:
+    """``R = T m T^dag`` as a float64 array, for a d^2 x d^2 ``m`` that
+    preserves Hermiticity.
+
+    Raises
+    ------
+    RepresentationError
+        If ``R`` has an imaginary part above :data:`HERMITIAN_COORD_TOL`
+        times ``max(1, ||m||_max)``: ``m`` does not map Hermitian
+        operators to Hermitian operators.
+    """
+    swap, alpha, beta = _hermitian_basis(math.isqrt(m.shape[0]))
+    rows = alpha[:, None] * m + beta[:, None] * m[swap]
+    r = rows * alpha.conj() + rows[:, swap] * beta.conj()
+    defect = max_abs(r.imag)
+    if defect > HERMITIAN_COORD_TOL * max(1.0, max_abs(m)):
+        raise RepresentationError(
+            "step representation has Hermitian-basis coordinates with "
+            f"imaginary part {defect:.3e}; it does not preserve Hermiticity"
+        )
+    return np.ascontiguousarray(r.real)
+
+
+def _vec_coordinates(c: np.ndarray) -> np.ndarray:
+    """``T^dag c``: columns of Hermitian-basis coordinates back to row-major
+    ``vec`` coordinates."""
+    swap, alpha, beta = _hermitian_basis(math.isqrt(c.shape[0]))
+    return alpha.conj()[:, None] * c + beta[swap].conj()[:, None] * c[swap]
+
+
 def build_representation(
     scheme: ProgramScheme,
     eps_unit: float = EPS_UNIT,
@@ -86,7 +151,13 @@ def build_representation(
         km = k @ m1
         m += kron(km, km.conj())
 
-    sd = spectral_decompose(m, eps_unit)
+    sd = spectral_decompose(_real_coordinates(m), eps_unit)
+    sd = dataclasses.replace(
+        sd,
+        matrix=m,
+        right_vectors=_vec_coordinates(sd.right_vectors),
+        left_vectors=_vec_coordinates(sd.left_vectors),
+    )
     radius = sd.spectral_radius()
     if radius > 1.0 + eps_unit:
         raise RepresentationError(
@@ -96,7 +167,8 @@ def build_representation(
 
     m_norm = max(1.0, sd.norm)
     p_u = sd.unit_projector()
-    if np.any(sd.unit_circle_flags):
+    has_unit = bool(np.any(sd.unit_circle_flags))
+    if has_unit:
         if max_abs(p_u @ p_u - p_u) > tol_proj:
             raise RepresentationError(
                 "unit-circle spectral projector is not idempotent "
@@ -120,7 +192,8 @@ def build_representation(
                     f"semisimple (nilpotent defect {defect:.3e})"
                 )
 
-    n = m - m @ p_u
+    # Without unit spectrum p_u is zero, and m - m @ p_u would be m.
+    n = m - m @ p_u if has_unit else m.copy()
     nonunit = np.abs(sd.eigenvalues[~sd.unit_circle_flags])
     margin = float(1.0 - nonunit.max()) if nonunit.size else 1.0
 

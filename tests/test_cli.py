@@ -6,9 +6,9 @@ import pytest
 
 from qmcverify import EigensolverError
 from qmcverify.cli import main
-from qmcverify.model import dumps, load_model
+from qmcverify.model import Model, dumps, load_model, save_model
 
-from helpers import MODELS_DIR
+from helpers import MODELS_DIR, counter_scheme
 
 
 def model(name):
@@ -134,6 +134,31 @@ def test_spectrum_stuck_bitflip_single_unit_flag(capsys):
     assert code == 0
     assert out.count("unit-circle") == 1
     assert "semisimple_unit_part=True" in out
+
+
+def test_spectrum_reports_scheme_termination_without_rank_of_powers(
+    monkeypatch, tmp_path, capsys
+):
+    calls = []
+    matrix_rank = np.linalg.matrix_rank
+
+    def counting_rank(*args, **kwargs):
+        calls.append(1)
+        return matrix_rank(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counting_rank)
+    scheme = counter_scheme(6)
+    path = tmp_path / "counter.model"
+    save_model(
+        Model(dim=6, kraus=list(scheme.e.kraus), m0=scheme.meas.m0, m1=scheme.meas.m1,
+              rho0=None, observables={}),
+        path,
+    )
+    code = main(["spectrum", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "scheme_terminates_at=6" in out
+    assert calls == []
 
 
 def test_verify_invariant_alone_is_sound_on_stuck_program(capsys):

@@ -5,13 +5,14 @@ from pathlib import Path
 
 from qmcverify import (
     DimensionMismatchError,
+    ValidationError,
     build_representation,
     is_positive_semidefinite,
     kron,
     maximally_entangled_vector,
     spectral_decompose,
 )
-from qmcverify.linalg import TOL_EIG, max_abs
+from qmcverify.linalg import TOL_EIG, _cluster_eigenvalues, max_abs
 from qmcverify.model import load_model
 
 from helpers import X, bitflip_step_matrix
@@ -198,3 +199,73 @@ def test_dual_vectors_biorthonormal_in_unit_clusters(name):
         assert max_abs(gram - np.eye(idx.size)) <= 1e-12
     outside = ~np.isin(sd.cluster_ids, unit_clusters)
     assert max_abs(sd.left_vectors[:, outside]) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spectral_real_input_rejects_non_finite(bad):
+    with pytest.raises(ValidationError):
+        spectral_decompose(np.array([[1.0, bad], [0.0, 0.5]]))
+
+
+def test_spectral_real_input_rejects_non_square():
+    with pytest.raises(DimensionMismatchError):
+        spectral_decompose(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "m", [np.diag([0.5, 0.25]), np.array([[0.0, -0.5], [0.5, 0.0]])], ids=["real", "pair"]
+)
+def test_spectral_real_input_returns_complex_eigendata(monkeypatch, m):
+    dtypes = []
+    eig = np.linalg.eig
+
+    def recording_eig(a):
+        dtypes.append(a.dtype)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", recording_eig)
+    sd = spectral_decompose(m)
+    assert dtypes == [np.float64]
+    assert sd.eigenvalues.dtype == sd.right_vectors.dtype == sd.left_vectors.dtype == complex
+    assert max_abs(m @ sd.right_vectors - sd.right_vectors * sd.eigenvalues) <= 1e-15
+
+
+def cluster_by_search(evals, threshold):
+    """The connected components by depth-first search, numbered in order
+    of their first index: the reference for the vectorized clustering."""
+    ids = -np.ones(evals.size, dtype=int)
+    next_id = 0
+    for i in range(evals.size):
+        if ids[i] >= 0:
+            continue
+        stack = [i]
+        ids[i] = next_id
+        while stack:
+            k = stack.pop()
+            for j in np.flatnonzero(np.abs(evals - evals[k]) <= threshold):
+                if ids[j] < 0:
+                    ids[j] = next_id
+                    stack.append(j)
+        next_id += 1
+    return ids
+
+
+def test_cluster_ids_match_the_search(rng):
+    # chains whose ends lie far apart, shuffled among isolated points
+    for _ in range(20):
+        n = int(rng.integers(1, 60))
+        chain = np.cumsum(rng.uniform(0.5, 1.0, n)) * 1e-6
+        points = np.where(rng.random(n) < 0.5, chain, rng.standard_normal(n))
+        evals = rng.permutation(points + 1j * rng.choice([0.0, 1e-7, 5.0], n))
+        assert np.array_equal(_cluster_eigenvalues(evals, 1e-6), cluster_by_search(evals, 1e-6))
+    # one long chain in shuffled order, as on the counter's zero cluster
+    evals = rng.permutation(np.arange(300) * 0.9e-6).astype(complex)
+    assert np.array_equal(_cluster_eigenvalues(evals, 1e-6), np.zeros(300, dtype=int))
+    assert _cluster_eigenvalues(np.zeros(0, dtype=complex), 1e-6).size == 0
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in MODELS_DIR.glob("*.model")))
+def test_cluster_ids_match_the_search_on_models(name):
+    sd = build_representation(load_model(MODELS_DIR / name).to_scheme()).spectral
+    threshold = 1e-6 * max(1.0, sd.spectral_radius())
+    assert np.array_equal(sd.cluster_ids, cluster_by_search(sd.eigenvalues, threshold))

@@ -5,17 +5,28 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmcverify
 from qmcverify import (
     Observable,
+    ProgramRepresentation,
+    ProgramScheme,
     RepresentationError,
+    SuperOperator,
+    TerminationMeasurement,
     average_running_time,
     build_representation,
+    check_program_termination,
+    check_scheme_termination,
     expectation_closed_form,
+    kron,
+    load_model,
     power_norm_bound_check,
     filtered_power_residual,
     oracle_expectation,
+    spectral_decompose,
     vec,
 )
 from qmcverify.linalg import max_abs
@@ -24,14 +35,20 @@ from qmcverify.sampling import (
     random_density,
     random_observable,
     random_program,
+    random_scheme,
+    random_unitary,
 )
+from qmcverify.spectral import _hermitian_basis, _real_coordinates, _vec_coordinates
 
 from helpers import (
     P0,
+    X,
     bitflip_program,
     bitflip_scheme,
     bitflip_step_matrix,
     block_unitary_scheme,
+    counter_scheme,
+    decaying_block_program,
     m1_zero_program,
 )
 
@@ -281,3 +298,187 @@ def test_unit_spectrum_build_does_not_import_numpy_ma():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "False"
+
+
+def hermitian_basis(d):
+    """The orthonormal Hermitian basis, written out entry by entry: slot
+    i*d + j holds E_ii, (E_ij + E_ji)/sqrt2 for i < j and, for i > j, the
+    antisymmetric element i(E_ji - E_ij)/sqrt2 of the pair (j, i)."""
+    h = np.sqrt(0.5)
+    basis = []
+    for i in range(d):
+        for j in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            if i == j:
+                e[i, i] = 1.0
+            elif i < j:
+                e[i, j] = e[j, i] = h
+            else:
+                e[j, i], e[i, j] = 1j * h, -1j * h
+            basis.append(e)
+    return basis
+
+
+def dense_change_of_basis(d):
+    """T with rows conj(vec(H_a)): T vec(A) lists the coordinates tr(H_a A)."""
+    return np.array([vec(e).conj() for e in hermitian_basis(d)])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_change_of_basis_is_unitary_and_matches_the_index_arrays(d):
+    t = dense_change_of_basis(d)
+    assert max_abs(t @ t.conj().T - np.eye(d * d)) <= 1e-15
+    swap, alpha, beta = _hermitian_basis(d)
+    from_indices = np.zeros((d * d, d * d), dtype=complex)
+    from_indices[np.arange(d * d), np.arange(d * d)] += alpha
+    from_indices[np.arange(d * d), swap] += beta
+    assert np.array_equal(from_indices, t)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_hermitian_coordinates_are_real_and_map_back(rng, d):
+    t = dense_change_of_basis(d)
+    h = random_observable(d, rng).mat
+    assert max_abs((t @ vec(h)).imag) <= 1e-15
+    c = rng.standard_normal((d * d, 3)) + 1j * rng.standard_normal((d * d, 3))
+    assert max_abs(_vec_coordinates(c) - t.conj().T @ c) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_real_coordinates_are_the_step_on_the_hermitian_basis(rng, d):
+    # R[a, b] = tr(H_a G(H_b)), with G applied from its Kraus operators
+    scheme = random_scheme(d, rng)
+    basis = hermitian_basis(d)
+    steps = [k @ scheme.meas.m1 for k in scheme.e.kraus]
+    expected = np.array(
+        [
+            [
+                np.trace(h_a @ sum(s @ h_b @ s.conj().T for s in steps)).real
+                for h_b in basis
+            ]
+            for h_a in basis
+        ]
+    )
+    r = _real_coordinates(build_representation(scheme).m)
+    assert r.dtype == np.float64
+    assert max_abs(r - expected) <= 1e-14
+
+
+def test_real_coordinates_reject_a_step_that_breaks_hermiticity():
+    # vec(A) -> vec(X A) maps Hermitian A to a non-Hermitian X A
+    with pytest.raises(RepresentationError, match="Hermiticity"):
+        _real_coordinates(kron(X, np.eye(2)))
+
+
+def test_build_without_unit_spectrum_runs_one_real_eig(monkeypatch, rng):
+    prog = random_contracting_program(3, rng)
+    dtypes = []
+    eig = np.linalg.eig
+
+    def recording_eig(a):
+        dtypes.append(a.dtype)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", recording_eig)
+    rep = build_representation(prog)
+    assert not rep.has_unit_spectrum()
+    assert dtypes == [np.float64]
+    assert rep.spectral.eigenvalues.dtype == rep.spectral.right_vectors.dtype == complex
+
+
+def complex_reference(rep):
+    """The representation as built before the change of basis: one complex
+    eigendecomposition of ``rep.m`` in vec coordinates."""
+    sd = spectral_decompose(rep.m)
+    p_u = sd.unit_projector()
+    nonunit = np.abs(sd.eigenvalues[~sd.unit_circle_flags])
+    return ProgramRepresentation(
+        dim=rep.dim,
+        dim2=rep.dim2,
+        n0=rep.n0,
+        m=rep.m,
+        spectral=sd,
+        unit_projector=p_u,
+        n_filtered=rep.m - rep.m @ p_u,
+        phi=rep.phi,
+        margin=float(1.0 - nonunit.max()) if nonunit.size else 1.0,
+    )
+
+
+def conjugated(scheme, v):
+    """The scheme in the basis v: K -> v K v^dag, M_i -> v M_i v^dag."""
+    def conj(a):
+        return v @ a @ v.conj().T
+
+    return ProgramScheme(
+        SuperOperator([conj(k) for k in scheme.e.kraus]),
+        TerminationMeasurement(conj(scheme.meas.m0), conj(scheme.meas.m1)),
+    )
+
+
+@st.composite
+def representation_cases(draw):
+    """A program and an observable from the families that stress the
+    spectral layer: rotation blocks on the unit circle (plain and in a
+    random basis), defective zero clusters, the committed models and
+    random programs."""
+    kind = draw(st.sampled_from(
+        ["rotation", "rotation_similar", "counter", "decaying", "committed", "random"]
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind.startswith("rotation"):
+        scheme = block_unitary_scheme(draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 3.0)))
+        if kind == "rotation_similar":
+            scheme = conjugated(scheme, random_unitary(3, rng))
+        prog = scheme.with_initial_state(random_density(3, rng))
+    elif kind == "counter":
+        d = draw(st.integers(2, 6))
+        prog = counter_scheme(d).with_initial_state(random_density(d, rng))
+    elif kind == "decaying":
+        prog = decaying_block_program()
+    elif kind == "committed":
+        name = draw(st.sampled_from(sorted(p.name for p in MODELS_DIR.glob("*.model"))))
+        model = load_model(MODELS_DIR / name)
+        prog = (
+            model.to_scheme().with_initial_state(random_density(model.dim, rng))
+            if model.rho0 is None
+            else model.to_program()
+        )
+    else:
+        prog = random_program(draw(st.integers(2, 6)), rng)
+    return prog, random_observable(prog.dim, rng)
+
+
+@settings(deadline=None, derandomize=True)
+@given(representation_cases())
+def test_real_eigensolve_matches_the_complex_reference(case):
+    prog, p = case
+    rep = build_representation(prog)
+    ref = complex_reference(rep)
+    sd, sd_ref = rep.spectral, ref.spectral
+
+    # eigenvalue multisets, matched greedily to the nearest
+    tol = 1e-12 * max(1.0, sd_ref.norm)
+    remaining = list(sd_ref.eigenvalues)
+    for z in sd.eigenvalues:
+        k = int(np.argmin(np.abs(np.array(remaining) - z)))
+        assert abs(remaining.pop(k) - z) <= tol
+    assert abs(sd.norm - sd_ref.norm) <= tol
+    assert np.count_nonzero(sd.unit_circle_flags) == np.count_nonzero(sd_ref.unit_circle_flags)
+    assert sd.cluster_ids.max() == sd_ref.cluster_ids.max()
+    assert abs(rep.margin - ref.margin) <= 1e-12
+    assert max_abs(rep.unit_projector - ref.unit_projector) <= 1e-10
+
+    for check in (
+        lambda r: check_program_termination(r, prog.rho0),
+        check_scheme_termination,
+    ):
+        got, want = check(rep), check(ref)
+        assert (got.terminates, got.terminates_at, got.almost_terminates) == (
+            want.terminates, want.terminates_at, want.almost_terminates
+        )
+
+    value = expectation_closed_form(rep, prog.rho0, p)
+    assert value == pytest.approx(expectation_closed_form(ref, prog.rho0, p), abs=1e-10)
+    time, time_ref = average_running_time(rep, prog.rho0), average_running_time(ref, prog.rho0)
+    assert time == time_ref if math.isinf(time_ref) else abs(time - time_ref) <= 1e-10
