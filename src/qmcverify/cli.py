@@ -158,7 +158,8 @@ def cmd_verify(args) -> int:
                 result.expectation_series,
                 opts.tol,
                 n_used=result.n_used,
-                residual=result.p_table.residual_mass,
+                residual=result.residual_mass,
+                stop_reason=result.stop_reason,
             )
         elif method == "invariant":
             value, diagnostics = _invariant_method(prog, p, rep, opts.n_max)
@@ -222,7 +223,8 @@ def cmd_runtime(args) -> int:
         series.running_time_series,
         opts.tol,
         n_used=series.n_used,
-        residual=series.p_table.residual_mass,
+        residual=series.residual_mass,
+        stop_reason=series.stop_reason,
     )
     max_delta = report.compute_agreement(opts.tol)
     if not verdict.almost_terminates:

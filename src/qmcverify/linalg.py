@@ -237,7 +237,14 @@ def spectral_decompose(a, eps_unit: float = EPS_UNIT) -> SpectralData:
     evals = evals.astype(complex, copy=False)
     right = right.astype(complex, copy=False)
 
-    res_right = max_abs(arr @ right - right * evals[None, :])
+    if np.isrealobj(arr):
+        # ``arr @ right`` in real arithmetic: one real matmul on the
+        # interleaved (re, im) columns of ``right``, not numpy's upcast
+        # complex matmul.
+        image = (arr @ np.ascontiguousarray(right).view(np.float64)).view(complex)
+    else:
+        image = arr @ right
+    res_right = max_abs(image - right * evals[None, :])
     if res_right > tol:
         raise EigensolverError(n, norm, f"right eigenpair residual {res_right:.3e}")
 

@@ -4,13 +4,15 @@ These deliberately reuse nothing from the invariant or spectral modules;
 they ground the expected values of every derived test and the three-way
 agreement suite.  :func:`oracle_expectation` makes a single pass over the
 series: the terminal state, the step table and the running time all come
-from the same stepping loop, which keeps only scalars per step.
+from the same stepping loop, which keeps only scalars per step.  The step
+table is built from those scalars on first read only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,8 +21,9 @@ from .linalg import dagger
 from .program import (
     DEFAULT_TAIL_TOL,
     QuantumProgram,
+    SeriesPass,
     StepTrace,
-    terminal_series_with_steps,
+    terminal_series_pass,
 )
 
 ORACLE_N_MAX = 1_000_000
@@ -28,11 +31,24 @@ ORACLE_N_MAX = 1_000_000
 
 @dataclass(frozen=True, eq=False)
 class OracleResult:
+    """Series values of one pass.  ``residual_mass`` is
+    ``p_table.residual_mass``; ``stop_reason`` says whether the surviving
+    mass fell below ``tail_tol`` (``"tail_tol"``) or the pass ran into
+    ``n_max`` (``"n_max"``)."""
+
     expectation_series: float
     running_time_series: float
-    p_table: StepTrace
+    residual_mass: float
+    stop_reason: str
     tail_tol_used: float
     n_used: int
+    run: SeriesPass = field(repr=False)
+
+    @cached_property
+    def p_table(self) -> StepTrace:
+        """One record per term of the sum, ``n_used + 1`` in all; built on
+        first read."""
+        return self.run.step_trace()
 
 
 def oracle_expectation(
@@ -46,21 +62,23 @@ def oracle_expectation(
     The running time partial sum is flagged infinite (returned as
     ``math.inf``) when the leftover nontermination mass exceeds
     ``sqrt(tail_tol)``, i.e. when the series demonstrably failed to
-    exhaust the probability mass.  ``p_table`` holds one record per term
-    of the sum, ``n_used + 1`` in all.
+    exhaust the probability mass.
     """
-    series, table = terminal_series_with_steps(prog, tail_tol, n_max)
+    run = terminal_series_pass(prog, tail_tol, n_max)
+    series = run.series()
     expectation = float(np.trace(p.mat @ series.rho_star.mat).real)
     if series.residual > math.sqrt(tail_tol):
         running_time = math.inf
     else:
-        running_time = sum(rec.n * rec.p for rec in table.steps)
+        running_time = sum(n * p_n for n, p_n in enumerate(run.p, start=1))
     return OracleResult(
         expectation_series=expectation,
         running_time_series=running_time,
-        p_table=table,
+        residual_mass=run.residual_mass,
+        stop_reason=run.stop_reason,
         tail_tol_used=tail_tol,
         n_used=series.n_used,
+        run=run,
     )
 
 

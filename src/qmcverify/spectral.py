@@ -156,7 +156,12 @@ def build_representation(
         sd,
         matrix=m,
         right_vectors=_vec_coordinates(sd.right_vectors),
-        left_vectors=_vec_coordinates(sd.left_vectors),
+        # Left vectors are all zero unless some eigenvalue is on the unit
+        # circle, and zero in every coordinate system.
+        left_vectors=(
+            _vec_coordinates(sd.left_vectors)
+            if sd.unit_circle_flags.any() else sd.left_vectors
+        ),
     )
     radius = sd.spectral_radius()
     if radius > 1.0 + eps_unit:

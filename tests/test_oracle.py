@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qmcverify
-from qmcverify import oracle_expectation, oracle_fixed_point
+from qmcverify import oracle_expectation, oracle_fixed_point, step_probabilities
 from qmcverify.cli import golden_records
 from qmcverify.model import ModelOptions
 from qmcverify.sampling import random_contracting_program, random_observable
@@ -123,6 +123,37 @@ def test_oracle_step_table_has_one_record_per_term(rng):
         steps = result.p_table.steps
         assert len(steps) == result.n_used + 1
         assert [rec.n for rec in steps] == list(range(1, result.n_used + 2))
+
+
+def test_oracle_builds_the_step_table_on_first_read(monkeypatch, rng):
+    import qmcverify.program as program
+
+    built = []
+    record = program.StepRecord
+
+    def counting_record(**fields):
+        built.append(fields["n"])
+        return record(**fields)
+
+    monkeypatch.setattr(program, "StepRecord", counting_record)
+    progs = [bitflip_program(0.5, 0.6, 0.8), bitflip_program(1.0, 0.6, 0.8), m1_zero_program()]
+    for prog in progs + [random_contracting_program(2, rng) for _ in range(3)]:
+        result = oracle_expectation(prog, P0, n_max=300)
+        assert built == []
+        table = result.p_table
+        assert built == list(range(1, result.n_used + 2))
+        assert result.p_table is table
+        assert result.residual_mass == table.residual_mass
+        want = step_probabilities(prog, result.n_used + 1)
+        assert table.steps == want.steps
+        assert table.residual_mass == want.residual_mass
+        built.clear()
+
+
+def test_oracle_stop_reason():
+    assert oracle_expectation(bitflip_program(0.5, 0.6, 0.8), P0).stop_reason == "tail_tol"
+    result = oracle_expectation(bitflip_program(1.0, 0.6, 0.8), P0, n_max=300)
+    assert result.stop_reason == "n_max" and result.n_used == 300
 
 
 @pytest.mark.parametrize("module", ["oracle", "program"])

@@ -1,0 +1,92 @@
+"""The chunked series pass against the per-step loop it replaced.
+
+``_reference_pass`` is that loop, kept verbatim as the specification:
+one ``G`` step, one ``E0`` term, two traces and one addition per step.
+The chunked pass batches everything but the ``G`` step and must give the
+same bits for every output.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from qmcverify import DensityOperator, load_model
+from qmcverify.program import _real_trace, _series_pass
+from qmcverify.sampling import random_density, random_scheme
+
+from helpers import MODELS_DIR
+
+
+def _reference_pass(scheme, rho_mat, tail_tol, n_max):
+    e0, g = scheme.meas.e0, scheme.g
+    sigma = rho_mat
+    acc = e0.apply_mat(sigma)
+    ps = [_real_trace(acc)]
+    masses = []
+    n = 0
+    while True:
+        nxt = g.apply_mat(sigma)
+        mass = _real_trace(nxt)
+        masses.append(mass)
+        if mass < tail_tol or n >= n_max:
+            return acc, sigma, ps, masses, n
+        n += 1
+        sigma = nxt
+        term = e0.apply_mat(sigma)
+        ps.append(_real_trace(term))
+        acc += term
+
+
+def _assert_bit_identical(scheme, rho_mat, tail_tol, n_max):
+    acc, last, p, mass, n_used = _reference_pass(scheme, rho_mat, tail_tol, n_max)
+    run = _series_pass(scheme, rho_mat, tail_tol, n_max)
+    assert np.array_equal(run.acc, acc)
+    assert np.array_equal(run.last, last)
+    assert run.p == p
+    assert run.mass == mass
+    assert run.n_used == n_used
+    assert run.stop_reason == ("tail_tol" if mass[-1] < tail_tol else "n_max")
+    return run
+
+
+# 255 = 1 + 2 + ... + 128 ends a chunk, 256 and 257 fall just past it, and
+# 511 ends the first full 256-step chunk.
+N_MAX = (0, 1, 2, 255, 256, 257, 511)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 16, 18])
+def test_chunked_pass_is_bit_identical_to_the_step_loop(d):
+    rng = np.random.default_rng(1000 + d)
+    for n_kraus in (1, 2, 3):
+        scheme = random_scheme(d, rng, n_kraus)
+        rho = random_density(d, rng).mat
+        for n_max in N_MAX:
+            for tail_tol in (1e-12, -math.inf):
+                _assert_bit_identical(scheme, rho, tail_tol, n_max)
+
+
+@pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.model")), ids=lambda p: p.stem)
+def test_chunked_pass_is_bit_identical_on_committed_models(path):
+    model = load_model(path)
+    scheme = model.to_scheme()
+    states = [np.eye(scheme.dim, dtype=complex) / scheme.dim]
+    if model.rho0 is not None:
+        states.append(DensityOperator(model.rho0).mat)
+    for rho in states:
+        for n_max in N_MAX + (1000,):
+            for tail_tol in (1e-12, -math.inf):
+                _assert_bit_identical(scheme, rho, tail_tol, n_max)
+
+
+@pytest.mark.parametrize("name", ["bitflip_p1", "unitary_m0zero"])
+def test_non_terminating_models_stop_on_n_max(name):
+    prog = load_model(MODELS_DIR / f"{name}.model").to_program()
+    run = _assert_bit_identical(prog, prog.rho0.mat, 1e-12, 1000)
+    assert run.stop_reason == "n_max" and run.n_used == 1000
+
+
+def test_pass_stops_on_tail_tol_within_n_max():
+    prog = load_model(MODELS_DIR / "bitflip_p05.model").to_program()
+    run = _assert_bit_identical(prog, prog.rho0.mat, 1e-12, 10**6)
+    assert run.stop_reason == "tail_tol" and run.n_used < 100
