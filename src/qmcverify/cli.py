@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -23,11 +24,10 @@ import numpy as np
 from . import __version__
 from .channels import Observable
 from .errors import QmcError, ValidationError
-from .invariant import STOP_REASONS, check_conditions, least_fixed_point_q
-from .linalg import is_positive_semidefinite, max_abs, psd_split
+from .invariant import certified_expectation
 from .model import Model, ModelOptions, load_model, model_hash
 from .oracle import oracle_expectation
-from .program import step_probabilities
+from .program import QuantumProgram, step_probabilities
 from .report import VerificationReport, eigenvalue_table, simulation_table
 from .sampling import random_contracting_program, random_observable
 from .spectral import average_running_time, build_representation, expectation_closed_form
@@ -61,6 +61,20 @@ def _load(args) -> tuple[Model, ModelOptions]:
     return model, dataclasses.replace(model.options, **overrides)
 
 
+def _program(model: Model) -> QuantumProgram:
+    """The program that loading validated.  For a model without ``rho0``,
+    ``to_program`` raises the error that says so."""
+    built = model.validated.scheme
+    return built if isinstance(built, QuantumProgram) else model.to_program()
+
+
+def _observable(model: Model, name: str) -> Observable:
+    """The observable that loading validated.  For a name the model lacks,
+    ``Model.observable`` raises the error that lists the names it has."""
+    found = model.validated.observables.get(name)
+    return found if found is not None else model.observable(name)
+
+
 def _new_report(command: str, args, model: Model, opts: ModelOptions) -> VerificationReport:
     return VerificationReport(
         command=command,
@@ -76,69 +90,10 @@ def _emit(report: VerificationReport, args) -> None:
         Path(args.json_out).write_text(report.to_json())
 
 
-# How the diagnostics of the positive parts of a general observable combine.
-_COMBINE_PARTS = {
-    "iterations": sum,
-    "converged": all,
-    "error_bound": sum,
-    "stop_reason": lambda reasons: max(reasons, key=STOP_REASONS.index),
-    "qv1": all,
-    "qv1_value": sum,
-    "qv2": all,
-    "qv2_residual": max,
-    "qv3": all,
-    "qv3_limit": max,
-}
-
-
-def _invariant_method(prog, p: Observable, rep, n_max: int) -> tuple[float, dict]:
-    """Terminal expectation by the least invariant, with its diagnostics.
-
-    A positive observable gets one certificate.  Any other Hermitian one
-    is split into positive parts ``p = pos - neg``; each part gets its own
-    certificate, the reported value is the difference, and the parts'
-    diagnostics combine as in :data:`_COMBINE_PARTS` (``qv1_value`` is the
-    difference too, the error bounds add up, and the stop reason is the
-    worse one).  The value and ``qv1_value`` are one number,
-    ``tr(completion rho0)``, computed once per part.
-    """
-    if is_positive_semidefinite(p.mat):
-        parts = [(1.0, p)]
-    else:
-        parts = [
-            (sign, Observable(part))
-            for sign, part in zip((1.0, -1.0), psd_split(p.mat))
-            if max_abs(part) > 0.0
-        ]
-    values, diags = [], []
-    for sign, part in parts:
-        cert = least_fixed_point_q(prog, part, n_max=n_max)
-        cond = check_conditions(prog, part, cert, rep=rep)
-        values.append(sign * cond.qv1_value)
-        diags.append(
-            {
-                "iterations": cert.iterations,
-                "converged": cert.converged,
-                "error_bound": cert.error_bound,
-                "stop_reason": cert.stop_reason,
-                "qv1": cond.qv1,
-                "qv1_value": values[-1],
-                "qv2": cond.qv2,
-                "qv2_residual": cond.qv2_residual,
-                "qv3": cond.qv3,
-                "qv3_limit": cond.qv3_limit,
-            }
-        )
-    if len(parts) == 1:
-        return values[0], diags[0]
-    combined = {key: how(d[key] for d in diags) for key, how in _COMBINE_PARTS.items()}
-    return sum(values), combined
-
-
 def cmd_verify(args) -> int:
     model, opts = _load(args)
-    prog = model.to_program()
-    p = model.observable(args.observable)
+    prog = _program(model)
+    p = _observable(model, args.observable)
     rep = build_representation(prog, eps_unit=opts.eps_unit)
     verdict = check_program_termination(rep, prog.rho0)
 
@@ -162,7 +117,9 @@ def cmd_verify(args) -> int:
                 stop_reason=result.stop_reason,
             )
         elif method == "invariant":
-            value, diagnostics = _invariant_method(prog, p, rep, opts.n_max)
+            value, diagnostics = certified_expectation(
+                prog, p, verdict.almost_terminates, n_max=opts.n_max
+            )
             qv3_failed = qv3_failed or not diagnostics["qv3"]
             report.add_method("invariant", value, opts.tol, **diagnostics)
         elif method == "spectral":
@@ -201,7 +158,7 @@ def cmd_verify(args) -> int:
 
 def cmd_runtime(args) -> int:
     model, opts = _load(args)
-    prog = model.to_program()
+    prog = _program(model)
     rep = build_representation(prog, eps_unit=opts.eps_unit)
     verdict = check_program_termination(rep, prog.rho0)
 
@@ -245,12 +202,12 @@ def cmd_runtime(args) -> int:
 def cmd_terminate(args) -> int:
     model, opts = _load(args)
     if args.scope == "program":
-        prog = model.to_program()
+        prog = _program(model)
         rep = build_representation(prog, eps_unit=opts.eps_unit)
         verdict = check_program_termination(rep, prog.rho0)
     else:
-        scheme = model.to_scheme()
-        rep = build_representation(scheme, eps_unit=opts.eps_unit)
+        # A program is a scheme too; only its step enters the representation.
+        rep = build_representation(model.validated.scheme, eps_unit=opts.eps_unit)
         verdict = check_scheme_termination(rep)
 
     report = _new_report("terminate", args, model, opts)
@@ -269,8 +226,7 @@ def cmd_terminate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     model, opts = _load(args)
-    scheme = model.to_scheme()
-    rep = build_representation(scheme, eps_unit=opts.eps_unit)
+    rep = build_representation(model.validated.scheme, eps_unit=opts.eps_unit)
     report = _new_report("spectrum", args, model, opts)
     report.eigenvalues = eigenvalue_table(rep.spectral, opts.eps_unit)
     report.add_method(
@@ -290,7 +246,7 @@ def cmd_simulate(args) -> int:
     model, opts = _load(args)
     if args.steps < 1:
         raise ValidationError(f"option --steps must be >= 1, got {args.steps}")
-    prog = model.to_program()
+    prog = _program(model)
     trace = step_probabilities(prog, args.steps)
     sys.stdout.write(simulation_table(trace))
     if args.json_out:
@@ -392,8 +348,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every :func:`main` call in the process shares.  Each
+    ``parse_args`` returns a fresh namespace, so no call sees another's
+    options."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, FileNotFoundError) as exc:

@@ -64,7 +64,7 @@ from .channels import Observable, matrix_representation
 from .errors import ConsistencyError, ValidationError
 from .linalg import dagger, is_positive_semidefinite, max_abs, psd_split
 from .program import ProgramScheme, QuantumProgram
-from .spectral import ProgramRepresentation, build_representation
+from .spectral import build_representation
 
 DEFAULT_FIXED_POINT_TOL = 1e-12
 DEFAULT_FIXED_POINT_N_MAX = 1_000_000
@@ -391,7 +391,7 @@ def check_conditions(
     p: Observable,
     cert: InvariantCertificate,
     tol: float = 1e-8,
-    rep: ProgramRepresentation | None = None,
+    almost_terminates: bool | None = None,
 ) -> ConditionCheck:
     """Evaluate QV1/QV2/QV3 for a certificate.
 
@@ -399,13 +399,13 @@ def check_conditions(
     completeness.  QV3 is decided on the sampled tail and cross-checked
     against the spectral almost-termination criterion: almost termination
     implies Q-termination for every Q, so a terminating program can never
-    fail QV3.
+    fail QV3.  A caller that holds the program's termination verdict
+    passes its ``almost_terminates``; without it, the program's
+    representation is built to read the unit overlap of ``rho0``.
     """
-    if rep is None:
-        rep = build_representation(prog)
-    x = prog.rho0.mat.reshape(-1)
-    overlap = float(np.linalg.norm(rep.unit_projector @ x))
-    almost = overlap <= 1e-9 * float(np.linalg.norm(x))
+    almost = almost_terminates
+    if almost is None:
+        almost = build_representation(prog).unit_overlap(prog.rho0.mat.reshape(-1))[1]
 
     qv1_value = cert.qv1_value
     if qv1_value is None:
@@ -458,19 +458,82 @@ def completion_expansion_residual(
     return abs(lhs - acc)
 
 
+# How the diagnostics of the positive parts of a general observable combine.
+_COMBINE_PARTS = {
+    "iterations": sum,
+    "converged": all,
+    "error_bound": sum,
+    "stop_reason": lambda reasons: max(reasons, key=STOP_REASONS.index),
+    "qv1": all,
+    "qv1_value": sum,
+    "qv2": all,
+    "qv2_residual": max,
+    "qv3": all,
+    "qv3_limit": max,
+}
+
+
+def certified_expectation(
+    prog: QuantumProgram,
+    o: Observable,
+    almost_terminates: bool,
+    tol: float = DEFAULT_FIXED_POINT_TOL,
+    n_max: int = DEFAULT_FIXED_POINT_N_MAX,
+) -> tuple[float, dict]:
+    """Terminal expectation of a Hermitian observable by the least
+    invariant, with its diagnostics.
+
+    A positive observable gets one certificate.  Any other is split into
+    positive parts ``o = pos - neg`` with orthogonal supports; each part
+    gets its own certificate, the value is the difference, and the parts'
+    diagnostics combine as in :data:`_COMBINE_PARTS` (``qv1_value`` is the
+    difference too, the error bounds add up, and the stop reason is the
+    worse one).  The value and ``qv1_value`` are one number,
+    ``tr(completion rho0)``, computed once per part.
+    ``almost_terminates`` is the program's spectral almost-termination
+    verdict, which :func:`check_conditions` reads for QV3; the value does
+    not depend on it.
+    """
+    if is_positive_semidefinite(o.mat):
+        parts = [(1.0, o)]
+    else:
+        parts = [
+            (sign, Observable(part))
+            for sign, part in zip((1.0, -1.0), psd_split(o.mat))
+            if max_abs(part) > 0.0
+        ]
+    values, diags = [], []
+    for sign, part in parts:
+        cert = least_fixed_point_q(prog, part, tol=tol, n_max=n_max)
+        cond = check_conditions(prog, part, cert, almost_terminates=almost_terminates)
+        values.append(sign * cond.qv1_value)
+        diags.append(
+            {
+                "iterations": cert.iterations,
+                "converged": cert.converged,
+                "error_bound": cert.error_bound,
+                "stop_reason": cert.stop_reason,
+                "qv1": cond.qv1,
+                "qv1_value": values[-1],
+                "qv2": cond.qv2,
+                "qv2_residual": cond.qv2_residual,
+                "qv3": cond.qv3,
+                "qv3_limit": cond.qv3_limit,
+            }
+        )
+    if len(parts) == 1:
+        return values[0], diags[0]
+    combined = {key: how(d[key] for d in diags) for key, how in _COMBINE_PARTS.items()}
+    return sum(values), combined
+
+
 def general_expectation(
     prog: QuantumProgram,
     o: Observable,
     tol: float = DEFAULT_FIXED_POINT_TOL,
     n_max: int = DEFAULT_FIXED_POINT_N_MAX,
 ) -> float:
-    """Terminal expectation of an arbitrary Hermitian observable, split
-    spectrally into positive parts with orthogonal supports."""
-    pos, neg = psd_split(o.mat)
-    total = 0.0
-    for sign, part in ((1.0, pos), (-1.0, neg)):
-        if max_abs(part) == 0.0:
-            continue
-        cert = least_fixed_point_q(prog, Observable(part), tol=tol, n_max=n_max)
-        total += sign * expectation_via_invariant(prog, Observable(part), cert)
-    return total
+    """Terminal expectation of an arbitrary Hermitian observable: the value
+    of :func:`certified_expectation`, whose diagnostics it drops (their QV3
+    flag is decided here on the sampled tail alone)."""
+    return certified_expectation(prog, o, False, tol=tol, n_max=n_max)[0]

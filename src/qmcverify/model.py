@@ -101,7 +101,7 @@ class ModelOptions:
 
 def encode_matrix(mat: np.ndarray) -> list:
     arr = np.asarray(mat, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
+    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
 def decode_matrix(data, dim: int, name: str) -> np.ndarray:
@@ -120,6 +120,15 @@ def decode_matrix(data, dim: int, name: str) -> np.ndarray:
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
+@dataclass(frozen=True, eq=False)
+class Validated:
+    """What one run of :meth:`Model.validate` built: the program (the bare
+    scheme of a model without ``rho0``) and every observable."""
+
+    scheme: ProgramScheme
+    observables: dict[str, Observable]
+
+
 @dataclass(eq=False)
 class Model:
     """Parsed model file.  Constructing the program objects validates the
@@ -132,6 +141,8 @@ class Model:
     rho0: np.ndarray | None
     observables: dict[str, np.ndarray]
     options: ModelOptions = field(default_factory=ModelOptions)
+    # What the last validate() built, from the model as it was then.
+    validated: Validated | None = field(default=None, init=False, repr=False)
 
     def to_scheme(self) -> ProgramScheme:
         return ProgramScheme(
@@ -169,13 +180,13 @@ class Model:
         return doc
 
     def validate(self) -> None:
-        """Run the full contract checks (channel, measurement, state)."""
-        if self.rho0 is None:
-            self.to_scheme()
-        else:
-            self.to_program()
-        for name in self.observables:
-            self.observable(name)
+        """Run the full contract checks (channel, measurement, state,
+        observables) and keep what they built as :attr:`validated`.  Every
+        call checks afresh: after changing the model, call it again, since
+        :attr:`validated` does not follow the change."""
+        scheme = self.to_scheme() if self.rho0 is None else self.to_program()
+        observables = {name: self.observable(name) for name in self.observables}
+        self.validated = Validated(scheme, observables)
 
 
 def model_from_dict(doc: dict) -> Model:

@@ -119,7 +119,15 @@ class ProgramScheme:
         return compose(self.e, self.meas.e1)
 
     def with_initial_state(self, rho0: DensityOperator) -> "QuantumProgram":
-        return QuantumProgram(self.e, self.meas, rho0)
+        """This scheme started in ``rho0``.  The scheme's own contracts held
+        when it was built, so only the state's are checked here, and the
+        program shares the scheme's ``G`` instead of composing it again."""
+        prog = object.__new__(QuantumProgram)
+        for name, value in (("e", self.e), ("meas", self.meas), ("rho0", rho0)):
+            object.__setattr__(prog, name, value)
+        prog.__dict__["g"] = self.g
+        prog._check_state()
+        return prog
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,6 +138,9 @@ class QuantumProgram(ProgramScheme):
 
     def __post_init__(self):
         ProgramScheme.__post_init__(self)
+        self._check_state()
+
+    def _check_state(self) -> None:
         if self.rho0.dim != self.dim:
             raise DimensionMismatchError(
                 f"initial state dimension {self.rho0.dim} != program dimension {self.dim}"

@@ -38,6 +38,9 @@ from .linalg import (
 from .program import ProgramScheme
 
 IMAG_TOL = 1e-9
+# A vector has no unit-circle component when ||P_u x|| is at most this
+# many times ||x||.
+UNIT_OVERLAP_RTOL = 1e-9
 # Largest imaginary part, relative to max(1, ||M||_max), that the real
 # coordinates of the step matrix may carry.  Rounding leaves a few ulps;
 # a step that does not preserve Hermiticity leaves O(||M||).
@@ -74,6 +77,12 @@ class ProgramRepresentation:
 
     def has_unit_spectrum(self) -> bool:
         return bool(np.any(self.spectral.unit_circle_flags))
+
+    def unit_overlap(self, x: np.ndarray) -> tuple[float, bool]:
+        """``||P_u x||``, and whether it is negligible: at most
+        :data:`UNIT_OVERLAP_RTOL` times ``||x||``."""
+        overlap = float(np.linalg.norm(self.unit_projector @ x))
+        return overlap, overlap <= UNIT_OVERLAP_RTOL * float(np.linalg.norm(x))
 
 
 @functools.lru_cache(maxsize=16)
@@ -245,18 +254,16 @@ def expectation_closed_form(
     return _real_part(complex(rep.phi.conj() @ z), "closed-form expectation")
 
 
-def average_running_time(
-    rep: ProgramRepresentation, rho0: DensityOperator, tol: float = 1e-9
-) -> float:
+def average_running_time(rep: ProgramRepresentation, rho0: DensityOperator) -> float:
     """Average number of steps ``<Phi| N0 (I - N)^-2 (rho0 (x) I) |Phi>``.
 
     Returns ``inf`` when the initial state overlaps the unit-circle
-    eigenspace: the termination probability is then below one and the mean
-    genuinely diverges (or the quadratic form would undercount).
+    eigenspace (:meth:`ProgramRepresentation.unit_overlap`): the
+    termination probability is then below one and the mean genuinely
+    diverges (or the quadratic form would undercount).
     """
     x = vec(rho0.mat)
-    overlap = float(np.linalg.norm(rep.unit_projector @ x))
-    if overlap > tol * float(np.linalg.norm(x)):
+    if not rep.unit_overlap(x)[1]:
         return math.inf
     y = _resolvent_solve(rep, _resolvent_solve(rep, x))
     return _real_part(complex(rep.phi.conj() @ (rep.n0 @ y)), "average running time")

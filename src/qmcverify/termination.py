@@ -49,9 +49,7 @@ def _support(mat: np.ndarray, tol: float) -> np.ndarray | None:
 def _verdict_for_vector(
     rep: ProgramRepresentation, x: np.ndarray, tol: float
 ) -> TerminationVerdict:
-    x_norm = float(np.linalg.norm(x))
-    overlap = float(np.linalg.norm(rep.unit_projector @ x))
-    almost = overlap <= tol * x_norm
+    overlap, almost = rep.unit_overlap(x)
 
     support = _support(unvec(x, rep.dim), tol)
     n = 0
@@ -74,7 +72,9 @@ def check_program_termination(
     rho0: DensityOperator,
     tol: float = ZERO_VECTOR_RTOL,
 ) -> TerminationVerdict:
-    """Termination verdict for the program started in ``rho0``."""
+    """Termination verdict for the program started in ``rho0``.  ``tol`` is
+    the relative eigenvalue cut of the support decisions; the unit overlap
+    is decided by :meth:`ProgramRepresentation.unit_overlap`."""
     return _verdict_for_vector(rep, vec(rho0.mat), tol)
 
 

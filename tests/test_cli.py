@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmcverify import EigensolverError
+from qmcverify import EigensolverError, ProgramScheme
 from qmcverify.cli import main
 from qmcverify.model import Model, dumps, load_model, save_model
 
@@ -360,3 +360,47 @@ def test_simulate_rejects_nonpositive_steps(steps, capsys):
     assert code == 2
     assert "--steps" in err
     assert "n_max" not in err
+
+
+def test_repeated_main_calls_share_the_parser_but_not_options(monkeypatch, tmp_path, capsys):
+    from qmcverify import cli
+
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    argv = ["verify", model("bitflip_p05.model"), "-o", "P0", "--method", "invariant"]
+    assert main(argv + ["--n-max", "10", "--tol", "1e-3", "--json-out", str(first)]) == 0
+
+    def no_new_parser():
+        raise AssertionError("main() built a second parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_new_parser)
+    assert main(argv + ["--json-out", str(second)]) == 0
+    capsys.readouterr()
+    assert json.loads(first.read_text())["options"]["n_max"] == 10
+    defaults = load_model(model("bitflip_p05.model")).options.to_dict()
+    report = json.loads(second.read_text())
+    assert report["options"] == defaults
+    assert report["methods"][0]["diagnostics"]["converged"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "bitflip_p05.model", "-o", "Z"],
+        ["runtime", "bitflip_p05.model"],
+        ["terminate", "bitflip_p05.model"],
+        ["terminate", "bitflip_p05.model", "--scope", "scheme"],
+        ["terminate", "xflip_scheme.model", "--scope", "scheme"],
+    ],
+)
+def test_one_validated_construction_per_call(argv, monkeypatch, capsys):
+    built = []
+    check = ProgramScheme.__post_init__
+
+    def spy(self):
+        built.append(type(self).__name__)
+        check(self)
+
+    monkeypatch.setattr(ProgramScheme, "__post_init__", spy)
+    assert main([argv[0], model(argv[1]), *argv[2:]]) == 0
+    capsys.readouterr()
+    assert built == ["ProgramScheme"]

@@ -1,11 +1,12 @@
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qmcverify import ModelOptions, ValidationError, load_model, model_hash
-from qmcverify.model import dumps, loads, save_model
+from qmcverify.model import dumps, encode_matrix, loads, save_model
 
 MODELS_DIR = Path(__file__).parent.parent / "models"
 MODELS = [
@@ -102,3 +103,39 @@ def test_save_and_reload(tmp_path):
     save_model(model, out)
     again = load_model(out)
     assert model_hash(model) == model_hash(again)
+
+
+# Pinned so that no change to the encoding can move a hash unnoticed: the
+# hashes identify models in reports and golden records.
+MODEL_HASHES = {
+    "bitflip_p05.model": "2aa7c3505bc0b6074d5f35e4b426f49ebd0e53f1680b7ca7cac0121256ced2be",
+    "bitflip_p1.model": "f61cd0d880c35e0f4f682e113db0e978470434b01d24ecf6b41cba44084f5c43",
+    "m1zero.model": "25f933faf5a45d89e20850c4f29c73457faa72be6ecdca8c13bdb424f6fdfebe",
+    "unitary_m0zero.model": "71306035d01f1b788e78acc67f840451a36a93bcc696bb39fa427213d19704b4",
+    "xflip_scheme.model": "3148b5bb062df6f073a185e7502f1431102f57382f8c62c80778930ddeabb15a",
+}
+
+
+def test_committed_model_hashes_are_pinned():
+    assert sorted(p.name for p in MODELS_DIR.glob("*.model")) == sorted(MODEL_HASHES)
+    for name, digest in MODEL_HASHES.items():
+        assert model_hash(load_model(MODELS_DIR / name)) == digest, name
+
+
+def test_encode_matrix_matches_per_element_encoding():
+    tiny, smallest_normal = 5e-324, 2.2250738585072014e-308
+    mat = np.array(
+        [
+            [complex(-0.0, 0.0), complex(0.0, -0.0), complex(tiny, -tiny)],
+            [complex(1e308, -1e308), complex(-smallest_normal, 1.5e-310), complex(-0.0, -0.0)],
+            [complex(0.1, 1 / 3), complex(-1.0, 2.0), complex(1e-300, -7e307)],
+        ]
+    )
+    for arr in (mat, mat.real):
+        per_element = [
+            [[float(z.real), float(z.imag)] for z in row] for row in np.asarray(arr, dtype=complex)
+        ]
+        encoded = encode_matrix(arr)
+        assert all(type(x) is float for row in encoded for pair in row for x in pair)
+        # json.dumps writes repr(), which tells -0.0 from 0.0 and keeps every bit.
+        assert json.dumps(encoded) == json.dumps(per_element)

@@ -1,0 +1,40 @@
+"""The CLI as a fresh process sees it: what starting it imports, and
+``python -m qmcverify`` from a checkout."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).parent.parent
+MODEL = str(ROOT / "models" / "bitflip_p05.model")
+
+
+def run_python(*args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_verify_and_spectrum_import_neither_scipy_nor_numpy_ma():
+    # scipy.linalg costs about 0.3 s of start-up and numpy.ma about 10 ms
+    # (see qmcverify.linalg); no command may pull either in.
+    script = f"""
+import contextlib, io, sys
+from qmcverify.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["verify", {MODEL!r}, "-o", "Z"]), main(["spectrum", {MODEL!r}])]
+heavy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("numpy.ma."))
+heavy += ["numpy.ma"] if "numpy.ma" in sys.modules else []
+print(codes, heavy)
+"""
+    done = run_python("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[0, 0] []"
+
+
+def test_python_dash_m_runs_the_cli():
+    done = run_python("-m", "qmcverify", "terminate", MODEL, "--scope", "scheme")
+    assert done.returncode == 0, done.stderr
+    assert "almost terminates: yes" in done.stdout
