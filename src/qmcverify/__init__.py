@@ -11,11 +11,9 @@ from .channels import (
     SuperOperator,
     apply,
     apply_dual,
-    choi_matrix,
     compose,
     matrix_representation,
     maximally_entangled_vector,
-    positive_part_decompose,
 )
 from .errors import (
     ConsistencyError,
@@ -33,7 +31,6 @@ from .invariant import (
     check_conditions,
     expectation_via_invariant,
     general_expectation,
-    completion_expansion_residual,
     least_fixed_point_q,
 )
 from .linalg import (
@@ -51,7 +48,6 @@ from .program import (
     StepRecord,
     StepTrace,
     TerminationMeasurement,
-    check_recursion,
     step_probabilities,
     terminal_state_series,
 )
@@ -60,8 +56,6 @@ from .spectral import (
     average_running_time,
     build_representation,
     expectation_closed_form,
-    power_norm_bound_check,
-    filtered_power_residual,
     vec,
 )
 from .termination import (
@@ -102,26 +96,20 @@ __all__ = [
     "certificate_for",
     "check_conditions",
     "check_program_termination",
-    "check_recursion",
     "check_scheme_termination",
-    "choi_matrix",
     "compose",
     "expectation_closed_form",
     "expectation_via_invariant",
     "general_expectation",
     "is_positive_semidefinite",
-    "completion_expansion_residual",
     "kron",
     "least_fixed_point_q",
-    "power_norm_bound_check",
-    "filtered_power_residual",
     "load_model",
     "matrix_representation",
     "maximally_entangled_vector",
     "model_hash",
     "oracle_expectation",
     "oracle_fixed_point",
-    "positive_part_decompose",
     "save_model",
     "spectral_decompose",
     "step_probabilities",

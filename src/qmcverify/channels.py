@@ -5,7 +5,10 @@ A super-operator is stored as its Kraus family ``{E_i}`` with
 ``rho -> sum(E_i rho E_i^dag)`` and backward on observables as
 ``M -> sum(E_i^dag M E_i)``.  Equality of super-operators is always decided
 through :func:`matrix_representation`, never through the Kraus lists, which
-are not unique.
+are not unique.  That function is the one builder of a d^2 x d^2
+super-operator matrix: the spectral layer's ``M`` and ``N0`` and the
+invariant route's doubling stage all come from it, and it runs on the
+stacked Kraus array below.
 
 Both actions run on the stacked Kraus array ``(K, d, d)`` and its stacked
 conjugate transpose, built once per super-operator on first use: one
@@ -34,7 +37,6 @@ from .linalg import (
     dagger,
     herm_defect,
     is_positive_semidefinite,
-    kron,
     max_abs,
     psd_split,
     require_square,
@@ -209,11 +211,13 @@ def matrix_representation(e: SuperOperator) -> np.ndarray:
 
     Acting on row-major vectorized matrices it reproduces the channel:
     ``rep @ vec(A) = vec(e(A))``; see :func:`qmcverify.spectral.vec`.
+    The terms are added in Kraus order to a zero matrix, one d^2 x d^2
+    product at a time; the operators were checked when ``e`` was built.
     """
     d = e.dim
     rep = np.zeros((d * d, d * d), dtype=complex)
-    for k in e.kraus:
-        rep += kron(k, k.conj())
+    for k in e.stack:
+        rep += np.kron(k, k.conj())
     return rep
 
 

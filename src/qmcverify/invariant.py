@@ -82,6 +82,9 @@ _RATIO_WINDOW = 4
 # The first linear steps are checked for Loewner monotonicity.
 _LOEWNER_CHECKED_STEPS = 32
 _LOEWNER_TOL = 1e-8
+# QV2 holds when the invariance residual is at most this, and QV3 when
+# the last tail samples are.
+CONDITION_TOL = 1e-8
 
 STOP_REASONS = ("bound", "tol", "n_max")
 
@@ -307,16 +310,15 @@ def least_fixed_point_q(
             "the fixed-point construction needs a positive observable; "
             "split a general Hermitian one with general_expectation"
         )
-    meas = prog_or_scheme.meas
-    e, g = prog_or_scheme.e, prog_or_scheme.g
-    is_program = isinstance(prog_or_scheme, QuantumProgram)
-    base = _completion_mat(meas, p.mat, np.zeros_like(p.mat))
+    g = prog_or_scheme.g
+    base = _completion_mat(prog_or_scheme.meas, p.mat, np.zeros_like(p.mat))
 
     limit, iterations, reason, bound = _linear_stage(
         g, base, tol, min(n_max, _LINEAR_STEPS)
     )
     powers = None
     if reason is None and iterations < n_max:
+        is_program = isinstance(prog_or_scheme, QuantumProgram)
         powers = _Powers(g, prog_or_scheme.rho0.mat if is_program else None)
         limit, squarings, reason, bound = _doubling_stage(
             powers, limit, tol, n_max - iterations
@@ -324,28 +326,10 @@ def least_fixed_point_q(
         iterations += squarings
     reason = reason or "n_max"
 
-    q_mat = e.apply_dual_mat(limit)
-    q_mat = (q_mat + dagger(q_mat)) / 2
-    completion = Observable(_completion_mat(meas, p.mat, q_mat))
-    qv2_residual = max_abs(e.apply_dual_mat(completion.mat) - q_mat)
-
-    qv1_value = None
-    qv3_tail: tuple[float, ...] = ()
-    if is_program:
-        qv1_value = _initial_value(completion, prog_or_scheme)
-        qv3_tail = _qv3_tail_values(prog_or_scheme, q_mat, powers)
-
-    return InvariantCertificate(
-        q=Observable(q_mat),
-        completion=completion,
-        qv2_residual=qv2_residual,
-        qv3_tail=qv3_tail,
-        qv1_value=qv1_value,
-        iterations=iterations,
-        converged=reason != "n_max",
-        error_bound=bound,
-        stop_reason=reason,
-    )
+    q_mat = prog_or_scheme.e.apply_dual_mat(limit)
+    # Exactly Hermitian once symmetrized, so Observable keeps its bits.
+    q = Observable((q_mat + dagger(q_mat)) / 2)
+    return _certificate(prog_or_scheme, p, q, iterations, bound, reason, powers)
 
 
 def certificate_for(
@@ -353,23 +337,38 @@ def certificate_for(
 ) -> InvariantCertificate:
     """Certificate for a user-supplied invariant candidate ``q`` (used to
     probe QV2/QV3 for candidates other than the least fixed point)."""
+    return _certificate(prog_or_scheme, p, q, 0, 0.0, "given")
+
+
+def _certificate(
+    prog_or_scheme: ProgramScheme,
+    p: Observable,
+    q: Observable,
+    iterations: int,
+    error_bound: float,
+    stop_reason: str,
+    powers: _Powers | None = None,
+) -> InvariantCertificate:
+    """The certificate of ``q``: its completion, the QV2 residual and, for
+    a program, the QV1 value and the QV3 tail (read from ``powers`` when
+    the doubling stage formed them)."""
     completion = Observable(_completion_mat(prog_or_scheme.meas, p.mat, q.mat))
     qv2_residual = max_abs(prog_or_scheme.e.apply_dual_mat(completion.mat) - q.mat)
     qv1_value = None
     qv3_tail: tuple[float, ...] = ()
     if isinstance(prog_or_scheme, QuantumProgram):
         qv1_value = _initial_value(completion, prog_or_scheme)
-        qv3_tail = _qv3_tail_values(prog_or_scheme, q.mat)
+        qv3_tail = _qv3_tail_values(prog_or_scheme, q.mat, powers)
     return InvariantCertificate(
         q=q,
         completion=completion,
         qv2_residual=qv2_residual,
         qv3_tail=qv3_tail,
         qv1_value=qv1_value,
-        iterations=0,
-        converged=True,
-        error_bound=0.0,
-        stop_reason="given",
+        iterations=iterations,
+        converged=stop_reason != "n_max",
+        error_bound=error_bound,
+        stop_reason=stop_reason,
     )
 
 
@@ -390,7 +389,6 @@ def check_conditions(
     prog: QuantumProgram,
     p: Observable,
     cert: InvariantCertificate,
-    tol: float = 1e-8,
     almost_terminates: bool | None = None,
 ) -> ConditionCheck:
     """Evaluate QV1/QV2/QV3 for a certificate.
@@ -399,9 +397,10 @@ def check_conditions(
     completeness.  QV3 is decided on the sampled tail and cross-checked
     against the spectral almost-termination criterion: almost termination
     implies Q-termination for every Q, so a terminating program can never
-    fail QV3.  A caller that holds the program's termination verdict
-    passes its ``almost_terminates``; without it, the program's
-    representation is built to read the unit overlap of ``rho0``.
+    fail QV3.  QV2 and the tail are decided at :data:`CONDITION_TOL`.  A
+    caller that holds the program's termination verdict passes its
+    ``almost_terminates``; without it, the program's representation is
+    built to read the unit overlap of ``rho0``.
     """
     almost = almost_terminates
     if almost is None:
@@ -413,12 +412,12 @@ def check_conditions(
 
     tail = cert.qv3_tail or _qv3_tail_values(prog, cert.q.mat)
     qv3_limit = max(abs(t) for t in tail[-2:]) if tail else 0.0
-    qv3 = qv3_limit <= tol or almost
+    qv3 = qv3_limit <= CONDITION_TOL or almost
 
     return ConditionCheck(
         qv1=bool(np.isfinite(qv1_value)),
         qv1_value=qv1_value,
-        qv2=cert.qv2_residual <= tol,
+        qv2=cert.qv2_residual <= CONDITION_TOL,
         qv2_residual=cert.qv2_residual,
         qv3=qv3,
         qv3_limit=qv3_limit,
@@ -477,7 +476,6 @@ def certified_expectation(
     prog: QuantumProgram,
     o: Observable,
     almost_terminates: bool,
-    tol: float = DEFAULT_FIXED_POINT_TOL,
     n_max: int = DEFAULT_FIXED_POINT_N_MAX,
 ) -> tuple[float, dict]:
     """Terminal expectation of a Hermitian observable by the least
@@ -504,7 +502,7 @@ def certified_expectation(
         ]
     values, diags = [], []
     for sign, part in parts:
-        cert = least_fixed_point_q(prog, part, tol=tol, n_max=n_max)
+        cert = least_fixed_point_q(prog, part, n_max=n_max)
         cond = check_conditions(prog, part, cert, almost_terminates=almost_terminates)
         values.append(sign * cond.qv1_value)
         diags.append(
@@ -527,13 +525,8 @@ def certified_expectation(
     return sum(values), combined
 
 
-def general_expectation(
-    prog: QuantumProgram,
-    o: Observable,
-    tol: float = DEFAULT_FIXED_POINT_TOL,
-    n_max: int = DEFAULT_FIXED_POINT_N_MAX,
-) -> float:
+def general_expectation(prog: QuantumProgram, o: Observable) -> float:
     """Terminal expectation of an arbitrary Hermitian observable: the value
     of :func:`certified_expectation`, whose diagnostics it drops (their QV3
     flag is decided here on the sampled tail alone)."""
-    return certified_expectation(prog, o, False, tol=tol, n_max=n_max)[0]
+    return certified_expectation(prog, o, False)[0]

@@ -73,10 +73,6 @@ def herm_defect(a: np.ndarray) -> float:
     return max_abs(a - dagger(a))
 
 
-def is_hermitian(a, tol: float = TOL_HERM) -> bool:
-    return herm_defect(require_square(a)) <= tol
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product with the convention
     ``(a (x) b)[i*rb + k, j*cb + l] = a[i, j] * b[k, l]``."""

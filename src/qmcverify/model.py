@@ -66,9 +66,7 @@ class ModelOptions:
         for name, (low, inclusive) in _OPTION_BOUNDS.items():
             value = getattr(self, name)
             ok = (
-                isinstance(value, numbers.Real)
-                and not isinstance(value, bool)
-                and math.isfinite(value)
+                _finite_number(value)
                 and (value >= low if inclusive else value > low)
                 and (name != "n_max" or value == int(value))
             )
@@ -97,6 +95,16 @@ class ModelOptions:
             "eps_unit": self.eps_unit,
             "tol": self.tol,
         }
+
+
+def _finite_number(value) -> bool:
+    """Whether ``value`` is a finite real number; a bool, which JSON's
+    ``true`` and ``false`` load as, is not."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 def encode_matrix(mat: np.ndarray) -> list:
@@ -189,6 +197,15 @@ class Model:
         self.validated = Validated(scheme, observables)
 
 
+def _json_object(doc: dict, key: str) -> dict:
+    """The optional field ``key`` of a model document, which must be a JSON
+    object; ``{}`` when absent."""
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ValidationError(f"{key} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def model_from_dict(doc: dict) -> Model:
     if not isinstance(doc, dict):
         raise ValidationError("model file must contain a JSON object")
@@ -197,9 +214,10 @@ def model_from_dict(doc: dict) -> Model:
         raise ValidationError(f"unsupported format tag {tag!r}, expected {FORMAT_TAG!r}")
     if "dim" not in doc:
         raise ValidationError("model file is missing the required 'dim' field")
-    dim = int(doc["dim"])
-    if dim < 1:
-        raise ValidationError(f"dim must be a positive integer, got {dim}")
+    dim = doc["dim"]
+    if not (_finite_number(dim) and dim >= 1 and dim == int(dim)):
+        raise ValidationError(f"dim must be an integer >= 1, got {dim!r}")
+    dim = int(dim)
     for key in ("kraus", "m0", "m1"):
         if key not in doc:
             raise ValidationError(f"model file is missing the required {key!r} field")
@@ -214,9 +232,9 @@ def model_from_dict(doc: dict) -> Model:
     rho0 = decode_matrix(doc["rho0"], dim, "rho0") if "rho0" in doc else None
     observables = {
         name: decode_matrix(mat, dim, f"observables[{name!r}]")
-        for name, mat in doc.get("observables", {}).items()
+        for name, mat in _json_object(doc, "observables").items()
     }
-    options = ModelOptions.from_dict(doc.get("options", {}))
+    options = ModelOptions.from_dict(_json_object(doc, "options"))
     model = Model(
         dim=dim, kraus=kraus, m0=m0, m1=m1, rho0=rho0,
         observables=observables, options=options,

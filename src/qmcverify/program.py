@@ -150,10 +150,6 @@ class QuantumProgram(ProgramScheme):
                 f"initial state must have unit trace, got {self.rho0.trace:.12g}"
             )
 
-    @property
-    def scheme(self) -> ProgramScheme:
-        return ProgramScheme(self.e, self.meas)
-
 
 @dataclass(frozen=True)
 class StepRecord:

@@ -1,7 +1,8 @@
 """Closed-form verification through matrix representations.
 
 The survival step ``G`` acts on vectorized operators as a d^2 x d^2 matrix
-``M``, and the halting step ``E0`` as ``N0``.  Every eigenvalue of ``M``
+``M``, and the halting step ``E0`` as ``N0``; both come from
+:func:`qmcverify.channels.matrix_representation`.  Every eigenvalue of ``M``
 has modulus at most one, and unit-modulus eigenvalues are semisimple, so
 removing their (rank-one, biorthogonal) spectral components yields a
 strictly contracting matrix ``N`` with ``N0 M^n = N0 N^n``.  Terminal
@@ -25,7 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DensityOperator, Observable, maximally_entangled_vector
+from .channels import (
+    DensityOperator,
+    Observable,
+    matrix_representation,
+    maximally_entangled_vector,
+)
 from .errors import ConsistencyError, RepresentationError, SingularResolventError
 from .linalg import (
     EPS_UNIT,
@@ -45,6 +51,8 @@ UNIT_OVERLAP_RTOL = 1e-9
 # coordinates of the step matrix may carry.  Rounding leaves a few ulps;
 # a step that does not preserve Hermiticity leaves O(||M||).
 HERMITIAN_COORD_TOL = 1e-12
+# Absolute slack of power_norm_bound_check's bound.
+POWER_NORM_SLACK = 1e-9
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
@@ -138,9 +146,7 @@ def _vec_coordinates(c: np.ndarray) -> np.ndarray:
 
 
 def build_representation(
-    scheme: ProgramScheme,
-    eps_unit: float = EPS_UNIT,
-    tol_proj: float = TOL_PROJ,
+    scheme: ProgramScheme, eps_unit: float = EPS_UNIT
 ) -> ProgramRepresentation:
     """Assemble N0, M and the unit-circle-filtered N for a scheme.
 
@@ -152,13 +158,9 @@ def build_representation(
         (trace-preserving channel, complete measurement) cannot trigger
         either; the usual cause is corrupted model data.
     """
-    m0, m1 = scheme.meas.m0, scheme.meas.m1
     d = scheme.dim
-    n0 = kron(m0, m0.conj())
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for k in scheme.e.kraus:
-        km = k @ m1
-        m += kron(km, km.conj())
+    m = matrix_representation(scheme.g)
+    n0 = matrix_representation(scheme.meas.e0)
 
     sd = spectral_decompose(_real_coordinates(m), eps_unit)
     sd = dataclasses.replace(
@@ -183,13 +185,13 @@ def build_representation(
     p_u = sd.unit_projector()
     has_unit = bool(np.any(sd.unit_circle_flags))
     if has_unit:
-        if max_abs(p_u @ p_u - p_u) > tol_proj:
+        if max_abs(p_u @ p_u - p_u) > TOL_PROJ:
             raise RepresentationError(
                 "unit-circle spectral projector is not idempotent "
                 f"(defect {max_abs(p_u @ p_u - p_u):.3e}); a unit-modulus "
                 "eigenvalue is defective, which valid programs cannot produce"
             )
-        if max_abs(p_u @ m - m @ p_u) > tol_proj * m_norm:
+        if max_abs(p_u @ m - m @ p_u) > TOL_PROJ * m_norm:
             raise RepresentationError(
                 "unit-circle spectral projector does not commute with the "
                 "step representation"
@@ -200,7 +202,7 @@ def build_representation(
             lam = sd.eigenvalues[idx].mean()
             p_c = sd.cluster_projector(cid)
             defect = max_abs((m - lam * np.eye(d * d)) @ p_c)
-            if defect > tol_proj * m_norm:
+            if defect > TOL_PROJ * m_norm:
                 raise RepresentationError(
                     f"unit-modulus eigenvalue cluster at {lam:.9g} is not "
                     f"semisimple (nilpotent defect {defect:.3e})"
@@ -278,13 +280,12 @@ def filtered_power_residual(rep: ProgramRepresentation, n: int) -> float:
     return max_abs(rep.n0 @ pm - rep.n0 @ pn)
 
 
-def power_norm_bound_check(
-    rep: ProgramRepresentation, alpha: np.ndarray, n: int, slack: float = 1e-9
-) -> bool:
-    """Whether ``||M^n alpha|| <= 4 sqrt(d) ||alpha||`` (with slack)."""
+def power_norm_bound_check(rep: ProgramRepresentation, alpha: np.ndarray, n: int) -> bool:
+    """Whether ``||M^n alpha|| <= 4 sqrt(d) ||alpha||`` (with
+    :data:`POWER_NORM_SLACK`)."""
     a = np.asarray(alpha, dtype=complex).reshape(-1)
     v = a
     for _ in range(n):
         v = rep.m @ v
-    bound = 4.0 * math.sqrt(rep.dim) * float(np.linalg.norm(a)) + slack
+    bound = 4.0 * math.sqrt(rep.dim) * float(np.linalg.norm(a)) + POWER_NORM_SLACK
     return bool(np.linalg.norm(v) <= bound)

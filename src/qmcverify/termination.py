@@ -38,24 +38,23 @@ class TerminationVerdict:
             raise ConsistencyError("terminates_at must be present iff terminates")
 
 
-def _support(mat: np.ndarray, tol: float) -> np.ndarray | None:
+def _support(mat: np.ndarray) -> np.ndarray | None:
     """Projector onto the eigenvectors of the PSD ``mat`` whose eigenvalue
-    exceeds ``tol * max(1, lambda_max)``; ``None`` when none does."""
+    exceeds ``ZERO_VECTOR_RTOL * max(1, lambda_max)``; ``None`` when none
+    does."""
     w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
-    keep = v[:, w > tol * max(1.0, float(w[-1]))]
+    keep = v[:, w > ZERO_VECTOR_RTOL * max(1.0, float(w[-1]))]
     return keep @ keep.conj().T if keep.shape[1] else None
 
 
-def _verdict_for_vector(
-    rep: ProgramRepresentation, x: np.ndarray, tol: float
-) -> TerminationVerdict:
+def _verdict_for_vector(rep: ProgramRepresentation, x: np.ndarray) -> TerminationVerdict:
     overlap, almost = rep.unit_overlap(x)
 
-    support = _support(unvec(x, rep.dim), tol)
+    support = _support(unvec(x, rep.dim))
     n = 0
     while support is not None and n < rep.dim:
         n += 1
-        support = _support(unvec(rep.m @ vec(support), rep.dim), tol)
+        support = _support(unvec(rep.m @ vec(support), rep.dim))
     terminates = support is None
 
     return TerminationVerdict(
@@ -68,19 +67,15 @@ def _verdict_for_vector(
 
 
 def check_program_termination(
-    rep: ProgramRepresentation,
-    rho0: DensityOperator,
-    tol: float = ZERO_VECTOR_RTOL,
+    rep: ProgramRepresentation, rho0: DensityOperator
 ) -> TerminationVerdict:
-    """Termination verdict for the program started in ``rho0``.  ``tol`` is
-    the relative eigenvalue cut of the support decisions; the unit overlap
-    is decided by :meth:`ProgramRepresentation.unit_overlap`."""
-    return _verdict_for_vector(rep, vec(rho0.mat), tol)
+    """Termination verdict for the program started in ``rho0``.  The support
+    decisions cut eigenvalues at :data:`ZERO_VECTOR_RTOL`, relative; the
+    unit overlap is decided by :meth:`ProgramRepresentation.unit_overlap`."""
+    return _verdict_for_vector(rep, vec(rho0.mat))
 
 
-def check_scheme_termination(
-    rep: ProgramRepresentation, tol: float = ZERO_VECTOR_RTOL
-) -> TerminationVerdict:
+def check_scheme_termination(rep: ProgramRepresentation) -> TerminationVerdict:
     """Termination verdict quantified over all initial states.
 
     Evaluated on ``|Phi> = vec(I)``, which is ``d`` times the vector of
@@ -88,4 +83,4 @@ def check_scheme_termination(
     started in ``I/d`` does, since every state's support lies in that of
     ``I/d``.
     """
-    return _verdict_for_vector(rep, rep.phi, tol)
+    return _verdict_for_vector(rep, rep.phi)

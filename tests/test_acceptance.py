@@ -19,14 +19,13 @@ from qmcverify import (
     expectation_via_invariant,
     kron,
     least_fixed_point_q,
-    power_norm_bound_check,
-    filtered_power_residual,
     matrix_representation,
     maximally_entangled_vector,
     oracle_expectation,
-    positive_part_decompose,
     terminal_state_series,
 )
+from qmcverify.channels import positive_part_decompose
+from qmcverify.invariant import completion_expansion_residual
 from qmcverify.linalg import max_abs
 from qmcverify.sampling import (
     random_channel,
@@ -37,6 +36,7 @@ from qmcverify.sampling import (
     random_scheme,
     random_unitary,
 )
+from qmcverify.spectral import filtered_power_residual, power_norm_bound_check
 
 from helpers import P0, bitflip_program, bitflip_scheme, xflip_scheme
 
@@ -235,8 +235,6 @@ def test_c10_three_way_agreement(rng):
 
 @criterion(11, "completion identity residual stays at rounding scale")
 def test_c11_completion_identity_suite(rng):
-    from qmcverify import completion_expansion_residual
-
     for _ in range(20):
         prog = random_contracting_program(2, rng)
         p = random_observable(2, rng, psd=True)

@@ -8,14 +8,13 @@ from qmcverify import (
     ValidationError,
     apply,
     apply_dual,
-    choi_matrix,
     compose,
     is_positive_semidefinite,
     kron,
     matrix_representation,
     maximally_entangled_vector,
-    positive_part_decompose,
 )
+from qmcverify.channels import choi_matrix, positive_part_decompose
 from qmcverify.linalg import max_abs
 from qmcverify.sampling import random_channel, random_density, random_observable, random_unitary
 

@@ -329,6 +329,32 @@ def test_bad_option_in_model_file_exits_2(options, option, tmp_path, capsys):
     assert f"option {option} " in err
 
 
+@pytest.mark.parametrize(
+    "field,raw",
+    [
+        ("dim", '"two"'),
+        ("dim", "null"),
+        ("dim", "[2]"),
+        ("dim", "1e400"),
+        ("dim", "2.5"),
+        ("dim", '"2"'),
+        ("dim", "true"),
+        ("observables", "[1, 2]"),
+        ("options", "5"),
+    ],
+)
+def test_malformed_model_field_exits_2(field, raw, tmp_path, capsys):
+    # raw is JSON text, so that 1e400 reaches the loader as written
+    doc = json.loads(Path(model("bitflip_p05.model")).read_text())
+    doc[field] = "<raw>"
+    path = tmp_path / "bad.model"
+    path.write_text(json.dumps(doc).replace('"<raw>"', raw))
+    code = main(["verify", str(path), "-o", "P0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{field} must be " in err
+
+
 def test_verify_invariant_certifies_near_unit_bitflip(tmp_path, capsys):
     # stay with p = 0.99999, flip with 1 - p: from |1> everything halts in |0>
     near = load_model(model("bitflip_p05.model"))

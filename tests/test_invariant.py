@@ -15,13 +15,12 @@ from qmcverify import (
     expectation_via_invariant,
     general_expectation,
     is_positive_semidefinite,
-    completion_expansion_residual,
     least_fixed_point_q,
     oracle_expectation,
     oracle_fixed_point,
     terminal_state_series,
 )
-from qmcverify.invariant import _LINEAR_STEPS, _qv3_tail_values
+from qmcverify.invariant import _LINEAR_STEPS, _qv3_tail_values, completion_expansion_residual
 from qmcverify.linalg import max_abs, psd_split
 from qmcverify.model import load_model
 from qmcverify.sampling import random_contracting_program, random_density, random_observable

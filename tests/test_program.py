@@ -4,11 +4,11 @@ import pytest
 from qmcverify import (
     DensityOperator,
     ValidationError,
-    check_recursion,
     is_positive_semidefinite,
     step_probabilities,
     terminal_state_series,
 )
+from qmcverify.program import check_recursion
 from qmcverify.sampling import random_contracting_program, random_density, random_observable
 
 from helpers import bitflip_program, m0_zero_program, m1_zero_program
@@ -130,7 +130,7 @@ def test_dual_recursion_identity(rng):
 def test_program_requires_unit_trace():
     prog = bitflip_program(0.5, 1.0, 0.0)
     with pytest.raises(ValidationError):
-        prog.scheme.with_initial_state(DensityOperator(np.diag([0.5, 0.0])))
+        prog.with_initial_state(DensityOperator(np.diag([0.5, 0.0])))
 
 
 def test_program_requires_trace_preserving_channel():

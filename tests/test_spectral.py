@@ -23,8 +23,6 @@ from qmcverify import (
     expectation_closed_form,
     kron,
     load_model,
-    power_norm_bound_check,
-    filtered_power_residual,
     oracle_expectation,
     spectral_decompose,
     vec,
@@ -38,7 +36,13 @@ from qmcverify.sampling import (
     random_scheme,
     random_unitary,
 )
-from qmcverify.spectral import _hermitian_basis, _real_coordinates, _vec_coordinates
+from qmcverify.spectral import (
+    _hermitian_basis,
+    _real_coordinates,
+    _vec_coordinates,
+    filtered_power_residual,
+    power_norm_bound_check,
+)
 
 from helpers import (
     P0,
@@ -78,6 +82,37 @@ def test_representation_m1_zero():
     assert max_abs(rep.n_filtered) == 0.0
 
 
+def _kraus_loop_matrices(scheme):
+    """M and N0 as a Kraus loop forms them: the reference for the one
+    builder, ``matrix_representation``."""
+    d, m0, m1 = scheme.dim, scheme.meas.m0, scheme.meas.m1
+    m = np.zeros((d * d, d * d), dtype=complex)
+    for k in scheme.e.kraus:
+        m += np.kron(k @ m1, (k @ m1).conj())
+    return m, np.kron(m0, m0.conj())
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and all(
+        np.array_equal(np.signbit(part(a)), np.signbit(part(b))) for part in (np.real, np.imag)
+    )
+
+
+def _builder_schemes():
+    schemes = [load_model(path).validated.scheme for path in sorted(MODELS_DIR.glob("*.model"))]
+    rng = np.random.default_rng(7)
+    schemes += [random_scheme(d, rng, n_kraus=k) for d in (1, 2, 3, 7) for k in (1, 2, 3)]
+    return schemes
+
+
+@pytest.mark.parametrize("scheme", _builder_schemes())
+def test_representation_matrices_are_bit_identical_to_kraus_loop(scheme):
+    rep = build_representation(scheme)
+    m, n0 = _kraus_loop_matrices(scheme)
+    assert _same_bits(rep.m, m)
+    assert _same_bits(rep.n0, n0)
+
+
 def test_representation_rejects_expanding_step():
     # spectral radius > 1 cannot come from valid programs; feed the builder
     # a hand-made namespace that bypasses the channel validation
@@ -86,7 +121,7 @@ def test_representation_rejects_expanding_step():
     prog = bitflip_program(0.5, 0.6, 0.8)
     fake = SimpleNamespace(
         dim=2,
-        e=SimpleNamespace(kraus=(1.1 * np.eye(2, dtype=complex),)),
+        g=SimpleNamespace(dim=2, stack=(1.1 * prog.meas.m1)[None]),
         meas=prog.meas,
     )
     with pytest.raises(RepresentationError):

@@ -1,13 +1,36 @@
-"""The CLI as a fresh process sees it: what starting it imports, and
-``python -m qmcverify`` from a checkout."""
+"""The package from outside: its public names, what starting the CLI
+imports, and ``python -m qmcverify`` from a checkout."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import qmcverify
+
 ROOT = Path(__file__).parent.parent
 MODEL = str(ROOT / "models" / "bitflip_p05.model")
+
+
+# Lemma diagnostics that only the acceptance tests call; they stay
+# importable from their defining modules.
+TEST_ONLY = {
+    "check_recursion",
+    "choi_matrix",
+    "completion_expansion_residual",
+    "filtered_power_residual",
+    "positive_part_decompose",
+    "power_norm_bound_check",
+}
+
+
+def test_public_names_are_sorted_resolve_and_leave_out_test_only_diagnostics():
+    names = qmcverify.__all__
+    assert names == sorted(names)
+    for name in names:
+        assert getattr(qmcverify, name) is not None
+    assert not TEST_ONLY & set(names)
+    assert not TEST_ONLY & set(vars(qmcverify))
 
 
 def run_python(*args):
