@@ -13,7 +13,6 @@ from .channels import (
     apply_dual,
     compose,
     matrix_representation,
-    maximally_entangled_vector,
 )
 from .errors import (
     ConsistencyError,
@@ -36,7 +35,6 @@ from .invariant import (
 from .linalg import (
     SpectralData,
     is_positive_semidefinite,
-    kron,
     spectral_decompose,
 )
 from .model import Model, ModelOptions, load_model, model_hash, save_model
@@ -102,11 +100,9 @@ __all__ = [
     "expectation_via_invariant",
     "general_expectation",
     "is_positive_semidefinite",
-    "kron",
     "least_fixed_point_q",
     "load_model",
     "matrix_representation",
-    "maximally_entangled_vector",
     "model_hash",
     "oracle_expectation",
     "oracle_fixed_point",

@@ -6,8 +6,8 @@ A super-operator is stored as its Kraus family ``{E_i}`` with
 ``M -> sum(E_i^dag M E_i)``.  Equality of super-operators is always decided
 through :func:`matrix_representation`, never through the Kraus lists, which
 are not unique.  That function is the one builder of a d^2 x d^2
-super-operator matrix: the spectral layer's ``M`` and ``N0`` and the
-invariant route's doubling stage all come from it, and it runs on the
+super-operator matrix: the spectral layer's ``M`` and the invariant
+route's doubling stage both come from it, and it runs on the
 stacked Kraus array below.
 
 Both actions run on the stacked Kraus array ``(K, d, d)`` and its stacked
@@ -38,7 +38,6 @@ from .linalg import (
     herm_defect,
     is_positive_semidefinite,
     max_abs,
-    psd_split,
     require_square,
 )
 
@@ -219,32 +218,3 @@ def matrix_representation(e: SuperOperator) -> np.ndarray:
     for k in e.stack:
         rep += np.kron(k, k.conj())
     return rep
-
-
-def choi_matrix(e: SuperOperator) -> np.ndarray:
-    """Choi matrix, obtained by reshuffling the matrix representation.
-
-    Positive semidefiniteness is automatic for maps given in Kraus form;
-    this is exposed purely as a diagnostic tying the representation back
-    to complete positivity.
-    """
-    d = e.dim
-    rep = matrix_representation(e)
-    return rep.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-
-
-def positive_part_decompose(a) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split an arbitrary square matrix as ``A = B1 - B2 + i B3 - i B4``
-    with all four parts PSD, B1/B2 (and B3/B4) having orthogonal supports,
-    and ``tr(Bj^2) <= tr(A^dag A)``."""
-    arr = require_square(a)
-    herm = (arr + dagger(arr)) / 2
-    anti = -1j * (arr - dagger(arr)) / 2
-    b1, b2 = psd_split(herm)
-    b3, b4 = psd_split(anti)
-    return b1, b2, b3, b4
-
-
-def maximally_entangled_vector(d: int) -> np.ndarray:
-    """The unnormalized vector sum_j |jj> in the computational basis."""
-    return np.eye(d, dtype=complex).reshape(-1)

@@ -99,7 +99,7 @@ def cmd_verify(args) -> int:
 
     report = _new_report("verify", args, model, opts)
     report.observable = args.observable
-    report.eigenvalues = eigenvalue_table(rep.spectral, opts.eps_unit)
+    report.eigenvalues = eigenvalue_table(rep.spectral)
 
     selected = (
         ["series", "invariant", "spectral"] if args.method == "all" else [args.method]
@@ -163,7 +163,7 @@ def cmd_runtime(args) -> int:
     verdict = check_program_termination(rep, prog.rho0)
 
     report = _new_report("runtime", args, model, opts)
-    report.eigenvalues = eigenvalue_table(rep.spectral, opts.eps_unit)
+    report.eigenvalues = eigenvalue_table(rep.spectral)
     spectral_time = average_running_time(rep, prog.rho0)
     report.add_method(
         "spectral",
@@ -211,7 +211,7 @@ def cmd_terminate(args) -> int:
         verdict = check_scheme_termination(rep)
 
     report = _new_report("terminate", args, model, opts)
-    report.eigenvalues = eigenvalue_table(rep.spectral, opts.eps_unit)
+    report.eigenvalues = eigenvalue_table(rep.spectral)
     report.termination = {
         "scope": args.scope,
         "terminates": verdict.terminates,
@@ -228,7 +228,7 @@ def cmd_spectrum(args) -> int:
     model, opts = _load(args)
     rep = build_representation(model.validated.scheme, eps_unit=opts.eps_unit)
     report = _new_report("spectrum", args, model, opts)
-    report.eigenvalues = eigenvalue_table(rep.spectral, opts.eps_unit)
+    report.eigenvalues = eigenvalue_table(rep.spectral)
     report.add_method(
         "spectral",
         rep.spectral.spectral_radius(),

@@ -437,26 +437,6 @@ def expectation_via_invariant(
     return _initial_value(cert.completion, prog)
 
 
-def completion_expansion_residual(
-    prog: QuantumProgram, p: Observable, cert: InvariantCertificate, n: int
-) -> float:
-    """Absolute gap between ``tr(completion rho0)`` and
-    ``sum_{k<=n} tr(P E0(G^k(rho0))) + tr(Q E1(G^n(rho0)))``; zero in
-    exact arithmetic whenever QV2 holds."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    e0, e1, g = prog.meas.e0, prog.meas.e1, prog.g
-    sigma = prog.rho0.mat
-    acc = 0.0
-    for k in range(n + 1):
-        acc += float(np.trace(p.mat @ e0.apply_mat(sigma)).real)
-        if k < n:
-            sigma = g.apply_mat(sigma)
-    acc += float(np.trace(cert.q.mat @ e1.apply_mat(sigma)).real)
-    lhs = float(np.trace(cert.completion.mat @ prog.rho0.mat).real)
-    return abs(lhs - acc)
-
-
 # How the diagnostics of the positive parts of a general observable combine.
 _COMBINE_PARTS = {
     "iterations": sum,

@@ -45,11 +45,6 @@ def _as_matrix(a, name: str, dtype) -> np.ndarray:
     return arr
 
 
-def as_complex_matrix(a, name="matrix") -> np.ndarray:
-    """Coerce to a 2-D complex128 array and reject non-finite entries."""
-    return _as_matrix(a, name, complex)
-
-
 def require_square(a, name="matrix", dtype=complex) -> np.ndarray:
     """Coerce to a square 2-D array of ``dtype`` and reject non-finite
     entries."""
@@ -71,12 +66,6 @@ def max_abs(a: np.ndarray) -> float:
 def herm_defect(a: np.ndarray) -> float:
     """||A - A^dag||_max, zero for Hermitian A."""
     return max_abs(a - dagger(a))
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the convention
-    ``(a (x) b)[i*rb + k, j*cb + l] = a[i, j] * b[k, l]``."""
-    return np.kron(as_complex_matrix(a, "a"), as_complex_matrix(b, "b"))
 
 
 def is_positive_semidefinite(a, tol: float = TOL_NUM) -> bool:

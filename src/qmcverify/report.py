@@ -44,18 +44,21 @@ class MethodResult:
         }
 
 
-def eigenvalue_table(spectral, eps_unit: float) -> list[dict]:
-    """Eigenvalues of the step representation in report order."""
-    evals = list(spectral.eigenvalues)
-    evals.sort(key=lambda z: (-abs(z), -z.real, -z.imag))
+def eigenvalue_table(spectral) -> list[dict]:
+    """Eigenvalues of the step representation in report order, each with
+    the unit-circle flag the spectral layer decided for it."""
+    rows = sorted(
+        zip(spectral.eigenvalues, spectral.unit_circle_flags),
+        key=lambda row: (-abs(row[0]), -row[0].real, -row[0].imag),
+    )
     return [
         {
             "re": float(z.real),
             "im": float(z.imag),
             "modulus": float(abs(z)),
-            "unit_circle": bool(abs(abs(z) - 1.0) <= eps_unit),
+            "unit_circle": bool(unit),
         }
-        for z in evals
+        for z, unit in rows
     ]
 
 

@@ -1,13 +1,16 @@
 """Closed-form verification through matrix representations.
 
 The survival step ``G`` acts on vectorized operators as a d^2 x d^2 matrix
-``M``, and the halting step ``E0`` as ``N0``; both come from
-:func:`qmcverify.channels.matrix_representation`.  Every eigenvalue of ``M``
-has modulus at most one, and unit-modulus eigenvalues are semisimple, so
-removing their (rank-one, biorthogonal) spectral components yields a
-strictly contracting matrix ``N`` with ``N0 M^n = N0 N^n``.  Terminal
-expectations and the average running time then reduce to resolvent
-solves against ``(rho0 (x) I)|Phi>``.
+``M`` from :func:`qmcverify.channels.matrix_representation`.  Every
+eigenvalue of ``M`` has modulus at most one, and unit-modulus eigenvalues
+are semisimple, so removing their (rank-one, biorthogonal) spectral
+components yields a strictly contracting matrix ``N``.  The halting step
+``E0(X) = M0 X M0^dag`` vanishes on the unit-circle eigenspace, so
+``E0 G^n = E0 N^n`` for all ``n``.  It is read in the Heisenberg
+picture, ``tr(P E0(X)) = tr(E0*(P) X)`` with ``E0*(P) = M0^dag P M0``:
+terminal expectations and the average running time are the d x d
+functional ``X -> tr(E0*(P) X)`` applied to resolvent solves against
+``vec(rho0)``, and ``E0`` is never formed as a d^2 x d^2 matrix.
 
 ``G`` maps Hermitian operators to Hermitian operators, so in the
 orthonormal Hermitian basis ``E_ii``, ``(E_ij + E_ji)/sqrt2`` and
@@ -26,18 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    DensityOperator,
-    Observable,
-    matrix_representation,
-    maximally_entangled_vector,
-)
+from .channels import DensityOperator, Observable, matrix_representation
 from .errors import ConsistencyError, RepresentationError, SingularResolventError
 from .linalg import (
     EPS_UNIT,
     TOL_PROJ,
     SpectralData,
-    kron,
+    dagger,
     max_abs,
     spectral_decompose,
 )
@@ -51,13 +49,11 @@ UNIT_OVERLAP_RTOL = 1e-9
 # coordinates of the step matrix may carry.  Rounding leaves a few ulps;
 # a step that does not preserve Hermiticity leaves O(||M||).
 HERMITIAN_COORD_TOL = 1e-12
-# Absolute slack of power_norm_bound_check's bound.
-POWER_NORM_SLACK = 1e-9
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
-    """Row-major vectorization; identical to ``(A (x) I)|Phi>`` with
-    ``|Phi> = sum_j |jj>``."""
+    """Row-major vectorization: ``vec(A)[i*d + j] = A[i, j]``, so that
+    ``vdot(vec(A), vec(X)) = tr(A^dag X)``."""
     return np.asarray(mat, dtype=complex).reshape(-1)
 
 
@@ -69,18 +65,19 @@ def unvec(v: np.ndarray, d: int) -> np.ndarray:
 class ProgramRepresentation:
     """Vectorized-space data of a program scheme.
 
-    ``margin`` is the gap ``1 - max{|lambda| : lambda below the unit
-    circle}``; it quantifies the conditioning of the ``I - N`` solves.
+    ``m0`` is the d x d halting operator ``M0``, from which the closed
+    forms read ``E0*``.  ``margin`` is the gap ``1 - max{|lambda| : lambda
+    below the unit circle}``; it quantifies the conditioning of the
+    ``I - N`` solves.
     """
 
     dim: int
     dim2: int
-    n0: np.ndarray
+    m0: np.ndarray
     m: np.ndarray
     spectral: SpectralData
     unit_projector: np.ndarray
     n_filtered: np.ndarray
-    phi: np.ndarray
     margin: float
 
     def has_unit_spectrum(self) -> bool:
@@ -148,7 +145,7 @@ def _vec_coordinates(c: np.ndarray) -> np.ndarray:
 def build_representation(
     scheme: ProgramScheme, eps_unit: float = EPS_UNIT
 ) -> ProgramRepresentation:
-    """Assemble N0, M and the unit-circle-filtered N for a scheme.
+    """Assemble M and the unit-circle-filtered N for a scheme.
 
     Raises
     ------
@@ -160,7 +157,6 @@ def build_representation(
     """
     d = scheme.dim
     m = matrix_representation(scheme.g)
-    n0 = matrix_representation(scheme.meas.e0)
 
     sd = spectral_decompose(_real_coordinates(m), eps_unit)
     sd = dataclasses.replace(
@@ -216,12 +212,11 @@ def build_representation(
     return ProgramRepresentation(
         dim=d,
         dim2=d * d,
-        n0=n0,
+        m0=scheme.meas.m0,
         m=m,
         spectral=sd,
         unit_projector=p_u,
         n_filtered=n,
-        phi=maximally_entangled_vector(d),
         margin=margin,
     )
 
@@ -245,19 +240,26 @@ def _real_part(value: complex, what: str) -> float:
     return float(value.real)
 
 
+def _halting_functional(rep: ProgramRepresentation, p: np.ndarray) -> np.ndarray:
+    """``vec(E0*(P))`` with ``E0*(P) = M0^dag P M0``: ``vdot`` of it with
+    ``vec(X)`` is ``tr(P E0(X))`` for every ``X``."""
+    return vec(dagger(rep.m0) @ p @ rep.m0)
+
+
 def expectation_closed_form(
     rep: ProgramRepresentation, rho0: DensityOperator, p: Observable
 ) -> float:
-    """Terminal expectation ``<Phi| (P (x) I) N0 (I - N)^-1 (rho0 (x) I)
-    |Phi>``, evaluated by a linear solve rather than explicit inversion."""
-    x = vec(rho0.mat)
-    y = _resolvent_solve(rep, x)
-    z = kron(p.mat, np.eye(rep.dim)) @ (rep.n0 @ y)
-    return _real_part(complex(rep.phi.conj() @ z), "closed-form expectation")
+    """Terminal expectation ``tr(E0*(P) X)`` with ``vec(X) = (I - N)^-1
+    vec(rho0)``, evaluated by a linear solve rather than explicit
+    inversion."""
+    y = _resolvent_solve(rep, vec(rho0.mat))
+    a = _halting_functional(rep, p.mat)
+    return _real_part(complex(np.vdot(a, y)), "closed-form expectation")
 
 
 def average_running_time(rep: ProgramRepresentation, rho0: DensityOperator) -> float:
-    """Average number of steps ``<Phi| N0 (I - N)^-2 (rho0 (x) I) |Phi>``.
+    """Average number of steps ``tr(E0*(I) X)`` with ``vec(X) = (I - N)^-2
+    vec(rho0)``.
 
     Returns ``inf`` when the initial state overlaps the unit-circle
     eigenspace (:meth:`ProgramRepresentation.unit_overlap`): the
@@ -268,24 +270,5 @@ def average_running_time(rep: ProgramRepresentation, rho0: DensityOperator) -> f
     if not rep.unit_overlap(x)[1]:
         return math.inf
     y = _resolvent_solve(rep, _resolvent_solve(rep, x))
-    return _real_part(complex(rep.phi.conj() @ (rep.n0 @ y)), "average running time")
-
-
-def filtered_power_residual(rep: ProgramRepresentation, n: int) -> float:
-    """||N0 M^n - N0 N^n||_max; zero in exact arithmetic for all n >= 0."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    pm = np.linalg.matrix_power(rep.m, n)
-    pn = np.linalg.matrix_power(rep.n_filtered, n)
-    return max_abs(rep.n0 @ pm - rep.n0 @ pn)
-
-
-def power_norm_bound_check(rep: ProgramRepresentation, alpha: np.ndarray, n: int) -> bool:
-    """Whether ``||M^n alpha|| <= 4 sqrt(d) ||alpha||`` (with
-    :data:`POWER_NORM_SLACK`)."""
-    a = np.asarray(alpha, dtype=complex).reshape(-1)
-    v = a
-    for _ in range(n):
-        v = rep.m @ v
-    bound = 4.0 * math.sqrt(rep.dim) * float(np.linalg.norm(a)) + POWER_NORM_SLACK
-    return bool(np.linalg.norm(v) <= bound)
+    a = _halting_functional(rep, np.eye(rep.dim))
+    return _real_part(complex(np.vdot(a, y)), "average running time")

@@ -5,9 +5,10 @@ survival step.  That depends only on ``supp rho0``, so the search steps
 support projectors and each zero test is a rank decision on ``G`` of one
 projector.  The span of the supports from step ``k`` on shrinks strictly
 until it is zero, so termination, if it happens, happens by ``n = d``.
-Almost termination means ``x = (rho0 (x) I)|Phi>`` carries no
-unit-modulus spectral component of ``M``, read against the dual
-eigenbasis since ``M`` is not normal.
+Almost termination means the halting probability
+``sum_n tr(E0*(I) G^n(rho0))`` is one.  It holds iff ``x = vec(rho0)``
+carries no unit-modulus spectral component of ``M``, read against the
+dual eigenbasis since ``M`` is not normal.
 """
 
 from __future__ import annotations
@@ -78,9 +79,9 @@ def check_program_termination(
 def check_scheme_termination(rep: ProgramRepresentation) -> TerminationVerdict:
     """Termination verdict quantified over all initial states.
 
-    Evaluated on ``|Phi> = vec(I)``, which is ``d`` times the vector of
-    the maximally mixed state ``I/d``: a scheme terminates iff the program
+    Evaluated on ``vec(I)``, which is ``d`` times the vector of the
+    maximally mixed state ``I/d``: a scheme terminates iff the program
     started in ``I/d`` does, since every state's support lies in that of
     ``I/d``.
     """
-    return _verdict_for_vector(rep, rep.phi)
+    return _verdict_for_vector(rep, vec(np.eye(rep.dim)))

@@ -1,5 +1,8 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite, the lemma diagnostics that only
+the tests call, and the Schrödinger-picture closed forms that the
+spectral route is checked against."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,10 @@ from qmcverify import (
     ProgramScheme,
     SuperOperator,
     TerminationMeasurement,
+    matrix_representation,
 )
+from qmcverify.linalg import dagger, max_abs, psd_split, require_square
+from qmcverify.program import DEFAULT_N_MAX, DEFAULT_TAIL_TOL, _series_pass
 
 MODELS_DIR = Path(__file__).parent.parent / "models"
 
@@ -108,3 +114,115 @@ def decaying_block_program():
     rho0 = np.zeros((8, 8))
     rho0[0, 0] = 1.0
     return scheme.with_initial_state(DensityOperator(rho0))
+
+
+# Lemma diagnostics.  Each checks one identity of the paper on a built
+# object; none is part of a verification route.
+
+# Absolute slack of power_norm_bound_check's bound.
+POWER_NORM_SLACK = 1e-9
+
+
+def halting_matrix(m0):
+    """``N0``, the d^2 x d^2 matrix of ``E0 = SuperOperator([M0])``: bit
+    for bit ``matrix_representation(meas.e0)`` of a measurement with this
+    ``M0``."""
+    return matrix_representation(SuperOperator([m0]))
+
+
+def filtered_power_residual(rep, n):
+    """||N0 M^n - N0 N^n||_max; zero in exact arithmetic for all n >= 0."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    n0 = halting_matrix(rep.m0)
+    pm = np.linalg.matrix_power(rep.m, n)
+    pn = np.linalg.matrix_power(rep.n_filtered, n)
+    return max_abs(n0 @ pm - n0 @ pn)
+
+
+def power_norm_bound_check(rep, alpha, n):
+    """Whether ``||M^n alpha|| <= 4 sqrt(d) ||alpha||`` (with
+    :data:`POWER_NORM_SLACK`)."""
+    a = np.asarray(alpha, dtype=complex).reshape(-1)
+    v = a
+    for _ in range(n):
+        v = rep.m @ v
+    bound = 4.0 * math.sqrt(rep.dim) * float(np.linalg.norm(a)) + POWER_NORM_SLACK
+    return bool(np.linalg.norm(v) <= bound)
+
+
+def completion_expansion_residual(prog, p, cert, n):
+    """Absolute gap between ``tr(completion rho0)`` and
+    ``sum_{k<=n} tr(P E0(G^k(rho0))) + tr(Q E1(G^n(rho0)))``; zero in
+    exact arithmetic whenever QV2 holds."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    e0, e1, g = prog.meas.e0, prog.meas.e1, prog.g
+    sigma = prog.rho0.mat
+    acc = 0.0
+    for k in range(n + 1):
+        acc += float(np.trace(p.mat @ e0.apply_mat(sigma)).real)
+        if k < n:
+            sigma = g.apply_mat(sigma)
+    acc += float(np.trace(cert.q.mat @ e1.apply_mat(sigma)).real)
+    lhs = float(np.trace(cert.completion.mat @ prog.rho0.mat).real)
+    return abs(lhs - acc)
+
+
+def check_recursion(prog, rho, tail_tol=DEFAULT_TAIL_TOL, n_max=DEFAULT_N_MAX):
+    """Self-consistency residual ||F(rho) - E0(rho) - F(G(rho))||_max,
+    with F evaluated by series summation on both sides."""
+    lhs = _series_pass(prog, rho.mat, tail_tol, n_max).acc
+    g_rho = prog.g.apply_mat(rho.mat)
+    tail = _series_pass(prog, g_rho, tail_tol, n_max).acc
+    rhs = prog.meas.e0.apply_mat(rho.mat) + tail
+    return max_abs(lhs - rhs)
+
+
+def choi_matrix(e):
+    """Choi matrix, obtained by reshuffling the matrix representation.
+
+    Positive semidefiniteness is automatic for maps given in Kraus form;
+    this is a diagnostic tying the representation back to complete
+    positivity.
+    """
+    d = e.dim
+    rep = matrix_representation(e)
+    return rep.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def positive_part_decompose(a):
+    """Split an arbitrary square matrix as ``A = B1 - B2 + i B3 - i B4``
+    with all four parts PSD, B1/B2 (and B3/B4) having orthogonal supports,
+    and ``tr(Bj^2) <= tr(A^dag A)``."""
+    arr = require_square(a)
+    herm = (arr + dagger(arr)) / 2
+    anti = -1j * (arr - dagger(arr)) / 2
+    b1, b2 = psd_split(herm)
+    b3, b4 = psd_split(anti)
+    return b1, b2, b3, b4
+
+
+# The spectral closed forms in the Schrödinger picture, on d^2 x d^2
+# operators: |Phi> = sum_j |jj>, (A (x) I)|Phi> = vec(A) and N0 the
+# matrix of E0.  The package evaluates the same numbers as
+# tr(E0*(P) X) on d x d; these are the reference it is checked against.
+
+
+def schrodinger_closed_form(rep, n0, rho0, p):
+    """``<Phi| (P (x) I) N0 (I - N)^-1 (rho0 (x) I) |Phi>``, complex."""
+    d = rep.dim
+    phi = np.eye(d, dtype=complex).reshape(-1)
+    x = np.kron(rho0.mat, np.eye(d)) @ phi
+    y = np.linalg.solve(np.eye(rep.dim2) - rep.n_filtered, x)
+    return complex(phi.conj() @ (np.kron(p.mat, np.eye(d)) @ (n0 @ y)))
+
+
+def schrodinger_running_time(rep, n0, rho0):
+    """``<Phi| N0 (I - N)^-2 (rho0 (x) I) |Phi>``, complex."""
+    d = rep.dim
+    phi = np.eye(d, dtype=complex).reshape(-1)
+    resolvent = np.eye(rep.dim2) - rep.n_filtered
+    x = np.kron(rho0.mat, np.eye(d)) @ phi
+    y = np.linalg.solve(resolvent, np.linalg.solve(resolvent, x))
+    return complex(phi.conj() @ (n0 @ y))

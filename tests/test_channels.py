@@ -10,15 +10,12 @@ from qmcverify import (
     apply_dual,
     compose,
     is_positive_semidefinite,
-    kron,
     matrix_representation,
-    maximally_entangled_vector,
 )
-from qmcverify.channels import choi_matrix, positive_part_decompose
 from qmcverify.linalg import max_abs
 from qmcverify.sampling import random_channel, random_density, random_observable, random_unitary
 
-from helpers import I2, bitflip_channel
+from helpers import I2, bitflip_channel, choi_matrix, positive_part_decompose
 
 
 def _kraus_loop(e, mat, dual):
@@ -141,10 +138,10 @@ def test_representation_entangled_vector_identity(rng):
     for d in (2, 3):
         e = random_channel(d, rng)
         rep = matrix_representation(e)
-        phi = maximally_entangled_vector(d)
+        phi = np.eye(d, dtype=complex).reshape(-1)
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        lhs = kron(e.apply_mat(a), np.eye(d)) @ phi
-        rhs = rep @ (kron(a, np.eye(d)) @ phi)
+        lhs = np.kron(e.apply_mat(a), np.eye(d)) @ phi
+        rhs = rep @ (np.kron(a, np.eye(d)) @ phi)
         assert np.linalg.norm(lhs - rhs) <= 1e-9
 
 

@@ -136,6 +136,27 @@ def test_spectrum_stuck_bitflip_single_unit_flag(capsys):
     assert "semisimple_unit_part=True" in out
 
 
+def test_eigenvalue_table_reports_the_spectral_layers_flags():
+    # The table sorts the decided flags with their eigenvalues instead of
+    # deciding the unit circle again: here 0.99999999 is flagged and 1 is
+    # not, which no eps_unit rule would give.
+    from types import SimpleNamespace
+
+    from qmcverify.report import eigenvalue_table
+
+    spectral = SimpleNamespace(
+        eigenvalues=np.array([0.5, 1.0, -0.99999999, 0.5j]),
+        unit_circle_flags=np.array([False, False, True, True]),
+    )
+    rows = eigenvalue_table(spectral)
+    assert [(r["re"], r["im"], r["unit_circle"]) for r in rows] == [
+        (1.0, 0.0, False),
+        (-0.99999999, 0.0, True),
+        (0.5, 0.0, False),
+        (0.0, 0.5, True),
+    ]
+
+
 def test_spectrum_reports_scheme_termination_without_rank_of_powers(
     monkeypatch, tmp_path, capsys
 ):

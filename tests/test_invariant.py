@@ -20,12 +20,19 @@ from qmcverify import (
     oracle_fixed_point,
     terminal_state_series,
 )
-from qmcverify.invariant import _LINEAR_STEPS, _qv3_tail_values, completion_expansion_residual
+from qmcverify.invariant import _LINEAR_STEPS, _qv3_tail_values
 from qmcverify.linalg import max_abs, psd_split
 from qmcverify.model import load_model
 from qmcverify.sampling import random_contracting_program, random_density, random_observable
 
-from helpers import MODELS_DIR, P0, Z, bitflip_program, m1_zero_program
+from helpers import (
+    MODELS_DIR,
+    P0,
+    Z,
+    bitflip_program,
+    completion_expansion_residual,
+    m1_zero_program,
+)
 
 
 def test_least_fixed_point_bitflip_terminating():

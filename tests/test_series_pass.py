@@ -7,6 +7,7 @@ same bits for every output.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,8 +44,8 @@ def _assert_bit_identical(scheme, rho_mat, tail_tol, n_max):
     run = _series_pass(scheme, rho_mat, tail_tol, n_max)
     assert np.array_equal(run.acc, acc)
     assert np.array_equal(run.last, last)
-    assert run.p == p
-    assert run.mass == mass
+    assert run.p.tolist() == p
+    assert run.mass.tolist() == mass
     assert run.n_used == n_used
     assert run.stop_reason == ("tail_tol" if mass[-1] < tail_tol else "n_max")
     return run
@@ -90,3 +91,20 @@ def test_pass_stops_on_tail_tol_within_n_max():
     prog = load_model(MODELS_DIR / "bitflip_p05.model").to_program()
     run = _assert_bit_identical(prog, prog.rho0.mat, 1e-12, 10**6)
     assert run.stop_reason == "tail_tol" and run.n_used < 100
+
+
+def test_per_step_scalars_cost_two_doubles_per_step():
+    # unitary_m0zero never halts, so the pass runs to n_max and keeps two
+    # scalars per step: 16 bytes as C doubles, 64 as Python float lists.
+    # The bound leaves half again for the arrays' growth and the chunks.
+    prog = load_model(MODELS_DIR / "unitary_m0zero.model").to_program()
+    n_max = 10**5
+    tracemalloc.start()
+    try:
+        run = _series_pass(prog, prog.rho0.mat, 1e-12, n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.n_used == n_max and len(run.p) == len(run.mass) == n_max + 1
+    assert (run.p.typecode, run.mass.typecode) == ("d", "d")
+    assert peak < 24 * n_max

@@ -21,8 +21,8 @@ from qmcverify import (
     check_program_termination,
     check_scheme_termination,
     expectation_closed_form,
-    kron,
     load_model,
+    matrix_representation,
     oracle_expectation,
     spectral_decompose,
     vec,
@@ -40,8 +40,6 @@ from qmcverify.spectral import (
     _hermitian_basis,
     _real_coordinates,
     _vec_coordinates,
-    filtered_power_residual,
-    power_norm_bound_check,
 )
 
 from helpers import (
@@ -53,18 +51,23 @@ from helpers import (
     block_unitary_scheme,
     counter_scheme,
     decaying_block_program,
+    filtered_power_residual,
     m1_zero_program,
+    power_norm_bound_check,
+    schrodinger_closed_form,
+    schrodinger_running_time,
 )
 
 MODELS_DIR = Path(__file__).parent.parent / "models"
 
 
 def test_representation_matches_displayed_matrix():
-    rep = build_representation(bitflip_scheme(0.5))
+    scheme = bitflip_scheme(0.5)
+    rep = build_representation(scheme)
     assert np.allclose(rep.m, bitflip_step_matrix(0.5), atol=1e-15)
     assert not rep.has_unit_spectrum()
     assert max_abs(rep.n_filtered - rep.m) == 0.0
-    assert np.array_equal(rep.n0, np.diag([1.0, 0.0, 0.0, 0.0]))
+    assert np.array_equal(matrix_representation(scheme.meas.e0), np.diag([1.0, 0.0, 0.0, 0.0]))
 
 
 def test_representation_stuck_bitflip():
@@ -110,7 +113,53 @@ def test_representation_matrices_are_bit_identical_to_kraus_loop(scheme):
     rep = build_representation(scheme)
     m, n0 = _kraus_loop_matrices(scheme)
     assert _same_bits(rep.m, m)
-    assert _same_bits(rep.n0, n0)
+    assert _same_bits(matrix_representation(scheme.meas.e0), n0)
+
+
+def test_build_leaves_the_halting_channel_unbuilt():
+    # The closed forms read E0* off the d x d M0; building E0 would re-run
+    # the Kraus normalization check for nothing.
+    for path in sorted(MODELS_DIR.glob("*.model")):
+        scheme = load_model(path).validated.scheme
+        build_representation(scheme)
+        assert "e0" not in scheme.meas.__dict__, path.name
+
+
+def _closed_form_cases():
+    """Every committed model with each of its observables, a scheme-only
+    model started in a random state, and random programs with d in
+    {1, 2, 3, 7}."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for path in sorted(MODELS_DIR.glob("*.model")):
+        model = load_model(path)
+        prog = model.validated.scheme
+        if model.rho0 is None:
+            prog = prog.with_initial_state(random_density(model.dim, rng))
+        for name, obs in sorted(model.validated.observables.items()):
+            cases.append(pytest.param(prog, obs, id=f"{path.stem}-{name}"))
+    for d in (1, 2, 3, 7):
+        for k in range(3):
+            prog = random_program(d, rng, n_kraus=k + 1)
+            cases.append(pytest.param(prog, random_observable(d, rng), id=f"random-{d}-{k}"))
+    return cases
+
+
+@pytest.mark.parametrize("prog, p", _closed_form_cases())
+def test_closed_forms_match_the_schrodinger_reference(prog, p):
+    rep = build_representation(prog)
+    n0 = matrix_representation(prog.meas.e0)
+
+    value = expectation_closed_form(rep, prog.rho0, p)
+    ref = schrodinger_closed_form(rep, n0, prog.rho0, p)
+    assert abs(value - ref) <= 1e-12 * max(1.0, abs(value))
+
+    time = average_running_time(rep, prog.rho0)
+    if rep.unit_overlap(vec(prog.rho0.mat))[1]:
+        ref_time = schrodinger_running_time(rep, n0, prog.rho0)
+        assert abs(time - ref_time) <= 1e-12 * max(1.0, abs(time))
+    else:
+        assert time == math.inf
 
 
 def test_representation_rejects_expanding_step():
@@ -250,7 +299,7 @@ def test_closed_form_with_unit_spectrum_matches_series(rng):
 
 def test_norm_bound_trivial_alpha(rng):
     rep = build_representation(random_program(2, rng))
-    assert power_norm_bound_check(rep, rep.phi, 0)
+    assert power_norm_bound_check(rep, np.eye(rep.dim).reshape(-1), 0)
 
 
 def test_norm_bound_random(rng):
@@ -402,7 +451,7 @@ def test_real_coordinates_are_the_step_on_the_hermitian_basis(rng, d):
 def test_real_coordinates_reject_a_step_that_breaks_hermiticity():
     # vec(A) -> vec(X A) maps Hermitian A to a non-Hermitian X A
     with pytest.raises(RepresentationError, match="Hermiticity"):
-        _real_coordinates(kron(X, np.eye(2)))
+        _real_coordinates(np.kron(X, np.eye(2)))
 
 
 def test_build_without_unit_spectrum_runs_one_real_eig(monkeypatch, rng):
@@ -430,12 +479,11 @@ def complex_reference(rep):
     return ProgramRepresentation(
         dim=rep.dim,
         dim2=rep.dim2,
-        n0=rep.n0,
+        m0=rep.m0,
         m=rep.m,
         spectral=sd,
         unit_projector=p_u,
         n_filtered=rep.m - rep.m @ p_u,
-        phi=rep.phi,
         margin=float(1.0 - nonunit.max()) if nonunit.size else 1.0,
     )
 

@@ -1,7 +1,9 @@
 """The package from outside: its public names, what starting the CLI
 imports, and ``python -m qmcverify`` from a checkout."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +14,7 @@ ROOT = Path(__file__).parent.parent
 MODEL = str(ROOT / "models" / "bitflip_p05.model")
 
 
-# Lemma diagnostics that only the acceptance tests call; they stay
-# importable from their defining modules.
+# Lemma diagnostics that only the tests call; they live in tests/helpers.py.
 TEST_ONLY = {
     "check_recursion",
     "choi_matrix",
@@ -23,6 +24,10 @@ TEST_ONLY = {
     "power_norm_bound_check",
 }
 
+# The Schrödinger-picture machinery of the spectral closed forms, which
+# now read tr(E0*(P) X) on d x d.
+REMOVED = {"as_complex_matrix", "kron", "maximally_entangled_vector"}
+
 
 def test_public_names_are_sorted_resolve_and_leave_out_test_only_diagnostics():
     names = qmcverify.__all__
@@ -31,6 +36,15 @@ def test_public_names_are_sorted_resolve_and_leave_out_test_only_diagnostics():
         assert getattr(qmcverify, name) is not None
     assert not TEST_ONLY & set(names)
     assert not TEST_ONLY & set(vars(qmcverify))
+
+
+def test_no_module_binds_a_removed_or_test_only_name():
+    modules = [qmcverify] + [
+        importlib.import_module(f"qmcverify.{info.name}")
+        for info in pkgutil.iter_modules(qmcverify.__path__)
+    ]
+    for module in modules:
+        assert not (TEST_ONLY | REMOVED) & set(vars(module)), module.__name__
 
 
 def run_python(*args):

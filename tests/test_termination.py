@@ -107,7 +107,7 @@ def test_exact_termination_found_at_nilpotent_bound():
     rep = build_representation(xflip_scheme())
     bound = rep.spectral.zero_nilpotent_index_bound
     assert bound == 2
-    v = rep.phi
+    v = np.eye(rep.dim, dtype=complex).reshape(-1)
     for _ in range(bound):
         v = rep.m @ v
     assert np.linalg.norm(v) <= 1e-12
