@@ -6,9 +6,10 @@ A super-operator is stored as its Kraus family ``{E_i}`` with
 ``M -> sum(E_i^dag M E_i)``.  Equality of super-operators is always decided
 through :func:`matrix_representation`, never through the Kraus lists, which
 are not unique.  That function is the one builder of a d^2 x d^2
-super-operator matrix: the spectral layer's ``M`` and the invariant
-route's doubling stage both come from it, and it runs on the
-stacked Kraus array below.
+super-operator matrix, in row-major ``vec`` coordinates: the spectral
+layer takes its Hermitian-basis step matrix from it and the invariant
+route's doubling stage its ``M``, and it runs on the stacked Kraus array
+below.
 
 Both actions run on the stacked Kraus array ``(K, d, d)`` and its stacked
 conjugate transpose, built once per super-operator on first use: one
@@ -66,7 +67,7 @@ class SuperOperator:
     kraus: tuple[np.ndarray, ...]
     trace_preserving: bool = field(init=False)
 
-    def __init__(self, kraus, tol: float = TOL_NUM):
+    def __init__(self, kraus):
         ops = [require_square(k, f"kraus[{i}]") for i, k in enumerate(kraus)]
         if not ops:
             raise ValidationError("a super-operator needs at least one Kraus operator")
@@ -78,10 +79,10 @@ class SuperOperator:
                 )
         ksum = sum(dagger(k) @ k for k in ops)
         w = np.linalg.eigvalsh((ksum + dagger(ksum)) / 2)
-        if w.max() > 1.0 + tol:
+        if w.max() > 1.0 + TOL_NUM:
             raise ValidationError(
                 "kraus normalization violated: sum(E_i^dag E_i) has eigenvalue "
-                f"{w.max():.12g} > 1 (tolerance {tol:g})"
+                f"{w.max():.12g} > 1 (tolerance {TOL_NUM:g})"
             )
         object.__setattr__(self, "kraus", tuple(_frozen(k) for k in ops))
         object.__setattr__(
@@ -133,9 +134,9 @@ class DensityOperator:
 
     mat: np.ndarray
 
-    def __init__(self, mat, tol: float = TOL_NUM):
+    def __init__(self, mat):
         arr = require_square(mat, "density operator")
-        if not is_positive_semidefinite(arr, tol):
+        if not is_positive_semidefinite(arr, TOL_NUM):
             raise ValidationError("density operator is not positive semidefinite")
         tr = complex(np.trace(arr))
         if abs(tr.imag) > TOL_TP or tr.real > 1.0 + TOL_TP:
@@ -167,9 +168,9 @@ class Observable:
 
     mat: np.ndarray
 
-    def __init__(self, mat, tol: float = TOL_HERM):
+    def __init__(self, mat):
         arr = require_square(mat, "observable")
-        if herm_defect(arr) > tol:
+        if herm_defect(arr) > TOL_HERM:
             raise ValidationError(
                 f"observable is not Hermitian: ||A - A^dag||_max = {herm_defect(arr):.3e}"
             )

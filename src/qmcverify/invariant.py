@@ -404,7 +404,7 @@ def check_conditions(
     """
     almost = almost_terminates
     if almost is None:
-        almost = build_representation(prog).unit_overlap(prog.rho0.mat.reshape(-1))[1]
+        almost = build_representation(prog).unit_overlap(prog.rho0.mat)[1]
 
     qv1_value = cert.qv1_value
     if qv1_value is None:

@@ -107,9 +107,9 @@ class SpectralData:
     nonsingular -- those of valid step representations always are -- the
     left columns are rescaled so that ``left[:, i].conj().T @ right[:, j]
     = delta_ij`` inside the cluster.  ``matrix`` is the matrix whose
-    eigendata these are (``spectral.build_representation`` decomposes a
-    unitarily similar real matrix and maps the vectors back) and ``norm``
-    its spectral norm ``||A||_2``.  ``zero_nilpotent_index_bound`` is an
+    eigendata these are, as passed in (``spectral.build_representation``
+    passes the real Hermitian-basis step matrix, and the vectors stay in
+    its coordinates), and ``norm`` its spectral norm ``||A||_2``.  ``zero_nilpotent_index_bound`` is an
     upper bound on the largest Jordan block size at eigenvalue zero (rank
     stabilization of powers); it costs one SVD per power and is computed
     on first read only.

@@ -31,14 +31,21 @@ import numpy as np
 
 from .channels import DensityOperator, Observable, SuperOperator
 from .errors import ValidationError
-from .program import ProgramScheme, QuantumProgram, TerminationMeasurement
+from .linalg import EPS_UNIT
+from .program import (
+    DEFAULT_N_MAX,
+    DEFAULT_TAIL_TOL,
+    ProgramScheme,
+    QuantumProgram,
+    TerminationMeasurement,
+)
 
 FORMAT_TAG = "qmc-model/1"
 
 DEFAULT_OPTIONS = {
-    "tail_tol": 1e-12,
-    "n_max": 1_000_000,
-    "eps_unit": 1e-7,
+    "tail_tol": DEFAULT_TAIL_TOL,
+    "n_max": DEFAULT_N_MAX,
+    "eps_unit": EPS_UNIT,
     "tol": 1e-6,
 }
 

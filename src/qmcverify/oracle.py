@@ -19,14 +19,13 @@ import numpy as np
 from .channels import Observable
 from .linalg import dagger
 from .program import (
+    DEFAULT_N_MAX,
     DEFAULT_TAIL_TOL,
     QuantumProgram,
     SeriesPass,
     StepTrace,
     terminal_series_pass,
 )
-
-ORACLE_N_MAX = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +54,7 @@ def oracle_expectation(
     prog: QuantumProgram,
     p: Observable,
     tail_tol: float = DEFAULT_TAIL_TOL,
-    n_max: int = ORACLE_N_MAX,
+    n_max: int = DEFAULT_N_MAX,
 ) -> OracleResult:
     """Series evaluation of the terminal expectation and running time.
 

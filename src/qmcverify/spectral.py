@@ -1,36 +1,31 @@
 """Closed-form verification through matrix representations.
 
-The survival step ``G`` acts on vectorized operators as a d^2 x d^2 matrix
-``M`` from :func:`qmcverify.channels.matrix_representation`.  Every
-eigenvalue of ``M`` has modulus at most one, and unit-modulus eigenvalues
-are semisimple, so removing their (rank-one, biorthogonal) spectral
-components yields a strictly contracting matrix ``N``.  The halting step
-``E0(X) = M0 X M0^dag`` vanishes on the unit-circle eigenspace, so
-``E0 G^n = E0 N^n`` for all ``n``.  It is read in the Heisenberg
-picture, ``tr(P E0(X)) = tr(E0*(P) X)`` with ``E0*(P) = M0^dag P M0``:
-terminal expectations and the average running time are the d x d
-functional ``X -> tr(E0*(P) X)`` applied to resolvent solves against
-``vec(rho0)``, and ``E0`` is never formed as a d^2 x d^2 matrix.
-
-``G`` maps Hermitian operators to Hermitian operators, so in the
-orthonormal Hermitian basis ``E_ii``, ``(E_ij + E_ji)/sqrt2`` and
-``i(E_ij - E_ji)/sqrt2`` (``i < j``) its matrix ``R = T M T^dag`` is real.
-The eigensolve runs on ``R``, in real arithmetic, and its eigenvectors
-are mapped back with ``T^dag``; every other array here is in row-major
-``vec`` coordinates.
+The survival step ``G`` maps Hermitian operators to Hermitian operators,
+so in the orthonormal Hermitian basis ``E_ii``, ``(E_ij + E_ji)/sqrt2``
+and ``i(E_ij - E_ji)/sqrt2`` (``i < j``) its matrix ``R = T M T^dag`` is
+real, with ``M`` from :func:`qmcverify.channels.matrix_representation`.
+Every d^2 x d^2 array here is ``R`` or built from it, in float64, and a
+Hermitian ``A`` enters as ``coordinates(A) = T vec(A)``, so that ``tr(A
+B)`` is the dot product of the coordinates.  Every eigenvalue of ``R`` has
+modulus at most one, and unit-modulus eigenvalues are semisimple, so
+removing their (rank-one, biorthogonal) spectral components yields a
+strictly contracting matrix ``N``.  The halting step ``E0(X) = M0 X
+M0^dag`` vanishes on the unit-circle eigenspace, so ``E0 G^n = E0 N^n``
+for all ``n``.  It is read in the Heisenberg picture, ``tr(P E0(X)) =
+tr(E0*(P) X)`` with ``E0*(P) = M0^dag P M0``: terminal expectations and
+the average running time are ``coordinates(E0*(P))`` dotted with
+resolvent solves against ``coordinates(rho0)``.
 """
-
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DensityOperator, Observable, matrix_representation
-from .errors import ConsistencyError, RepresentationError, SingularResolventError
+from .channels import DensityOperator, Observable, SuperOperator, matrix_representation
+from .errors import RepresentationError, SingularResolventError
 from .linalg import (
     EPS_UNIT,
     TOL_PROJ,
@@ -41,13 +36,13 @@ from .linalg import (
 )
 from .program import ProgramScheme
 
-IMAG_TOL = 1e-9
-# A vector has no unit-circle component when ||P_u x|| is at most this
-# many times ||x||.
+# An operator has no unit-circle component when ||P_u x|| is at most this
+# many times ||x||, for x its coordinates.
 UNIT_OVERLAP_RTOL = 1e-9
-# Largest imaginary part, relative to max(1, ||M||_max), that the real
-# coordinates of the step matrix may carry.  Rounding leaves a few ulps;
-# a step that does not preserve Hermiticity leaves O(||M||).
+# Largest imaginary part, relative to max(1, ||C||_max), that the
+# Hermitian-basis coordinates C of the step matrix or of its unit-circle
+# projector may carry.  Rounding leaves a few ulps; a step that does not
+# preserve Hermiticity leaves O(||C||).
 HERMITIAN_COORD_TOL = 1e-12
 
 
@@ -57,24 +52,22 @@ def vec(mat: np.ndarray) -> np.ndarray:
     return np.asarray(mat, dtype=complex).reshape(-1)
 
 
-def unvec(v: np.ndarray, d: int) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape(d, d)
-
-
 @dataclass(frozen=True, eq=False)
 class ProgramRepresentation:
-    """Vectorized-space data of a program scheme.
+    """Hermitian-basis data of a program scheme: ``spectral`` decomposes
+    ``R``, and ``unit_projector`` and ``n_filtered`` are float64.
 
-    ``m0`` is the d x d halting operator ``M0``, from which the closed
-    forms read ``E0*``.  ``margin`` is the gap ``1 - max{|lambda| : lambda
-    below the unit circle}``; it quantifies the conditioning of the
-    ``I - N`` solves.
+    ``g`` is the survival step, which the termination checks apply on
+    d x d matrices, and ``m0`` the d x d halting operator ``M0``, from
+    which the closed forms read ``E0*``.  ``margin`` is the gap ``1 -
+    max{|lambda| : lambda below the unit circle}``; it quantifies the
+    conditioning of the ``I - N`` solves.
     """
 
     dim: int
     dim2: int
     m0: np.ndarray
-    m: np.ndarray
+    g: SuperOperator
     spectral: SpectralData
     unit_projector: np.ndarray
     n_filtered: np.ndarray
@@ -83,9 +76,11 @@ class ProgramRepresentation:
     def has_unit_spectrum(self) -> bool:
         return bool(np.any(self.spectral.unit_circle_flags))
 
-    def unit_overlap(self, x: np.ndarray) -> tuple[float, bool]:
-        """``||P_u x||``, and whether it is negligible: at most
-        :data:`UNIT_OVERLAP_RTOL` times ``||x||``."""
+    def unit_overlap(self, a: np.ndarray) -> tuple[float, bool]:
+        """``||P_u x||`` for ``x = coordinates(a)``, and whether it is
+        negligible: at most :data:`UNIT_OVERLAP_RTOL` times ``||x||``.
+        For a non-Hermitian ``a`` this reads its Hermitian part."""
+        x = coordinates(a)
         overlap = float(np.linalg.norm(self.unit_projector @ x))
         return overlap, overlap <= UNIT_OVERLAP_RTOL * float(np.linalg.norm(x))
 
@@ -112,64 +107,60 @@ def _hermitian_basis(d: int) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _real_coordinates(m: np.ndarray) -> np.ndarray:
-    """``R = T m T^dag`` as a float64 array, for a d^2 x d^2 ``m`` that
-    preserves Hermiticity.
+def coordinates(a: np.ndarray) -> np.ndarray:
+    """``Re(T vec(a))``: the real coordinates of the Hermitian part of the
+    d x d ``a`` in the Hermitian basis."""
+    swap, alpha, beta = _hermitian_basis(a.shape[0])
+    v = a.reshape(-1)
+    return (alpha * v + beta * v[swap]).real
+
+
+def _checked_real(c: np.ndarray, what: str) -> np.ndarray:
+    """The Hermitian-basis array ``c`` as float64.
 
     Raises
     ------
     RepresentationError
-        If ``R`` has an imaginary part above :data:`HERMITIAN_COORD_TOL`
-        times ``max(1, ||m||_max)``: ``m`` does not map Hermitian
-        operators to Hermitian operators.
+        If ``c`` has an imaginary part above :data:`HERMITIAN_COORD_TOL`
+        times ``max(1, ||c||_max)``: the operator it stands for does not
+        preserve Hermiticity.
     """
+    defect = max_abs(c.imag)
+    if defect > HERMITIAN_COORD_TOL * max(1.0, max_abs(c)):
+        raise RepresentationError(
+            f"{what} has Hermitian-basis coordinates with imaginary part "
+            f"{defect:.3e}; it does not preserve Hermiticity"
+        )
+    return np.ascontiguousarray(c.real)
+
+
+def _real_coordinates(m: np.ndarray) -> np.ndarray:
+    """``R = T m T^dag`` through :func:`_checked_real`, for a d^2 x d^2
+    ``m`` that preserves Hermiticity."""
     swap, alpha, beta = _hermitian_basis(math.isqrt(m.shape[0]))
     rows = alpha[:, None] * m + beta[:, None] * m[swap]
-    r = rows * alpha.conj() + rows[:, swap] * beta.conj()
-    defect = max_abs(r.imag)
-    if defect > HERMITIAN_COORD_TOL * max(1.0, max_abs(m)):
-        raise RepresentationError(
-            "step representation has Hermitian-basis coordinates with "
-            f"imaginary part {defect:.3e}; it does not preserve Hermiticity"
-        )
-    return np.ascontiguousarray(r.real)
-
-
-def _vec_coordinates(c: np.ndarray) -> np.ndarray:
-    """``T^dag c``: columns of Hermitian-basis coordinates back to row-major
-    ``vec`` coordinates."""
-    swap, alpha, beta = _hermitian_basis(math.isqrt(c.shape[0]))
-    return alpha.conj()[:, None] * c + beta[swap].conj()[:, None] * c[swap]
+    return _checked_real(
+        rows * alpha.conj() + rows[:, swap] * beta.conj(), "step representation"
+    )
 
 
 def build_representation(
     scheme: ProgramScheme, eps_unit: float = EPS_UNIT
 ) -> ProgramRepresentation:
-    """Assemble M and the unit-circle-filtered N for a scheme.
+    """Assemble R and the unit-circle-filtered N for a scheme.
 
     Raises
     ------
     RepresentationError
-        If the spectral radius of M exceeds ``1 + eps_unit`` or a
-        unit-modulus eigenvalue cluster is not semisimple.  Valid programs
-        (trace-preserving channel, complete measurement) cannot trigger
-        either; the usual cause is corrupted model data.
+        If the step or its unit-circle projector does not preserve
+        Hermiticity, the spectral radius of R exceeds ``1 + eps_unit`` or
+        a unit-modulus eigenvalue cluster is not semisimple.  Valid
+        programs (trace-preserving channel, complete measurement) cannot
+        trigger any of these; the usual cause is corrupted model data.
     """
     d = scheme.dim
-    m = matrix_representation(scheme.g)
-
-    sd = spectral_decompose(_real_coordinates(m), eps_unit)
-    sd = dataclasses.replace(
-        sd,
-        matrix=m,
-        right_vectors=_vec_coordinates(sd.right_vectors),
-        # Left vectors are all zero unless some eigenvalue is on the unit
-        # circle, and zero in every coordinate system.
-        left_vectors=(
-            _vec_coordinates(sd.left_vectors)
-            if sd.unit_circle_flags.any() else sd.left_vectors
-        ),
-    )
+    r = _real_coordinates(matrix_representation(scheme.g))
+    sd = spectral_decompose(r, eps_unit)
     radius = sd.spectral_radius()
     if radius > 1.0 + eps_unit:
         raise RepresentationError(
@@ -177,17 +168,17 @@ def build_representation(
             "the channel is not trace-nonincreasing on the survival branch"
         )
 
-    m_norm = max(1.0, sd.norm)
-    p_u = sd.unit_projector()
+    r_norm = max(1.0, sd.norm)
     has_unit = bool(np.any(sd.unit_circle_flags))
     if has_unit:
+        p_u = _checked_real(sd.unit_projector(), "unit-circle spectral projector")
         if max_abs(p_u @ p_u - p_u) > TOL_PROJ:
             raise RepresentationError(
                 "unit-circle spectral projector is not idempotent "
                 f"(defect {max_abs(p_u @ p_u - p_u):.3e}); a unit-modulus "
                 "eigenvalue is defective, which valid programs cannot produce"
             )
-        if max_abs(p_u @ m - m @ p_u) > TOL_PROJ * m_norm:
+        if max_abs(p_u @ r - r @ p_u) > TOL_PROJ * r_norm:
             raise RepresentationError(
                 "unit-circle spectral projector does not commute with the "
                 "step representation"
@@ -197,15 +188,16 @@ def build_representation(
             idx = np.flatnonzero(sd.cluster_ids == cid)
             lam = sd.eigenvalues[idx].mean()
             p_c = sd.cluster_projector(cid)
-            defect = max_abs((m - lam * np.eye(d * d)) @ p_c)
-            if defect > TOL_PROJ * m_norm:
+            defect = max_abs((r - lam * np.eye(d * d)) @ p_c)
+            if defect > TOL_PROJ * r_norm:
                 raise RepresentationError(
                     f"unit-modulus eigenvalue cluster at {lam:.9g} is not "
                     f"semisimple (nilpotent defect {defect:.3e})"
                 )
-
-    # Without unit spectrum p_u is zero, and m - m @ p_u would be m.
-    n = m - m @ p_u if has_unit else m.copy()
+        n = r - r @ p_u
+    else:
+        p_u = np.zeros_like(r)
+        n = r
     nonunit = np.abs(sd.eigenvalues[~sd.unit_circle_flags])
     margin = float(1.0 - nonunit.max()) if nonunit.size else 1.0
 
@@ -213,7 +205,7 @@ def build_representation(
         dim=d,
         dim2=d * d,
         m0=scheme.meas.m0,
-        m=m,
+        g=scheme.g,
         spectral=sd,
         unit_projector=p_u,
         n_filtered=n,
@@ -232,43 +224,33 @@ def _resolvent_solve(rep: ProgramRepresentation, rhs: np.ndarray) -> np.ndarray:
         raise SingularResolventError(str(exc)) from exc
 
 
-def _real_part(value: complex, what: str) -> float:
-    if abs(value.imag) > IMAG_TOL * max(1.0, abs(value)):
-        raise ConsistencyError(
-            f"{what} came out with imaginary part {value.imag:.3e}"
-        )
-    return float(value.real)
-
-
 def _halting_functional(rep: ProgramRepresentation, p: np.ndarray) -> np.ndarray:
-    """``vec(E0*(P))`` with ``E0*(P) = M0^dag P M0``: ``vdot`` of it with
-    ``vec(X)`` is ``tr(P E0(X))`` for every ``X``."""
-    return vec(dagger(rep.m0) @ p @ rep.m0)
+    """``coordinates(E0*(P))`` with ``E0*(P) = M0^dag P M0``: its dot
+    product with ``coordinates(X)`` is ``tr(P E0(X))`` for every Hermitian
+    ``X``."""
+    return coordinates(dagger(rep.m0) @ p @ rep.m0)
 
 
 def expectation_closed_form(
     rep: ProgramRepresentation, rho0: DensityOperator, p: Observable
 ) -> float:
-    """Terminal expectation ``tr(E0*(P) X)`` with ``vec(X) = (I - N)^-1
-    vec(rho0)``, evaluated by a linear solve rather than explicit
-    inversion."""
-    y = _resolvent_solve(rep, vec(rho0.mat))
-    a = _halting_functional(rep, p.mat)
-    return _real_part(complex(np.vdot(a, y)), "closed-form expectation")
+    """Terminal expectation ``tr(E0*(P) X)`` with ``coordinates(X) = (I -
+    N)^-1 coordinates(rho0)``, evaluated by a linear solve rather than
+    explicit inversion."""
+    y = _resolvent_solve(rep, coordinates(rho0.mat))
+    return float(_halting_functional(rep, p.mat) @ y)
 
 
 def average_running_time(rep: ProgramRepresentation, rho0: DensityOperator) -> float:
-    """Average number of steps ``tr(E0*(I) X)`` with ``vec(X) = (I - N)^-2
-    vec(rho0)``.
+    """Average number of steps ``tr(E0*(I) X)`` with ``coordinates(X) = (I
+    - N)^-2 coordinates(rho0)``.
 
     Returns ``inf`` when the initial state overlaps the unit-circle
     eigenspace (:meth:`ProgramRepresentation.unit_overlap`): the
     termination probability is then below one and the mean genuinely
     diverges (or the quadratic form would undercount).
     """
-    x = vec(rho0.mat)
-    if not rep.unit_overlap(x)[1]:
+    if not rep.unit_overlap(rho0.mat)[1]:
         return math.inf
-    y = _resolvent_solve(rep, _resolvent_solve(rep, x))
-    a = _halting_functional(rep, np.eye(rep.dim))
-    return _real_part(complex(np.vdot(a, y)), "average running time")
+    y = _resolvent_solve(rep, _resolvent_solve(rep, coordinates(rho0.mat)))
+    return float(_halting_functional(rep, np.eye(rep.dim)) @ y)

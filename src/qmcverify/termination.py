@@ -5,10 +5,11 @@ survival step.  That depends only on ``supp rho0``, so the search steps
 support projectors and each zero test is a rank decision on ``G`` of one
 projector.  The span of the supports from step ``k`` on shrinks strictly
 until it is zero, so termination, if it happens, happens by ``n = d``.
+The support is stepped with ``G`` itself, on d x d matrices.
 Almost termination means the halting probability
-``sum_n tr(E0*(I) G^n(rho0))`` is one.  It holds iff ``x = vec(rho0)``
-carries no unit-modulus spectral component of ``M``, read against the
-dual eigenbasis since ``M`` is not normal.
+``sum_n tr(E0*(I) G^n(rho0))`` is one.  It holds iff the coordinates of
+``rho0`` carry no unit-modulus spectral component of the step matrix,
+read against the dual eigenbasis since that matrix is not normal.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .channels import DensityOperator
 from .errors import ConsistencyError
-from .spectral import ProgramRepresentation, unvec, vec
+from .spectral import ProgramRepresentation
 
 ZERO_VECTOR_RTOL = 1e-9
 
@@ -48,14 +49,16 @@ def _support(mat: np.ndarray) -> np.ndarray | None:
     return keep @ keep.conj().T if keep.shape[1] else None
 
 
-def _verdict_for_vector(rep: ProgramRepresentation, x: np.ndarray) -> TerminationVerdict:
-    overlap, almost = rep.unit_overlap(x)
+def _verdict(rep: ProgramRepresentation, a: np.ndarray) -> TerminationVerdict:
+    """Verdict for the runs started in the PSD ``a``; reads only ``rep``'s
+    ``dim``, ``g`` and unit overlap."""
+    overlap, almost = rep.unit_overlap(a)
 
-    support = _support(unvec(x, rep.dim))
+    support = _support(a)
     n = 0
     while support is not None and n < rep.dim:
         n += 1
-        support = _support(unvec(rep.m @ vec(support), rep.dim))
+        support = _support(rep.g.apply_mat(support))
     terminates = support is None
 
     return TerminationVerdict(
@@ -73,15 +76,14 @@ def check_program_termination(
     """Termination verdict for the program started in ``rho0``.  The support
     decisions cut eigenvalues at :data:`ZERO_VECTOR_RTOL`, relative; the
     unit overlap is decided by :meth:`ProgramRepresentation.unit_overlap`."""
-    return _verdict_for_vector(rep, vec(rho0.mat))
+    return _verdict(rep, rho0.mat)
 
 
 def check_scheme_termination(rep: ProgramRepresentation) -> TerminationVerdict:
     """Termination verdict quantified over all initial states.
 
-    Evaluated on ``vec(I)``, which is ``d`` times the vector of the
-    maximally mixed state ``I/d``: a scheme terminates iff the program
-    started in ``I/d`` does, since every state's support lies in that of
-    ``I/d``.
+    Evaluated on ``I``, which is ``d`` times the maximally mixed state
+    ``I/d``: a scheme terminates iff the program started in ``I/d`` does,
+    since every state's support lies in that of ``I/d``.
     """
-    return _verdict_for_vector(rep, vec(np.eye(rep.dim)))
+    return _verdict(rep, np.eye(rep.dim))

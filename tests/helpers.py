@@ -1,8 +1,10 @@
 """Shared builders for the test suite, the lemma diagnostics that only
-the tests call, and the Schrödinger-picture closed forms that the
-spectral route is checked against."""
+the tests call, and the references the spectral route is checked
+against: its representation in row-major vec coordinates and the
+Schrödinger-picture closed forms."""
 
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +17,17 @@ from qmcverify import (
     TerminationMeasurement,
     matrix_representation,
 )
-from qmcverify.linalg import dagger, max_abs, psd_split, require_square
+from qmcverify.linalg import (
+    EPS_UNIT,
+    SpectralData,
+    dagger,
+    max_abs,
+    psd_split,
+    require_square,
+    spectral_decompose,
+)
 from qmcverify.program import DEFAULT_N_MAX, DEFAULT_TAIL_TOL, _series_pass
+from qmcverify.spectral import UNIT_OVERLAP_RTOL, _hermitian_basis, vec
 
 MODELS_DIR = Path(__file__).parent.parent / "models"
 
@@ -131,22 +142,24 @@ def halting_matrix(m0):
 
 
 def filtered_power_residual(rep, n):
-    """||N0 M^n - N0 N^n||_max; zero in exact arithmetic for all n >= 0."""
+    """||N0 M^n - N0 N^n||_max in vec coordinates; zero in exact
+    arithmetic for all n >= 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
     n0 = halting_matrix(rep.m0)
-    pm = np.linalg.matrix_power(rep.m, n)
-    pn = np.linalg.matrix_power(rep.n_filtered, n)
+    pm = np.linalg.matrix_power(matrix_representation(rep.g), n)
+    pn = np.linalg.matrix_power(vec_matrix(rep.n_filtered), n)
     return max_abs(n0 @ pm - n0 @ pn)
 
 
 def power_norm_bound_check(rep, alpha, n):
     """Whether ``||M^n alpha|| <= 4 sqrt(d) ||alpha||`` (with
-    :data:`POWER_NORM_SLACK`)."""
+    :data:`POWER_NORM_SLACK`), for ``alpha`` in vec coordinates."""
     a = np.asarray(alpha, dtype=complex).reshape(-1)
+    m = matrix_representation(rep.g)
     v = a
     for _ in range(n):
-        v = rep.m @ v
+        v = m @ v
     bound = 4.0 * math.sqrt(rep.dim) * float(np.linalg.norm(a)) + POWER_NORM_SLACK
     return bool(np.linalg.norm(v) <= bound)
 
@@ -203,10 +216,86 @@ def positive_part_decompose(a):
     return b1, b2, b3, b4
 
 
+# The representation in row-major vec coordinates: one complex
+# eigendecomposition of M = matrix_representation(g).  The package keeps
+# the unitarily similar real R = T M T^dag instead; this is the reference
+# it is checked against.
+
+
+def vec_coordinates(c):
+    """``T^dag c``: columns of Hermitian-basis coordinates in row-major
+    vec coordinates."""
+    swap, alpha, beta = _hermitian_basis(math.isqrt(c.shape[0]))
+    return alpha.conj()[:, None] * c + beta[swap].conj()[:, None] * c[swap]
+
+
+def vec_matrix(c):
+    """``T^dag c T``: a Hermitian-basis d^2 x d^2 matrix in vec
+    coordinates."""
+    return vec_coordinates(vec_coordinates(c.conj().T).conj().T)
+
+
+@dataclass(frozen=True, eq=False)
+class VecRepresentation:
+    """The fields of a ``ProgramRepresentation`` in vec coordinates, with
+    the complex step matrix ``m``; the termination checks run on it as
+    they are."""
+
+    dim: int
+    dim2: int
+    m0: np.ndarray
+    g: SuperOperator
+    m: np.ndarray
+    spectral: SpectralData
+    unit_projector: np.ndarray
+    n_filtered: np.ndarray
+    margin: float
+
+    def unit_overlap(self, a):
+        x = vec(a)
+        overlap = float(np.linalg.norm(self.unit_projector @ x))
+        return overlap, overlap <= UNIT_OVERLAP_RTOL * float(np.linalg.norm(x))
+
+
+def vec_reference(scheme, eps_unit=EPS_UNIT):
+    m = matrix_representation(scheme.g)
+    sd = spectral_decompose(m, eps_unit)
+    p_u = sd.unit_projector()
+    nonunit = np.abs(sd.eigenvalues[~sd.unit_circle_flags])
+    return VecRepresentation(
+        dim=scheme.dim,
+        dim2=scheme.dim**2,
+        m0=scheme.meas.m0,
+        g=scheme.g,
+        m=m,
+        spectral=sd,
+        unit_projector=p_u,
+        n_filtered=m - m @ p_u,
+        margin=float(1.0 - nonunit.max()) if nonunit.size else 1.0,
+    )
+
+
+def vec_closed_form(ref, rho0, p):
+    """``vdot(vec(E0*(P)), (I - N)^-1 vec(rho0))``, complex."""
+    y = np.linalg.solve(np.eye(ref.dim2) - ref.n_filtered, vec(rho0.mat))
+    return complex(np.vdot(vec(dagger(ref.m0) @ p.mat @ ref.m0), y))
+
+
+def vec_running_time(ref, rho0):
+    """``vdot(vec(E0*(I)), (I - N)^-2 vec(rho0))``, complex; ``inf`` when
+    ``rho0`` overlaps the unit-circle eigenspace."""
+    if not ref.unit_overlap(rho0.mat)[1]:
+        return math.inf
+    resolvent = np.eye(ref.dim2) - ref.n_filtered
+    y = np.linalg.solve(resolvent, np.linalg.solve(resolvent, vec(rho0.mat)))
+    return complex(np.vdot(vec(dagger(ref.m0) @ ref.m0), y))
+
+
 # The spectral closed forms in the Schrödinger picture, on d^2 x d^2
-# operators: |Phi> = sum_j |jj>, (A (x) I)|Phi> = vec(A) and N0 the
-# matrix of E0.  The package evaluates the same numbers as
-# tr(E0*(P) X) on d x d; these are the reference it is checked against.
+# operators in vec coordinates: |Phi> = sum_j |jj>, (A (x) I)|Phi> =
+# vec(A) and N0 the matrix of E0; ``rep`` is a :class:`VecRepresentation`.
+# The package evaluates the same numbers as tr(E0*(P) X) on Hermitian-basis
+# coordinates.
 
 
 def schrodinger_closed_form(rep, n0, rho0, p):

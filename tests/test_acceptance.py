@@ -41,6 +41,7 @@ from helpers import (
     filtered_power_residual,
     positive_part_decompose,
     power_norm_bound_check,
+    vec_matrix,
     xflip_scheme,
 )
 
@@ -115,14 +116,14 @@ def test_c03_worked_example_regression():
     # matrix must match the closed form entry for entry, no tolerance
     for p in (0.39, 0.56, 0.99):
         assert math.sqrt(p) ** 2 == p and math.sqrt(1 - p) ** 2 == 1 - p
-        rep = build_representation(bitflip_scheme(p))
+        m = matrix_representation(bitflip_scheme(p).g)
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 3] = 1 - p
         expected[3, 3] = p
-        assert np.array_equal(rep.m, expected)
+        assert np.array_equal(m, expected)
 
-    rep = build_representation(bitflip_scheme(0.5))
-    inv = np.linalg.inv(np.eye(4) - rep.m)
+    m = matrix_representation(bitflip_scheme(0.5).g)
+    inv = np.linalg.inv(np.eye(4) - m)
     expected_inv = np.array(
         [[1.0, 0, 0, 1.0], [0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 2.0]]
     )
@@ -190,15 +191,17 @@ def test_c06_representation_invariance(rng):
 def test_c07_spectral_structure_suite(rng):
     for i in range(100):
         d = 2 if i % 2 == 0 else 3
-        rep = build_representation(random_program(d, rng))
+        prog = random_program(d, rng)
+        rep = build_representation(prog)
         sd = rep.spectral
         assert sd.spectral_radius() <= 1.0 + 1e-7
-        m_norm = np.linalg.norm(rep.m, 2)
+        m = matrix_representation(prog.g)
+        m_norm = np.linalg.norm(m, 2)
         for cid in np.unique(sd.cluster_ids[sd.unit_circle_flags]):
             idx = np.flatnonzero(sd.cluster_ids == cid)
             lam = sd.eigenvalues[idx].mean()
-            p_c = sd.cluster_projector(int(cid))
-            assert max_abs((rep.m - lam * np.eye(rep.dim2)) @ p_c) <= 1e-6 * max(
+            p_c = vec_matrix(sd.cluster_projector(int(cid)))
+            assert max_abs((m - lam * np.eye(rep.dim2)) @ p_c) <= 1e-6 * max(
                 1.0, m_norm
             )
 

@@ -9,13 +9,13 @@ from qmcverify import (
     SuperOperator,
     TerminationMeasurement,
     ValidationError,
-    build_representation,
     certificate_for,
     check_conditions,
     expectation_via_invariant,
     general_expectation,
     is_positive_semidefinite,
     least_fixed_point_q,
+    matrix_representation,
     oracle_expectation,
     oracle_fixed_point,
     terminal_state_series,
@@ -77,7 +77,7 @@ def test_solve_fast_path_matches_iteration(rng):
         prog = random_contracting_program(2, rng)
         p = random_observable(2, rng, psd=True)
         cert = least_fixed_point_q(prog, p)
-        m = build_representation(prog).m
+        m = matrix_representation(prog.g)
         base = prog.meas.m0.conj().T @ p.mat @ prog.meas.m0
         limit = np.linalg.solve(np.eye(4) - m.conj().T, base.reshape(-1)).reshape(2, 2)
         assert max_abs(cert.q.mat - prog.e.apply_dual_mat(limit)) <= 1e-8

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from qmcverify import (
     spectral_decompose,
     vec,
 )
-from qmcverify.linalg import max_abs
+from qmcverify.linalg import SpectralData, max_abs
 from qmcverify.sampling import (
     random_contracting_program,
     random_density,
@@ -36,11 +37,7 @@ from qmcverify.sampling import (
     random_scheme,
     random_unitary,
 )
-from qmcverify.spectral import (
-    _hermitian_basis,
-    _real_coordinates,
-    _vec_coordinates,
-)
+from qmcverify.spectral import _hermitian_basis, _real_coordinates, coordinates
 
 from helpers import (
     P0,
@@ -56,6 +53,11 @@ from helpers import (
     power_norm_bound_check,
     schrodinger_closed_form,
     schrodinger_running_time,
+    vec_closed_form,
+    vec_coordinates,
+    vec_matrix,
+    vec_reference,
+    vec_running_time,
 )
 
 MODELS_DIR = Path(__file__).parent.parent / "models"
@@ -64,24 +66,26 @@ MODELS_DIR = Path(__file__).parent.parent / "models"
 def test_representation_matches_displayed_matrix():
     scheme = bitflip_scheme(0.5)
     rep = build_representation(scheme)
-    assert np.allclose(rep.m, bitflip_step_matrix(0.5), atol=1e-15)
+    assert np.allclose(matrix_representation(scheme.g), bitflip_step_matrix(0.5), atol=1e-15)
     assert not rep.has_unit_spectrum()
-    assert max_abs(rep.n_filtered - rep.m) == 0.0
+    assert max_abs(rep.n_filtered - rep.spectral.matrix) == 0.0
     assert np.array_equal(matrix_representation(scheme.meas.e0), np.diag([1.0, 0.0, 0.0, 0.0]))
 
 
 def test_representation_stuck_bitflip():
-    rep = build_representation(bitflip_scheme(1.0))
+    scheme = bitflip_scheme(1.0)
+    rep = build_representation(scheme)
     expected = np.zeros((4, 4))
     expected[3, 3] = 1.0
-    assert np.allclose(rep.m, expected, atol=1e-15)
+    assert np.allclose(matrix_representation(scheme.g), expected, atol=1e-15)
     assert rep.has_unit_spectrum()
     assert max_abs(rep.n_filtered) <= 1e-12
 
 
 def test_representation_m1_zero():
-    rep = build_representation(m1_zero_program())
-    assert max_abs(rep.m) == 0.0
+    prog = m1_zero_program()
+    rep = build_representation(prog)
+    assert max_abs(matrix_representation(prog.g)) == 0.0
     assert max_abs(rep.n_filtered) == 0.0
 
 
@@ -110,10 +114,35 @@ def _builder_schemes():
 
 @pytest.mark.parametrize("scheme", _builder_schemes())
 def test_representation_matrices_are_bit_identical_to_kraus_loop(scheme):
-    rep = build_representation(scheme)
     m, n0 = _kraus_loop_matrices(scheme)
-    assert _same_bits(rep.m, m)
+    assert _same_bits(matrix_representation(scheme.g), m)
     assert _same_bits(matrix_representation(scheme.meas.e0), n0)
+
+
+@pytest.mark.parametrize("scheme", _builder_schemes())
+def test_representation_holds_no_complex_step_matrix(scheme):
+    rep = build_representation(scheme)
+    assert not hasattr(rep, "m")
+    d2 = rep.dim2
+    for arr in (rep.spectral.matrix, rep.unit_projector, rep.n_filtered):
+        assert arr.shape == (d2, d2) and arr.dtype == np.float64
+    for field in dataclasses.fields(rep):
+        value = getattr(rep, field.name)
+        if isinstance(value, np.ndarray) and value.shape == (d2, d2) and rep.dim > 1:
+            assert value.dtype == np.float64, field.name
+
+
+def test_unit_projector_with_imaginary_coordinates_is_rejected(monkeypatch):
+    unit_projector = SpectralData.unit_projector
+
+    def complex_projector(self):
+        return unit_projector(self) + 1e-6j
+
+    scheme = block_unitary_scheme()
+    assert build_representation(scheme).has_unit_spectrum()
+    monkeypatch.setattr(SpectralData, "unit_projector", complex_projector)
+    with pytest.raises(RepresentationError, match="projector .*Hermiticity"):
+        build_representation(scheme)
 
 
 def test_build_leaves_the_halting_channel_unbuilt():
@@ -148,15 +177,16 @@ def _closed_form_cases():
 @pytest.mark.parametrize("prog, p", _closed_form_cases())
 def test_closed_forms_match_the_schrodinger_reference(prog, p):
     rep = build_representation(prog)
+    vec_rep = vec_reference(prog)
     n0 = matrix_representation(prog.meas.e0)
 
     value = expectation_closed_form(rep, prog.rho0, p)
-    ref = schrodinger_closed_form(rep, n0, prog.rho0, p)
+    ref = schrodinger_closed_form(vec_rep, n0, prog.rho0, p)
     assert abs(value - ref) <= 1e-12 * max(1.0, abs(value))
 
     time = average_running_time(rep, prog.rho0)
-    if rep.unit_overlap(vec(prog.rho0.mat))[1]:
-        ref_time = schrodinger_running_time(rep, n0, prog.rho0)
+    if rep.unit_overlap(prog.rho0.mat)[1]:
+        ref_time = schrodinger_running_time(vec_rep, n0, prog.rho0)
         assert abs(time - ref_time) <= 1e-12 * max(1.0, abs(time))
     else:
         assert time == math.inf
@@ -182,13 +212,13 @@ def test_worked_example_matrix_is_exact_for_exact_roots(p):
     # these rational p survive sqrt followed by squaring exactly, so the
     # constructed matrix must equal the closed form entry for entry
     assert math.sqrt(p) ** 2 == p and math.sqrt(1 - p) ** 2 == 1 - p
-    rep = build_representation(bitflip_scheme(p))
-    assert np.array_equal(rep.m, bitflip_step_matrix(p).astype(complex))
+    m = matrix_representation(bitflip_scheme(p).g)
+    assert np.array_equal(m, bitflip_step_matrix(p).astype(complex))
 
 
 def test_worked_example_inverse_entries():
-    rep = build_representation(bitflip_scheme(0.5))
-    inv = np.linalg.inv(np.eye(4) - rep.m)
+    m = matrix_representation(bitflip_scheme(0.5).g)
+    inv = np.linalg.inv(np.eye(4) - m)
     expected = np.array(
         [
             [1.0, 0.0, 0.0, 1.0],
@@ -198,7 +228,7 @@ def test_worked_example_inverse_entries():
         ]
     )
     assert max_abs(inv - expected) <= 1e-12
-    inv2 = np.linalg.inv(np.eye(4) - rep.m) @ inv
+    inv2 = np.linalg.inv(np.eye(4) - m) @ inv
     expected2 = expected.copy()
     expected2[0, 3] = 1.0 + 2.0
     expected2[3, 3] = 4.0
@@ -275,10 +305,10 @@ def test_power_identity_with_unit_spectrum():
 
 def test_filtering_correctness():
     rep = build_representation(block_unitary_scheme())
-    p_u = rep.unit_projector
+    p_u, r = rep.unit_projector, rep.spectral.matrix
     assert max_abs(rep.n_filtered @ p_u) <= 1e-10
     assert max_abs(
-        rep.n_filtered @ (np.eye(rep.dim2) - p_u) - rep.m @ (np.eye(rep.dim2) - p_u)
+        rep.n_filtered @ (np.eye(rep.dim2) - p_u) - r @ (np.eye(rep.dim2) - p_u)
     ) <= 1e-10
     assert max_abs(p_u @ p_u - p_u) <= 1e-6
 
@@ -322,10 +352,11 @@ def test_norm_bound_isometric_case(rng):
         TerminationMeasurement(np.zeros((2, 2)), np.eye(2)),
     )
     rep = build_representation(scheme)
+    m = matrix_representation(scheme.g)
     alpha = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     v = alpha
     for _ in range(7):
-        v = rep.m @ v
+        v = m @ v
     assert np.linalg.norm(v) == pytest.approx(np.linalg.norm(alpha), abs=1e-10)
     assert power_norm_bound_check(rep, alpha, 7)
 
@@ -358,11 +389,12 @@ def test_running_time_vs_series(rng):
 
 
 def test_unit_overlap_vector_convention():
-    # (rho0 (x) I)|Phi> is the row-major vectorization of rho0
+    # (rho0 (x) I)|Phi> is the row-major vectorization of rho0, and the
+    # unit projector acts on its Hermitian-basis coordinates
     prog = bitflip_program(1.0, 0.6, 0.8)
     assert np.allclose(vec(prog.rho0.mat), prog.rho0.mat.reshape(-1))
     rep = build_representation(prog)
-    overlap = np.linalg.norm(rep.unit_projector @ vec(prog.rho0.mat))
+    overlap = np.linalg.norm(rep.unit_projector @ coordinates(prog.rho0.mat))
     assert overlap == pytest.approx(0.64, abs=1e-10)
 
 
@@ -424,8 +456,9 @@ def test_hermitian_coordinates_are_real_and_map_back(rng, d):
     t = dense_change_of_basis(d)
     h = random_observable(d, rng).mat
     assert max_abs((t @ vec(h)).imag) <= 1e-15
+    assert max_abs(coordinates(h) - (t @ vec(h)).real) <= 1e-15
     c = rng.standard_normal((d * d, 3)) + 1j * rng.standard_normal((d * d, 3))
-    assert max_abs(_vec_coordinates(c) - t.conj().T @ c) <= 1e-15
+    assert max_abs(vec_coordinates(c) - t.conj().T @ c) <= 1e-15
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -443,7 +476,7 @@ def test_real_coordinates_are_the_step_on_the_hermitian_basis(rng, d):
             for h_a in basis
         ]
     )
-    r = _real_coordinates(build_representation(scheme).m)
+    r = build_representation(scheme).spectral.matrix
     assert r.dtype == np.float64
     assert max_abs(r - expected) <= 1e-14
 
@@ -468,24 +501,6 @@ def test_build_without_unit_spectrum_runs_one_real_eig(monkeypatch, rng):
     assert not rep.has_unit_spectrum()
     assert dtypes == [np.float64]
     assert rep.spectral.eigenvalues.dtype == rep.spectral.right_vectors.dtype == complex
-
-
-def complex_reference(rep):
-    """The representation as built before the change of basis: one complex
-    eigendecomposition of ``rep.m`` in vec coordinates."""
-    sd = spectral_decompose(rep.m)
-    p_u = sd.unit_projector()
-    nonunit = np.abs(sd.eigenvalues[~sd.unit_circle_flags])
-    return ProgramRepresentation(
-        dim=rep.dim,
-        dim2=rep.dim2,
-        m0=rep.m0,
-        m=rep.m,
-        spectral=sd,
-        unit_projector=p_u,
-        n_filtered=rep.m - rep.m @ p_u,
-        margin=float(1.0 - nonunit.max()) if nonunit.size else 1.0,
-    )
 
 
 def conjugated(scheme, v):
@@ -537,7 +552,7 @@ def representation_cases(draw):
 def test_real_eigensolve_matches_the_complex_reference(case):
     prog, p = case
     rep = build_representation(prog)
-    ref = complex_reference(rep)
+    ref = vec_reference(prog)
     sd, sd_ref = rep.spectral, ref.spectral
 
     # eigenvalue multisets, matched greedily to the nearest
@@ -550,7 +565,7 @@ def test_real_eigensolve_matches_the_complex_reference(case):
     assert np.count_nonzero(sd.unit_circle_flags) == np.count_nonzero(sd_ref.unit_circle_flags)
     assert sd.cluster_ids.max() == sd_ref.cluster_ids.max()
     assert abs(rep.margin - ref.margin) <= 1e-12
-    assert max_abs(rep.unit_projector - ref.unit_projector) <= 1e-10
+    assert max_abs(vec_matrix(rep.unit_projector) - ref.unit_projector) <= 1e-10
 
     for check in (
         lambda r: check_program_termination(r, prog.rho0),
@@ -562,6 +577,6 @@ def test_real_eigensolve_matches_the_complex_reference(case):
         )
 
     value = expectation_closed_form(rep, prog.rho0, p)
-    assert value == pytest.approx(expectation_closed_form(ref, prog.rho0, p), abs=1e-10)
-    time, time_ref = average_running_time(rep, prog.rho0), average_running_time(ref, prog.rho0)
-    assert time == time_ref if math.isinf(time_ref) else abs(time - time_ref) <= 1e-10
+    assert abs(value - vec_closed_form(ref, prog.rho0, p)) <= 1e-10
+    time, time_ref = average_running_time(rep, prog.rho0), vec_running_time(ref, prog.rho0)
+    assert time == time_ref if time_ref == math.inf else abs(time - time_ref) <= 1e-10

@@ -25,8 +25,19 @@ TEST_ONLY = {
 }
 
 # The Schrödinger-picture machinery of the spectral closed forms, which
-# now read tr(E0*(P) X) on d x d.
-REMOVED = {"as_complex_matrix", "kron", "maximally_entangled_vector"}
+# now read tr(E0*(P) X) on d x d; the vec-coordinate helpers and the
+# complex-scalar guard of the spectral layer, which now stays in its real
+# Hermitian basis; and the oracle's copy of DEFAULT_N_MAX.
+REMOVED = {
+    "IMAG_TOL",
+    "ORACLE_N_MAX",
+    "_real_part",
+    "_vec_coordinates",
+    "as_complex_matrix",
+    "kron",
+    "maximally_entangled_vector",
+    "unvec",
+}
 
 
 def test_public_names_are_sorted_resolve_and_leave_out_test_only_diagnostics():

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,23 +7,28 @@ from hypothesis import strategies as st
 
 from qmcverify import (
     DensityOperator,
+    ProgramRepresentation,
     ProgramScheme,
     SuperOperator,
     TerminationMeasurement,
     build_representation,
     check_program_termination,
     check_scheme_termination,
+    load_model,
+    matrix_representation,
     terminal_state_series,
 )
 from qmcverify.sampling import random_density, random_scheme, random_unitary
 
 from helpers import (
+    MODELS_DIR,
     bitflip_program,
     bitflip_scheme,
     block_unitary_scheme,
     counter_scheme,
     decaying_block_program,
     m1_zero_program,
+    vec_reference,
     xflip_scheme,
 )
 
@@ -107,9 +114,10 @@ def test_exact_termination_found_at_nilpotent_bound():
     rep = build_representation(xflip_scheme())
     bound = rep.spectral.zero_nilpotent_index_bound
     assert bound == 2
+    m = matrix_representation(xflip_scheme().g)
     v = np.eye(rep.dim, dtype=complex).reshape(-1)
     for _ in range(bound):
-        v = rep.m @ v
+        v = m @ v
     assert np.linalg.norm(v) <= 1e-12
 
 
@@ -134,6 +142,63 @@ def test_unit_overlap_uses_dual_basis():
     rho_stuck = DensityOperator(np.diag([0.0, 0.5, 0.5]))
     assert check_program_termination(rep, rho_safe).almost_terminates
     assert not check_program_termination(rep, rho_stuck).almost_terminates
+
+
+@dataclass(frozen=True)
+class StepOnly:
+    """A stand-in representation: the survival step and the unit-circle
+    projector, with the overlap test of ``ProgramRepresentation``."""
+
+    dim: int
+    g: SuperOperator
+    unit_projector: np.ndarray
+
+    unit_overlap = ProgramRepresentation.unit_overlap
+
+
+def step_only(rep):
+    return StepOnly(rep.dim, rep.g, rep.unit_projector)
+
+
+def _verdict_tuple(v):
+    return v.terminates, v.terminates_at, v.almost_terminates
+
+
+ALMOST, NEVER = (False, None, True), (False, None, False)
+
+# (program verdict, scheme verdict) of each committed model.
+COMMITTED_VERDICTS = {
+    "bitflip_p05": (ALMOST, ALMOST),
+    "bitflip_p1": (NEVER, NEVER),
+    "m1zero": ((True, 1, True), (True, 1, True)),
+    "unitary_m0zero": (NEVER, NEVER),
+    "xflip_scheme": (None, (True, 2, True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMITTED_VERDICTS))
+def test_termination_reads_only_the_step_and_the_unit_projector(name):
+    prog = load_model(MODELS_DIR / f"{name}.model").validated.scheme
+    rep = step_only(build_representation(prog))
+    program, scheme = COMMITTED_VERDICTS[name]
+    assert _verdict_tuple(check_scheme_termination(rep)) == scheme
+    if program is not None:
+        assert _verdict_tuple(check_program_termination(rep, prog.rho0)) == program
+
+
+def test_step_only_verdicts_match_the_vec_reference(rng):
+    schemes = [block_unitary_scheme(), counter_scheme(5), decaying_block_program()]
+    schemes += [random_scheme(int(rng.integers(2, 5)), rng) for _ in range(10)]
+    for scheme in schemes:
+        rep = step_only(build_representation(scheme))
+        ref = vec_reference(scheme)
+        rho = random_density(scheme.dim, rng)
+        assert _verdict_tuple(check_scheme_termination(rep)) == _verdict_tuple(
+            check_scheme_termination(ref)
+        )
+        assert _verdict_tuple(check_program_termination(rep, rho)) == _verdict_tuple(
+            check_program_termination(ref, rho)
+        )
 
 
 def test_decaying_mass_is_not_exact_termination():
