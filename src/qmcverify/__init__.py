@@ -27,9 +27,8 @@ from .invariant import (
     ConditionCheck,
     InvariantCertificate,
     certificate_for,
+    certified_expectation,
     check_conditions,
-    expectation_via_invariant,
-    general_expectation,
     least_fixed_point_q,
 )
 from .linalg import (
@@ -92,13 +91,12 @@ __all__ = [
     "average_running_time",
     "build_representation",
     "certificate_for",
+    "certified_expectation",
     "check_conditions",
     "check_program_termination",
     "check_scheme_termination",
     "compose",
     "expectation_closed_form",
-    "expectation_via_invariant",
-    "general_expectation",
     "is_positive_semidefinite",
     "least_fixed_point_q",
     "load_model",

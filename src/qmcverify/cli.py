@@ -286,9 +286,9 @@ def golden_records(tail_tol: float = 1e-12) -> dict:
                 "values": {
                     "expectation_series": result.expectation_series,
                     "running_time_series": result.running_time_series,
-                    "residual_mass": result.p_table.residual_mass,
+                    "residual_mass": result.residual_mass,
                     "n_used": result.n_used,
-                    "p_first": [rec.p for rec in result.p_table.steps[:8]],
+                    "p_first": result.run.p[:8].tolist(),
                 },
             }
         )

@@ -32,7 +32,9 @@ and the iteration runs in two stages:
   holds in exact arithmetic.  So a program with contraction margin
   ``1 - r`` needs about ``log2(1 / (1 - r))`` squarings instead of
   ``1 / (1 - r)`` linear steps.  ``A`` is built here from ``G``'s Kraus
-  operators; the route shares nothing with the spectral layer.
+  operators.  The route imports nothing from the spectral or termination
+  layers: a caller that wants QV3 cross-checked against almost
+  termination passes that verdict in.
 
 The first ``_LOEWNER_CHECKED_STEPS`` linear increments and every
 doubled one are checked to be positive semidefinite (Loewner
@@ -64,7 +66,6 @@ from .channels import Observable, matrix_representation
 from .errors import ConsistencyError, ValidationError
 from .linalg import dagger, is_positive_semidefinite, max_abs, psd_split
 from .program import ProgramScheme, QuantumProgram
-from .spectral import build_representation
 
 DEFAULT_FIXED_POINT_TOL = 1e-12
 DEFAULT_FIXED_POINT_N_MAX = 1_000_000
@@ -308,7 +309,7 @@ def least_fixed_point_q(
     if not is_positive_semidefinite(p.mat):
         raise ValidationError(
             "the fixed-point construction needs a positive observable; "
-            "split a general Hermitian one with general_expectation"
+            "split a general Hermitian one with certified_expectation"
         )
     g = prog_or_scheme.g
     base = _completion_mat(prog_or_scheme.meas, p.mat, np.zeros_like(p.mat))
@@ -386,33 +387,26 @@ class ConditionCheck:
 
 
 def check_conditions(
-    prog: QuantumProgram,
-    p: Observable,
-    cert: InvariantCertificate,
-    almost_terminates: bool | None = None,
+    prog: QuantumProgram, cert: InvariantCertificate, almost_terminates: bool
 ) -> ConditionCheck:
     """Evaluate QV1/QV2/QV3 for a certificate.
 
     QV1 is always finite in finite dimension; the value is reported for
     completeness.  QV3 is decided on the sampled tail and cross-checked
-    against the spectral almost-termination criterion: almost termination
+    against ``almost_terminates``, the program's almost-termination
+    verdict (``TerminationVerdict.almost_terminates``): almost termination
     implies Q-termination for every Q, so a terminating program can never
     fail QV3.  QV2 and the tail are decided at :data:`CONDITION_TOL`.  A
-    caller that holds the program's termination verdict passes its
-    ``almost_terminates``; without it, the program's representation is
-    built to read the unit overlap of ``rho0``.
+    certificate built on a scheme carries neither the QV1 value nor the
+    tail; both are computed here for ``prog``'s initial state.
     """
-    almost = almost_terminates
-    if almost is None:
-        almost = build_representation(prog).unit_overlap(prog.rho0.mat)[1]
-
     qv1_value = cert.qv1_value
     if qv1_value is None:
         qv1_value = _initial_value(cert.completion, prog)
 
     tail = cert.qv3_tail or _qv3_tail_values(prog, cert.q.mat)
     qv3_limit = max(abs(t) for t in tail[-2:]) if tail else 0.0
-    qv3 = qv3_limit <= CONDITION_TOL or almost
+    qv3 = qv3_limit <= CONDITION_TOL or almost_terminates
 
     return ConditionCheck(
         qv1=bool(np.isfinite(qv1_value)),
@@ -421,20 +415,8 @@ def check_conditions(
         qv2_residual=cert.qv2_residual,
         qv3=qv3,
         qv3_limit=qv3_limit,
-        almost_terminating=almost,
+        almost_terminating=almost_terminates,
     )
-
-
-def expectation_via_invariant(
-    prog: QuantumProgram, p: Observable, cert: InvariantCertificate
-) -> float:
-    """The initial-state expectation ``tr(completion rho0)``.
-
-    Sound as the terminal expectation whenever QV2 and QV3 hold for the
-    certificate; with the least fixed point and a finite QV1 value the
-    result is exact even for programs that do not almost terminate.
-    """
-    return _initial_value(cert.completion, prog)
 
 
 # How the diagnostics of the positive parts of a general observable combine.
@@ -468,9 +450,9 @@ def certified_expectation(
     difference too, the error bounds add up, and the stop reason is the
     worse one).  The value and ``qv1_value`` are one number,
     ``tr(completion rho0)``, computed once per part.
-    ``almost_terminates`` is the program's spectral almost-termination
-    verdict, which :func:`check_conditions` reads for QV3; the value does
-    not depend on it.
+    ``almost_terminates`` is the program's almost-termination verdict,
+    which :func:`check_conditions` reads for QV3; the value does not
+    depend on it.
     """
     if is_positive_semidefinite(o.mat):
         parts = [(1.0, o)]
@@ -483,7 +465,7 @@ def certified_expectation(
     values, diags = [], []
     for sign, part in parts:
         cert = least_fixed_point_q(prog, part, n_max=n_max)
-        cond = check_conditions(prog, part, cert, almost_terminates=almost_terminates)
+        cond = check_conditions(prog, cert, almost_terminates)
         values.append(sign * cond.qv1_value)
         diags.append(
             {
@@ -504,9 +486,3 @@ def certified_expectation(
     combined = {key: how(d[key] for d in diags) for key, how in _COMBINE_PARTS.items()}
     return sum(values), combined
 
-
-def general_expectation(prog: QuantumProgram, o: Observable) -> float:
-    """Terminal expectation of an arbitrary Hermitian observable: the value
-    of :func:`certified_expectation`, whose diagnostics it drops (their QV3
-    flag is decided here on the sampled tail alone)."""
-    return certified_expectation(prog, o, False)[0]

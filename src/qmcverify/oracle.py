@@ -39,7 +39,6 @@ class OracleResult:
     running_time_series: float
     residual_mass: float
     stop_reason: str
-    tail_tol_used: float
     n_used: int
     run: SeriesPass = field(repr=False)
 
@@ -75,7 +74,6 @@ def oracle_expectation(
         running_time_series=running_time,
         residual_mass=run.residual_mass,
         stop_reason=run.stop_reason,
-        tail_tol_used=tail_tol,
         n_used=series.n_used,
         run=run,
     )

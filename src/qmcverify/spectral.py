@@ -155,8 +155,9 @@ def build_representation(
         If the step or its unit-circle projector does not preserve
         Hermiticity, the spectral radius of R exceeds ``1 + eps_unit`` or
         a unit-modulus eigenvalue cluster is not semisimple.  Valid
-        programs (trace-preserving channel, complete measurement) cannot
-        trigger any of these; the usual cause is corrupted model data.
+        programs (trace-preserving channel, complete measurement) trigger
+        none of these unless ``eps_unit`` is below the eigensolver's
+        rounding error; otherwise the usual cause is corrupted model data.
     """
     d = scheme.dim
     r = _real_coordinates(matrix_representation(scheme.g))
@@ -164,8 +165,11 @@ def build_representation(
     radius = sd.spectral_radius()
     if radius > 1.0 + eps_unit:
         raise RepresentationError(
-            f"step representation has spectral radius {radius:.12g} > 1; "
-            "the channel is not trace-nonincreasing on the survival branch"
+            f"step representation has spectral radius 1 + {radius - 1.0:.3e}, "
+            f"above 1 + eps_unit (eps_unit = {eps_unit:.3e}); either the "
+            "survival step expands (the channel is not trace-nonincreasing "
+            "on the survival branch) or eps_unit is below the eigensolver's "
+            "rounding error"
         )
 
     r_norm = max(1.0, sd.norm)

@@ -16,7 +16,6 @@ from qmcverify import (
     check_program_termination,
     check_scheme_termination,
     expectation_closed_form,
-    expectation_via_invariant,
     least_fixed_point_q,
     matrix_representation,
     oracle_expectation,
@@ -76,7 +75,7 @@ def test_c01_bitflip_termination_probability(rng):
         start = time.perf_counter()
         series = oracle_expectation(prog, P0, tail_tol=1e-12).expectation_series
         cert = least_fixed_point_q(prog, P0)
-        inv = expectation_via_invariant(prog, P0, cert)
+        inv = cert.qv1_value
         rep = build_representation(prog)
         closed = expectation_closed_form(rep, prog.rho0, P0)
         elapsed = time.perf_counter() - start
@@ -92,7 +91,7 @@ def test_c02_bitflip_p1_cases(rng):
     rep = build_representation(prog)
     assert expectation_closed_form(rep, prog.rho0, P0) == pytest.approx(1.0, abs=1e-9)
     cert = least_fixed_point_q(prog, P0)
-    assert expectation_via_invariant(prog, P0, cert) == pytest.approx(1.0, abs=1e-9)
+    assert cert.qv1_value == pytest.approx(1.0, abs=1e-9)
 
     # beta != 0: the excited component never terminates
     for alpha2 in (0.36, 0.5, 0.91):
@@ -103,9 +102,7 @@ def test_c02_bitflip_p1_cases(rng):
             alpha2, abs=1e-9
         )
         cert = least_fixed_point_q(prog, P0)
-        assert expectation_via_invariant(prog, P0, cert) == pytest.approx(
-            alpha2, abs=1e-9
-        )
+        assert cert.qv1_value == pytest.approx(alpha2, abs=1e-9)
         series = terminal_state_series(prog, tail_tol=1e-10, n_max=2000)
         assert series.residual == pytest.approx(beta**2, abs=1e-9)
 
@@ -232,7 +229,7 @@ def test_c10_three_way_agreement(rng):
         p = random_observable(2, rng, psd=True)
         series = oracle_expectation(prog, p, tail_tol=1e-12).expectation_series
         cert = least_fixed_point_q(prog, p)
-        inv = expectation_via_invariant(prog, p, cert)
+        inv = cert.qv1_value
         rep = build_representation(prog)
         closed = expectation_closed_form(rep, prog.rho0, p)
         assert abs(series - inv) <= 1e-6

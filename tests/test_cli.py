@@ -74,6 +74,16 @@ def test_numerical_failure_exits_5(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_radius_guard_names_eps_unit(capsys):
+    # The diagonal unitary has spectral radius 1 up to rounding; with
+    # eps_unit = 0 the guard fires on that rounding and must say so.
+    for command in ("spectrum", "terminate"):
+        code = main([command, model("unitary_m0zero.model"), "--eps-unit", "0"])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert "eps_unit" in err and "rounding" in err
+
+
 def test_runtime_bitflip(capsys):
     code = main(["runtime", model("bitflip_p05.model")])
     out = capsys.readouterr().out

@@ -9,10 +9,11 @@ from qmcverify import (
     SuperOperator,
     TerminationMeasurement,
     ValidationError,
+    build_representation,
     certificate_for,
+    certified_expectation,
     check_conditions,
-    expectation_via_invariant,
-    general_expectation,
+    check_program_termination,
     is_positive_semidefinite,
     least_fixed_point_q,
     matrix_representation,
@@ -33,6 +34,11 @@ from helpers import (
     completion_expansion_residual,
     m1_zero_program,
 )
+
+
+def almost_terminates(prog):
+    # The program's own verdict, as the CLI passes it to check_conditions.
+    return check_program_termination(build_representation(prog), prog.rho0).almost_terminates
 
 
 def test_least_fixed_point_bitflip_terminating():
@@ -86,7 +92,7 @@ def test_solve_fast_path_matches_iteration(rng):
 def test_conditions_hold_for_terminating_bitflip():
     prog = bitflip_program(0.5, 0.6, 0.8)
     cert = least_fixed_point_q(prog, P0)
-    cond = check_conditions(prog, P0, cert)
+    cond = check_conditions(prog, cert, almost_terminates(prog))
     assert cond.qv1 and cond.qv2 and cond.qv3
     assert cond.almost_terminating
 
@@ -95,7 +101,7 @@ def test_conditions_reject_non_least_candidate_when_stuck():
     # on the p = 1 program, K = 1 satisfies QV2 but the tail stays |beta|^2
     prog = bitflip_program(1.0, 0.6, 0.8)
     cert = certificate_for(prog, P0, Observable(np.eye(2)))
-    cond = check_conditions(prog, P0, cert)
+    cond = check_conditions(prog, cert, almost_terminates(prog))
     assert cond.qv2
     assert not cond.qv3
     assert cond.qv3_limit == pytest.approx(0.64, abs=1e-10)
@@ -104,7 +110,7 @@ def test_conditions_reject_non_least_candidate_when_stuck():
 def test_conditions_zero_observable():
     prog = bitflip_program(0.5, 0.6, 0.8)
     cert = least_fixed_point_q(prog, Observable(np.zeros((2, 2))))
-    cond = check_conditions(prog, Observable(np.zeros((2, 2))), cert)
+    cond = check_conditions(prog, cert, almost_terminates(prog))
     assert cond.qv1 and cond.qv2 and cond.qv3
     assert cond.qv1_value == pytest.approx(0.0, abs=1e-12)
 
@@ -116,7 +122,7 @@ def test_conditions_zero_observable():
 def test_expectation_reproduces_termination_probabilities(p, alpha, beta, expected):
     prog = bitflip_program(p, alpha, beta)
     cert = least_fixed_point_q(prog, P0)
-    assert expectation_via_invariant(prog, P0, cert) == pytest.approx(expected, abs=1e-9)
+    assert cert.qv1_value == pytest.approx(expected, abs=1e-9)
 
 
 def test_klem_identity_base_case(rng):
@@ -197,7 +203,7 @@ def test_agreement_with_series_oracle(rng):
         prog = random_contracting_program(2, rng)
         p = random_observable(2, rng, psd=True)
         cert = least_fixed_point_q(prog, p)
-        via_invariant = expectation_via_invariant(prog, p, cert)
+        via_invariant = cert.qv1_value
         via_series = oracle_expectation(prog, p, tail_tol).expectation_series
         assert abs(via_invariant - via_series) <= max(10 * tail_tol, 1e-8)
 
@@ -206,20 +212,23 @@ def test_general_expectation_matches_psd_route(rng):
     prog = random_contracting_program(2, rng)
     p = random_observable(2, rng, psd=True)
     cert = least_fixed_point_q(prog, p)
-    direct = expectation_via_invariant(prog, p, cert)
-    assert general_expectation(prog, p) == pytest.approx(direct, abs=1e-9)
+    direct = cert.qv1_value
+    value = certified_expectation(prog, p, almost_terminates(prog))[0]
+    assert value == pytest.approx(direct, abs=1e-9)
 
 
 def test_general_expectation_pauli_z_vs_series():
     prog = bitflip_program(0.5, *np.sqrt([0.5, 0.5]))
     rho_star = terminal_state_series(prog, tail_tol=1e-13).rho_star
     expected = np.trace(Z @ rho_star.mat).real
-    assert general_expectation(prog, Observable(Z)) == pytest.approx(expected, abs=1e-8)
+    value = certified_expectation(prog, Observable(Z), almost_terminates(prog))[0]
+    assert value == pytest.approx(expected, abs=1e-8)
 
 
 def test_general_expectation_zero_observable():
     prog = bitflip_program(0.5, 0.6, 0.8)
-    assert general_expectation(prog, Observable(np.zeros((2, 2)))) == 0.0
+    zero = Observable(np.zeros((2, 2)))
+    assert certified_expectation(prog, zero, almost_terminates(prog))[0] == 0.0
 
 
 def test_fixed_point_through_g_dual_matches_written_out_iteration(rng):
@@ -332,8 +341,9 @@ def test_qv1_value_is_the_invariant_expectation(rng):
             prog = random_contracting_program(d, rng)
             p = random_observable(d, rng, psd=True)
             cert = least_fixed_point_q(prog, p)
-            assert cert.qv1_value == expectation_via_invariant(prog, p, cert)
-            assert check_conditions(prog, p, cert).qv1_value == cert.qv1_value
+            almost = almost_terminates(prog)
+            assert cert.qv1_value == certified_expectation(prog, p, almost)[0]
+            assert check_conditions(prog, cert, almost).qv1_value == cert.qv1_value
 
 
 def test_unit_spectrum_stops_on_tol_without_a_bound():

@@ -27,13 +27,16 @@ TEST_ONLY = {
 # The Schrödinger-picture machinery of the spectral closed forms, which
 # now read tr(E0*(P) X) on d x d; the vec-coordinate helpers and the
 # complex-scalar guard of the spectral layer, which now stays in its real
-# Hermitian basis; and the oracle's copy of DEFAULT_N_MAX.
+# Hermitian basis; the oracle's copy of DEFAULT_N_MAX; and the two invariant
+# entry points that certified_expectation and cert.qv1_value replace.
 REMOVED = {
     "IMAG_TOL",
     "ORACLE_N_MAX",
     "_real_part",
     "_vec_coordinates",
     "as_complex_matrix",
+    "expectation_via_invariant",
+    "general_expectation",
     "kron",
     "maximally_entangled_vector",
     "unvec",
