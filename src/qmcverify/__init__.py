@@ -41,9 +41,8 @@ from .oracle import OracleResult, oracle_expectation, oracle_fixed_point
 from .program import (
     ProgramScheme,
     QuantumProgram,
-    SeriesResult,
+    SeriesPass,
     StepRecord,
-    StepTrace,
     TerminationMeasurement,
     step_probabilities,
     terminal_state_series,
@@ -77,11 +76,10 @@ __all__ = [
     "QmcError",
     "QuantumProgram",
     "RepresentationError",
-    "SeriesResult",
+    "SeriesPass",
     "SingularResolventError",
     "SpectralData",
     "StepRecord",
-    "StepTrace",
     "SuperOperator",
     "TerminationMeasurement",
     "TerminationVerdict",

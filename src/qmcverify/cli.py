@@ -3,11 +3,11 @@
 Subcommands: verify, runtime, terminate, spectrum, simulate,
 regen-goldens.  Exit codes: 0 success (all requested methods agree within
 tolerance), 2 model validation failure (bad model data or option value)
-or missing model file, 3 method disagreement beyond tolerance, 4
-non-almost-terminating program when a requested method requires
-Q-termination (QV3), 5 numerical failure (an eigensolve, a structural
-check of the step representation, a resolvent solve or an internal
-consistency check).
+or missing model file, 3 method disagreement beyond tolerance (a finite
+value against an infinite one included), 4 non-almost-terminating
+program when a requested method requires Q-termination (QV3), 5
+numerical failure (an eigensolve, a structural check of the step
+representation, a resolvent solve or an internal consistency check).
 """
 
 from __future__ import annotations

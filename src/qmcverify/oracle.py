@@ -3,16 +3,16 @@
 These deliberately reuse nothing from the invariant or spectral modules;
 they ground the expected values of every derived test and the three-way
 agreement suite.  :func:`oracle_expectation` makes a single pass over the
-series: the terminal state, the step table and the running time all come
-from the same stepping loop, which keeps only scalars per step.  The step
-table is built from those scalars on first read only.
+series and keeps its one result, the :class:`~qmcverify.program.SeriesPass`:
+the terminal state, the step table, the residual mass and the running
+time all come from it.  The step table is built from the pass's scalars
+on first read only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -23,15 +23,14 @@ from .program import (
     DEFAULT_TAIL_TOL,
     QuantumProgram,
     SeriesPass,
-    StepTrace,
-    terminal_series_pass,
+    terminal_state_series,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class OracleResult:
     """Series values of one pass.  ``residual_mass`` is
-    ``p_table.residual_mass``; ``stop_reason`` says whether the surviving
+    ``run.residual_mass``; ``stop_reason`` says whether the surviving
     mass fell below ``tail_tol`` (``"tail_tol"``) or the pass ran into
     ``n_max`` (``"n_max"``)."""
 
@@ -42,11 +41,10 @@ class OracleResult:
     n_used: int
     run: SeriesPass = field(repr=False)
 
-    @cached_property
-    def p_table(self) -> StepTrace:
-        """One record per term of the sum, ``n_used + 1`` in all; built on
-        first read."""
-        return self.run.step_trace()
+    @property
+    def p_table(self) -> SeriesPass:
+        """The pass itself; its ``steps`` are built on first read."""
+        return self.run
 
 
 def oracle_expectation(
@@ -58,14 +56,13 @@ def oracle_expectation(
     """Series evaluation of the terminal expectation and running time.
 
     The running time partial sum is flagged infinite (returned as
-    ``math.inf``) when the leftover nontermination mass exceeds
-    ``sqrt(tail_tol)``, i.e. when the series demonstrably failed to
-    exhaust the probability mass.
+    ``math.inf``) when the leftover nontermination mass ``residual_mass``
+    exceeds ``sqrt(tail_tol)``, i.e. when the series demonstrably failed
+    to exhaust the probability mass.
     """
-    run = terminal_series_pass(prog, tail_tol, n_max)
-    series = run.series()
-    expectation = float(np.trace(p.mat @ series.rho_star.mat).real)
-    if series.residual > math.sqrt(tail_tol):
+    run = terminal_state_series(prog, tail_tol, n_max)
+    expectation = float(np.trace(p.mat @ run.rho_star.mat).real)
+    if run.residual_mass > math.sqrt(tail_tol):
         running_time = math.inf
     else:
         running_time = sum(n * p_n for n, p_n in enumerate(run.p, start=1))
@@ -74,7 +71,7 @@ def oracle_expectation(
         running_time_series=running_time,
         residual_mass=run.residual_mass,
         stop_reason=run.stop_reason,
-        n_used=series.n_used,
+        n_used=run.n_used,
         run=run,
     )
 

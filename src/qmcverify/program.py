@@ -9,9 +9,10 @@ state evolves under ``G = E . E1`` with ``E_i(rho) = M_i rho M_i^dag``.
 The truncated series ``sum_n E0(G^n(rho0))`` computed here is the oracle
 against which the invariant and closed-form methods are checked.  One
 private loop, :func:`_series_pass`, serves the terminal sum, the step
-table and the running time alike.  It keeps only scalars per step
+table and the running time alike, and its one result, :class:`SeriesPass`,
+is what both public entry points return.  It keeps only scalars per step
 (``tr E0(sigma_n)`` and the surviving mass) and validates the terminal
-sum once, at the end.
+sum once, on first read.
 
 Only ``sigma <- G(sigma)`` runs step by step, since each step needs the
 one before.  The steps go into chunks of up to 256 states; per chunk,
@@ -20,7 +21,7 @@ traces, and the terminal sum adds the terms strictly in order.  Every
 batched operation does per matrix what a step-by-step loop does, so the
 results are bit for bit that loop's (``tests/test_series_pass.py`` keeps
 it as the reference), in well under half its time on long series.  The
-step table is built from the scalars only when asked for.  The scalars
+step table is built from the scalars only when first read.  The scalars
 are kept as ``array('d')``, 8 bytes per step each, bit for bit the
 doubles a Python float list would hold at 32 bytes per entry.
 """
@@ -159,29 +160,6 @@ class StepRecord:
     p_nontermination: float
 
 
-@dataclass(frozen=True)
-class StepTrace:
-    """Per-step termination/survival probabilities.
-
-    ``steps[k]`` describes step ``n = k + 1``:
-    ``p = tr(E0(G^(n-1)(rho0)))`` and ``p_nontermination = tr(G^n(rho0))``,
-    the mass that survives n steps (equal to ``tr(E1(G^(n-1)(rho0)))``
-    because ``E`` is trace-preserving).  ``residual_mass`` is
-    ``tr(E1(G^(N-1)(rho0)))`` for the last step ``N``.
-    For every prefix, ``sum(p_1..p_n) + p_nontermination_n = 1``.
-    """
-
-    steps: tuple[StepRecord, ...]
-    residual_mass: float
-
-
-@dataclass(frozen=True, eq=False)
-class SeriesResult:
-    rho_star: DensityOperator
-    residual: float
-    n_used: int
-
-
 def _real_trace(mat: np.ndarray) -> float:
     return float(mat.trace().real)
 
@@ -196,7 +174,14 @@ def _real_traces(mats: np.ndarray) -> np.ndarray:
 class SeriesPass:
     """Outcome of one pass of :func:`_series_pass`; only ``acc`` and
     ``last`` are matrices, everything kept per step is a scalar, stored
-    as a C double."""
+    as a C double.
+
+    ``steps[k]`` describes step ``n = k + 1``:
+    ``p = tr(E0(G^(n-1)(rho0)))`` and ``p_nontermination = tr(G^n(rho0))``,
+    the mass that survives n steps (equal to ``tr(E1(G^(n-1)(rho0)))``
+    because ``E`` is trace-preserving).  For every prefix,
+    ``sum(p_1..p_n) + p_nontermination_n = 1``.
+    """
 
     acc: np.ndarray  # sum_{n <= n_used} E0(sigma_n), unvalidated
     last: np.ndarray  # sigma_{n_used}
@@ -206,22 +191,25 @@ class SeriesPass:
     stop_reason: str  # "tail_tol" or "n_max"
     e1: SuperOperator
 
-    def series(self) -> SeriesResult:
-        return SeriesResult(
-            rho_star=DensityOperator(self.acc), residual=self.mass[-1], n_used=self.n_used
-        )
+    @cached_property
+    def rho_star(self) -> DensityOperator:
+        """The terminal sum ``acc``, validated on first read."""
+        return DensityOperator(self.acc)
 
     @cached_property
     def residual_mass(self) -> float:
-        """``tr E1(sigma_{n_used})``, the mass left after the last step."""
+        """``tr E1(sigma_{n_used})``, the mass left after the last step: the
+        pass's one residual."""
         return _real_trace(self.e1.apply_mat(self.last))
 
-    def step_trace(self) -> StepTrace:
-        steps = tuple(
+    @cached_property
+    def steps(self) -> tuple[StepRecord, ...]:
+        """One record per term of the sum, ``n_used + 1`` in all; built on
+        first read."""
+        return tuple(
             StepRecord(n=n, p=p, p_nontermination=m)
             for n, (p, m) in enumerate(zip(self.p, self.mass), start=1)
         )
-        return StepTrace(steps=steps, residual_mass=self.residual_mass)
 
 
 # Largest chunk of the series pass, in steps: a chunk holds at most this
@@ -289,40 +277,28 @@ def _series_pass(
         size = min(2 * size, _CHUNK)
 
 
-def _check_tail_tol(tail_tol: float) -> None:
-    if tail_tol <= 0:
-        raise ValidationError(f"tail_tol must be positive, got {tail_tol}")
-
-
-def step_probabilities(prog: QuantumProgram, n_max: int) -> StepTrace:
-    """Tabulate p_n and the nontermination probability for n = 1..n_max."""
+def step_probabilities(prog: QuantumProgram, n_max: int) -> SeriesPass:
+    """The pass over steps n = 1..n_max, whatever mass is left: its
+    ``steps`` tabulate p_n and the nontermination probability."""
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
-    return _series_pass(prog, prog.rho0.mat, -math.inf, n_max - 1).step_trace()
+    return _series_pass(prog, prog.rho0.mat, -math.inf, n_max - 1)
 
 
 def terminal_state_series(
     prog: QuantumProgram,
     tail_tol: float = DEFAULT_TAIL_TOL,
     n_max: int = DEFAULT_N_MAX,
-) -> SeriesResult:
-    """Truncated terminal state sum_{n=0}^{n_used} E0(G^n(rho0)).
+) -> SeriesPass:
+    """The pass behind the truncated terminal state
+    ``rho_star = sum_{n=0}^{n_used} E0(G^n(rho0))``, validated here.
 
     A residual above ``tail_tol`` is not an error: the series still
     converges, but the program may not terminate almost surely and any
     expectation taken in ``rho_star`` is a lower estimate.
     """
-    _check_tail_tol(tail_tol)
-    return _series_pass(prog, prog.rho0.mat, tail_tol, n_max).series()
-
-
-def terminal_series_pass(
-    prog: QuantumProgram,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    n_max: int = DEFAULT_N_MAX,
-) -> SeriesPass:
-    """The pass behind :func:`terminal_state_series`, with its per-step
-    scalars: ``.series()`` is that function's result and ``.step_trace()``
-    the step table, ``n_used + 1`` records, one per term of the sum."""
-    _check_tail_tol(tail_tol)
-    return _series_pass(prog, prog.rho0.mat, tail_tol, n_max)
+    if tail_tol <= 0:
+        raise ValidationError(f"tail_tol must be positive, got {tail_tol}")
+    run = _series_pass(prog, prog.rho0.mat, tail_tol, n_max)
+    run.rho_star  # the one validation of the terminal state
+    return run

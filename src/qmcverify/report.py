@@ -79,15 +79,15 @@ class VerificationReport:
         self.methods.append(MethodResult(method, value, tolerance, diagnostics))
 
     def compute_agreement(self, tolerance: float) -> float:
-        """Fill the pairwise-delta block; returns the max delta."""
-        finite = [m for m in self.methods if not math.isinf(m.value)]
+        """Fill the pairwise-delta block; returns the max delta.  A finite
+        value and an infinite one are apart by ``inf``; two infinite
+        values are not paired, since no delta measures them."""
         pairs = {}
-        max_delta = 0.0
-        for i, a in enumerate(finite):
-            for b in finite[i + 1 :]:
-                delta = abs(a.value - b.value)
-                pairs[f"{a.method}/{b.method}"] = delta
-                max_delta = max(max_delta, delta)
+        for i, a in enumerate(self.methods):
+            for b in self.methods[i + 1 :]:
+                if not (math.isinf(a.value) and math.isinf(b.value)):
+                    pairs[f"{a.method}/{b.method}"] = abs(a.value - b.value)
+        max_delta = max(pairs.values(), default=0.0)
         self.agreement = {
             "pairs": {k: _num(v) for k, v in sorted(pairs.items())},
             "max_delta": _num(max_delta),

@@ -73,9 +73,6 @@ class ProgramRepresentation:
     n_filtered: np.ndarray
     margin: float
 
-    def has_unit_spectrum(self) -> bool:
-        return bool(np.any(self.spectral.unit_circle_flags))
-
     def unit_overlap(self, a: np.ndarray) -> tuple[float, bool]:
         """``||P_u x||`` for ``x = coordinates(a)``, and whether it is
         negligible: at most :data:`UNIT_OVERLAP_RTOL` times ``||x||``.

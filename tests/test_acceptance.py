@@ -104,7 +104,7 @@ def test_c02_bitflip_p1_cases(rng):
         cert = least_fixed_point_q(prog, P0)
         assert cert.qv1_value == pytest.approx(alpha2, abs=1e-9)
         series = terminal_state_series(prog, tail_tol=1e-10, n_max=2000)
-        assert series.residual == pytest.approx(beta**2, abs=1e-9)
+        assert series.residual_mass == pytest.approx(beta**2, abs=1e-9)
 
 
 @criterion(3, "worked-example step matrix and resolvent entries")

@@ -106,6 +106,29 @@ def test_runtime_stuck_program_reports_infinite(capsys):
     assert "unit_overlap=0.64" in out
 
 
+def test_runtime_finite_against_infinite_disagrees(tmp_path, capsys):
+    # Three steps leave mass 0.125 behind, so the series running time is
+    # inf while the spectral one is 3: that pair is apart by inf.
+    out = tmp_path / "runtime.json"
+    code = main(["runtime", model("bitflip_p05.model"), "--n-max", "3", "--json-out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "max pairwise delta inf" in captured.out and "DISAGREE" in captured.out
+    assert "running times disagree by inf" in captured.err
+    agreement = json.loads(out.read_text())["agreement"]
+    assert agreement == {
+        "max_delta": "inf", "ok": False, "pairs": {"spectral/series": "inf"}, "tolerance": 1e-6,
+    }
+
+
+@pytest.mark.parametrize("name", ["bitflip_p1.model", "unitary_m0zero.model"])
+def test_runtime_two_infinite_values_stay_unpaired(name, tmp_path, capsys):
+    out = tmp_path / "runtime.json"
+    assert main(["runtime", model(name), "--json-out", str(out)]) == 0
+    assert "max pairwise delta 0 " in capsys.readouterr().out
+    assert json.loads(out.read_text())["agreement"]["pairs"] == {}
+
+
 def test_terminate_xflip_scheme(capsys):
     code = main(["terminate", model("xflip_scheme.model"), "--scope", "scheme"])
     out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 """The three routes stay independent: the series oracle shares no code
-with the invariant or spectral routes, and the invariant route reads
-nothing from the spectral layer.  Importing the package loads every
+with the invariant or spectral routes, the invariant route reads nothing
+from the spectral layer, and the random programs behind the golden
+records are drawn without any route.  Importing the package loads every
 module, so the check reads each module's import statements."""
 
 import ast
@@ -17,6 +18,8 @@ FORBIDDEN = {
     "oracle": {"invariant", "spectral", "termination"},
     "program": {"invariant", "spectral", "termination"},
     "invariant": {"spectral", "termination"},
+    # The programs behind the series oracle's golden records.
+    "sampling": {"invariant", "spectral", "termination"},
 }
 
 

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 import qmcverify
-from qmcverify import oracle_expectation, oracle_fixed_point, step_probabilities
+from qmcverify import load_model, oracle_expectation, oracle_fixed_point, step_probabilities
 from qmcverify.cli import golden_records
 from qmcverify.model import ModelOptions
 from qmcverify.sampling import random_contracting_program, random_observable
 
-from helpers import P0, bitflip_program, m1_zero_program
+from helpers import MODELS_DIR, P0, bitflip_program, m1_zero_program
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "oracle_goldens.json"
 
@@ -141,13 +141,43 @@ def test_oracle_builds_the_step_table_on_first_read(monkeypatch, rng):
         result = oracle_expectation(prog, P0, n_max=300)
         assert built == []
         table = result.p_table
+        assert built == []
+        steps = table.steps
         assert built == list(range(1, result.n_used + 2))
+        assert table.steps is steps
         assert result.p_table is table
         assert result.residual_mass == table.residual_mass
         want = step_probabilities(prog, result.n_used + 1)
         assert table.steps == want.steps
         assert table.residual_mass == want.residual_mass
         built.clear()
+
+
+@pytest.mark.parametrize(
+    "name, n_max", [("bitflip_p1", None), ("bitflip_p05", 3), ("bitflip_p05", 1000)]
+)
+def test_running_time_diverges_exactly_when_the_printed_residual_is_large(name, n_max):
+    model = load_model(MODELS_DIR / f"{name}.model")
+    tail_tol = model.options.tail_tol
+    result = oracle_expectation(
+        model.to_program(), P0, tail_tol, n_max or model.options.n_max
+    )
+    diverges = result.residual_mass > math.sqrt(tail_tol)
+    assert diverges == (name == "bitflip_p1" or n_max == 3)
+    assert (result.running_time_series == math.inf) == diverges
+    assert result.residual_mass == result.run.residual_mass
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_running_time_diverges_exactly_when_the_residual_is_large_on_random_programs(seed):
+    prog = random_contracting_program(2, np.random.default_rng(seed))
+    seen = set()
+    for tail_tol, n_max in ((1e-12, 10**6), (1e-12, 5), (1e-12, 2), (1e-4, 10**6)):
+        result = oracle_expectation(prog, P0, tail_tol, n_max)
+        diverges = result.residual_mass > math.sqrt(tail_tol)
+        assert (result.running_time_series == math.inf) == diverges
+        seen.add(diverges)
+    assert seen == {True, False}
 
 
 def test_oracle_stop_reason():

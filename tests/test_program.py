@@ -57,14 +57,14 @@ def test_series_reaches_full_mass_for_terminating_bitflip(p, rng):
     prog = bitflip_program(p, alpha, beta)
     res = terminal_state_series(prog, tail_tol=1e-12)
     assert res.rho_star.trace == pytest.approx(1.0, abs=1e-10)
-    assert res.residual < 1e-12
+    assert res.residual_mass < 1e-12
 
 
 def test_series_keeps_stuck_mass_out():
     prog = bitflip_program(1.0, 0.6, 0.8)
     res = terminal_state_series(prog, tail_tol=1e-10, n_max=500)
     assert res.rho_star.trace == pytest.approx(0.36, abs=1e-12)
-    assert res.residual == pytest.approx(0.64, abs=1e-12)
+    assert res.residual_mass == pytest.approx(0.64, abs=1e-12)
     assert res.n_used == 500
 
 

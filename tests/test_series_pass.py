@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qmcverify import DensityOperator, load_model
+from qmcverify import DensityOperator, load_model, step_probabilities, terminal_state_series
 from qmcverify.program import _real_trace, _series_pass
 from qmcverify.sampling import random_density, random_scheme
 
@@ -39,9 +39,12 @@ def _reference_pass(scheme, rho_mat, tail_tol, n_max):
         acc += term
 
 
-def _assert_bit_identical(scheme, rho_mat, tail_tol, n_max):
+def _assert_bit_identical(scheme, rho_mat, tail_tol, n_max, run=None):
+    """``run`` defaults to the private pass; the public entry points pass
+    their own result."""
     acc, last, p, mass, n_used = _reference_pass(scheme, rho_mat, tail_tol, n_max)
-    run = _series_pass(scheme, rho_mat, tail_tol, n_max)
+    if run is None:
+        run = _series_pass(scheme, rho_mat, tail_tol, n_max)
     assert np.array_equal(run.acc, acc)
     assert np.array_equal(run.last, last)
     assert run.p.tolist() == p
@@ -78,6 +81,20 @@ def test_chunked_pass_is_bit_identical_on_committed_models(path):
         for n_max in N_MAX + (1000,):
             for tail_tol in (1e-12, -math.inf):
                 _assert_bit_identical(scheme, rho, tail_tol, n_max)
+
+
+def test_public_entry_points_are_bit_identical_to_the_step_loop():
+    progs = [load_model(path).to_program() for path in sorted(MODELS_DIR.glob("*.model"))
+             if load_model(path).rho0 is not None]
+    rng = np.random.default_rng(2024)
+    progs += [random_scheme(d, rng).with_initial_state(random_density(d, rng)) for d in (2, 3, 8)]
+    for prog in progs:
+        rho = prog.rho0.mat
+        for n_max in N_MAX + (1000,):
+            run = terminal_state_series(prog, 1e-12, n_max)
+            _assert_bit_identical(prog, rho, 1e-12, n_max, run)
+            assert np.array_equal(run.rho_star.mat, run.acc)
+            _assert_bit_identical(prog, rho, -math.inf, n_max, step_probabilities(prog, n_max + 1))
 
 
 @pytest.mark.parametrize("name", ["bitflip_p1", "unitary_m0zero"])

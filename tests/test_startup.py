@@ -27,11 +27,15 @@ TEST_ONLY = {
 # The Schrödinger-picture machinery of the spectral closed forms, which
 # now read tr(E0*(P) X) on d x d; the vec-coordinate helpers and the
 # complex-scalar guard of the spectral layer, which now stays in its real
-# Hermitian basis; the oracle's copy of DEFAULT_N_MAX; and the two invariant
-# entry points that certified_expectation and cert.qv1_value replace.
+# Hermitian basis; the oracle's copy of DEFAULT_N_MAX; the two invariant
+# entry points that certified_expectation and cert.qv1_value replace; and
+# the two result types and the second entry point of the series pass, whose
+# one result SeriesPass both public series entry points now return.
 REMOVED = {
     "IMAG_TOL",
     "ORACLE_N_MAX",
+    "SeriesResult",
+    "StepTrace",
     "_real_part",
     "_vec_coordinates",
     "as_complex_matrix",
@@ -39,6 +43,7 @@ REMOVED = {
     "general_expectation",
     "kron",
     "maximally_entangled_vector",
+    "terminal_series_pass",
     "unvec",
 }
 

@@ -97,9 +97,9 @@ def test_verdict_consistent_with_series_residual(rng):
             scheme.with_initial_state(rho), tail_tol=1e-10, n_max=3000
         )
         if verdict.almost_terminates:
-            assert series.residual <= 1e-8
+            assert series.residual_mass <= 1e-8
         else:
-            assert series.residual >= 1e-4
+            assert series.residual_mass >= 1e-4
 
 
 def test_scheme_termination_implies_program_termination(rng):
