@@ -5,11 +5,14 @@ A super-operator is stored as its Kraus family ``{E_i}`` with
 ``rho -> sum(E_i rho E_i^dag)`` and backward on observables as
 ``M -> sum(E_i^dag M E_i)``.  Equality of super-operators is always decided
 through :func:`matrix_representation`, never through the Kraus lists, which
-are not unique.  That function is the one builder of a d^2 x d^2
-super-operator matrix, in row-major ``vec`` coordinates: the spectral
-layer takes its Hermitian-basis step matrix from it and the invariant
-route's doubling stage its ``M``, and it runs on the stacked Kraus array
-below.
+are not unique.  That function builds the d^2 x d^2 super-operator
+matrix, in row-major ``vec`` coordinates, that the spectral layer takes
+its Hermitian-basis step matrix from and the invariant route's doubling
+stage its ``M``, and it runs on the stacked Kraus array below.  The one
+other such matrix is the series pass's step matrix in
+:mod:`qmcverify.program`, built column by column from ``apply_mat`` on
+purpose: the series is the independent check on the other two routes,
+and a fault in a builder that all three shared would go unseen.
 
 Both actions run on the stacked Kraus array ``(K, d, d)`` and its stacked
 conjugate transpose, built once per super-operator on first use: one

@@ -55,17 +55,14 @@ def oracle_expectation(
 ) -> OracleResult:
     """Series evaluation of the terminal expectation and running time.
 
-    The running time partial sum is flagged infinite (returned as
-    ``math.inf``) when the leftover nontermination mass ``residual_mass``
-    exceeds ``sqrt(tail_tol)``, i.e. when the series demonstrably failed
-    to exhaust the probability mass.
+    The running time is the pass's ``time_sum`` when the surviving mass
+    fell below ``tail_tol``, and infinite (``math.inf``) when the pass
+    ran into ``n_max``: the cut-off tail ``sum_{n > N} n p_n`` has no
+    bound then, however little mass is left.
     """
     run = terminal_state_series(prog, tail_tol, n_max)
     expectation = float(np.trace(p.mat @ run.rho_star.mat).real)
-    if run.residual_mass > math.sqrt(tail_tol):
-        running_time = math.inf
-    else:
-        running_time = sum(n * p_n for n, p_n in enumerate(run.p, start=1))
+    running_time = run.time_sum if run.stop_reason == "tail_tol" else math.inf
     return OracleResult(
         expectation_series=expectation,
         running_time_series=running_time,

@@ -15,15 +15,27 @@ is what both public entry points return.  It keeps only scalars per step
 sum once, on first read.
 
 Only ``sigma <- G(sigma)`` runs step by step, since each step needs the
-one before.  The steps go into chunks of up to 256 states; per chunk,
-one batched call each forms the masses, the ``E0`` terms and their
-traces, and the terminal sum adds the terms strictly in order.  Every
-batched operation does per matrix what a step-by-step loop does, so the
-results are bit for bit that loop's (``tests/test_series_pass.py`` keeps
-it as the reference), in well under half its time on long series.  The
-step table is built from the scalars only when first read.  The scalars
-are kept as ``array('d')``, 8 bytes per step each, bit for bit the
-doubles a Python float list would hold at 32 bytes per entry.
+one before, and it runs one of two kernels, chosen from the shape of
+``G``.  With ``K`` Kraus operators on dimension ``d``, a Kraus step
+costs ``2K d^3`` multiply-adds and a product with ``G``'s own
+``d^2 x d^2`` matrix costs ``d^4``, so when ``d <= 2K`` the pass builds
+that matrix once and each step is one matrix-vector product, a single
+BLAS call in place of two batched matmuls and a Kraus sum; otherwise it
+applies the Kraus operators.  The matrix is built column by column from
+``G.apply_mat`` on the matrix units, never from
+:func:`~qmcverify.channels.matrix_representation`: the spectral and
+invariant routes both use that builder, and a fault in it must not pass
+unseen because the series shares it.  The steps go into chunks of up to
+256 states; per chunk, one batched call each forms the masses, the
+``E0`` terms and their traces, the terminal sum adds the terms strictly
+in order and the running-time sum ``sum_n n p_n`` adds its terms in
+order too.  Every batched operation does per matrix what a step-by-step
+loop does, so the results are bit for bit those of the loop that steps
+with the same kernel (``tests/test_series_pass.py`` keeps it as the
+reference), in well under half its time on long series.  The step table
+is built from the scalars only when first read.  The scalars are kept as
+``array('d')``, 8 bytes per step each, bit for bit the doubles a Python
+float list would hold at 32 bytes per entry.
 """
 
 from __future__ import annotations
@@ -187,6 +199,7 @@ class SeriesPass:
     last: np.ndarray  # sigma_{n_used}
     p: array  # 'd': tr E0(sigma_n) for n = 0..n_used
     mass: array  # 'd': tr sigma_{n+1} for n = 0..n_used
+    time_sum: float  # sum of (n + 1) * p[n] for n = 0..n_used, in order
     n_used: int
     stop_reason: str  # "tail_tol" or "n_max"
     e1: SuperOperator
@@ -217,6 +230,20 @@ class SeriesPass:
 _CHUNK = 256
 
 
+def _step_matrix(g: SuperOperator) -> np.ndarray | None:
+    """``G``'s own ``d^2 x d^2`` matrix in row-major ``vec`` coordinates
+    when a product with it costs no more than a Kraus step (``d <= 2K``
+    with ``K`` Kraus operators), else ``None``.  Column ``j`` is
+    ``vec(G(E_j))`` for the j-th matrix unit ``E_j``, computed by
+    ``g.apply_mat`` and not by ``channels.matrix_representation``, which
+    the other routes use."""
+    d = g.dim
+    if d > 2 * len(g.kraus):
+        return None
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    return np.column_stack([g.apply_mat(unit).reshape(-1) for unit in units])
+
+
 def _series_pass(
     scheme: ProgramScheme, rho_mat: np.ndarray, tail_tol: float, n_max: int
 ) -> SeriesPass:
@@ -237,21 +264,37 @@ def _series_pass(
     batched operation does per matrix what the per-step loop did, and the
     sum is accumulated strictly in order, so ``acc``, ``last``, ``p``,
     ``mass`` and ``n_used`` are bit for bit those of a loop that applies
-    ``G`` and ``E0`` one step at a time."""
+    ``G`` and ``E0`` one step at a time.  ``time_sum`` adds ``n * p_n``
+    left to right, as ``sum()`` does before Python 3.12 (whose float
+    ``sum()`` is compensated), so it is the same on every version.
+
+    ``G`` steps with the matrix of :func:`_step_matrix` when there is one,
+    one ``np.dot`` per step written straight into the chunk row, and with
+    ``g.apply_mat`` otherwise; the reference loop steps with the same
+    kernel."""
     e0, g = scheme.meas.e0, scheme.g
+    m = _step_matrix(g)
     sigma = rho_mat
     acc = e0.apply_mat(sigma)
     ps = array("d", [_real_trace(acc)])
+    # As sum() of floats starts: 0 + 1 * p_1.
+    time_sum = 0.0 + ps[0]
     masses = array("d")
     n = 0
     size = 1
     while True:
         # Rows past n = n_max are never needed.
         rows = np.empty((max(1, min(size, n_max - n + 1)), *rho_mat.shape), complex)
-        state = sigma
-        for row in rows:
-            row[...] = g.apply_mat(state)
-            state = row
+        if m is None:
+            state = sigma
+            for row in rows:
+                row[...] = g.apply_mat(state)
+                state = row
+        else:
+            state = sigma.reshape(-1)
+            for row in rows.reshape(len(rows), -1):
+                np.dot(m, state, out=row)
+                state = row
         mass = _real_traces(rows)
         below = np.flatnonzero(mass < tail_tol)
         stop = int(below[0]) if below.size else None
@@ -262,7 +305,11 @@ def _series_pass(
         if len(kept):
             # E0's one Kraus operator M0 broadcasts over the chunk.
             terms = e0.stack @ kept @ e0.stack_dagger
-            ps.frombytes(_real_traces(terms).tobytes())
+            p = _real_traces(terms)
+            ps.frombytes(p.tobytes())
+            # The carried sum, then n * p_n for n = n + 2.., added in order.
+            times = np.concatenate(([time_sum], np.arange(n + 2, n + 2 + len(p)) * p))
+            time_sum = float(np.cumsum(times)[-1])
             # acc + t is t + acc bit for bit; then one ordered running sum.
             terms[0] += acc
             acc = np.cumsum(terms, axis=0, out=terms)[-1].copy()
@@ -271,8 +318,8 @@ def _series_pass(
         if stop is not None:
             reason = "tail_tol" if mass[stop] < tail_tol else "n_max"
             return SeriesPass(
-                acc=acc, last=sigma, p=ps, mass=masses, n_used=n,
-                stop_reason=reason, e1=scheme.meas.e1,
+                acc=acc, last=sigma, p=ps, mass=masses, time_sum=time_sum,
+                n_used=n, stop_reason=reason, e1=scheme.meas.e1,
             )
         size = min(2 * size, _CHUNK)
 

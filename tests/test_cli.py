@@ -7,6 +7,7 @@ import pytest
 from qmcverify import EigensolverError, ProgramScheme
 from qmcverify.cli import main
 from qmcverify.model import Model, dumps, load_model, save_model
+from qmcverify.sampling import random_contracting_program
 
 from helpers import MODELS_DIR, counter_scheme
 
@@ -119,6 +120,18 @@ def test_runtime_finite_against_infinite_disagrees(tmp_path, capsys):
     assert agreement == {
         "max_delta": "inf", "ok": False, "pairs": {"spectral/series": "inf"}, "tolerance": 1e-6,
     }
+
+
+def test_runtime_cut_by_n_max_with_little_mass_left_disagrees(tmp_path, capsys):
+    # Five steps leave under 1e-6 of mass, but the series cannot bound the
+    # running time it cut off, so it reports inf against the spectral value.
+    prog = random_contracting_program(2, np.random.default_rng(7))
+    path = tmp_path / "seed7.model"
+    save_model(Model(dim=2, kraus=[np.array(k) for k in prog.e.kraus], m0=np.array(prog.meas.m0),
+                     m1=np.array(prog.meas.m1), rho0=np.array(prog.rho0.mat), observables={}), path)
+    assert main(["runtime", str(path)]) == 0
+    assert main(["runtime", str(path), "--n-max", "5"]) == 3
+    assert "running times disagree by inf" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["bitflip_p1.model", "unitary_m0zero.model"])

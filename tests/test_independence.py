@@ -48,6 +48,29 @@ def test_route_imports_nothing_from_the_other_routes(name):
     assert not imported_modules(PACKAGE / f"{name}.py") & FORBIDDEN[name]
 
 
+def identifiers(path: Path) -> set[str]:
+    """Every name, attribute and imported name in the source at ``path``;
+    docstrings and comments are not read."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+    return found
+
+
+def test_series_step_matrix_is_not_the_shared_builder():
+    # The spectral and invariant routes take their d^2 x d^2 matrices from
+    # channels.matrix_representation; the series builds its own from
+    # apply_mat, so a fault in that builder cannot hide in all three.
+    assert "matrix_representation" not in identifiers(PACKAGE / "program.py")
+    assert "apply_mat" in identifiers(PACKAGE / "program.py")
+    assert "matrix_representation" in identifiers(PACKAGE / "spectral.py")
+
+
 def test_import_scan_sees_relative_and_absolute_imports(tmp_path):
     source = (
         "from .spectral import build_representation\n"

@@ -164,20 +164,35 @@ def test_running_time_diverges_exactly_when_the_printed_residual_is_large(name, 
     )
     diverges = result.residual_mass > math.sqrt(tail_tol)
     assert diverges == (name == "bitflip_p1" or n_max == 3)
+    assert diverges == (result.stop_reason == "n_max")
     assert (result.running_time_series == math.inf) == diverges
     assert result.residual_mass == result.run.residual_mass
 
 
 @pytest.mark.parametrize("seed", [3, 7])
-def test_running_time_diverges_exactly_when_the_residual_is_large_on_random_programs(seed):
+def test_running_time_is_finite_exactly_after_a_tail_tol_stop_on_random_programs(seed):
     prog = random_contracting_program(2, np.random.default_rng(seed))
     seen = set()
     for tail_tol, n_max in ((1e-12, 10**6), (1e-12, 5), (1e-12, 2), (1e-4, 10**6)):
         result = oracle_expectation(prog, P0, tail_tol, n_max)
-        diverges = result.residual_mass > math.sqrt(tail_tol)
-        assert (result.running_time_series == math.inf) == diverges
-        seen.add(diverges)
+        finite = result.stop_reason == "tail_tol"
+        assert (result.running_time_series < math.inf) == finite
+        if finite:
+            assert result.running_time_series == result.run.time_sum
+        seen.add(finite)
     assert seen == {True, False}
+
+
+def test_running_time_after_an_n_max_cut_is_infinite_however_little_mass_is_left():
+    # Five steps leave 7.5e-7 of mass, below sqrt(tail_tol), yet the
+    # partial sum 1.0704371... misses the full 1.0704425... by 5.3e-6.
+    prog = random_contracting_program(2, np.random.default_rng(7))
+    full = oracle_expectation(prog, P0, 1e-12)
+    cut = oracle_expectation(prog, P0, 1e-12, 5)
+    assert full.stop_reason == "tail_tol"
+    assert cut.stop_reason == "n_max" and cut.residual_mass < math.sqrt(1e-12)
+    assert full.running_time_series - cut.run.time_sum > ModelOptions().tol
+    assert cut.running_time_series == math.inf
 
 
 def test_oracle_stop_reason():
