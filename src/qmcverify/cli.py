@@ -4,10 +4,12 @@ Subcommands: verify, runtime, terminate, spectrum, simulate,
 regen-goldens.  Exit codes: 0 success (all requested methods agree within
 tolerance), 2 model validation failure (bad model data or option value)
 or missing model file, 3 method disagreement beyond tolerance (a finite
-value against an infinite one included), 4 non-almost-terminating
-program when a requested method requires Q-termination (QV3), 5
-numerical failure (an eigensolve, a structural check of the step
-representation, a resolvent solve or an internal consistency check).
+value against an infinite one included), 4 the series method was
+requested for a program that the spectral check finds not
+almost-terminating (its unit overlap is nonzero), so the series cannot
+use up the mass that survives, 5 numerical failure (an eigensolve, a
+structural check of the step representation, a resolvent solve or an
+internal consistency check).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from . import __version__
 from .channels import Observable
 from .errors import QmcError, ValidationError
 from .invariant import certified_expectation
+from .linalg import is_positive_semidefinite
 from .model import Model, ModelOptions, load_model, model_hash
 from .oracle import oracle_expectation
 from .program import QuantumProgram, step_probabilities
@@ -104,7 +107,6 @@ def cmd_verify(args) -> int:
     selected = (
         ["series", "invariant", "spectral"] if args.method == "all" else [args.method]
     )
-    qv3_failed = False
     for method in selected:
         if method == "series":
             result = oracle_expectation(prog, p, opts.tail_tol, opts.n_max)
@@ -117,10 +119,7 @@ def cmd_verify(args) -> int:
                 stop_reason=result.stop_reason,
             )
         elif method == "invariant":
-            value, diagnostics = certified_expectation(
-                prog, p, verdict.almost_terminates, n_max=opts.n_max
-            )
-            qv3_failed = qv3_failed or not diagnostics["qv3"]
+            value, diagnostics = certified_expectation(prog, p, n_max=opts.n_max)
             report.add_method("invariant", value, opts.tol, **diagnostics)
         elif method == "spectral":
             report.add_method(
@@ -136,14 +135,19 @@ def cmd_verify(args) -> int:
         report.warnings.append(
             "program is not almost-terminating for this initial state "
             f"(unit overlap {verdict.unit_overlap_norm:.6g}); "
-            "series expectations are lower estimates"
+            + (
+                "series expectations are lower estimates"
+                if is_positive_semidefinite(p.mat)
+                else "series expectations are truncated and their error is unbounded"
+            )
         )
     _emit(report, args)
 
-    if not verdict.almost_terminates and ("series" in selected or qv3_failed):
+    if not verdict.almost_terminates and "series" in selected:
         print(
-            "error: Q-termination (QV3) fails for this program; the requested "
-            "method set requires it",
+            "error: the spectral check finds the program not almost-terminating "
+            f"(unit overlap {verdict.unit_overlap_norm:.6g}); the series method "
+            "cannot use up the mass that survives",
             file=sys.stderr,
         )
         return EXIT_NONTERMINATION

@@ -33,8 +33,7 @@ and the iteration runs in two stages:
   ``1 - r`` needs about ``log2(1 / (1 - r))`` squarings instead of
   ``1 / (1 - r)`` linear steps.  ``A`` is built here from ``G``'s Kraus
   operators.  The route imports nothing from the spectral or termination
-  layers: a caller that wants QV3 cross-checked against almost
-  termination passes that verdict in.
+  layers and takes nothing from them.
 
 The first ``_LOEWNER_CHECKED_STEPS`` linear increments and every
 doubled one are checked to be positive semidefinite (Loewner
@@ -47,12 +46,18 @@ spectrum ``||A^k||_inf`` stays at or above one, so no bound can be
 certified; the doubling stage then stops once an increment falls below
 ``tol`` and says so.
 
-The QV3 tail samples ``tr(Q E1(G^n(rho0)))`` at ``n = 2^j, 2^j + 1``.
-When the doubling stage ran, the samples at ``n = 2^j`` are read from
-the same powers, one vector ``vec(G^{2^j}(rho0)) = (A^{2^j})^dag
-vec(rho0)`` per power, and the tail goes on squaring until the mass is
-gone or the samples are stable; otherwise it steps ``G`` one step at a
-time.
+QV3 holds by construction for every iterate the route returns, so no
+tail is sampled for it.  With ``Qbar = E*(L)``,
+``tr(Qbar E1(G^n(rho0))) = tr(L G^{n+1}(rho0)) = sum_{k>n} tr(b G^k(rho0))``:
+the remainder of the terminal-expectation series
+``sum_k tr(b G^k(rho0)) = tr(P rho_star)``, whose terms are non-negative
+for ``P >= 0``.  That series converges for every program, terminating or
+not, so the remainder tends to 0; a partial iterate ``L_N`` keeps only
+its first ``N`` terms and gives a smaller one.  A candidate from
+:func:`certificate_for` has no such guarantee (``K = I`` on a bitflip that
+never flips keeps the tail at the mass that never halts), so its QV3 is
+decided on ``tr(Q E1(G^n(rho0)))`` at ``n = 2^j, 2^j + 1``, stepped one
+``G`` at a time.
 """
 
 from __future__ import annotations
@@ -83,22 +88,21 @@ _RATIO_WINDOW = 4
 # The first linear steps are checked for Loewner monotonicity.
 _LOEWNER_CHECKED_STEPS = 32
 _LOEWNER_TOL = 1e-8
-# QV2 holds when the invariance residual is at most this, and QV3 when
-# the last tail samples are.
+# QV2 holds when the invariance residual is at most this, and a given
+# candidate's QV3 when its last tail samples are.
 CONDITION_TOL = 1e-8
 
 STOP_REASONS = ("bound", "tol", "n_max")
 
-# Tail sampling for QV3: geometric step counts, stopping early once both
-# the surviving mass and the tail value have stabilized (they are monotone
-# resp. eventually constant up to unit-circle rotation, which the paired
-# odd/even samples cover).  The stepped tail stops at 2^_TAIL_MAX_EXP
-# steps; the tail read from powers, whose squarings cost no more per
-# doubling of n, at 2^_TAIL_MAX_POWER_EXP.
+# Tail sampling for the QV3 of a given candidate: geometric step counts,
+# stopping early once both the surviving mass and the tail value have
+# stabilized (they are monotone resp. eventually constant up to
+# unit-circle rotation, which the paired odd/even samples cover), and at
+# 2^_TAIL_MAX_EXP steps at the latest.
 _TAIL_STABLE_TOL = 1e-12
 _TAIL_MASS_TOL = 1e-15
 _TAIL_MAX_EXP = 17
-_TAIL_MAX_POWER_EXP = 32
+_TAIL_STEPS = (0, *sorted({2**j + i for j in range(_TAIL_MAX_EXP + 1) for i in (0, 1)}))
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,8 +111,10 @@ class InvariantCertificate:
 
     ``q`` is the invariant candidate, ``completion`` the observable whose
     initial-state expectation reproduces the terminal one.  ``qv3_tail``
-    holds ``tr(q . E1(G^n(rho0)))`` at geometrically spaced ``n`` (empty
-    for schemes, which have no initial state).  ``error_bound`` bounds
+    holds ``tr(q . E1(G^n(rho0)))`` at geometrically spaced ``n`` for a
+    candidate given on a program; it is empty for a computed certificate,
+    whose QV3 holds by construction, and for schemes, which have no
+    initial state.  ``error_bound`` bounds
     ``||L - L_n||_max`` for the iterate ``L_n`` that ``completion`` was
     built from (``inf`` when none could be certified); ``stop_reason`` is
     ``bound`` (certified below ``tol``), ``tol`` (the increment fell below
@@ -146,28 +152,6 @@ def _check_increment(increment: np.ndarray) -> None:
         )
 
 
-class _Powers:
-    """The doubling stage's current power ``A^(2^j)`` of the dual step
-    matrix, and the forward states ``vec(G^(2^i)(rho0))``, ``i <= j``,
-    read off each power as it was formed (none for a scheme)."""
-
-    def __init__(self, g, rho0: np.ndarray | None):
-        # vec(G*(Y)) = M^dag vec(Y) for the matrix M of G.
-        self.power = matrix_representation(g).conj().T
-        self._x0 = None if rho0 is None else rho0.reshape(-1).conj()
-        self.states: list[np.ndarray] = []
-        self._read_state()
-
-    def _read_state(self) -> None:
-        # (A^n)^dag x0 = M^n x0, one vector-matrix product.
-        if self._x0 is not None:
-            self.states.append((self._x0 @ self.power).conj())
-
-    def square(self) -> None:
-        self.power = self.power @ self.power
-        self._read_state()
-
-
 def _linear_stage(g, base: np.ndarray, tol: float, steps: int):
     """At most ``steps`` linear steps from zero.  Returns the iterate, the
     steps taken, the stop reason (``None`` if not certified) and the
@@ -193,77 +177,49 @@ def _linear_stage(g, base: np.ndarray, tol: float, steps: int):
     return limit, steps, None, bound
 
 
-def _doubling_stage(powers: _Powers, limit: np.ndarray, tol: float, budget: int):
+def _doubling_stage(g, limit: np.ndarray, tol: float, budget: int):
     """Double ``L_k`` from ``k = _LINEAR_STEPS`` on, squaring at most
     ``budget`` times.  Returns the iterate, the squarings made, the stop
     reason and the bound."""
     d = limit.shape[0]
+    # vec(G*(Y)) = M^dag vec(Y) for the matrix M of G.
+    power = matrix_representation(g).conj().T
     for squarings in range(_LINEAR_EXP):
         if squarings >= budget:
             return limit, squarings, "n_max", math.inf
-        powers.square()
+        power = power @ power
     s = limit.reshape(-1)
     squarings, small = _LINEAR_EXP, False
     while True:
-        norm = float(np.abs(powers.power).sum(axis=1).max())
+        norm = float(np.abs(power).sum(axis=1).max())
         bound = norm * max_abs(s) / (1.0 - norm) if norm < 1.0 else math.inf
         for reason, stop in (("bound", bound < tol), ("tol", small), ("n_max", squarings >= budget)):
             if stop:
                 return s.reshape(d, d), squarings, reason, bound
-        increment = powers.power @ s
+        increment = power @ s
         _check_increment(increment.reshape(d, d))
         s = s + increment
         small = max_abs(increment) < tol
-        powers.square()
+        power = power @ power
         squarings += 1
 
 
-def _tail_states(prog: QuantumProgram, powers: _Powers | None):
-    """``(n, G^n(rho0))`` at ``n = 0, 1`` and ``n = 2^j, 2^j + 1``, in
-    increasing order: stepped one ``G`` at a time, or read from the
-    powers (squaring further when the tail needs more)."""
-    g, sigma = prog.g, prog.rho0.mat
-    yield 0, sigma
-    if powers is None:
-        targets = sorted({2**j + i for j in range(_TAIL_MAX_EXP + 1) for i in (0, 1)})
-        n = 0
-        for target in targets:
-            while n < target:
-                sigma = g.apply_mat(sigma)
-                n += 1
-            yield n, sigma
-        return
-    d = prog.dim
-    for j in range(_TAIL_MAX_POWER_EXP + 1):
-        if j == len(powers.states):
-            powers.square()
-        sigma = powers.states[j].reshape(d, d)
-        if j != 1:  # n = 2 is also 2^0 + 1
-            yield 2**j, sigma
-        yield 2**j + 1, g.apply_mat(sigma)
-
-
-def _qv3_tail_values(
-    prog: QuantumProgram, q_mat: np.ndarray, powers: _Powers | None = None
-) -> tuple[float, ...]:
-    """QV3 tail samples ``tr(q E1(G^n(rho0)))``.
-
-    The stepped tail (``powers`` is None) may stop on any sample; the tail
-    read from powers stops only after both samples of a power
-    (``n = 2^j, 2^j + 1``), so that its last two samples come from the
-    same, latest power.
-    """
-    e1 = prog.meas.e1
+def _qv3_tail_values(prog: QuantumProgram, q_mat: np.ndarray) -> tuple[float, ...]:
+    """QV3 tail samples ``tr(q E1(G^n(rho0)))`` at ``n`` in
+    :data:`_TAIL_STEPS`, stepping ``G`` one step at a time."""
+    g, e1, sigma = prog.g, prog.meas.e1, prog.rho0.mat
     samples: list[float] = []
     masses: list[float] = []
     # Nilpotent transients of the step matrix last at most dim^2 steps;
     # only trust a plateau once the samples are past them.
     transient = max(16, 2 * prog.dim**2)
-    for n, sigma in _tail_states(prog, powers):
+    n = 0
+    for target in _TAIL_STEPS:
+        while n < target:
+            sigma = g.apply_mat(sigma)
+            n += 1
         samples.append(float(np.trace(q_mat @ e1.apply_mat(sigma)).real))
         masses.append(float(np.trace(sigma).real))
-        if powers is not None and n % 2 == 0:
-            continue  # n = 2^j waits for its partner 2^j + 1
         if masses[-1] < _TAIL_MASS_TOL:
             break
         if len(samples) >= 6 and n > transient:
@@ -285,8 +241,8 @@ def least_fixed_point_q(
     Parameters
     ----------
     prog_or_scheme : ProgramScheme or QuantumProgram
-        With a program, the certificate also carries the QV1 value and the
-        QV3 tail samples for its initial state.
+        With a program, the certificate also carries the QV1 value for its
+        initial state.
     p : Observable
         Must be positive semidefinite.
     tol : float
@@ -317,12 +273,9 @@ def least_fixed_point_q(
     limit, iterations, reason, bound = _linear_stage(
         g, base, tol, min(n_max, _LINEAR_STEPS)
     )
-    powers = None
     if reason is None and iterations < n_max:
-        is_program = isinstance(prog_or_scheme, QuantumProgram)
-        powers = _Powers(g, prog_or_scheme.rho0.mat if is_program else None)
         limit, squarings, reason, bound = _doubling_stage(
-            powers, limit, tol, n_max - iterations
+            g, limit, tol, n_max - iterations
         )
         iterations += squarings
     reason = reason or "n_max"
@@ -330,7 +283,7 @@ def least_fixed_point_q(
     q_mat = prog_or_scheme.e.apply_dual_mat(limit)
     # Exactly Hermitian once symmetrized, so Observable keeps its bits.
     q = Observable((q_mat + dagger(q_mat)) / 2)
-    return _certificate(prog_or_scheme, p, q, iterations, bound, reason, powers)
+    return _certificate(prog_or_scheme, p, q, iterations, bound, reason)
 
 
 def certificate_for(
@@ -348,18 +301,17 @@ def _certificate(
     iterations: int,
     error_bound: float,
     stop_reason: str,
-    powers: _Powers | None = None,
 ) -> InvariantCertificate:
     """The certificate of ``q``: its completion, the QV2 residual and, for
-    a program, the QV1 value and the QV3 tail (read from ``powers`` when
-    the doubling stage formed them)."""
+    a program, the QV1 value and, for a given candidate, the QV3 tail."""
     completion = Observable(_completion_mat(prog_or_scheme.meas, p.mat, q.mat))
     qv2_residual = max_abs(prog_or_scheme.e.apply_dual_mat(completion.mat) - q.mat)
     qv1_value = None
     qv3_tail: tuple[float, ...] = ()
     if isinstance(prog_or_scheme, QuantumProgram):
         qv1_value = _initial_value(completion, prog_or_scheme)
-        qv3_tail = _qv3_tail_values(prog_or_scheme, q.mat, powers)
+        if stop_reason == "given":
+            qv3_tail = _qv3_tail_values(prog_or_scheme, q.mat)
     return InvariantCertificate(
         q=q,
         completion=completion,
@@ -382,31 +334,30 @@ class ConditionCheck:
     qv2: bool
     qv2_residual: float
     qv3: bool
-    qv3_limit: float
-    almost_terminating: bool
+    qv3_limit: float | None
 
 
-def check_conditions(
-    prog: QuantumProgram, cert: InvariantCertificate, almost_terminates: bool
-) -> ConditionCheck:
+def check_conditions(prog: QuantumProgram, cert: InvariantCertificate) -> ConditionCheck:
     """Evaluate QV1/QV2/QV3 for a certificate.
 
     QV1 is always finite in finite dimension; the value is reported for
-    completeness.  QV3 is decided on the sampled tail and cross-checked
-    against ``almost_terminates``, the program's almost-termination
-    verdict (``TerminationVerdict.almost_terminates``): almost termination
-    implies Q-termination for every Q, so a terminating program can never
-    fail QV3.  QV2 and the tail are decided at :data:`CONDITION_TOL`.  A
-    certificate built on a scheme carries neither the QV1 value nor the
-    tail; both are computed here for ``prog``'s initial state.
+    completeness.  QV2 is decided at :data:`CONDITION_TOL`.  For a
+    certificate from :func:`least_fixed_point_q`, QV3 holds by
+    construction (see the module docstring) and ``qv3_limit`` is None.
+    For a given candidate, QV3 is decided at :data:`CONDITION_TOL` on
+    ``qv3_limit``, the larger of the last two tail samples.  A certificate
+    built on a scheme carries neither the QV1 value nor the tail; both are
+    computed here for ``prog``'s initial state.
     """
     qv1_value = cert.qv1_value
     if qv1_value is None:
         qv1_value = _initial_value(cert.completion, prog)
 
-    tail = cert.qv3_tail or _qv3_tail_values(prog, cert.q.mat)
-    qv3_limit = max(abs(t) for t in tail[-2:]) if tail else 0.0
-    qv3 = qv3_limit <= CONDITION_TOL or almost_terminates
+    qv3, qv3_limit = True, None
+    if cert.stop_reason == "given":
+        tail = cert.qv3_tail or _qv3_tail_values(prog, cert.q.mat)
+        qv3_limit = max(abs(t) for t in tail[-2:])
+        qv3 = qv3_limit <= CONDITION_TOL
 
     return ConditionCheck(
         qv1=bool(np.isfinite(qv1_value)),
@@ -415,7 +366,6 @@ def check_conditions(
         qv2_residual=cert.qv2_residual,
         qv3=qv3,
         qv3_limit=qv3_limit,
-        almost_terminating=almost_terminates,
     )
 
 
@@ -430,14 +380,12 @@ _COMBINE_PARTS = {
     "qv2": all,
     "qv2_residual": max,
     "qv3": all,
-    "qv3_limit": max,
 }
 
 
 def certified_expectation(
     prog: QuantumProgram,
     o: Observable,
-    almost_terminates: bool,
     n_max: int = DEFAULT_FIXED_POINT_N_MAX,
 ) -> tuple[float, dict]:
     """Terminal expectation of a Hermitian observable by the least
@@ -449,10 +397,8 @@ def certified_expectation(
     diagnostics combine as in :data:`_COMBINE_PARTS` (``qv1_value`` is the
     difference too, the error bounds add up, and the stop reason is the
     worse one).  The value and ``qv1_value`` are one number,
-    ``tr(completion rho0)``, computed once per part.
-    ``almost_terminates`` is the program's almost-termination verdict,
-    which :func:`check_conditions` reads for QV3; the value does not
-    depend on it.
+    ``tr(completion rho0)``, computed once per part.  QV3 holds by
+    construction for every part, so no tail is sampled.
     """
     if is_positive_semidefinite(o.mat):
         parts = [(1.0, o)]
@@ -465,7 +411,7 @@ def certified_expectation(
     values, diags = [], []
     for sign, part in parts:
         cert = least_fixed_point_q(prog, part, n_max=n_max)
-        cond = check_conditions(prog, cert, almost_terminates)
+        cond = check_conditions(prog, cert)
         values.append(sign * cond.qv1_value)
         diags.append(
             {
@@ -478,7 +424,6 @@ def certified_expectation(
                 "qv2": cond.qv2,
                 "qv2_residual": cond.qv2_residual,
                 "qv3": cond.qv3,
-                "qv3_limit": cond.qv3_limit,
             }
         )
     if len(parts) == 1:

@@ -32,13 +32,49 @@ def test_verify_spectral_on_stuck_program_warns_but_succeeds(capsys):
     assert code == 0
     assert "0.36" in out
     assert "not almost-terminating" in out
+    assert "series expectations are lower estimates" in out
+
+
+def assert_says_series_cannot_finish(err):
+    assert "spectral check finds the program not almost-terminating" in err
+    assert "unit overlap 0.64" in err
+    assert "series method cannot use up the mass that survives" in err
+    assert "QV3" not in err
 
 
 def test_verify_series_on_stuck_program_exits_4(capsys):
     code = main(["verify", model("bitflip_p1.model"), "-o", "P0", "--method", "series"])
     err = capsys.readouterr().err
     assert code == 4
-    assert "QV3" in err
+    assert_says_series_cannot_finish(err)
+
+
+def test_verify_warns_that_a_cut_series_of_a_general_observable_has_no_bound(tmp_path, capsys):
+    # d=3: |2> never halts, |1> flips to the halting |0> with rate 1 - p.
+    # With o = -|0><0| the partial sums fall toward the limit -1/2, so the
+    # cut series lies above it: it is no lower estimate.
+    p = 0.9
+    flip = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
+    path = tmp_path / "stuck3.model"
+    save_model(
+        Model(dim=3, kraus=[np.sqrt(p) * np.eye(3), np.sqrt(1 - p) * flip],
+              m0=np.diag([1.0, 0, 0]), m1=np.diag([0, 1.0, 1.0]), rho0=np.diag([0, 0.5, 0.5]),
+              observables={"negP0": np.diag([-1.0, 0, 0]), "P0": np.diag([1.0, 0, 0])}),
+        path,
+    )
+    out_json = tmp_path / "r.json"
+    argv = ["verify", str(path), "--n-max", "50", "--json-out", str(out_json)]
+    assert main(argv + ["-o", "negP0"]) == 4
+    out = capsys.readouterr().out
+    assert "series expectations are truncated and their error is unbounded" in out
+    assert "lower estimates" not in out
+    values = {m["method"]: m["value"] for m in json.loads(out_json.read_text())["methods"]}
+    assert values["spectral"] == pytest.approx(-0.5, abs=1e-9)
+    assert values["series"] > values["spectral"] + 1e-3
+    assert main(argv + ["-o", "P0"]) == 4
+    out = capsys.readouterr().out
+    assert "series expectations are lower estimates" in out
+    assert "unbounded" not in out
 
 
 def test_verify_exit_3_when_tolerance_is_absurd(capsys):
@@ -317,7 +353,7 @@ def test_verify_general_observable_on_terminating_program(tmp_path, capsys):
 def test_verify_general_observable_on_stuck_program_exits_4(tmp_path, capsys):
     out = tmp_path / "z.json"
     code = main(["verify", model("bitflip_p1.model"), "-o", "Z", "--json-out", str(out)])
-    assert "QV3" in capsys.readouterr().err
+    assert_says_series_cannot_finish(capsys.readouterr().err)
     assert code == 4
     doc = json.loads(out.read_text())
     for m in doc["methods"]:
@@ -440,7 +476,7 @@ def test_verify_invariant_certifies_near_unit_bitflip(tmp_path, capsys):
     diag = inv["diagnostics"]
     assert diag["converged"] and diag["stop_reason"] == "bound"
     assert diag["error_bound"] < 1e-12
-    assert diag["qv3"] and diag["qv3_limit"] < 1e-12
+    assert diag["qv3"] and "qv3_limit" not in diag
     assert diag["iterations"] < 300
     assert inv["value"] == pytest.approx(1.0, abs=1e-11)
     assert diag["qv1_value"] == inv["value"]

@@ -9,11 +9,9 @@ from qmcverify import (
     SuperOperator,
     TerminationMeasurement,
     ValidationError,
-    build_representation,
     certificate_for,
     certified_expectation,
     check_conditions,
-    check_program_termination,
     is_positive_semidefinite,
     least_fixed_point_q,
     matrix_representation,
@@ -21,7 +19,7 @@ from qmcverify import (
     oracle_fixed_point,
     terminal_state_series,
 )
-from qmcverify.invariant import _LINEAR_STEPS, _qv3_tail_values
+from qmcverify.invariant import _LINEAR_STEPS, _TAIL_STEPS, _qv3_tail_values
 from qmcverify.linalg import max_abs, psd_split
 from qmcverify.model import load_model
 from qmcverify.sampling import random_contracting_program, random_density, random_observable
@@ -34,11 +32,6 @@ from helpers import (
     completion_expansion_residual,
     m1_zero_program,
 )
-
-
-def almost_terminates(prog):
-    # The program's own verdict, as the CLI passes it to check_conditions.
-    return check_program_termination(build_representation(prog), prog.rho0).almost_terminates
 
 
 def test_least_fixed_point_bitflip_terminating():
@@ -92,16 +85,15 @@ def test_solve_fast_path_matches_iteration(rng):
 def test_conditions_hold_for_terminating_bitflip():
     prog = bitflip_program(0.5, 0.6, 0.8)
     cert = least_fixed_point_q(prog, P0)
-    cond = check_conditions(prog, cert, almost_terminates(prog))
+    cond = check_conditions(prog, cert)
     assert cond.qv1 and cond.qv2 and cond.qv3
-    assert cond.almost_terminating
 
 
 def test_conditions_reject_non_least_candidate_when_stuck():
     # on the p = 1 program, K = 1 satisfies QV2 but the tail stays |beta|^2
     prog = bitflip_program(1.0, 0.6, 0.8)
     cert = certificate_for(prog, P0, Observable(np.eye(2)))
-    cond = check_conditions(prog, cert, almost_terminates(prog))
+    cond = check_conditions(prog, cert)
     assert cond.qv2
     assert not cond.qv3
     assert cond.qv3_limit == pytest.approx(0.64, abs=1e-10)
@@ -110,7 +102,7 @@ def test_conditions_reject_non_least_candidate_when_stuck():
 def test_conditions_zero_observable():
     prog = bitflip_program(0.5, 0.6, 0.8)
     cert = least_fixed_point_q(prog, Observable(np.zeros((2, 2))))
-    cond = check_conditions(prog, cert, almost_terminates(prog))
+    cond = check_conditions(prog, cert)
     assert cond.qv1 and cond.qv2 and cond.qv3
     assert cond.qv1_value == pytest.approx(0.0, abs=1e-12)
 
@@ -213,7 +205,7 @@ def test_general_expectation_matches_psd_route(rng):
     p = random_observable(2, rng, psd=True)
     cert = least_fixed_point_q(prog, p)
     direct = cert.qv1_value
-    value = certified_expectation(prog, p, almost_terminates(prog))[0]
+    value = certified_expectation(prog, p)[0]
     assert value == pytest.approx(direct, abs=1e-9)
 
 
@@ -221,14 +213,14 @@ def test_general_expectation_pauli_z_vs_series():
     prog = bitflip_program(0.5, *np.sqrt([0.5, 0.5]))
     rho_star = terminal_state_series(prog, tail_tol=1e-13).rho_star
     expected = np.trace(Z @ rho_star.mat).real
-    value = certified_expectation(prog, Observable(Z), almost_terminates(prog))[0]
+    value = certified_expectation(prog, Observable(Z))[0]
     assert value == pytest.approx(expected, abs=1e-8)
 
 
 def test_general_expectation_zero_observable():
     prog = bitflip_program(0.5, 0.6, 0.8)
     zero = Observable(np.zeros((2, 2)))
-    assert certified_expectation(prog, zero, almost_terminates(prog))[0] == 0.0
+    assert certified_expectation(prog, zero)[0] == 0.0
 
 
 def test_fixed_point_through_g_dual_matches_written_out_iteration(rng):
@@ -278,14 +270,62 @@ def test_linear_bound_is_not_taken_from_the_first_ratio():
     assert cert.qv1_value == pytest.approx(1.0, abs=1e-9)
 
 
-def test_power_read_tail_matches_stepped_tail():
-    prog = bitflip_program(0.99, 0.0, 1.0)
-    cert = least_fixed_point_q(prog, P0)
-    assert cert.iterations > _LINEAR_STEPS  # the doubling stage ran
-    stepped = _qv3_tail_values(prog, cert.q.mat)
-    # the power-read tail also closes the last pair n = 2^j, 2^j + 1
-    assert len(cert.qv3_tail) - len(stepped) in (0, 1)
-    assert max(abs(a - b) for a, b in zip(cert.qv3_tail, stepped)) <= 1e-12
+def series_remainders(prog, p, steps):
+    # sum_{k>n} tr(E0*(P) G^k(rho0)) for n < steps, from terminal terms
+    # stepped until the surviving mass is gone (or the step cap, for a
+    # program whose surviving mass never halts).
+    b = prog.meas.m0.conj().T @ p.mat @ prog.meas.m0
+    sigma, terms = prog.rho0.mat, []
+    while len(terms) <= steps or (np.trace(sigma).real > 1e-18 and len(terms) < 20_000):
+        terms.append(np.trace(b @ sigma).real)
+        sigma = prog.g.apply_mat(sigma)
+    tails = np.cumsum(terms[::-1])[::-1]
+    return tails[1 : steps + 1]
+
+
+def test_qv3_tail_of_the_least_invariant_is_the_series_remainder(rng):
+    # tr(E*(L) E1(G^n(rho0))) = sum_{k>n} tr(E0*(P) G^k(rho0)), so QV3
+    # holds by construction, terminating or not.
+    cases = [
+        (random_contracting_program(d, rng), random_observable(d, rng, psd=True))
+        for d in (2, 3, 5)
+        for _ in range(3)
+    ]
+    near = bitflip_program(0.99, 0.0, 1.0)
+    cases += [(near, P0), (bitflip_program(1.0, 0.6, 0.8), P0)]
+    for prog, p in cases:
+        cert = least_fixed_point_q(prog, p)
+        tail = _qv3_tail_values(prog, cert.q.mat)
+        want = series_remainders(prog, p, _TAIL_STEPS[len(tail) - 1] + 1)
+        assert max(abs(t - want[n]) for t, n in zip(tail, _TAIL_STEPS)) <= 1e-11
+    assert least_fixed_point_q(near, P0).iterations > _LINEAR_STEPS  # doubling ran
+
+
+def test_computed_certificates_sample_no_tail(monkeypatch, rng):
+    def no_tail(prog, q_mat):
+        raise AssertionError("a QV3 tail was sampled")
+
+    monkeypatch.setattr("qmcverify.invariant._qv3_tail_values", no_tail)
+    cases = []
+    for name in ("bitflip_p05", "bitflip_p1"):
+        model = load_model(MODELS_DIR / f"{name}.model")
+        cases += [(model.to_program(), model.observable(o)) for o in ("P0", "Z")]
+    cases.append((random_contracting_program(3, rng), random_observable(3, rng)))
+    for prog, o in cases:
+        assert certified_expectation(prog, o)[1]["qv3"]
+        for part in psd_split(o.mat):
+            assert least_fixed_point_q(prog, Observable(part)).qv3_tail == ()
+
+
+def test_given_candidate_decides_qv3_on_its_tail():
+    prog = bitflip_program(0.5, 0.6, 0.8)
+    least = least_fixed_point_q(prog, P0)
+    cert = certificate_for(prog, P0, least.q)
+    assert cert.qv3_tail
+    cond = check_conditions(prog, cert)
+    assert cond.qv3
+    assert np.isfinite(cond.qv3_limit)
+    assert cond.qv3_limit == max(abs(t) for t in cert.qv3_tail[-2:])
 
 
 def test_non_psd_increment_in_doubling_stage_raises(monkeypatch):
@@ -341,9 +381,8 @@ def test_qv1_value_is_the_invariant_expectation(rng):
             prog = random_contracting_program(d, rng)
             p = random_observable(d, rng, psd=True)
             cert = least_fixed_point_q(prog, p)
-            almost = almost_terminates(prog)
-            assert cert.qv1_value == certified_expectation(prog, p, almost)[0]
-            assert check_conditions(prog, cert, almost).qv1_value == cert.qv1_value
+            assert cert.qv1_value == certified_expectation(prog, p)[0]
+            assert check_conditions(prog, cert).qv1_value == cert.qv1_value
 
 
 def test_unit_spectrum_stops_on_tol_without_a_bound():
