@@ -21,12 +21,17 @@ class DimensionMismatchError(ValidationError):
 
 
 class EigensolverError(QmcError):
-    """The dense eigensolver failed to converge."""
+    """The dense eigensolver failed to converge or returned eigendata
+    that fail their checks.  ``norm`` is the matrix's RMS singular value
+    ``||A||_F / sqrt(dim)``."""
 
     def __init__(self, dim, norm, detail=""):
         self.dim = dim
         self.norm = norm
-        msg = f"eigensolver failed on a {dim}x{dim} matrix with norm {norm:.6e}"
+        msg = (
+            f"eigensolver failed on a {dim}x{dim} matrix with RMS singular "
+            f"value {norm:.6e}"
+        )
         if detail:
             msg += f": {detail}"
         super().__init__(msg)

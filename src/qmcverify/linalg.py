@@ -2,13 +2,16 @@
 
 Everything here operates on plain ``numpy`` arrays of ``complex128``,
 except that :func:`spectral_decompose` takes a real matrix as
-``float64``, so that it gets a real eigensolve and a real SVD; its
-eigendata come back ``complex128`` either way.  That function is the one
-nontrivial piece.  It eigensolves the matrix once, and the adjoint only
-when some eigenvalue lies on the unit circle: dual eigenvectors are
-needed only there, biorthonormalized inside each unit cluster so that
-the unit-modulus spectral projector is ``sum(right @ left.conj().T)``
-without ever touching a Jordan basis.
+``float64``, so that it gets a real eigensolve; its eigendata come back
+``complex128`` either way.  That function is the one nontrivial piece.
+It eigensolves the matrix once, and the adjoint only when some
+eigenvalue lies on the unit circle: dual eigenvectors are needed only
+there, biorthonormalized inside each unit cluster so that the
+unit-modulus spectral projector is ``sum(right @ left.conj().T)``
+without ever touching a Jordan basis.  Without unit spectrum that one
+eigensolve is its only O(n^3) LAPACK call: the tolerance scale is the
+RMS singular value ``||A||_F / sqrt(n)``, which costs O(n^2), not an
+SVD.
 ``scipy.linalg.eig(left=True)`` would give both sides from one call, but
 importing ``scipy.linalg`` adds about 0.3 s to every CLI start, so numpy
 stays the only dependency.
@@ -17,6 +20,7 @@ stays the only dependency.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +30,10 @@ from .errors import DimensionMismatchError, EigensolverError, ValidationError
 # Default numerical thresholds.  All are far above double-precision noise
 # for the dimensions this toolkit is run at: the benchmark goes up to
 # d = 18, so step matrices up to d^2 = 324, whose eigenpair residuals
-# measured about 1e-15 on random programs.
+# measured about 1e-15 on random programs.  TOL_EIG and TOL_PROJ scale
+# with max(1, SpectralData.norm), the RMS singular value ||A||_F /
+# sqrt(n); it never exceeds ||A||_2, so the scaled bounds are never
+# looser than with the spectral norm.
 TOL_HERM = 1e-9
 TOL_EIG = 1e-8
 EPS_UNIT = 1e-7
@@ -109,7 +116,9 @@ class SpectralData:
     = delta_ij`` inside the cluster.  ``matrix`` is the matrix whose
     eigendata these are, as passed in (``spectral.build_representation``
     passes the real Hermitian-basis step matrix, and the vectors stay in
-    its coordinates), and ``norm`` its spectral norm ``||A||_2``.  ``zero_nilpotent_index_bound`` is an
+    its coordinates), and ``norm`` its RMS singular value ``||A||_F /
+    sqrt(n)``: a unitarily invariant norm, never above ``||A||_2``, and
+    O(n^2) to compute.  ``zero_nilpotent_index_bound`` is an
     upper bound on the largest Jordan block size at eigenvalue zero (rank
     stabilization of powers); it costs one SVD per power and is computed
     on first read only.
@@ -186,6 +195,26 @@ def _nilpotent_index_bound(a: np.ndarray) -> int:
     return n
 
 
+def _conjugate_pair_heads(evals: np.ndarray, right: np.ndarray) -> np.ndarray | None:
+    """The columns with ``imag(lambda) >= 0`` of a real matrix's complex
+    eigendata, provided that every column with ``imag(lambda) < 0`` comes
+    right after its partner as its exact conjugate, eigenvalue and vector
+    (LAPACK's layout); ``None`` otherwise.  The residual of each such tail
+    column is then the exact conjugate of its head's, so checking the
+    returned columns bounds them all.  O(n^2)."""
+    lower = evals.imag < 0
+    tail = np.flatnonzero(lower)
+    head = tail - 1
+    if (
+        np.count_nonzero(evals.imag > 0) != tail.size
+        or (tail.size > 0 and tail[0] == 0)
+        or not np.array_equal(evals[tail], evals[head].conj())
+        or not np.array_equal(right[:, tail], right[:, head].conj())
+    ):
+        return None
+    return np.flatnonzero(~lower)
+
+
 def spectral_decompose(a, eps_unit: float = EPS_UNIT) -> SpectralData:
     """Eigen-decompose ``a``, with dual eigenvectors for its unit-circle
     clusters.
@@ -193,8 +222,8 @@ def spectral_decompose(a, eps_unit: float = EPS_UNIT) -> SpectralData:
     Parameters
     ----------
     a : array_like
-        Square matrix.  A real one is eigensolved and normed as it is,
-        in real arithmetic; anything else as complex128.
+        Square matrix.  A real one is eigensolved and residual-checked as
+        it is, in real arithmetic; anything else as complex128.
     eps_unit : float
         An eigenvalue is flagged unit-circle when ``| |lambda| - 1 | <=
         eps_unit``.
@@ -207,31 +236,40 @@ def spectral_decompose(a, eps_unit: float = EPS_UNIT) -> SpectralData:
     ------
     EigensolverError
         If LAPACK fails to converge, an eigenpair violates the residual
-        bound, or a unit-circle cluster does not get exactly as many
-        adjoint eigenvectors as it has eigenvalues.
+        bound ``TOL_EIG * max(1, norm)``, the complex eigendata of a
+        real matrix are not in exact conjugate pairs, or a unit-circle
+        cluster does not get exactly as many adjoint eigenvectors as it
+        has eigenvalues.
     """
     arr = require_square(a, dtype=float if np.isrealobj(a) else complex)
     n = arr.shape[0]
-    norm = float(np.linalg.norm(arr, 2)) if n else 0.0
+    norm = float(np.linalg.norm(arr)) / math.sqrt(n) if n else 0.0
     tol = TOL_EIG * max(1.0, norm)
     try:
         evals, right = np.linalg.eig(arr)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(n, norm, str(exc)) from exc
-    # A real matrix with real spectrum gets real eigendata from LAPACK.
-    evals = evals.astype(complex, copy=False)
-    right = right.astype(complex, copy=False)
 
-    if np.isrealobj(arr):
-        # ``arr @ right`` in real arithmetic: one real matmul on the
-        # interleaved (re, im) columns of ``right``, not numpy's upcast
-        # complex matmul.
-        image = (arr @ np.ascontiguousarray(right).view(np.float64)).view(complex)
+    if np.isrealobj(arr) and np.iscomplexobj(right):
+        # Only the columns with imag(lambda) >= 0, in real arithmetic: one
+        # real matmul on their interleaved (re, im) parts.
+        keep = _conjugate_pair_heads(evals, right)
+        if keep is None:
+            raise EigensolverError(
+                n, norm, "an eigenpair with imag(lambda) < 0 is not the exact "
+                "conjugate of the eigenpair before it"
+            )
+        head = np.ascontiguousarray(right[:, keep])
+        image = (arr @ head.view(np.float64)).view(complex)
+        res_right = max_abs(image - head * evals[None, keep])
     else:
-        image = arr @ right
-    res_right = max_abs(image - right * evals[None, :])
+        # A complex matrix, or a real one with real spectrum: LAPACK then
+        # returns real eigendata, and this is one real matmul on n columns.
+        res_right = max_abs(arr @ right - right * evals[None, :])
     if res_right > tol:
         raise EigensolverError(n, norm, f"right eigenpair residual {res_right:.3e}")
+    evals = evals.astype(complex, copy=False)
+    right = right.astype(complex, copy=False)
 
     radius = float(np.max(np.abs(evals))) if n else 0.0
     threshold = CLUSTER_REL_TOL * max(1.0, radius)

@@ -173,29 +173,33 @@ def build_representation(
     has_unit = bool(np.any(sd.unit_circle_flags))
     if has_unit:
         p_u = _checked_real(sd.unit_projector(), "unit-circle spectral projector")
-        if max_abs(p_u @ p_u - p_u) > TOL_PROJ:
+        idempotency = max_abs(p_u @ p_u - p_u)
+        if idempotency > TOL_PROJ:
             raise RepresentationError(
                 "unit-circle spectral projector is not idempotent "
-                f"(defect {max_abs(p_u @ p_u - p_u):.3e}); a unit-modulus "
+                f"(defect {idempotency:.3e}); a unit-modulus "
                 "eigenvalue is defective, which valid programs cannot produce"
             )
-        if max_abs(p_u @ r - r @ p_u) > TOL_PROJ * r_norm:
+        r_p_u = r @ p_u
+        if max_abs(p_u @ r - r_p_u) > TOL_PROJ * r_norm:
             raise RepresentationError(
                 "unit-circle spectral projector does not commute with the "
                 "step representation"
             )
+        # (R - lam I) P_c with P_c = r_c l_c^dag, formed in low rank as
+        # (R r_c - lam r_c) l_c^dag: O(n^2 k) for a cluster of k, not n^3.
         # Not np.unique, whose first call imports numpy.ma (about 10 ms).
         for cid in sorted(set(sd.cluster_ids[sd.unit_circle_flags].tolist())):
             idx = np.flatnonzero(sd.cluster_ids == cid)
             lam = sd.eigenvalues[idx].mean()
-            p_c = sd.cluster_projector(cid)
-            defect = max_abs((r - lam * np.eye(d * d)) @ p_c)
+            r_c = sd.right_vectors[:, idx]
+            defect = max_abs((r @ r_c - lam * r_c) @ dagger(sd.left_vectors[:, idx]))
             if defect > TOL_PROJ * r_norm:
                 raise RepresentationError(
                     f"unit-modulus eigenvalue cluster at {lam:.9g} is not "
                     f"semisimple (nilpotent defect {defect:.3e})"
                 )
-        n = r - r @ p_u
+        n = r - r_p_u
     else:
         p_u = np.zeros_like(r)
         n = r

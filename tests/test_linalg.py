@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,16 @@ from pathlib import Path
 
 from qmcverify import (
     DimensionMismatchError,
+    EigensolverError,
     ValidationError,
     build_representation,
     is_positive_semidefinite,
     spectral_decompose,
 )
+from qmcverify.cli import main
 from qmcverify.linalg import TOL_EIG, _cluster_eigenvalues, max_abs
 from qmcverify.model import load_model
+from qmcverify.sampling import random_contracting_program
 
 from helpers import X, bitflip_step_matrix
 
@@ -267,3 +272,136 @@ def test_cluster_ids_match_the_search_on_models(name):
     sd = build_representation(load_model(MODELS_DIR / name).to_scheme()).spectral
     threshold = 1e-6 * max(1.0, sd.spectral_radius())
     assert np.array_equal(sd.cluster_ids, cluster_by_search(sd.eigenvalues, threshold))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_norm_is_the_rms_singular_value(rng, kind):
+    for n in (1, 2, 5, 9):
+        a = rng.standard_normal((n, n))
+        if kind == "complex":
+            a = a + 1j * rng.standard_normal((n, n))
+        sd = spectral_decompose(a)
+        assert sd.norm == np.linalg.norm(a) / math.sqrt(n)
+        rms = math.sqrt(np.mean(np.linalg.svd(a, compute_uv=False) ** 2))
+        assert abs(sd.norm - rms) <= 1e-12 * rms
+        assert sd.norm <= np.linalg.norm(a, 2) * (1 + 1e-12)
+
+
+# numpy.linalg entry points of O(n^3) LAPACK work, and the norm orders
+# that take an SVD.
+LAPACK_CALLS = ("eig", "svd", "norm", "cond", "matrix_rank")
+SVD_NORM_ORDS = (2, -2, "nuc")
+
+
+def count_lapack_calls(monkeypatch):
+    """Patch the numpy.linalg entry points to record ``(name, ord)`` of
+    every call; ``ord`` is None except for ``norm``."""
+    calls = []
+    for name in LAPACK_CALLS:
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            ord_ = kwargs.get("ord", args[1] if len(args) > 1 else None)
+            calls.append((_name, ord_ if _name == "norm" else None))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def svd_backed(calls):
+    return [
+        c for c in calls
+        if c[0] in ("svd", "cond", "matrix_rank") or (c[0] == "norm" and c[1] in SVD_NORM_ORDS)
+    ]
+
+
+def test_build_without_unit_spectrum_runs_one_eigensolve(monkeypatch):
+    scheme = random_contracting_program(6, np.random.default_rng(5))
+    calls = count_lapack_calls(monkeypatch)
+    sd = build_representation(scheme).spectral
+    assert not sd.unit_circle_flags.any()
+    assert [c for c in calls if c[0] == "eig"] == [("eig", None)]
+    assert svd_backed(calls) == []
+    # the rank-of-powers bound is computed on first read only
+    assert "zero_nilpotent_index_bound" not in sd.__dict__
+
+
+def test_build_with_unit_spectrum_runs_two_eigensolves(monkeypatch):
+    scheme = load_model(MODELS_DIR / "unitary_m0zero.model").to_scheme()
+    calls = count_lapack_calls(monkeypatch)
+    sd = build_representation(scheme).spectral
+    assert sd.unit_circle_flags.any()
+    assert [c for c in calls if c[0] == "eig"] == [("eig", None)] * 2
+    assert "zero_nilpotent_index_bound" not in sd.__dict__
+
+
+def patch_eig(monkeypatch, corrupt):
+    """Make ``np.linalg.eig`` return ``corrupt(w, v)`` on copies of the
+    true eigendata, for the first call only."""
+    eig = np.linalg.eig
+    calls = []
+
+    def patched(a):
+        w, v = eig(a)
+        calls.append(a.shape)
+        return corrupt(w.copy(), v.copy()) if len(calls) == 1 else (w, v)
+
+    monkeypatch.setattr(np.linalg, "eig", patched)
+
+
+def first_pair(w):
+    j = int(np.flatnonzero(w.imag > 0)[0])
+    assert w[j + 1] == w[j].conj()
+    return j
+
+
+# Real, with a conjugate pair at +-0.5i and a real eigenvalue 0.25.
+PAIR_MATRIX = np.array([[0.0, -0.5, 0.1], [0.5, 0.0, 0.2], [0.0, 0.0, 0.25]])
+
+
+def test_residual_guard_catches_a_real_spectrum_eigenvalue(monkeypatch):
+    def corrupt(w, v):
+        assert np.isrealobj(w) and np.isrealobj(v)
+        w[0] += 1e-6
+        return w, v
+
+    patch_eig(monkeypatch, corrupt)
+    with pytest.raises(EigensolverError, match="right eigenpair residual"):
+        spectral_decompose(np.array([[0.5, 1.0], [0.0, 0.25]]))
+
+
+def test_residual_guard_catches_an_upper_pair_column(monkeypatch):
+    def corrupt(w, v):
+        j = first_pair(w)
+        v[:, j] += 1e-6
+        v[:, j + 1] = v[:, j].conj()
+        return w, v
+
+    patch_eig(monkeypatch, corrupt)
+    with pytest.raises(EigensolverError, match="right eigenpair residual"):
+        spectral_decompose(PAIR_MATRIX)
+
+
+def test_residual_guard_catches_an_inexact_conjugate_partner(monkeypatch):
+    # The partner's own residual stays near 1e-12, far below TOL_EIG: only
+    # the pairing check can see that it was not checked.
+    def corrupt(w, v):
+        j = first_pair(w)
+        v[:, j + 1] *= 1 + 1e-12
+        return w, v
+
+    patch_eig(monkeypatch, corrupt)
+    with pytest.raises(EigensolverError, match="exact conjugate"):
+        spectral_decompose(PAIR_MATRIX)
+
+
+def test_corrupted_eigensolve_exits_5(monkeypatch, capsys):
+    def corrupt(w, v):
+        w[np.argmax(np.abs(w))] += 1e-6
+        return w, v
+
+    patch_eig(monkeypatch, corrupt)
+    code = main(["verify", str(MODELS_DIR / "bitflip_p05.model"), "-o", "P0"])
+    assert code == 5
+    assert "right eigenpair residual" in capsys.readouterr().err

@@ -207,6 +207,42 @@ def test_representation_rejects_expanding_step():
         build_representation(fake)
 
 
+# Householder reflection, to hide the block structure of the crafted R below.
+_U = np.array([1.0, 2.0, 3.0, 4.0])
+_Q = np.eye(4) - 2 * np.outer(_U, _U) / (_U @ _U)
+
+
+def _crafted_step(monkeypatch, r):
+    """Make ``build_representation`` of any d = 2 scheme decompose the
+    4 x 4 real ``r`` as its step representation."""
+    monkeypatch.setattr(qmcverify.spectral, "_real_coordinates", lambda m: r)
+    return bitflip_scheme(0.5)
+
+
+def test_representation_rejects_a_non_semisimple_unit_cluster(monkeypatch):
+    # Eigenvalues 1 and 1 - 9e-7 are both unit at eps_unit = 1e-6 and one
+    # cluster at CLUSTER_REL_TOL = 1e-6.  Their eigenvectors meet at an
+    # angle of 1e-3, so R acts on that plane as I plus a 1e-3-conditioned
+    # nilpotent-like part: (R - lam I) P_c is about 1e-3, not rounding.
+    v = np.eye(4)
+    v[:, 1] = [1.0, 1e-3, 0.0, 0.0]
+    v = _Q @ v
+    r = v @ np.diag([1.0, 1.0 - 9e-7, 0.5, 0.25]) @ np.linalg.inv(v)
+    scheme = _crafted_step(monkeypatch, r)
+    with pytest.raises(RepresentationError, match="not semisimple"):
+        build_representation(scheme, eps_unit=1e-6)
+
+
+def test_representation_rejects_a_defective_unit_eigenvalue(monkeypatch):
+    # A 2 x 2 Jordan block at 1: eig splits it to 1 +- 1e-8, both unit, and
+    # their eigenvectors coincide, so no biorthonormal duals exist.
+    j = np.diag([1.0, 1.0, 0.5, 0.25])
+    j[0, 1] = 1.0
+    scheme = _crafted_step(monkeypatch, _Q @ j @ _Q.T)
+    with pytest.raises(RepresentationError, match="not idempotent"):
+        build_representation(scheme)
+
+
 @pytest.mark.parametrize("p", [0.39, 0.56])
 def test_worked_example_matrix_is_exact_for_exact_roots(p):
     # these rational p survive sqrt followed by squaring exactly, so the
