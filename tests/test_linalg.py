@@ -287,8 +287,8 @@ def test_norm_is_the_rms_singular_value(rng, kind):
         assert sd.norm <= np.linalg.norm(a, 2) * (1 + 1e-12)
 
 
-# numpy.linalg entry points of O(n^3) LAPACK work, and the norm orders
-# that take an SVD.
+# numpy.linalg entry points that can run O(n^3) LAPACK work, and the
+# orders at which ``norm`` does (an SVD).
 LAPACK_CALLS = ("eig", "svd", "norm", "cond", "matrix_rank")
 SVD_NORM_ORDS = (2, -2, "nuc")
 
@@ -317,9 +317,9 @@ def svd_backed(calls):
 
 
 def test_build_without_unit_spectrum_runs_one_eigensolve(monkeypatch):
-    scheme = random_contracting_program(6, np.random.default_rng(5))
+    prog = random_contracting_program(6, np.random.default_rng(5))
     calls = count_lapack_calls(monkeypatch)
-    sd = build_representation(scheme).spectral
+    sd = build_representation(prog).spectral
     assert not sd.unit_circle_flags.any()
     assert [c for c in calls if c[0] == "eig"] == [("eig", None)]
     assert svd_backed(calls) == []
