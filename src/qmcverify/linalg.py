@@ -109,19 +109,19 @@ class SpectralData:
     even when the matrix is real.  The two vector arrays hold one column
     per eigenvalue, paired index-by-index.  Left columns are filled only
     inside clusters that contain a unit-circle eigenvalue; every other
-    left column is zero, so :meth:`cluster_projector` is meaningful for
-    unit clusters only.  Within a unit cluster whose Gram matrix is
-    nonsingular -- those of valid step representations always are -- the
-    left columns are rescaled so that ``left[:, i].conj().T @ right[:, j]
-    = delta_ij`` inside the cluster.  ``matrix`` is the matrix whose
-    eigendata these are, as passed in (``spectral.build_representation``
-    passes the real Hermitian-basis step matrix, and the vectors stay in
-    its coordinates), and ``norm`` its RMS singular value ``||A||_F /
-    sqrt(n)``: a unitarily invariant norm, never above ``||A||_2``, and
-    O(n^2) to compute.  ``zero_nilpotent_index_bound`` is an
-    upper bound on the largest Jordan block size at eigenvalue zero (rank
-    stabilization of powers); it costs one SVD per power and is computed
-    on first read only.
+    left column is zero, so a cluster's spectral projector ``r_c l_c^dag``
+    can be formed for unit clusters only.  Within a unit cluster whose
+    Gram matrix is nonsingular -- those of valid step representations
+    always are -- the left columns are rescaled so that
+    ``left[:, i].conj().T @ right[:, j] = delta_ij`` inside the cluster.
+    ``matrix`` is the matrix whose eigendata these are, as passed in
+    (``spectral.build_representation`` passes the real Hermitian-basis
+    step matrix, and the vectors stay in its coordinates), and ``norm``
+    its RMS singular value ``||A||_F / sqrt(n)``: a unitarily invariant
+    norm, never above ``||A||_2``, and O(n^2) to compute.
+    ``zero_nilpotent_index_bound`` is an upper bound on the largest
+    Jordan block size at eigenvalue zero (rank stabilization of powers);
+    it costs one SVD per power and is computed on first read only.
     """
 
     dim: int
@@ -146,12 +146,6 @@ class SpectralData:
         idx = np.flatnonzero(self.unit_circle_flags)
         if idx.size == 0:
             return np.zeros((self.dim, self.dim), dtype=complex)
-        r = self.right_vectors[:, idx]
-        l = self.left_vectors[:, idx]
-        return r @ dagger(l)
-
-    def cluster_projector(self, cluster_id: int) -> np.ndarray:
-        idx = np.flatnonzero(self.cluster_ids == cluster_id)
         r = self.right_vectors[:, idx]
         l = self.left_vectors[:, idx]
         return r @ dagger(l)

@@ -14,28 +14,32 @@ is what both public entry points return.  It keeps only scalars per step
 (``tr E0(sigma_n)`` and the surviving mass) and validates the terminal
 sum once, on first read.
 
-Only ``sigma <- G(sigma)`` runs step by step, since each step needs the
-one before, and it runs one of two kernels, chosen from the shape of
+Each state needs the one before, so only ``sigma <- G(sigma)`` is
+sequential, and it runs one of two kernels, chosen from the shape of
 ``G``.  With ``K`` Kraus operators on dimension ``d``, a Kraus step
 costs ``2K d^3`` multiply-adds and a product with ``G``'s own
 ``d^2 x d^2`` matrix costs ``d^4``, so when ``d <= 2K`` the pass builds
-that matrix once and each step is one matrix-vector product, a single
-BLAS call in place of two batched matmuls and a Kraus sum; otherwise it
-applies the Kraus operators.  The matrix is built column by column from
-``G.apply_mat`` on the matrix units, never from
-:func:`~qmcverify.channels.matrix_representation`: the spectral and
+that matrix once; otherwise it applies the Kraus operators.  The matrix
+is built column by column from ``G.apply_mat`` on the matrix units, never
+from :func:`~qmcverify.channels.matrix_representation`: the spectral and
 invariant routes both use that builder, and a fault in it must not pass
-unseen because the series shares it.  The steps go into chunks of up to
-256 states; per chunk, one batched call each forms the masses, the
-``E0`` terms and their traces, the terminal sum adds the terms strictly
-in order and the running-time sum ``sum_n n p_n`` adds its terms in
-order too.  Every batched operation does per matrix what a step-by-step
-loop does, so the results are bit for bit those of the loop that steps
-with the same kernel (``tests/test_series_pass.py`` keeps it as the
-reference), in well under half its time on long series.  The step table
-is built from the scalars only when first read.  The scalars are kept as
-``array('d')``, 8 bytes per step each, bit for bit the doubles a Python
-float list would hold at 32 bytes per entry.
+unseen because the series shares it.  The matrix kernel keeps a stack of
+its first ``s`` powers, so one matrix-vector product gives ``s`` states;
+``s`` is the largest power of two up to 256 whose ``s d^4`` entries fit
+in 256 KB (256 at d <= 2, 1 from d = 10 on), and the stack grows by
+doubling only as far as the steps taken pay for it.  The states go into
+chunks of up to 256; per chunk, one product with ``vec(I)`` and
+``vec((M0^dag M0)^T)`` reads every mass and every ``tr E0(sigma_n)``, one
+dot product adds the chunk's share of ``sum_n n p_n`` and one sum adds
+its states to ``sum_n sigma_n``, to which ``E0`` is applied once at the
+end.  The results are those of a step-by-step loop
+(``tests/test_series_pass.py`` keeps it as the reference) up to rounding
+that stays first order in ``n u``, ``u`` the unit roundoff; the step
+count and stop reason can differ only where a mass lies within that
+rounding of ``tail_tol``.  The step table is built from
+the scalars only when first read.  The scalars are kept as
+``array('d')``, 8 bytes per step each, the doubles a Python float list
+would hold at 32 bytes per entry.
 """
 
 from __future__ import annotations
@@ -176,12 +180,6 @@ def _real_trace(mat: np.ndarray) -> float:
     return float(mat.trace().real)
 
 
-def _real_traces(mats: np.ndarray) -> np.ndarray:
-    """``tr`` of every matrix in a ``(m, d, d)`` stack, real part; each
-    entry is bit for bit :func:`_real_trace` of its matrix."""
-    return np.trace(mats, axis1=1, axis2=2).real
-
-
 @dataclass(frozen=True, eq=False)
 class SeriesPass:
     """Outcome of one pass of :func:`_series_pass`; only ``acc`` and
@@ -199,7 +197,7 @@ class SeriesPass:
     last: np.ndarray  # sigma_{n_used}
     p: array  # 'd': tr E0(sigma_n) for n = 0..n_used
     mass: array  # 'd': tr sigma_{n+1} for n = 0..n_used
-    time_sum: float  # sum of (n + 1) * p[n] for n = 0..n_used, in order
+    time_sum: float  # sum of (n + 1) * p[n] for n = 0..n_used
     n_used: int
     stop_reason: str  # "tail_tol" or "n_max"
     e1: SuperOperator
@@ -228,6 +226,20 @@ class SeriesPass:
 # Largest chunk of the series pass, in steps: a chunk holds at most this
 # many d x d states.
 _CHUNK = 256
+# Most complex entries the matrix kernel's stack of powers of G may hold
+# (256 KB): s powers of a d^2 x d^2 matrix are s d^4 entries.
+_STACK_ENTRIES = 2**14
+
+
+def _stack_height(d: int) -> int:
+    """How many powers ``P_1..P_s`` of ``G``'s step matrix the pass keeps
+    on dimension ``d``: the largest power of two ``s <= _CHUNK`` with
+    ``s d^4 <= _STACK_ENTRIES``, and at least 1.  That is 256 at d <= 2,
+    128 at d = 3, 64 at d = 4, 4 at d = 7 and 8, and 1 from d = 10 on."""
+    s = _CHUNK
+    while s > 1 and s * d**4 > _STACK_ENTRIES:
+        s //= 2
+    return s
 
 
 def _step_matrix(g: SuperOperator) -> np.ndarray | None:
@@ -244,6 +256,40 @@ def _step_matrix(g: SuperOperator) -> np.ndarray | None:
     return np.column_stack([g.apply_mat(unit).reshape(-1) for unit in units])
 
 
+class _PowerStack:
+    """The powers ``P_1..P_h`` of a step matrix ``P_1``, stacked as one
+    ``(h d^2, d^2)`` array whose i-th block of ``d^2`` rows is ``P_{i+1}``.
+    ``h`` grows by doubling, ``P_{h+i} = P_i P_h`` in one product, up to
+    the height ``s`` given at construction.  Filled blocks are never
+    written again."""
+
+    def __init__(self, m: np.ndarray, s: int):
+        n = m.shape[0]
+        self.dim2 = n
+        self.blocks = np.empty((s * n, n), complex)
+        self.blocks[:n] = m
+        self.height = 1
+
+    def grow(self, k: int, steps: int) -> int:
+        """Double the stack toward ``k`` powers, within its height ``s``,
+        while a doubling costs no more multiply-adds than the ``steps``
+        the pass has taken (``h d^6`` against ``d^4`` per step); return
+        the height."""
+        h, n = self.height, self.dim2
+        while h < k and 2 * h * n <= len(self.blocks) and h * n <= steps:
+            np.matmul(self.blocks[: h * n], self.blocks[(h - 1) * n : h * n],
+                      out=self.blocks[h * n : 2 * h * n])
+            h *= 2
+        self.height = h
+        return h
+
+    def advance(self, state: np.ndarray, out: np.ndarray) -> None:
+        """``out``, a ``(k, d^2)`` array with ``k <= height``, gets
+        ``vec(sigma_{n+1..n+k})`` from ``state = vec(sigma_n)`` in one
+        matrix-vector product."""
+        np.dot(self.blocks[: len(out) * self.dim2], state, out=out.reshape(-1))
+
+
 def _series_pass(
     scheme: ProgramScheme, rho_mat: np.ndarray, tail_tol: float, n_max: int
 ) -> SeriesPass:
@@ -256,70 +302,76 @@ def _series_pass(
     monotone nonincreasing, which makes it the natural stopping
     functional.  Nothing is validated per step.
 
-    Only ``G`` runs step by step, writing ``sigma_{n+1}`` into a row of a
-    chunk array.  The masses, the ``E0`` terms, their traces and the
-    terminal sum run once per chunk, batched, and rows past the stop are
-    dropped.  Chunks grow 1, 2, 4, ... up to :data:`_CHUNK` steps, so a
-    short series overshoots by at most as many steps as it took.  Every
-    batched operation does per matrix what the per-step loop did, and the
-    sum is accumulated strictly in order, so ``acc``, ``last``, ``p``,
-    ``mass`` and ``n_used`` are bit for bit those of a loop that applies
-    ``G`` and ``E0`` one step at a time.  ``time_sum`` adds ``n * p_n``
-    left to right, as ``sum()`` does before Python 3.12 (whose float
-    ``sum()`` is compensated), so it is the same on every version.
+    The states go into chunks of ``(count, d^2)`` rows, ``vec(sigma)``
+    each; chunks grow 1, 2, 4, ... up to :data:`_CHUNK` steps, so a short
+    series overshoots by at most as many steps as it took, and rows past
+    the stop are dropped.  ``G`` fills a chunk by one of two kernels.
+    With the matrix of :func:`_step_matrix` (``d <= 2K``), a
+    :class:`_PowerStack` of ``h`` powers gives ``h`` states per product,
+    ``sigma_{n+i} = P_i sigma_n``, so a chunk costs ``count / h`` calls.
+    ``h`` doubles up to :func:`_stack_height` ``s`` while a doubling costs
+    no more multiply-adds than the steps taken, so the stack never holds
+    more than ``_STACK_ENTRIES`` entries (256 KB) and never costs more
+    than the stepping; at ``h = 1`` this is one product per step.
+    Otherwise ``g.apply_mat`` steps each row.
 
-    ``G`` steps with the matrix of :func:`_step_matrix` when there is one,
-    one ``np.dot`` per step written straight into the chunk row, and with
-    ``g.apply_mat`` otherwise; the reference loop steps with the same
-    kernel."""
-    e0, g = scheme.meas.e0, scheme.g
+    One reduction per chunk serves both kernels: the masses are
+    ``rows @ vec(I)`` and ``p_n = tr E0(sigma_n) = tr(M0^dag M0 sigma_n)``
+    is ``rows @ vec((M0^dag M0)^T)``, both in one product;
+    the running time gains ``(n + 2, ...) . p``, and the chunk's states
+    are added to ``sum_n sigma_n``, to which ``E0`` is applied once when
+    the pass stops.  The values are those of a loop that applies ``G``
+    and ``E0`` one step at a time (``tests/test_series_pass.py`` keeps it
+    as the reference) up to rounding that stays first order in ``n u``,
+    ``u`` the unit roundoff; the test derives the bound."""
+    g, d = scheme.g, scheme.dim
     m = _step_matrix(g)
-    sigma = rho_mat
-    acc = e0.apply_mat(sigma)
-    ps = array("d", [_real_trace(acc)])
-    # As sum() of floats starts: 0 + 1 * p_1.
-    time_sum = 0.0 + ps[0]
+    stack = None if m is None else _PowerStack(m, _stack_height(d))
+    m0 = scheme.meas.m0
+    # Column 0 reads tr sigma, column 1 tr E0(sigma), from vec(sigma).
+    readout = np.column_stack(
+        [np.eye(d, dtype=complex).reshape(-1), (dagger(m0) @ m0).T.reshape(-1)]
+    )
+    state = np.asarray(rho_mat, complex).reshape(-1)
+    total = state.copy()  # sum_{k <= n} vec(sigma_k)
+    ps = array("d", [float((state @ readout[:, 1]).real)])
+    time_sum = ps[0]
     masses = array("d")
     n = 0
     size = 1
     while True:
         # Rows past n = n_max are never needed.
-        rows = np.empty((max(1, min(size, n_max - n + 1)), *rho_mat.shape), complex)
-        if m is None:
-            state = sigma
-            for row in rows:
-                row[...] = g.apply_mat(state)
-                state = row
+        rows = np.empty((max(1, min(size, n_max - n + 1)), d * d), complex)
+        if stack is None:
+            sigma = state.reshape(d, d)
+            for row in rows.reshape(len(rows), d, d):
+                row[...] = g.apply_mat(sigma)
+                sigma = row
         else:
-            state = sigma.reshape(-1)
-            for row in rows.reshape(len(rows), -1):
-                np.dot(m, state, out=row)
-                state = row
-        mass = _real_traces(rows)
+            h = stack.grow(len(rows), n)
+            for b in range(0, len(rows), h):
+                stack.advance(rows[b - 1] if b else state, rows[b : b + h])
+        scalars = (rows @ readout).real
+        mass = scalars[:, 0]
         below = np.flatnonzero(mass < tail_tol)
         stop = int(below[0]) if below.size else None
         if stop is None and n + len(rows) - 1 >= n_max:
             stop = len(rows) - 1
-        kept = rows if stop is None else rows[:stop]
-        masses.frombytes(mass[: len(kept) + 1].tobytes())
-        if len(kept):
-            # E0's one Kraus operator M0 broadcasts over the chunk.
-            terms = e0.stack @ kept @ e0.stack_dagger
-            p = _real_traces(terms)
+        kept = len(rows) if stop is None else stop
+        masses.frombytes(mass[: kept + 1].tobytes())
+        if kept:
+            p = scalars[:kept, 1]
             ps.frombytes(p.tobytes())
-            # The carried sum, then n * p_n for n = n + 2.., added in order.
-            times = np.concatenate(([time_sum], np.arange(n + 2, n + 2 + len(p)) * p))
-            time_sum = float(np.cumsum(times)[-1])
-            # acc + t is t + acc bit for bit; then one ordered running sum.
-            terms[0] += acc
-            acc = np.cumsum(terms, axis=0, out=terms)[-1].copy()
-            sigma = kept[-1].copy()
-        n += len(kept)
+            time_sum += float(np.arange(n + 2, n + 2 + kept) @ p)
+            total += rows[:kept].sum(axis=0)
+            state = rows[kept - 1]
+        n += kept
         if stop is not None:
             reason = "tail_tol" if mass[stop] < tail_tol else "n_max"
             return SeriesPass(
-                acc=acc, last=sigma, p=ps, mass=masses, time_sum=time_sum,
-                n_used=n, stop_reason=reason, e1=scheme.meas.e1,
+                acc=scheme.meas.e0.apply_mat(total.reshape(d, d)),
+                last=state.reshape(d, d).copy(), p=ps, mass=masses,
+                time_sum=time_sum, n_used=n, stop_reason=reason, e1=scheme.meas.e1,
             )
         size = min(2 * size, _CHUNK)
 

@@ -141,6 +141,15 @@ def _real_coordinates(m: np.ndarray) -> np.ndarray:
     )
 
 
+def _cluster_defect(w: np.ndarray, l: np.ndarray) -> float:
+    """``max_abs(w l^dag)`` for ``n x k`` blocks ``w`` and ``l``: O(n^2 k)
+    as a product, and for ``k = 1`` the product of the two maxima, which
+    is the same number up to rounding, in O(n)."""
+    if w.shape[1] == 1:
+        return max_abs(w) * max_abs(l)
+    return max_abs(w @ dagger(l))
+
+
 def build_representation(
     scheme: ProgramScheme, eps_unit: float = EPS_UNIT
 ) -> ProgramRepresentation:
@@ -186,14 +195,14 @@ def build_representation(
                 "unit-circle spectral projector does not commute with the "
                 "step representation"
             )
-        # (R - lam I) P_c with P_c = r_c l_c^dag, formed in low rank as
-        # (R r_c - lam r_c) l_c^dag: O(n^2 k) for a cluster of k, not n^3.
+        # (R - lam I) P_c with P_c = r_c l_c^dag, in low rank as
+        # (R r_c - lam r_c) l_c^dag.
         # Not np.unique, whose first call imports numpy.ma (about 10 ms).
         for cid in sorted(set(sd.cluster_ids[sd.unit_circle_flags].tolist())):
             idx = np.flatnonzero(sd.cluster_ids == cid)
             lam = sd.eigenvalues[idx].mean()
             r_c = sd.right_vectors[:, idx]
-            defect = max_abs((r @ r_c - lam * r_c) @ dagger(sd.left_vectors[:, idx]))
+            defect = _cluster_defect(r @ r_c - lam * r_c, sd.left_vectors[:, idx])
             if defect > TOL_PROJ * r_norm:
                 raise RepresentationError(
                     f"unit-modulus eigenvalue cluster at {lam:.9g} is not "

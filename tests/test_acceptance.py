@@ -21,7 +21,7 @@ from qmcverify import (
     oracle_expectation,
     terminal_state_series,
 )
-from qmcverify.linalg import max_abs
+from qmcverify.linalg import dagger, max_abs
 from qmcverify.sampling import (
     random_channel,
     random_contracting_program,
@@ -197,7 +197,7 @@ def test_c07_spectral_structure_suite(rng):
         for cid in np.unique(sd.cluster_ids[sd.unit_circle_flags]):
             idx = np.flatnonzero(sd.cluster_ids == cid)
             lam = sd.eigenvalues[idx].mean()
-            p_c = vec_matrix(sd.cluster_projector(int(cid)))
+            p_c = vec_matrix(sd.right_vectors[:, idx] @ dagger(sd.left_vectors[:, idx]))
             assert max_abs((m - lam * np.eye(rep.dim2)) @ p_c) <= 1e-6 * max(
                 1.0, m_norm
             )

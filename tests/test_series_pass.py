@@ -3,10 +3,10 @@
 ``_reference_pass`` is that loop, kept as the specification: one ``G``
 step, one ``E0`` term, two traces and one addition per step, with the
 running time summed by ``sum()`` at the end.  It steps ``G`` with the
-kernel the pass chose: the step matrix of ``_step_matrix`` when
-``d <= 2K``, ``g.apply_mat`` otherwise.  The chunked pass batches
-everything but the ``G`` step and must give the same bits for every
-output, on both kernels.
+kernel the pass chose: the step matrix ``M`` of ``_step_matrix`` when
+``d <= 2K``, ``g.apply_mat`` otherwise.  The pass must stop at the same
+step for the same reason, and agree on every value within the bound
+that ``_assert_agrees`` derives.
 """
 
 import math
@@ -16,10 +16,21 @@ import numpy as np
 import pytest
 
 from qmcverify import DensityOperator, load_model, step_probabilities, terminal_state_series
-from qmcverify.program import _real_trace, _series_pass, _step_matrix
+from qmcverify.linalg import max_abs
+from qmcverify.program import (
+    _CHUNK,
+    _STACK_ENTRIES,
+    _PowerStack,
+    _real_trace,
+    _series_pass,
+    _stack_height,
+    _step_matrix,
+)
 from qmcverify.sampling import random_density, random_scheme
 
 from helpers import MODELS_DIR
+
+U = np.finfo(float).eps / 2  # unit roundoff
 
 
 def _step(g):
@@ -51,20 +62,94 @@ def _reference_pass(scheme, rho_mat, tail_tol, n_max):
         acc += term
 
 
-def _assert_bit_identical(scheme, rho_mat, tail_tol, n_max, run=None):
-    """``run`` defaults to the private pass; the public entry points pass
-    their own result."""
+def _assert_agrees(scheme, rho_mat, tail_tol, n_max, run=None):
+    """The pass against the reference loop.  ``run`` defaults to the
+    private pass; the public entry points pass their own result.
+
+    ``n_used``, ``stop_reason`` and the lengths of ``p`` and ``mass`` must
+    be equal.  The values must agree within a first-order bound, derived
+    here with ``u`` the unit roundoff, ``n = n_used``, ``||.||_1`` the trace
+    norm, ``|X|_1`` the sum of ``|X_ij|`` and ``g = (d^2 + 2) u``, which
+    bounds the rounding of a complex inner product of length up to ``d^2``
+    relative to the sum of the products' moduli.
+
+    - For every ``d x d`` matrix ``X``: ``max|X_ij| <= ||X||_1 <= |X|_1
+      <= d ||X||_1``.  Each ``sigma_k`` is PSD with ``||sigma_k||_1 =
+      tr sigma_k <= 1``.
+    - ``G``, ``E0`` and, for every ``N``, ``sum_{i <= N} E0 G^i`` are
+      completely positive and trace-nonincreasing (the last because
+      ``sum_{i <= N} G*^i(E0*(I)) = I - G*^(N+1)(I)``), so none of them
+      raises the trace norm of any matrix.
+    - Column ``j`` of ``M^i`` is ``vec G^i(E_j)``, so its entries' moduli
+      sum to at most ``d``.  A computed product ``M^i x`` therefore errs by
+      at most ``g d |x|_1 <= g d^2 ||x||_1``, and a computed product of
+      two powers errs, as a map, by at most ``g d^3`` in trace norm.
+
+    States.  The reference takes ``k`` rounded products to reach
+    ``sigma_k``, each error then carried by powers of ``G``: at most
+    ``k g d^2``.  The pass builds ``P_{2h} .. P_{h+1}`` from ``P_h`` and
+    ``P_1 .. P_h``, so ``P_i`` errs by at most ``(i - 1) g d^3``, and a
+    state ``i`` steps past a block's base errs by that plus one product
+    and the base's own error: at most ``k g d^3`` for ``sigma_k``.  So
+    ``||delta sigma_k||_1 <= k g (d^3 + d^2)``.  The Kraus kernel runs
+    the reference's own operations, so its states are equal.
+
+    Sums over steps.  Through ``sum E0 G^i`` the reference's step errors
+    add up to at most ``n g d^2``.  The pass's block bases carry errors of
+    at most ``h g d^3`` per block of ``h`` steps, ``n g d^3`` in all; the
+    state ``i`` steps into a block carries its own ``i g d^3``, on average
+    at most ``(s/2) g d^3`` per step for stack height ``s``.  So ``sum_k ||E0(delta sigma_k)||_1`` and
+    ``sum_k |delta p_k|`` are at most ``S = n g (d^2 + d^3 (1 + s/2))``.
+
+    - ``last``: ``n g (d^3 + d^2)``.
+    - ``mass[k] = tr sigma_{k+1}``: the state's bound at ``k + 1`` plus
+      ``g`` for each side's sum of ``d`` diagonal entries of modulus sum
+      at most 1.
+    - ``p[k] = tr E0(sigma_k)``: the state's bound at ``k``
+      (``|tr E0(X)| <= ||X||_1``) plus ``5 g d``: the reference's two
+      length-``d`` products and trace reach ``3 g |sigma|_1``, the pass's
+      ``vec((M0^dag M0)^T) . vec(sigma)``, with ``|(M0^dag M0)_ab| <= 1``
+      rounded once, ``2 g |sigma|_1``.
+    - ``acc``: ``S``, plus the reference's ``E0`` roundings
+      (``2 g d`` per step) and ordered sum (``(n + 1) u``, the terms'
+      traces summing to at most 1), plus the pass's sum of states
+      (``(n + 1) u d T``, ``T = sum_k tr sigma_k``) and its one ``E0``
+      (``2 g d T``).
+    - ``time_sum = sum_k (k + 1) p_k``: ``n + 1`` times the summed ``p``
+      errors, ``S + 5 (n + 1) g d``, plus each side's ordered sum
+      (``(n + 2) u W`` with ``W = time_sum``).
+
+    Every bound is first order in ``u``; the terms left out are of the
+    order of these bounds squared.
+    """
     acc, last, p, mass, time_sum, n_used = _reference_pass(scheme, rho_mat, tail_tol, n_max)
     if run is None:
         run = _series_pass(scheme, rho_mat, tail_tol, n_max)
-    assert np.array_equal(run.acc, acc)
-    assert np.array_equal(run.last, last)
-    assert run.p.tolist() == p
-    assert run.mass.tolist() == mass
-    assert math.copysign(1, run.time_sum) == math.copysign(1, time_sum)
-    assert run.time_sum == time_sum
     assert run.n_used == n_used
     assert run.stop_reason == ("tail_tol" if mass[-1] < tail_tol else "n_max")
+    assert len(run.p) == len(p) == n_used + 1
+    assert len(run.mass) == len(mass) == n_used + 1
+
+    d, n = scheme.dim, n_used
+    g = (d * d + 2) * U
+    if _step_matrix(scheme.g) is None:
+        # The Kraus kernel takes the reference's own steps.
+        assert np.array_equal(run.last, last)
+        state = steps = 0.0
+    else:
+        state = g * (d**3 + d * d)
+        steps = n * g * (d * d + d**3 * (1 + _stack_height(d) / 2))
+    total_mass = 1 + sum(mass[:-1])
+    assert max_abs(run.last - last) <= n * state
+    assert max(abs(a - b) for a, b in zip(run.mass, mass)) <= (n + 1) * state + 2 * g
+    assert max(abs(a - b) for a, b in zip(run.p, p)) <= n * state + 5 * g * d
+    assert max_abs(run.acc - acc) <= (
+        steps + 2 * (n + 1) * g * d + (n + 1) * U
+        + (n + 1) * U * d * total_mass + 2 * g * d * total_mass
+    )
+    assert abs(run.time_sum - time_sum) <= (
+        (n + 1) * (steps + 5 * (n + 1) * g * d) + 2 * (n + 2) * U * time_sum
+    )
     return run
 
 
@@ -84,7 +169,19 @@ def test_chunked_pass_is_bit_identical_to_the_step_loop(d):
         rho = random_density(d, rng).mat
         for n_max in N_MAX:
             for tail_tol in (1e-12, -math.inf):
-                _assert_bit_identical(scheme, rho, tail_tol, n_max)
+                _assert_agrees(scheme, rho, tail_tol, n_max)
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7])
+def test_stacked_powers_agree_with_the_step_loop(d):
+    # K = ceil(d / 2) takes the matrix kernel with a stack of 64 down to 4
+    # powers, so chunks of 256 steps take several blocks.
+    rng = np.random.default_rng(2000 + d)
+    scheme = random_scheme(d, rng, (d + 1) // 2)
+    assert _stack_height(d) < _CHUNK and _step_matrix(scheme.g) is not None
+    rho = random_density(d, rng).mat
+    for n_max in N_MAX + (1000,):
+        _assert_agrees(scheme, rho, -math.inf, n_max)
 
 
 @pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.model")), ids=lambda p: p.stem)
@@ -97,7 +194,7 @@ def test_chunked_pass_is_bit_identical_on_committed_models(path):
     for rho in states:
         for n_max in N_MAX + (1000,):
             for tail_tol in (1e-12, -math.inf):
-                _assert_bit_identical(scheme, rho, tail_tol, n_max)
+                _assert_agrees(scheme, rho, tail_tol, n_max)
 
 
 def test_public_entry_points_are_bit_identical_to_the_step_loop():
@@ -109,9 +206,39 @@ def test_public_entry_points_are_bit_identical_to_the_step_loop():
         rho = prog.rho0.mat
         for n_max in N_MAX + (1000,):
             run = terminal_state_series(prog, 1e-12, n_max)
-            _assert_bit_identical(prog, rho, 1e-12, n_max, run)
+            _assert_agrees(prog, rho, 1e-12, n_max, run)
             assert np.array_equal(run.rho_star.mat, run.acc)
-            _assert_bit_identical(prog, rho, -math.inf, n_max, step_probabilities(prog, n_max + 1))
+            _assert_agrees(prog, rho, -math.inf, n_max, step_probabilities(prog, n_max + 1))
+
+
+def test_power_stack_height_rule_and_growth():
+    # The largest power of two up to _CHUNK whose s d^4 entries fit the
+    # budget, and 1 where not even one d^2 x d^2 power fits.
+    assert _stack_height(1) == _stack_height(2) == _CHUNK == 256
+    assert [_stack_height(d) for d in range(10, 40)] == [1] * 30
+    for d in range(1, 40):
+        s = _stack_height(d)
+        assert s & (s - 1) == 0 and 1 <= s <= _CHUNK
+        assert s * d**4 <= _STACK_ENTRIES or s == 1
+        assert s == _CHUNK or 2 * s * d**4 > _STACK_ENTRIES
+    # The stack holds P_1..P_h, grows only while a doubling costs no more
+    # than the steps taken (h d^2 of them), and never past its height.
+    # P_i errs by at most (i - 1) g d^3 per entry, and so does
+    # matrix_power, by the argument of _assert_agrees.
+    rng = np.random.default_rng(7)
+    for d in (2, 3, 4):
+        m = _step_matrix(random_scheme(d, rng, d).g)
+        s = _stack_height(d)
+        stack = _PowerStack(m, s)
+        assert stack.blocks.size <= _STACK_ENTRIES
+        assert stack.grow(_CHUNK, 0) == 1
+        assert stack.grow(_CHUNK, d * d) == 2
+        assert stack.grow(3, 10**9) == 4
+        assert stack.grow(_CHUNK, 10**9) == s
+        g = (d * d + 2) * U
+        for i in range(1, s + 1):
+            block = stack.blocks[(i - 1) * d * d : i * d * d]
+            assert max_abs(block - np.linalg.matrix_power(m, i)) <= 2 * (i - 1) * g * d**3
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
@@ -161,13 +288,13 @@ def test_one_matrix_step_agrees_with_apply_mat_within_rounding(d):
 @pytest.mark.parametrize("name", ["bitflip_p1", "unitary_m0zero"])
 def test_non_terminating_models_stop_on_n_max(name):
     prog = load_model(MODELS_DIR / f"{name}.model").to_program()
-    run = _assert_bit_identical(prog, prog.rho0.mat, 1e-12, 1000)
+    run = _assert_agrees(prog, prog.rho0.mat, 1e-12, 1000)
     assert run.stop_reason == "n_max" and run.n_used == 1000
 
 
 def test_pass_stops_on_tail_tol_within_n_max():
     prog = load_model(MODELS_DIR / "bitflip_p05.model").to_program()
-    run = _assert_bit_identical(prog, prog.rho0.mat, 1e-12, 10**6)
+    run = _assert_agrees(prog, prog.rho0.mat, 1e-12, 10**6)
     assert run.stop_reason == "tail_tol" and run.n_used < 100
 
 

@@ -28,7 +28,7 @@ from qmcverify import (
     spectral_decompose,
     vec,
 )
-from qmcverify.linalg import SpectralData, max_abs
+from qmcverify.linalg import SpectralData, dagger, max_abs
 from qmcverify.sampling import (
     random_contracting_program,
     random_density,
@@ -37,7 +37,7 @@ from qmcverify.sampling import (
     random_scheme,
     random_unitary,
 )
-from qmcverify.spectral import _hermitian_basis, _real_coordinates, coordinates
+from qmcverify.spectral import _cluster_defect, _hermitian_basis, _real_coordinates, coordinates
 
 from helpers import (
     P0,
@@ -231,6 +231,24 @@ def test_representation_rejects_a_non_semisimple_unit_cluster(monkeypatch):
     scheme = _crafted_step(monkeypatch, r)
     with pytest.raises(RepresentationError, match="not semisimple"):
         build_representation(scheme, eps_unit=1e-6)
+
+
+def test_one_eigenvalue_cluster_defect_is_the_product_of_maxima():
+    # max_ij |w_i conj(l_j)| = max|w| max|l| in exact arithmetic.  Rounded,
+    # each outer-product entry is a complex product (within sqrt(2) gamma_2
+    # of exact, about 2.83u) and a modulus (u); the product of maxima is two
+    # moduli and one product (3u).  So the forms agree to 7u relative.
+    u = np.finfo(float).eps / 2
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 64, 324):
+        for k in (1, 2, 3):
+            w = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+            l = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) * 1e-3
+            full = max_abs(w @ dagger(l))
+            if k == 1:
+                assert abs(_cluster_defect(w, l) - full) <= 7 * u * full
+            else:
+                assert _cluster_defect(w, l) == full
 
 
 def test_representation_rejects_a_defective_unit_eigenvalue(monkeypatch):
