@@ -124,7 +124,7 @@ class SuperOperator:
 
 
 def _sum_terms(terms: np.ndarray) -> np.ndarray:
-    """Sum a fresh ``(K, d, d)`` array over axis 0 in order, in place."""
+    """Sum a fresh ``(K, ...)`` array over axis 0 in order, in place."""
     out = terms[0]
     for i in range(1, len(terms)):
         out += terms[i]

@@ -1,15 +1,19 @@
 """Command-line interface.
 
 Subcommands: verify, runtime, terminate, spectrum, simulate,
-regen-goldens.  Exit codes: 0 success (all requested methods agree within
-tolerance), 2 model validation failure (bad model data or option value)
-or missing model file, 3 method disagreement beyond tolerance (a finite
-value against an infinite one included), 4 the series method was
-requested for a program that the spectral check finds not
-almost-terminating (its unit overlap is nonzero), so the series cannot
-use up the mass that survives, 5 numerical failure (an eigensolve, a
-structural check of the step representation, a resolvent solve or an
-internal consistency check).
+regen-goldens.  Exit codes: 0 success, 2 model validation failure (bad
+model data or option value) or missing model file, 3 method
+disagreement, 4 refusal to run the series, 5 numerical failure (an
+eigensolve, a structural check of the step representation, a resolvent
+solve or an internal consistency check).
+
+``verify`` and ``runtime`` decide by one rule over one row per route:
+4 when ``verify`` was asked for the series of a program that the
+spectral check finds not almost-terminating (its unit overlap is
+nonzero), so the series cannot use up the mass that survives; else 3
+when two values are apart by more than the tolerance (a finite value
+and an infinite one are apart by ``inf``, and a NaN value disagrees
+with any other); else 0.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ def _load(args) -> tuple[Model, ModelOptions]:
     model = load_model(args.model)
     overrides = {
         name: value
-        for name in ("tail_tol", "n_max", "eps_unit", "tol")
+        for name in (field.name for field in dataclasses.fields(ModelOptions))
         if (value := getattr(args, name, None)) is not None
     }
     return model, dataclasses.replace(model.options, **overrides)
@@ -93,6 +97,45 @@ def _emit(report: VerificationReport, args) -> None:
         Path(args.json_out).write_text(report.to_json())
 
 
+def _series_row(result, value) -> tuple:
+    diagnostics = {
+        "n_used": result.n_used,
+        "residual": result.residual_mass,
+        "stop_reason": result.stop_reason,
+    }
+    return "series", value, diagnostics
+
+
+def _spectral_row(rep, verdict, value) -> tuple:
+    diagnostics = {"margin": rep.margin, "unit_overlap": verdict.unit_overlap_norm}
+    return "spectral", value, diagnostics
+
+
+def _decide(report, args, tol, rows, what, warning=None, refusal=None) -> int:
+    """The one decision of ``verify`` and ``runtime``: add each route's
+    ``(method, value, diagnostics)`` row, the agreement block when there
+    is more than one, and the warning; emit the report; exit 4 on a
+    refusal, else 3 when the routes disagree, else 0."""
+    for method, value, diagnostics in rows:
+        report.add_method(method, value, tol, **diagnostics)
+    if len(rows) > 1:
+        report.compute_agreement(tol)
+    if warning:
+        report.warnings.append(warning)
+    _emit(report, args)
+    if refusal:
+        print(f"error: {refusal}", file=sys.stderr)
+        return EXIT_NONTERMINATION
+    if report.agreement and not report.agreement["ok"]:
+        max_delta = float(report.agreement["max_delta"])
+        print(
+            f"error: {what} disagree by {max_delta:.6g} > tolerance {tol:.6g}",
+            file=sys.stderr,
+        )
+        return EXIT_DISAGREEMENT
+    return EXIT_OK
+
+
 def cmd_verify(args) -> int:
     model, opts = _load(args)
     prog = _program(model)
@@ -107,32 +150,20 @@ def cmd_verify(args) -> int:
     selected = (
         ["series", "invariant", "spectral"] if args.method == "all" else [args.method]
     )
+    rows = []
     for method in selected:
         if method == "series":
             result = oracle_expectation(prog, p, opts.tail_tol, opts.n_max)
-            report.add_method(
-                "series",
-                result.expectation_series,
-                opts.tol,
-                n_used=result.n_used,
-                residual=result.residual_mass,
-                stop_reason=result.stop_reason,
-            )
+            rows.append(_series_row(result, result.expectation_series))
         elif method == "invariant":
-            value, diagnostics = certified_expectation(prog, p, n_max=opts.n_max)
-            report.add_method("invariant", value, opts.tol, **diagnostics)
+            rows.append(("invariant", *certified_expectation(prog, p, n_max=opts.n_max)))
         elif method == "spectral":
-            report.add_method(
-                "spectral",
-                expectation_closed_form(rep, prog.rho0, p),
-                opts.tol,
-                margin=rep.margin,
-                unit_overlap=verdict.unit_overlap_norm,
-            )
+            value = expectation_closed_form(rep, prog.rho0, p)
+            rows.append(_spectral_row(rep, verdict, value))
 
-    max_delta = report.compute_agreement(opts.tol) if len(selected) > 1 else 0.0
+    warning = refusal = None
     if not verdict.almost_terminates:
-        report.warnings.append(
+        warning = (
             "program is not almost-terminating for this initial state "
             f"(unit overlap {verdict.unit_overlap_norm:.6g}); "
             + (
@@ -141,23 +172,13 @@ def cmd_verify(args) -> int:
                 else "series expectations are truncated and their error is unbounded"
             )
         )
-    _emit(report, args)
-
-    if not verdict.almost_terminates and "series" in selected:
-        print(
-            "error: the spectral check finds the program not almost-terminating "
-            f"(unit overlap {verdict.unit_overlap_norm:.6g}); the series method "
-            "cannot use up the mass that survives",
-            file=sys.stderr,
-        )
-        return EXIT_NONTERMINATION
-    if len(selected) > 1 and max_delta > opts.tol:
-        print(
-            f"error: methods disagree by {max_delta:.6g} > tolerance {opts.tol:.6g}",
-            file=sys.stderr,
-        )
-        return EXIT_DISAGREEMENT
-    return EXIT_OK
+        if "series" in selected:
+            refusal = (
+                "the spectral check finds the program not almost-terminating "
+                f"(unit overlap {verdict.unit_overlap_norm:.6g}); the series method "
+                "cannot use up the mass that survives"
+            )
+    return _decide(report, args, opts.tol, rows, "methods", warning, refusal)
 
 
 def cmd_runtime(args) -> int:
@@ -168,39 +189,16 @@ def cmd_runtime(args) -> int:
 
     report = _new_report("runtime", args, model, opts)
     report.eigenvalues = eigenvalue_table(rep.spectral)
-    spectral_time = average_running_time(rep, prog.rho0)
-    report.add_method(
-        "spectral",
-        spectral_time,
-        opts.tol,
-        margin=rep.margin,
-        unit_overlap=verdict.unit_overlap_norm,
-    )
+    spectral = _spectral_row(rep, verdict, average_running_time(rep, prog.rho0))
     series = oracle_expectation(
         prog, Observable(np.eye(prog.dim)), opts.tail_tol, opts.n_max
     )
-    report.add_method(
-        "series",
-        series.running_time_series,
-        opts.tol,
-        n_used=series.n_used,
-        residual=series.residual_mass,
-        stop_reason=series.stop_reason,
+    rows = [spectral, _series_row(series, series.running_time_series)]
+    warning = None if verdict.almost_terminates else (
+        "program is not almost-terminating; the average running time "
+        f"diverges (unit overlap {verdict.unit_overlap_norm:.6g})"
     )
-    max_delta = report.compute_agreement(opts.tol)
-    if not verdict.almost_terminates:
-        report.warnings.append(
-            "program is not almost-terminating; the average running time "
-            f"diverges (unit overlap {verdict.unit_overlap_norm:.6g})"
-        )
-    _emit(report, args)
-    if max_delta > opts.tol:
-        print(
-            f"error: running times disagree by {max_delta:.6g} > tolerance {opts.tol:.6g}",
-            file=sys.stderr,
-        )
-        return EXIT_DISAGREEMENT
-    return EXIT_OK
+    return _decide(report, args, opts.tol, rows, "running times", warning)
 
 
 def cmd_terminate(args) -> int:

@@ -19,6 +19,7 @@ round-trips bit-exactly.  Example::
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -42,14 +43,6 @@ from .program import (
 
 FORMAT_TAG = "qmc-model/1"
 
-DEFAULT_OPTIONS = {
-    "tail_tol": DEFAULT_TAIL_TOL,
-    "n_max": DEFAULT_N_MAX,
-    "eps_unit": EPS_UNIT,
-    "tol": 1e-6,
-}
-
-
 # Lower bound of each option and whether the bound itself is allowed.
 _OPTION_BOUNDS = {
     "tail_tol": (0, False),
@@ -64,10 +57,10 @@ class ModelOptions:
     """Numerical options of a model.  Every construction is validated,
     including ``dataclasses.replace`` with command-line overrides."""
 
-    tail_tol: float = DEFAULT_OPTIONS["tail_tol"]
-    n_max: int = DEFAULT_OPTIONS["n_max"]
-    eps_unit: float = DEFAULT_OPTIONS["eps_unit"]
-    tol: float = DEFAULT_OPTIONS["tol"]
+    tail_tol: float = DEFAULT_TAIL_TOL
+    n_max: int = DEFAULT_N_MAX
+    eps_unit: float = EPS_UNIT
+    tol: float = 1e-6
 
     def __post_init__(self):
         for name, (low, inclusive) in _OPTION_BOUNDS.items():
@@ -87,21 +80,16 @@ class ModelOptions:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelOptions":
-        unknown = set(data) - set(DEFAULT_OPTIONS)
+        names = {f.name for f in dataclasses.fields(cls)}
+        unknown = set(data) - names
         if unknown:
             raise ValidationError(
-                f"unknown option keys {sorted(unknown)}; "
-                f"supported: {sorted(DEFAULT_OPTIONS)}"
+                f"unknown option keys {sorted(unknown)}; supported: {sorted(names)}"
             )
-        return cls(**{**DEFAULT_OPTIONS, **data})
+        return cls(**data)
 
     def to_dict(self) -> dict:
-        return {
-            "tail_tol": self.tail_tol,
-            "n_max": self.n_max,
-            "eps_unit": self.eps_unit,
-            "tol": self.tol,
-        }
+        return dataclasses.asdict(self)
 
 
 def _finite_number(value) -> bool:

@@ -51,7 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import DensityOperator, SuperOperator, compose
+from .channels import DensityOperator, SuperOperator, _sum_terms, compose
 from .errors import DimensionMismatchError, ValidationError
 from .linalg import TOL_TP, dagger, max_abs, require_square
 
@@ -246,14 +246,15 @@ def _step_matrix(g: SuperOperator) -> np.ndarray | None:
     """``G``'s own ``d^2 x d^2`` matrix in row-major ``vec`` coordinates
     when a product with it costs no more than a Kraus step (``d <= 2K``
     with ``K`` Kraus operators), else ``None``.  Column ``j`` is
-    ``vec(G(E_j))`` for the j-th matrix unit ``E_j``, computed by
-    ``g.apply_mat`` and not by ``channels.matrix_representation``, which
-    the other routes use."""
+    ``vec(G(E_j))`` for the j-th matrix unit ``E_j``: the Kraus action of
+    ``g.apply_mat``, batched over all units in one product, and not
+    ``channels.matrix_representation``, which the other routes use."""
     d = g.dim
     if d > 2 * len(g.kraus):
         return None
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    return np.column_stack([g.apply_mat(unit).reshape(-1) for unit in units])
+    terms = g.stack[:, None] @ units @ g.stack_dagger[:, None]
+    return _sum_terms(terms).reshape(d * d, d * d).T
 
 
 class _PowerStack:

@@ -3,7 +3,8 @@
 Reports are deterministic functions of the model and options: no
 timestamps, stable key order, eigenvalues sorted by descending modulus
 (ties by descending real part, then descending imaginary part).  Infinite
-values serialize as the string ``"inf"`` to stay inside strict JSON.
+values serialize as the string ``"inf"`` and NaN as ``"nan"`` to stay
+inside strict JSON.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 def _num(value: float):
+    if math.isnan(value):
+        return "nan"
     if value == math.inf:
         return "inf"
     if value == -math.inf:
@@ -78,23 +81,24 @@ class VerificationReport:
     def add_method(self, method: str, value: float, tolerance: float, **diagnostics):
         self.methods.append(MethodResult(method, value, tolerance, diagnostics))
 
-    def compute_agreement(self, tolerance: float) -> float:
-        """Fill the pairwise-delta block; returns the max delta.  A finite
-        value and an infinite one are apart by ``inf``; two infinite
-        values are not paired, since no delta measures them."""
+    def compute_agreement(self, tolerance: float) -> None:
+        """Fill the pairwise-delta block, the one place a delta meets
+        ``tolerance``.  A finite value and an infinite one are apart by
+        ``inf``; two infinite values are not paired, since no delta
+        measures them.  A NaN delta never agrees and makes the max NaN."""
         pairs = {}
         for i, a in enumerate(self.methods):
             for b in self.methods[i + 1 :]:
                 if not (math.isinf(a.value) and math.isinf(b.value)):
                     pairs[f"{a.method}/{b.method}"] = abs(a.value - b.value)
-        max_delta = max(pairs.values(), default=0.0)
+        deltas = pairs.values()
+        has_nan = any(map(math.isnan, deltas))
         self.agreement = {
             "pairs": {k: _num(v) for k, v in sorted(pairs.items())},
-            "max_delta": _num(max_delta),
+            "max_delta": _num(math.nan if has_nan else max(deltas, default=0.0)),
             "tolerance": _num(tolerance),
-            "ok": bool(max_delta <= tolerance),
+            "ok": all(delta <= tolerance for delta in deltas),
         }
-        return max_delta
 
     def to_dict(self) -> dict:
         doc = {

@@ -1,10 +1,11 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qmcverify import EigensolverError, ProgramScheme
+from qmcverify import EigensolverError, ProgramScheme, cli
 from qmcverify.cli import main
 from qmcverify.model import Model, dumps, load_model, save_model
 from qmcverify.sampling import random_contracting_program
@@ -83,6 +84,60 @@ def test_verify_exit_3_when_tolerance_is_absurd(capsys):
     )
     assert code == 3
     assert "disagree" in capsys.readouterr().err
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"bare {constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "target, fault",
+    [
+        ("expectation_closed_form", lambda *args: math.nan),
+        ("certified_expectation", lambda *args, **kwargs: (math.nan, {})),
+    ],
+    ids=["spectral", "invariant"],
+)
+def test_verify_a_nan_value_disagrees(target, fault, tmp_path, monkeypatch, capsys):
+    # A NaN delta loses every comparison, so a max over the pairs would
+    # keep or drop it by their order; it must disagree in any position.
+    monkeypatch.setattr(cli, target, fault)
+    out = tmp_path / "r.json"
+    argv = ["verify", model("bitflip_p05.model"), "-o", "P0", "--method", "all"]
+    assert main(argv + ["--json-out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "max pairwise delta nan" in captured.out and "DISAGREE" in captured.out
+    assert "methods disagree by nan" in captured.err
+    agreement = strict_json(out.read_text())["agreement"]
+    assert agreement["max_delta"] == "nan" and agreement["ok"] is False
+
+
+@pytest.mark.parametrize("method", ["series", "invariant", "spectral"])
+def test_verify_single_method_has_no_agreement(method, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    argv = ["verify", model("bitflip_p05.model"), "-o", "P0", "--method", method]
+    assert main(argv + ["--tol", "0", "--json-out", str(out)]) == 0
+    assert "agreement:" not in capsys.readouterr().out
+    assert "agreement" not in json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e-3])
+def test_verify_refusal_comes_before_disagreement(shift, monkeypatch, capsys):
+    # The routes agree exactly on bitflip_p1; the shifted spectral value
+    # makes them disagree, and the series refusal still decides.
+    closed_form = cli.expectation_closed_form
+    monkeypatch.setattr(
+        cli, "expectation_closed_form", lambda *args: closed_form(*args) + shift
+    )
+    argv = ["verify", model("bitflip_p1.model"), "-o", "P0", "--method", "all", "--tol", "0"]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert ("DISAGREE" in captured.out) == (shift > 0)
+    assert_says_series_cannot_finish(captured.err)
+    assert "disagree by" not in captured.err
 
 
 def test_verify_malformed_model_exits_2(tmp_path, capsys):

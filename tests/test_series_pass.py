@@ -254,15 +254,18 @@ def test_kernel_choice_follows_d_at_most_twice_the_kraus_count(d):
             assert m is None
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_step_matrix_columns_are_apply_mat_of_the_matrix_units(d):
+    # The batched product runs the same Kraus action and in-order sum
+    # over k as apply_mat, so every column is bit-identical.
     rng = np.random.default_rng(50 + d)
-    g = random_scheme(d, rng, (d + 1) // 2 + 1).g
-    m = _step_matrix(g)
-    for j in range(d * d):
-        unit = np.zeros((d, d), complex)
-        unit.flat[j] = 1
-        assert np.array_equal(m[:, j], g.apply_mat(unit).reshape(-1))
+    for n_kraus in range((d + 1) // 2, (d + 1) // 2 + 3):
+        g = random_scheme(d, rng, n_kraus).g
+        m = _step_matrix(g)
+        for j in range(d * d):
+            unit = np.zeros((d, d), complex)
+            unit.flat[j] = 1
+            assert np.array_equal(m[:, j], g.apply_mat(unit).reshape(-1))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
