@@ -15,23 +15,29 @@ completion itself; the invariant is ``Qbar = E*(L)``.  With ``A`` the
 d^2 x d^2 matrix of ``G*`` on row-major vectors, ``L_n = sum_{j<n} A^j b``,
 and the iteration runs in two stages:
 
-* **Linear stage**: at most ``_LINEAR_STEPS`` steps ``L <- b + G*(L)``.
+* **Linear stage**: at most ``B = _linear_budget(d)`` steps
+  ``L <- b + G*(L)``, where ``B`` is a power of two sized so that the
+  steps cost no more than the squarings that would replace them: 1 below
+  d = 8, 64 at d = 12, 256 from d = 15 on.
   With ``delta`` the last increment ``||L_{n+1} - L_n||_max`` and ``r``
   the largest ratio of consecutive increments over the last
   ``_RATIO_WINDOW`` steps (none before the window is full), it stops
   once the a-posteriori bound ``delta r / (1 - r)`` on
   ``||L - L_n||_max`` is below ``tol`` (``delta == 0`` stops at once,
   with bound 0).  Programs that contract at a fixed rate stop here after
-  a few dozen steps.  The bound rests on the observed ratios: a slow
-  mode that the increments have not shown yet can escape it.
+  a few dozen steps when ``B`` allows that many.  The bound rests on the
+  observed ratios: a slow mode that the increments have not shown yet
+  can escape it.  With ``B <= _RATIO_WINDOW`` it never runs.
 * **Doubling stage**, entered only when the linear stage has not
   certified: ``L_{2k} = L_k + A^k L_k`` and ``A^{2k} = A^k A^k``, starting
-  from ``k = _LINEAR_STEPS`` with ``A^k`` built by squaring ``A``.  Since
+  from ``k = B`` with ``A^B`` built by ``log2 B`` squarings of ``A``.  Since
   ``L - L_k = sum_{m>=1} A^{mk} L_k``, it stops once
   ``||A^k||_inf ||L_k||_max / (1 - ||A^k||_inf) < tol``, a bound that
-  holds in exact arithmetic.  So a program with contraction margin
-  ``1 - r`` needs about ``log2(1 / (1 - r))`` squarings instead of
-  ``1 / (1 - r)`` linear steps.  ``A`` is built here from ``G``'s Kraus
+  holds in exact arithmetic, or with bound 0 once an increment
+  ``A^k L_k`` is exactly zero (then every later one is too).  So a
+  program with contraction margin ``1 - r`` needs about
+  ``log2(1 / (1 - r))`` squarings instead of ``1 / (1 - r)`` linear
+  steps.  ``A`` is built here from ``G``'s Kraus
   operators.  The route imports nothing from the spectral or termination
   layers and takes nothing from them.
 
@@ -75,12 +81,35 @@ from .program import ProgramScheme, QuantumProgram
 DEFAULT_FIXED_POINT_TOL = 1e-12
 DEFAULT_FIXED_POINT_N_MAX = 1_000_000
 
-# The linear stage's step budget, a power of two so that the doubling
-# stage can build A^_LINEAR_STEPS by squaring.  One squaring of the
-# 324 x 324 matrix at d = 18 costs about as much as 45 linear steps, while
-# random d = 18 programs certify in 16-24 linear steps.
-_LINEAR_EXP = 8
-_LINEAR_STEPS = 2**_LINEAR_EXP
+# The linear stage's step budget is a power of two ``2**e``, so that the
+# doubling stage builds ``A^(2**e)`` in ``e`` squarings, and it is sized
+# by what its steps cost.  ``B`` linear steps reach ``L_B``; doubling from
+# ``k = 1`` reaches it in ``log2 B`` iterations, each one squaring of the
+# d^2 x d^2 matrix ``A`` (d^6 multiply-adds) plus what a linear step also
+# pays: a few numpy calls on d x d arrays and a PSD check.  That fixed cost
+# is taken as ``_STEP_COST`` multiply-adds; it swamps a step's ``2 K d^3``
+# at every d up to 18, so the Kraus count ``K`` is left out.  Measured with
+# one BLAS thread on a 2-vCPU VM, a doubling iteration costs about one
+# checked (first 32) or 4 unchecked linear steps up to d = 6, 10 or 33 at
+# d = 12 and 53 or 237 at d = 18; ``1 + d^6 / _STEP_COST`` (1.0, 12, 131)
+# lies between the two.  The budget is capped at 2**8, reached at d = 15:
+# the linear stage's ratio bound is the weaker certificate.
+_STEP_COST = 2**18
+_MAX_LINEAR_EXP = 8
+
+
+def _linear_budget(d: int) -> int:
+    """The largest ``B = 2**e <= 2**_MAX_LINEAR_EXP`` whose ``B`` linear
+    steps cost no more than the ``e`` doubling iterations that would
+    replace them, at least 1: 1 for d <= 7, 4 at d = 8, 64 at d = 12, 128
+    at d = 13 and 14, 256 from d = 15 on."""
+    iteration = 1 + d**6 / _STEP_COST  # one doubling iteration, in linear steps
+    exp = _MAX_LINEAR_EXP
+    while exp > 0 and 2**exp > exp * iteration:
+        exp -= 1
+    return 2**exp
+
+
 # The linear bound takes the largest of this many consecutive-increment
 # ratios, and waits until it has them all: the first ratio compares
 # ``||G*(b)||`` with ``||b||`` and can be far below the contraction rate.
@@ -177,26 +206,29 @@ def _linear_stage(g, base: np.ndarray, tol: float, steps: int):
     return limit, steps, None, bound
 
 
-def _doubling_stage(g, limit: np.ndarray, tol: float, budget: int):
-    """Double ``L_k`` from ``k = _LINEAR_STEPS`` on, squaring at most
-    ``budget`` times.  Returns the iterate, the squarings made, the stop
-    reason and the bound."""
+def _doubling_stage(g, limit: np.ndarray, tol: float, exp: int, cap: int):
+    """Double ``L_k`` from ``k = 2**exp`` on, squaring at most ``cap``
+    times.  Returns the iterate, the squarings made, the stop reason and
+    the bound."""
     d = limit.shape[0]
     # vec(G*(Y)) = M^dag vec(Y) for the matrix M of G.
     power = matrix_representation(g).conj().T
-    for squarings in range(_LINEAR_EXP):
-        if squarings >= budget:
+    for squarings in range(exp):
+        if squarings >= cap:
             return limit, squarings, "n_max", math.inf
         power = power @ power
     s = limit.reshape(-1)
-    squarings, small = _LINEAR_EXP, False
+    squarings, small = exp, False
     while True:
         norm = float(np.abs(power).sum(axis=1).max())
         bound = norm * max_abs(s) / (1.0 - norm) if norm < 1.0 else math.inf
-        for reason, stop in (("bound", bound < tol), ("tol", small), ("n_max", squarings >= budget)):
+        for reason, stop in (("bound", bound < tol), ("tol", small), ("n_max", squarings >= cap)):
             if stop:
                 return s.reshape(d, d), squarings, reason, bound
         increment = power @ s
+        if not increment.any():
+            # A^k L_k = 0, so every later increment A^{mk} L_k is zero too.
+            return s.reshape(d, d), squarings, "bound", 0.0
         _check_increment(increment.reshape(d, d))
         s = s + increment
         small = max_abs(increment) < tol
@@ -270,12 +302,11 @@ def least_fixed_point_q(
     g = prog_or_scheme.g
     base = _completion_mat(prog_or_scheme.meas, p.mat, np.zeros_like(p.mat))
 
-    limit, iterations, reason, bound = _linear_stage(
-        g, base, tol, min(n_max, _LINEAR_STEPS)
-    )
+    budget = _linear_budget(prog_or_scheme.dim)
+    limit, iterations, reason, bound = _linear_stage(g, base, tol, min(n_max, budget))
     if reason is None and iterations < n_max:
         limit, squarings, reason, bound = _doubling_stage(
-            g, limit, tol, n_max - iterations
+            g, limit, tol, budget.bit_length() - 1, n_max - iterations
         )
         iterations += squarings
     reason = reason or "n_max"

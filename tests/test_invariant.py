@@ -19,7 +19,12 @@ from qmcverify import (
     oracle_fixed_point,
     terminal_state_series,
 )
-from qmcverify.invariant import _LINEAR_STEPS, _TAIL_STEPS, _qv3_tail_values
+from qmcverify.invariant import (
+    _MAX_LINEAR_EXP,
+    _TAIL_STEPS,
+    _linear_budget,
+    _qv3_tail_values,
+)
 from qmcverify.linalg import max_abs, psd_split
 from qmcverify.model import load_model
 from qmcverify.sampling import random_contracting_program, random_density, random_observable
@@ -30,8 +35,17 @@ from helpers import (
     Z,
     bitflip_program,
     completion_expansion_residual,
+    counter_scheme,
     m1_zero_program,
 )
+
+
+# The largest linear-stage budget the rule can give.
+LARGEST_BUDGET = 2**_MAX_LINEAR_EXP
+
+
+def force_budget(monkeypatch, budget):
+    monkeypatch.setattr("qmcverify.invariant._linear_budget", lambda d: budget)
 
 
 def test_least_fixed_point_bitflip_terminating():
@@ -260,13 +274,15 @@ def test_fixed_point_steps_g_and_the_oracle_does_not(monkeypatch):
     assert used and all(e is prog.e for e in used)
 
 
-def test_linear_bound_is_not_taken_from_the_first_ratio():
+def test_linear_bound_is_not_taken_from_the_first_ratio(monkeypatch):
     # increments 1, 1e-7, 1e-7 p, ...: the first ratio alone would claim
-    # convergence after two steps
+    # convergence after two steps.  At d = 2 the budget is 1 and the ratio
+    # bound never runs, so give the linear stage the largest budget.
+    force_budget(monkeypatch, LARGEST_BUDGET)
     prog = bitflip_program(1 - 1e-7, 0.0, 1.0)
     cert = least_fixed_point_q(prog, P0)
     assert cert.stop_reason == "bound"
-    assert cert.iterations > _LINEAR_STEPS
+    assert cert.iterations > LARGEST_BUDGET
     assert cert.qv1_value == pytest.approx(1.0, abs=1e-9)
 
 
@@ -298,7 +314,7 @@ def test_qv3_tail_of_the_least_invariant_is_the_series_remainder(rng):
         tail = _qv3_tail_values(prog, cert.q.mat)
         want = series_remainders(prog, p, _TAIL_STEPS[len(tail) - 1] + 1)
         assert max(abs(t - want[n]) for t, n in zip(tail, _TAIL_STEPS)) <= 1e-11
-    assert least_fixed_point_q(near, P0).iterations > _LINEAR_STEPS  # doubling ran
+    assert least_fixed_point_q(near, P0).iterations > _linear_budget(2)  # doubling ran
 
 
 def test_computed_certificates_sample_no_tail(monkeypatch, rng):
@@ -342,9 +358,12 @@ def test_non_psd_increment_in_doubling_stage_raises(monkeypatch):
 
 
 def test_committed_models_and_small_random_programs_stay_linear(monkeypatch, rng):
+    # Given the largest budget, the linear stage certifies all of these on
+    # its own; the rule gives them a budget of 1.
     def no_doubling(g):
         raise AssertionError("the doubling stage ran")
 
+    force_budget(monkeypatch, LARGEST_BUDGET)
     monkeypatch.setattr("qmcverify.invariant.matrix_representation", no_doubling)
     cases = []
     for path in sorted(MODELS_DIR.glob("*.model")):
@@ -362,17 +381,26 @@ def test_committed_models_and_small_random_programs_stay_linear(monkeypatch, rng
     for prog, p in cases:
         cert = least_fixed_point_q(prog, p)
         assert cert.stop_reason == "bound"
-        assert cert.iterations <= _LINEAR_STEPS
+        assert cert.iterations <= LARGEST_BUDGET
 
 
-def test_n_max_caps_linear_steps_plus_squarings():
+def test_n_max_caps_linear_steps_plus_squarings(monkeypatch):
+    # Bitflip p = 0.999 from |1> needs 16 iterations under the rule's
+    # budget of 1 and 268 under the largest budget, where n_max = 10 also
+    # cuts the linear stage short of its budget.
     prog = bitflip_program(0.999, 0.0, 1.0)
-    for n_max in (10, _LINEAR_STEPS, _LINEAR_STEPS + 3, _LINEAR_STEPS + 12):
-        cert = least_fixed_point_q(prog, P0, n_max=n_max)
-        assert cert.iterations == n_max
-        assert not cert.converged and cert.stop_reason == "n_max"
-        # a partial result stays a lower bound of q = I
-        assert np.all(np.linalg.eigvalsh(np.eye(2) - cert.q.mat) >= -1e-12)
+    for budget, n_maxes in (
+        (None, (1, 2, 5, 10, 15)),
+        (LARGEST_BUDGET, (10, LARGEST_BUDGET, LARGEST_BUDGET + 3, LARGEST_BUDGET + 12)),
+    ):
+        if budget is not None:
+            force_budget(monkeypatch, budget)
+        for n_max in n_maxes:
+            cert = least_fixed_point_q(prog, P0, n_max=n_max)
+            assert cert.iterations == n_max
+            assert not cert.converged and cert.stop_reason == "n_max"
+            # a partial result stays a lower bound of q = I
+            assert np.all(np.linalg.eigvalsh(np.eye(2) - cert.q.mat) >= -1e-12)
 
 
 def test_qv1_value_is_the_invariant_expectation(rng):
@@ -399,3 +427,81 @@ def test_unit_spectrum_stops_on_tol_without_a_bound():
     assert cert.error_bound == np.inf
     assert cert.qv1_value == pytest.approx(1.0, abs=1e-9)
     assert max_abs(cert.q.mat - np.diag([1.0, 1.0, 0])) <= 1e-9
+
+
+def test_linear_budget_rule():
+    budgets = [_linear_budget(d) for d in range(1, 41)]
+    assert all(b & (b - 1) == 0 and 1 <= b <= LARGEST_BUDGET for b in budgets)
+    assert budgets == sorted(budgets)
+    assert _linear_budget(2) <= 2
+    # The cap keeps the largest budget from d = 15 on.
+    assert _linear_budget(15) == _linear_budget(40) == LARGEST_BUDGET
+
+
+def test_benchmark_sizes_certify_in_the_linear_stage(monkeypatch, rng):
+    # Random contracting programs and cyclic counters at d = 12, 15, 18
+    # certify within the rule's budget, so they never reach the doubling
+    # stage.
+    def no_doubling(g):
+        raise AssertionError("the doubling stage ran")
+
+    monkeypatch.setattr("qmcverify.invariant.matrix_representation", no_doubling)
+    for d in (12, 15, 18):
+        counter = counter_scheme(d).with_initial_state(DensityOperator(np.diag(np.eye(d)[0])))
+        cases = [(counter, Observable(counter.meas.m0))]
+        cases += [
+            (random_contracting_program(d, rng), random_observable(d, rng, psd=True))
+            for _ in range(2)
+        ]
+        for prog, p in cases:
+            cert = least_fixed_point_q(prog, p)
+            assert cert.stop_reason == "bound"
+            assert cert.iterations <= _linear_budget(d)
+
+
+@pytest.mark.parametrize("name", ["bitflip_p1", "unitary_m0zero", "m1zero"])
+def test_exact_zero_doubled_increment_certifies(monkeypatch, name):
+    # With a budget of 1 the doubling stage starts from L_1 = b.  On
+    # bitflip_p1, G* maps b = |0><0| to exactly zero while ||A||_inf = 1,
+    # so only the zero increment certifies L = L_1.  m1zero has A = 0 and
+    # unitary_m0zero has b = 0, which certify by the bound and in the
+    # linear stage.
+    model = load_model(MODELS_DIR / f"{name}.model")
+    prog = model.to_program()
+    force_budget(monkeypatch, 1)
+    for obs in model.observables:
+        for part in psd_split(model.observable(obs).mat):
+            p = Observable(part)
+            cert = least_fixed_point_q(prog, p)
+            assert cert.stop_reason == "bound" and cert.error_bound == 0.0
+            assert cert.iterations == 1
+            want = oracle_expectation(prog, p, 1e-13).expectation_series
+            assert cert.qv1_value == pytest.approx(want, abs=1e-12)
+
+
+def test_hidden_slow_mode_chain():
+    # d = 4 classical chain: |0> halts, |1> -> |0> w.p. 0.9, |2> -> |0>
+    # w.p. 1e-12 and -> the absorbing, never halting |3> w.p. 1e-5.  From
+    # |2> the program halts with probability 1e-12 / (1e-12 + 1e-5).  The
+    # linear stage's ratio bound certified 1.4e-11 here with a bound of
+    # 1.2e-13; doubling from the start reads the slow mode.
+    a, b = 1e-12, 1e-5
+    moves = {(0, 0): 1.0, (0, 1): 0.9, (1, 1): 0.1, (0, 2): a, (3, 2): b, (2, 2): 1 - a - b}
+    moves[3, 3] = 1.0
+    basis = np.eye(4)
+    kraus = [np.sqrt(w) * np.outer(basis[i], basis[j]) for (i, j), w in moves.items()]
+    m0 = np.diag([1.0, 0.0, 0.0, 0.0])
+    scheme = ProgramScheme(SuperOperator(kraus), TerminationMeasurement(m0, np.eye(4) - m0))
+    prog = scheme.with_initial_state(DensityOperator(np.diag([0.0, 0.0, 1.0, 0.0])))
+    exact = a / (a + b)
+    cert = least_fixed_point_q(prog, Observable(m0))
+    assert cert.qv1_value == pytest.approx(exact, rel=1e-6)
+    if cert.stop_reason == "bound":
+        assert abs(cert.qv1_value - exact) <= cert.error_bound
+
+
+@pytest.mark.parametrize("gap", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
+def test_bitflip_value_is_one_to_1e_11(gap):
+    cert = least_fixed_point_q(bitflip_program(1 - gap, 0.0, 1.0), P0)
+    assert cert.converged
+    assert abs(cert.qv1_value - 1.0) <= 1e-11
