@@ -16,18 +16,18 @@ d^2 x d^2 matrix of ``G*`` on row-major vectors, ``L_n = sum_{j<n} A^j b``,
 and the iteration runs in two stages:
 
 * **Linear stage**: at most ``B = _linear_budget(d)`` steps
-  ``L <- b + G*(L)``, where ``B`` is a power of two sized so that the
-  steps cost no more than the squarings that would replace them: 1 below
-  d = 8, 64 at d = 12, 256 from d = 15 on.
+  ``L <- b + G*(L)``: 256, or 1 up to d = 8, where a squaring of ``A``
+  costs no more than a linear step's fixed cost and doubling from the
+  start is cheaper.
   With ``delta`` the last increment ``||L_{n+1} - L_n||_max`` and ``r``
   the largest ratio of consecutive increments over the last
   ``_RATIO_WINDOW`` steps (none before the window is full), it stops
   once the a-posteriori bound ``delta r / (1 - r)`` on
   ``||L - L_n||_max`` is below ``tol`` (``delta == 0`` stops at once,
   with bound 0).  Programs that contract at a fixed rate stop here after
-  a few dozen steps when ``B`` allows that many.  The bound rests on the
-  observed ratios: a slow mode that the increments have not shown yet
-  can escape it.  With ``B <= _RATIO_WINDOW`` it never runs.
+  a few dozen steps when ``B = 256``.  The bound rests on the observed
+  ratios: a slow mode that the increments have not shown yet can escape
+  it.  With ``B = 1`` it never runs.
 * **Doubling stage**, entered only when the linear stage has not
   certified: ``L_{2k} = L_k + A^k L_k`` and ``A^{2k} = A^k A^k``, starting
   from ``k = B`` with ``A^B`` built by ``log2 B`` squarings of ``A``.  Since
@@ -49,8 +49,11 @@ limit is the least fixed point.  There is no linear-solve shortcut: the
 equivalent linear system can silently pick a non-least fixed point
 whenever the step representation has unit-modulus spectrum.  On such a
 spectrum ``||A^k||_inf`` stays at or above one, so no bound can be
-certified; the doubling stage then stops once an increment falls below
-``tol`` and says so.
+certified; the doubling stage then stops once an increment ``A^k L_k``
+with ``k >= 256`` falls below ``tol`` and says so.  It waits for
+``k = 256`` whatever ``B`` is: on a bitflip that halts at rate
+``1e-13`` per step the first increments are below ``tol`` long before
+``L_k`` nears the value 1.
 
 QV3 holds by construction for every iterate the route returns, so no
 tail is sampled for it.  With ``Qbar = E*(L)``,
@@ -81,33 +84,32 @@ from .program import ProgramScheme, QuantumProgram
 DEFAULT_FIXED_POINT_TOL = 1e-12
 DEFAULT_FIXED_POINT_N_MAX = 1_000_000
 
-# The linear stage's step budget is a power of two ``2**e``, so that the
-# doubling stage builds ``A^(2**e)`` in ``e`` squarings, and it is sized
-# by what its steps cost.  ``B`` linear steps reach ``L_B``; doubling from
-# ``k = 1`` reaches it in ``log2 B`` iterations, each one squaring of the
-# d^2 x d^2 matrix ``A`` (d^6 multiply-adds) plus what a linear step also
-# pays: a few numpy calls on d x d arrays and a PSD check.  That fixed cost
-# is taken as ``_STEP_COST`` multiply-adds; it swamps a step's ``2 K d^3``
-# at every d up to 18, so the Kraus count ``K`` is left out.  Measured with
-# one BLAS thread on a 2-vCPU VM, a doubling iteration costs about one
-# checked (first 32) or 4 unchecked linear steps up to d = 6, 10 or 33 at
-# d = 12 and 53 or 237 at d = 18; ``1 + d^6 / _STEP_COST`` (1.0, 12, 131)
-# lies between the two.  The budget is capped at 2**8, reached at d = 15:
-# the linear stage's ratio bound is the weaker certificate.
+# The linear stage's step budget is 1, so that the doubling stage starts
+# from ``k = 1``, or ``2**_MAX_LINEAR_EXP``, a power of two so that the
+# doubling stage builds ``A^256`` in 8 squarings.  A doubling iteration
+# costs one squaring of the d^2 x d^2 matrix ``A`` (d^6 multiply-adds)
+# plus what a linear step also pays: a few numpy calls on d x d arrays and
+# a PSD check.  That fixed cost is taken as ``_STEP_COST`` multiply-adds,
+# so an iteration costs ``1 + d^6 / _STEP_COST`` linear steps; it swamps a
+# step's ``2 K d^3`` at every d up to 18, so the Kraus count ``K`` is left
+# out.  Measured with one BLAS thread on a 2-vCPU VM, an iteration costs
+# about one checked (first 32) or 4 unchecked linear steps up to d = 6,
+# 10 or 33 at d = 12 and 53 or 237 at d = 18; the model's 1.0, 12 and 131
+# lie between.  Random contracting programs certify after 18-47 linear
+# steps or 6-7 doubling iterations, so doubling from the start pays while
+# an iteration costs at most two linear steps, ``d^6 <= _STEP_COST``: up
+# to d = 8 (at d = 9 the two took 1.2 and 1.1 ms).  A budget in between
+# would pay for linear steps cut off before the ratio bound certifies,
+# which needs at least ``_RATIO_WINDOW + 1`` of them, and then for the
+# squarings as well.
 _STEP_COST = 2**18
 _MAX_LINEAR_EXP = 8
 
 
 def _linear_budget(d: int) -> int:
-    """The largest ``B = 2**e <= 2**_MAX_LINEAR_EXP`` whose ``B`` linear
-    steps cost no more than the ``e`` doubling iterations that would
-    replace them, at least 1: 1 for d <= 7, 4 at d = 8, 64 at d = 12, 128
-    at d = 13 and 14, 256 from d = 15 on."""
-    iteration = 1 + d**6 / _STEP_COST  # one doubling iteration, in linear steps
-    exp = _MAX_LINEAR_EXP
-    while exp > 0 and 2**exp > exp * iteration:
-        exp -= 1
-    return 2**exp
+    """1 while a doubling iteration costs at most two linear steps (up to
+    d = 8), else ``2**_MAX_LINEAR_EXP``."""
+    return 1 if d**6 <= _STEP_COST else 2**_MAX_LINEAR_EXP
 
 
 # The linear bound takes the largest of this many consecutive-increment
@@ -231,7 +233,9 @@ def _doubling_stage(g, limit: np.ndarray, tol: float, exp: int, cap: int):
             return s.reshape(d, d), squarings, "bound", 0.0
         _check_increment(increment.reshape(d, d))
         s = s + increment
-        small = max_abs(increment) < tol
+        # The heuristic stop waits for k = 2**_MAX_LINEAR_EXP (see the
+        # module docstring).
+        small = squarings >= _MAX_LINEAR_EXP and max_abs(increment) < tol
         power = power @ power
         squarings += 1
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -358,13 +360,9 @@ def test_non_psd_increment_in_doubling_stage_raises(monkeypatch):
 
 
 def test_committed_models_and_small_random_programs_stay_linear(monkeypatch, rng):
-    # Given the largest budget, the linear stage certifies all of these on
-    # its own; the rule gives them a budget of 1.
-    def no_doubling(g):
-        raise AssertionError("the doubling stage ran")
-
-    force_budget(monkeypatch, LARGEST_BUDGET)
-    monkeypatch.setattr("qmcverify.invariant.matrix_representation", no_doubling)
+    # Under the rule's budget of 1 the doubling stage certifies all of
+    # these with a finite bound; given the largest budget, the linear stage
+    # certifies them on its own.
     cases = []
     for path in sorted(MODELS_DIR.glob("*.model")):
         model = load_model(path)
@@ -378,6 +376,16 @@ def test_committed_models_and_small_random_programs_stay_linear(monkeypatch, rng
         for _ in range(10):
             prog = random_contracting_program(d, rng)
             cases.append((prog, random_observable(d, rng, psd=True)))
+    for prog, p in cases:
+        cert = least_fixed_point_q(prog, p)
+        assert cert.stop_reason == "bound"
+        assert np.isfinite(cert.error_bound)
+
+    def no_doubling(g):
+        raise AssertionError("the doubling stage ran")
+
+    force_budget(monkeypatch, LARGEST_BUDGET)
+    monkeypatch.setattr("qmcverify.invariant.matrix_representation", no_doubling)
     for prog, p in cases:
         cert = least_fixed_point_q(prog, p)
         assert cert.stop_reason == "bound"
@@ -431,11 +439,14 @@ def test_unit_spectrum_stops_on_tol_without_a_bound():
 
 def test_linear_budget_rule():
     budgets = [_linear_budget(d) for d in range(1, 41)]
-    assert all(b & (b - 1) == 0 and 1 <= b <= LARGEST_BUDGET for b in budgets)
+    assert all(b & (b - 1) == 0 for b in budgets)
     assert budgets == sorted(budgets)
     assert _linear_budget(2) <= 2
-    # The cap keeps the largest budget from d = 15 on.
-    assert _linear_budget(15) == _linear_budget(40) == LARGEST_BUDGET
+    # A budget in between would cut the linear stage off before its ratio
+    # bound certifies a contracting program and then double anyway.
+    assert set(budgets) == {1, LARGEST_BUDGET}
+    # The benchmark's d = 12-18 programs keep the largest budget.
+    assert all(_linear_budget(d) == LARGEST_BUDGET for d in range(12, 19))
 
 
 def test_benchmark_sizes_certify_in_the_linear_stage(monkeypatch, rng):
@@ -505,3 +516,18 @@ def test_bitflip_value_is_one_to_1e_11(gap):
     cert = least_fixed_point_q(bitflip_program(1 - gap, 0.0, 1.0), P0)
     assert cert.converged
     assert abs(cert.qv1_value - 1.0) <= 1e-11
+
+
+@pytest.mark.parametrize("gap", [1e-8, 1e-11, 1e-12, 9e-13, 5e-13, 1e-13])
+def test_bitflip_value_at_tiny_gaps(gap):
+    # Doubling from k = 1, the first increments are below tol long before
+    # L_k nears the value; the tol stop must not take them.  The reference
+    # is the exact value of the program as built: the rounded Kraus weights
+    # sqrt(p)^2 + sqrt(1-p)^2 miss 1 by about 1e-16, which moves the value
+    # off 1 by up to 1.1e-3 at gap 1e-13.
+    prog = bitflip_program(1 - gap, 0.0, 1.0)
+    stay = sum(Fraction(float(abs(k[1, 1]))) ** 2 for k in prog.e.kraus)
+    halt = sum(Fraction(float(abs(k[0, 1]))) ** 2 for k in prog.e.kraus)
+    cert = least_fixed_point_q(prog, P0)
+    assert cert.converged
+    assert cert.qv1_value == pytest.approx(float(halt / (1 - stay)), rel=1e-7)
