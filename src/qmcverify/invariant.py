@@ -98,7 +98,8 @@ DEFAULT_FIXED_POINT_N_MAX = 1_000_000
 # lie between.  Random contracting programs certify after 18-47 linear
 # steps or 6-7 doubling iterations, so doubling from the start pays while
 # an iteration costs at most two linear steps, ``d^6 <= _STEP_COST``: up
-# to d = 8 (at d = 9 the two took 1.2 and 1.1 ms).  A budget in between
+# to d = 8 (at d = 9, budgets 1 and 256 took 1.2 and 1.1 ms per random
+# program).  A budget in between
 # would pay for linear steps cut off before the ratio bound certifies,
 # which needs at least ``_RATIO_WINDOW + 1`` of them, and then for the
 # squarings as well.
