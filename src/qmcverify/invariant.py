@@ -99,10 +99,9 @@ DEFAULT_FIXED_POINT_N_MAX = 1_000_000
 # steps or 6-7 doubling iterations, so doubling from the start pays while
 # an iteration costs at most two linear steps, ``d^6 <= _STEP_COST``: up
 # to d = 8 (at d = 9, budgets 1 and 256 took 1.2 and 1.1 ms per random
-# program).  A budget in between
-# would pay for linear steps cut off before the ratio bound certifies,
-# which needs at least ``_RATIO_WINDOW + 1`` of them, and then for the
-# squarings as well.
+# program).  A budget in between would pay for linear steps cut off
+# before the ratio bound certifies, which needs at least
+# ``_RATIO_WINDOW + 1`` of them, and then for the squarings as well.
 _STEP_COST = 2**18
 _MAX_LINEAR_EXP = 8
 
