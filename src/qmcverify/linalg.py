@@ -4,14 +4,16 @@ Everything here operates on plain ``numpy`` arrays of ``complex128``,
 except that :func:`spectral_decompose` takes a real matrix as
 ``float64``, so that it gets a real eigensolve; its eigendata come back
 ``complex128`` either way.  That function is the one nontrivial piece.
-It eigensolves the matrix once, and the adjoint only when some
-eigenvalue lies on the unit circle: dual eigenvectors are needed only
-there, biorthonormalized inside each unit cluster so that the
+It computes eigenvalues first, and eigenvectors only when one of them
+lies on the unit circle, the one place the spectral route needs a
+basis: there it eigensolves the matrix and its adjoint, and dual
+eigenvectors are biorthonormalized inside each unit cluster so that the
 unit-modulus spectral projector is ``sum(right @ left.conj().T)``
-without ever touching a Jordan basis.  Without unit spectrum that one
-eigensolve is its only O(n^3) LAPACK call: the tolerance scale is the
-RMS singular value ``||A||_F / sqrt(n)``, which costs O(n^2), not an
-SVD.
+without ever touching a Jordan basis.  Without unit spectrum the
+eigenvalue-only solve is its only O(n^3) LAPACK call, checked as a whole
+by its power sums against ``tr A`` and ``tr A^2`` (O(n^2)); the
+tolerance scale is the RMS singular value ``||A||_F / sqrt(n)``, which
+costs O(n^2), not an SVD.
 ``scipy.linalg.eig(left=True)`` would give both sides from one call, but
 importing ``scipy.linalg`` adds about 0.3 s to every CLI start, so numpy
 stays the only dependency.
@@ -30,10 +32,10 @@ from .errors import DimensionMismatchError, EigensolverError, ValidationError
 # Default numerical thresholds.  All are far above double-precision noise
 # for the dimensions this toolkit is run at: the benchmark goes up to
 # d = 18, so step matrices up to d^2 = 324, whose eigenpair residuals
-# measured about 1e-15 on random programs.  TOL_EIG and TOL_PROJ scale
-# with max(1, SpectralData.norm), the RMS singular value ||A||_F /
-# sqrt(n); it never exceeds ||A||_2, so the scaled bounds are never
-# looser than with the spectral norm.
+# and power-sum gaps measured about 1e-15 on random programs.  TOL_EIG
+# and TOL_PROJ scale with max(1, SpectralData.norm), the RMS singular
+# value ||A||_F / sqrt(n); it never exceeds ||A||_2, so the scaled
+# bounds are never looser than with the spectral norm.
 TOL_HERM = 1e-9
 TOL_EIG = 1e-8
 EPS_UNIT = 1e-7
@@ -105,15 +107,23 @@ def psd_split(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class SpectralData:
     """Eigendata of a (generally non-normal) square matrix.
 
-    ``eigenvalues``, ``right_vectors`` and ``left_vectors`` are complex128
-    even when the matrix is real.  The two vector arrays hold one column
-    per eigenvalue, paired index-by-index.  Left columns are filled only
-    inside clusters that contain a unit-circle eigenvalue; every other
-    left column is zero, so a cluster's spectral projector ``r_c l_c^dag``
-    can be formed for unit clusters only.  Within a unit cluster whose
-    Gram matrix is nonsingular -- those of valid step representations
-    always are -- the left columns are rescaled so that
-    ``left[:, i].conj().T @ right[:, j] = delta_ij`` inside the cluster.
+    ``eigenvalues`` is complex128 even when the matrix is real.  Which
+    vectors exist depends on the path :func:`spectral_decompose` took:
+
+    - No eigenvalue within ``eps_unit`` of the unit circle:
+      ``eigenvalues`` are ``np.linalg.eigvals``'s, and ``right_vectors``
+      and ``left_vectors`` are ``None``.
+    - Otherwise ``eigenvalues`` are ``np.linalg.eig``'s, and the two
+      vector arrays are complex128 with one column per eigenvalue,
+      paired index-by-index.  Left columns are filled only inside
+      clusters that contain a unit-circle eigenvalue; every other left
+      column is zero, so a cluster's spectral projector ``r_c l_c^dag``
+      can be formed for unit clusters only.  Within a unit cluster whose
+      Gram matrix is nonsingular -- those of valid step representations
+      always are -- the left columns are rescaled so that
+      ``left[:, i].conj().T @ right[:, j] = delta_ij`` inside the
+      cluster.
+
     ``matrix`` is the matrix whose eigendata these are, as passed in
     (``spectral.build_representation`` passes the real Hermitian-basis
     step matrix, and the vectors stay in its coordinates), and ``norm``
@@ -127,8 +137,8 @@ class SpectralData:
     dim: int
     matrix: np.ndarray
     eigenvalues: np.ndarray
-    right_vectors: np.ndarray
-    left_vectors: np.ndarray
+    right_vectors: np.ndarray | None
+    left_vectors: np.ndarray | None
     cluster_ids: np.ndarray
     unit_circle_flags: np.ndarray
     norm: float
@@ -189,13 +199,16 @@ def _nilpotent_index_bound(a: np.ndarray) -> int:
     return n
 
 
-def _conjugate_pair_heads(evals: np.ndarray, right: np.ndarray) -> np.ndarray | None:
-    """The columns with ``imag(lambda) >= 0`` of a real matrix's complex
-    eigendata, provided that every column with ``imag(lambda) < 0`` comes
-    right after its partner as its exact conjugate, eigenvalue and vector
-    (LAPACK's layout); ``None`` otherwise.  The residual of each such tail
-    column is then the exact conjugate of its head's, so checking the
-    returned columns bounds them all.  O(n^2)."""
+def _conjugate_pair_heads(
+    evals: np.ndarray, right: np.ndarray | None = None
+) -> np.ndarray | None:
+    """The indices with ``imag(lambda) >= 0`` of a real matrix's complex
+    eigenvalues, provided that every eigenvalue with ``imag(lambda) < 0``
+    comes right after its partner as its exact conjugate (LAPACK's
+    layout), and so does its column of ``right`` when eigenvectors are
+    given; ``None`` otherwise.  The residual of each such tail column is
+    then the exact conjugate of its head's, so checking the returned
+    columns bounds them all.  O(n^2) with vectors, O(n) without."""
     lower = evals.imag < 0
     tail = np.flatnonzero(lower)
     head = tail - 1
@@ -203,21 +216,77 @@ def _conjugate_pair_heads(evals: np.ndarray, right: np.ndarray) -> np.ndarray | 
         np.count_nonzero(evals.imag > 0) != tail.size
         or (tail.size > 0 and tail[0] == 0)
         or not np.array_equal(evals[tail], evals[head].conj())
-        or not np.array_equal(right[:, tail], right[:, head].conj())
+        or (right is not None and not np.array_equal(right[:, tail], right[:, head].conj()))
     ):
         return None
     return np.flatnonzero(~lower)
 
 
+def _check_power_sums(arr: np.ndarray, evals: np.ndarray, norm: float, tol: float) -> None:
+    """Check a whole computed spectrum against the matrix without
+    eigenvectors: ``sum(lambda) = tr A`` within ``tol`` and
+    ``sum(lambda^2) = tr A^2 = sum_ij A_ij A_ji`` within
+    ``tol * max(1, norm)``, after the exact conjugate pairing of a real
+    matrix's complex eigenvalues.  O(n^2).
+
+    Why these bounds.  ``dgeev`` is backward stable: its eigenvalues are
+    read off the diagonal (1x1 and 2x2 blocks) of a Schur form ``T``
+    unitarily similar to ``A + E``, with ``||E||_F <= c(n) u ||A||_F``,
+    ``u`` the unit roundoff and ``c(n)`` a modest polynomial (Golub & Van
+    Loan, *Matrix Computations*, §7.5).  So ``sum(lambda) = tr T =
+    tr A + tr E`` and ``sum(lambda^2) = tr T^2 = tr A^2 + 2 tr(A E) +
+    tr E^2``, however ill-conditioned the single eigenvalues are (a
+    defective zero cluster scatters them by about ``u^(1/k)`` and keeps
+    both sums).  With ``||A||_F = sqrt(n) norm`` the two gaps are at most
+    ``c(n) u n norm`` and, to first order, ``2 c(n) u n norm^2``; summing
+    ``n`` eigenvalues and ``n^2`` products in floating point adds
+    ``O(u log(n) n norm^k)``.  At ``n = 324`` (d = 18) and ``c(n) = n``
+    that is below ``3e-11 max(1, norm)^k``, over 300 times below
+    ``TOL_EIG max(1, norm)^k``: the margin ``TOL_EIG`` keeps over the
+    ~1e-15 eigenpair residuals.  One eigenvalue moved by ``delta`` moves
+    the first sum by ``delta`` and is refused once ``delta > tol``; the
+    residual ``delta ||v||_inf`` of its unit-norm eigenvector needs at
+    least as much.  An eigenvalue dropped for a duplicate of another, or
+    two distinct eigenvalues moved in opposite directions, which each
+    eigenpair's residual can miss, move one of the two sums.
+    """
+    n = arr.shape[0]
+    # LAPACK returns real eigenvalues as float64 when all of them are real.
+    if np.isrealobj(arr) and np.iscomplexobj(evals) and _conjugate_pair_heads(evals) is None:
+        raise EigensolverError(
+            n, norm, "an eigenvalue with imag(lambda) < 0 is not the exact "
+            "conjugate of the eigenvalue before it"
+        )
+    gap1 = abs(evals.sum() - arr.trace())
+    if gap1 > tol:
+        raise EigensolverError(n, norm, f"power sum sum(lambda) off tr A by {gap1:.3e}")
+    gap2 = abs(evals @ evals - np.einsum("ij,ji->", arr, arr))
+    if gap2 > tol * max(1.0, norm):
+        raise EigensolverError(n, norm, f"power sum sum(lambda^2) off tr A^2 by {gap2:.3e}")
+
+
+def _unit_flags(evals: np.ndarray, eps_unit: float) -> np.ndarray:
+    return np.abs(np.abs(evals) - 1.0) <= eps_unit
+
+
 def spectral_decompose(a, eps_unit: float = EPS_UNIT) -> SpectralData:
-    """Eigen-decompose ``a``, with dual eigenvectors for its unit-circle
-    clusters.
+    """Eigen-decompose ``a``, with eigenvectors only when some eigenvalue
+    lies on the unit circle, and then dual eigenvectors for its
+    unit-circle clusters.
+
+    ``np.linalg.eigvals`` runs first.  When none of its eigenvalues is
+    within ``eps_unit`` of the unit circle, they are the result, checked
+    as a whole spectrum by :func:`_check_power_sums`, and no eigenvector
+    is computed.  Otherwise ``np.linalg.eig`` runs as well and its
+    eigenvalues, vectors and flags are the result, each right eigenpair
+    residual-checked, and the adjoint eigensolve follows if ``eig``
+    flags a unit-circle eigenvalue too.
 
     Parameters
     ----------
     a : array_like
-        Square matrix.  A real one is eigensolved and residual-checked as
-        it is, in real arithmetic; anything else as complex128.
+        Square matrix.  A real one is eigensolved and checked as it is,
+        in real arithmetic; anything else as complex128.
     eps_unit : float
         An eigenvalue is flagged unit-circle when ``| |lambda| - 1 | <=
         eps_unit``.
@@ -229,52 +298,63 @@ def spectral_decompose(a, eps_unit: float = EPS_UNIT) -> SpectralData:
     Raises
     ------
     EigensolverError
-        If LAPACK fails to converge, an eigenpair violates the residual
-        bound ``TOL_EIG * max(1, norm)``, the complex eigendata of a
-        real matrix are not in exact conjugate pairs, or a unit-circle
-        cluster does not get exactly as many adjoint eigenvectors as it
-        has eigenvalues.
+        If LAPACK fails to converge, the complex eigendata of a real
+        matrix are not in exact conjugate pairs, the power sums of an
+        eigenvalue-only spectrum miss ``tr A`` or ``tr A^2``, an eigenpair
+        violates the residual bound ``TOL_EIG * max(1, norm)``, or a
+        unit-circle cluster does not get exactly as many adjoint
+        eigenvectors as it has eigenvalues.
     """
     arr = require_square(a, dtype=float if np.isrealobj(a) else complex)
     n = arr.shape[0]
     norm = float(np.linalg.norm(arr)) / math.sqrt(n) if n else 0.0
     tol = TOL_EIG * max(1.0, norm)
     try:
-        evals, right = np.linalg.eig(arr)
+        evals = np.linalg.eigvals(arr)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(n, norm, str(exc)) from exc
 
-    if np.isrealobj(arr) and np.iscomplexobj(right):
-        # Only the columns with imag(lambda) >= 0, in real arithmetic: one
-        # real matmul on their interleaved (re, im) parts.
-        keep = _conjugate_pair_heads(evals, right)
-        if keep is None:
-            raise EigensolverError(
-                n, norm, "an eigenpair with imag(lambda) < 0 is not the exact "
-                "conjugate of the eigenpair before it"
-            )
-        head = np.ascontiguousarray(right[:, keep])
-        image = (arr @ head.view(np.float64)).view(complex)
-        res_right = max_abs(image - head * evals[None, keep])
+    right = left = None
+    unit_flags = _unit_flags(evals, eps_unit)
+    if not unit_flags.any():
+        _check_power_sums(arr, evals, norm, tol)
     else:
-        # A complex matrix, or a real one with real spectrum: LAPACK then
-        # returns real eigendata, and this is one real matmul on n columns.
-        res_right = max_abs(arr @ right - right * evals[None, :])
-    if res_right > tol:
-        raise EigensolverError(n, norm, f"right eigenpair residual {res_right:.3e}")
+        try:
+            evals, right = np.linalg.eig(arr)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(n, norm, str(exc)) from exc
+        if np.isrealobj(arr) and np.iscomplexobj(right):
+            # Only the columns with imag(lambda) >= 0, in real arithmetic: one
+            # real matmul on their interleaved (re, im) parts.
+            keep = _conjugate_pair_heads(evals, right)
+            if keep is None:
+                raise EigensolverError(
+                    n, norm, "an eigenpair with imag(lambda) < 0 is not the exact "
+                    "conjugate of the eigenpair before it"
+                )
+            head = np.ascontiguousarray(right[:, keep])
+            image = (arr @ head.view(np.float64)).view(complex)
+            res_right = max_abs(image - head * evals[None, keep])
+        else:
+            # A complex matrix, or a real one with real spectrum: LAPACK then
+            # returns real eigendata, and this is one real matmul on n columns.
+            res_right = max_abs(arr @ right - right * evals[None, :])
+        if res_right > tol:
+            raise EigensolverError(n, norm, f"right eigenpair residual {res_right:.3e}")
+        right = right.astype(complex, copy=False)
+        unit_flags = _unit_flags(evals, eps_unit)
     evals = evals.astype(complex, copy=False)
-    right = right.astype(complex, copy=False)
 
     radius = float(np.max(np.abs(evals))) if n else 0.0
     threshold = CLUSTER_REL_TOL * max(1.0, radius)
     cluster_ids = _cluster_eigenvalues(evals, threshold)
-    unit_flags = np.abs(np.abs(evals) - 1.0) <= eps_unit
 
     # Dual vectors only for the unit clusters, biorthonormalized inside each
     # where its Gram matrix allows it.  A singular Gram means the cluster is
     # defective; unit-circle clusters of valid programs never are, and the
     # projector checks downstream catch the rest.
-    left = np.zeros_like(right)
+    if right is not None:
+        left = np.zeros_like(right)
     # A set, not np.unique, which imports numpy.ma (about 10 ms) on first use.
     unit_clusters = set(cluster_ids[unit_flags].tolist())
     if unit_clusters:

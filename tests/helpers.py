@@ -127,6 +127,21 @@ def decaying_block_program():
     return scheme.with_initial_state(DensityOperator(rho0))
 
 
+def count_calls(monkeypatch, *names):
+    """Patch the named ``np.linalg`` functions to record ``(name, dtype)``
+    of every call, in order."""
+    calls = []
+    for name in names:
+        fn = getattr(np.linalg, name)
+
+        def recording(a, _fn=fn, _name=name):
+            calls.append((_name, a.dtype))
+            return _fn(a)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return calls
+
+
 # Lemma diagnostics.  Each checks one identity of the paper on a built
 # object; none is part of a verification route.
 

@@ -18,7 +18,7 @@ from qmcverify.linalg import TOL_EIG, _cluster_eigenvalues, max_abs
 from qmcverify.model import load_model
 from qmcverify.sampling import random_contracting_program
 
-from helpers import X, bitflip_step_matrix
+from helpers import X, bitflip_step_matrix, count_calls, counter_scheme
 
 MODELS_DIR = Path(__file__).parent.parent / "models"
 
@@ -108,12 +108,21 @@ def test_spectral_nilpotent_index():
 
 
 def test_spectral_eigenpair_residuals(rng):
+    # Without unit spectrum only eigenvalues come back: each is within
+    # TOL_EIG of the spectrum of a, i.e. a - lambda I has a singular value
+    # that small.  With unit spectrum every right eigenpair is returned and
+    # residual-checked.
     for d in (2, 4, 6):
         a = random_complex(rng, d)
         sd = spectral_decompose(a)
-        norm = np.linalg.norm(a, 2)
-        res = max_abs(a @ sd.right_vectors - sd.right_vectors * sd.eigenvalues[None, :])
-        assert res <= TOL_EIG * max(1.0, norm)
+        assert sd.right_vectors is None and sd.left_vectors is None
+        tol = TOL_EIG * max(1.0, np.linalg.norm(a, 2))
+        for lam in sd.eigenvalues:
+            assert np.linalg.svd(a - lam * np.eye(d), compute_uv=False)[-1] <= tol
+        q, _ = np.linalg.qr(a)
+        sd = spectral_decompose(q)
+        res = max_abs(q @ sd.right_vectors - sd.right_vectors * sd.eigenvalues[None, :])
+        assert res <= TOL_EIG
 
 
 def test_unit_projector_idempotent_for_unitary(rng):
@@ -143,24 +152,20 @@ def counter_step_matrix(d):
 @pytest.mark.parametrize(
     "m, eig_calls",
     [
-        (bitflip_step_matrix(0.5), 1),
-        (counter_step_matrix(4), 1),
+        (bitflip_step_matrix(0.5), 0),
+        (counter_step_matrix(4), 0),
         (bitflip_step_matrix(1.0), 2),
     ],
     ids=["bitflip", "counter", "stuck_bitflip"],
 )
 def test_adjoint_eigensolve_only_with_unit_spectrum(monkeypatch, m, eig_calls):
-    calls = []
-    eig = np.linalg.eig
-
-    def counting_eig(a):
-        calls.append(a.shape)
-        return eig(a)
-
-    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    # eigvals first; eig for the right and then the adjoint eigenvectors
+    # only when some eigenvalue lies on the unit circle.
+    calls = count_calls(monkeypatch, "eigvals", "eig")
     sd = spectral_decompose(m)
-    assert len(calls) == eig_calls
+    assert [name for name, _ in calls] == ["eigvals"] + ["eig"] * eig_calls
     assert sd.unit_circle_flags.any() == (eig_calls == 2)
+    assert (sd.right_vectors is None) == (eig_calls == 0)
 
 
 def rotation_jordan_half(theta=0.7):
@@ -216,21 +221,24 @@ def test_spectral_real_input_rejects_non_square():
 
 
 @pytest.mark.parametrize(
-    "m", [np.diag([0.5, 0.25]), np.array([[0.0, -0.5], [0.5, 0.0]])], ids=["real", "pair"]
+    "m, calls_expected",
+    [
+        (np.diag([0.5, 0.25]), ["eigvals"]),
+        (np.array([[0.0, -0.5], [0.5, 0.0]]), ["eigvals"]),
+        (np.array([[0.0, -1.0], [1.0, 0.0]]), ["eigvals", "eig", "eig"]),
+    ],
+    ids=["real", "pair", "unit_pair"],
 )
-def test_spectral_real_input_returns_complex_eigendata(monkeypatch, m):
-    dtypes = []
-    eig = np.linalg.eig
-
-    def recording_eig(a):
-        dtypes.append(a.dtype)
-        return eig(a)
-
-    monkeypatch.setattr(np.linalg, "eig", recording_eig)
+def test_spectral_real_input_returns_complex_eigendata(monkeypatch, m, calls_expected):
+    calls = count_calls(monkeypatch, "eigvals", "eig")
     sd = spectral_decompose(m)
-    assert dtypes == [np.float64]
-    assert sd.eigenvalues.dtype == sd.right_vectors.dtype == sd.left_vectors.dtype == complex
-    assert max_abs(m @ sd.right_vectors - sd.right_vectors * sd.eigenvalues) <= 1e-15
+    assert calls == [(name, np.float64) for name in calls_expected]
+    assert sd.eigenvalues.dtype == complex
+    if sd.right_vectors is None:
+        assert np.array_equal(sd.eigenvalues, np.linalg.eigvals(m))
+    else:
+        assert sd.right_vectors.dtype == sd.left_vectors.dtype == complex
+        assert max_abs(m @ sd.right_vectors - sd.right_vectors * sd.eigenvalues) <= 1e-15
 
 
 def cluster_by_search(evals, threshold):
@@ -289,8 +297,9 @@ def test_norm_is_the_rms_singular_value(rng, kind):
 
 # numpy.linalg entry points that can run O(n^3) LAPACK work, and the
 # orders at which ``norm`` does (an SVD).
-LAPACK_CALLS = ("eig", "svd", "norm", "cond", "matrix_rank")
+LAPACK_CALLS = ("eigvals", "eig", "svd", "norm", "cond", "matrix_rank")
 SVD_NORM_ORDS = (2, -2, "nuc")
+EIGENSOLVES = ("eigvals", "eig")
 
 
 def count_lapack_calls(monkeypatch):
@@ -321,18 +330,21 @@ def test_build_without_unit_spectrum_runs_one_eigensolve(monkeypatch):
     calls = count_lapack_calls(monkeypatch)
     sd = build_representation(prog).spectral
     assert not sd.unit_circle_flags.any()
-    assert [c for c in calls if c[0] == "eig"] == [("eig", None)]
+    assert [c for c in calls if c[0] in EIGENSOLVES] == [("eigvals", None)]
     assert svd_backed(calls) == []
+    assert sd.right_vectors is None and sd.left_vectors is None
     # the rank-of-powers bound is computed on first read only
     assert "zero_nilpotent_index_bound" not in sd.__dict__
 
 
 def test_build_with_unit_spectrum_runs_two_eigensolves(monkeypatch):
+    # eigvals finds the unit-circle candidates; eig then gives the right
+    # and the adjoint eigenvectors.
     scheme = load_model(MODELS_DIR / "unitary_m0zero.model").to_scheme()
     calls = count_lapack_calls(monkeypatch)
     sd = build_representation(scheme).spectral
     assert sd.unit_circle_flags.any()
-    assert [c for c in calls if c[0] == "eig"] == [("eig", None)] * 2
+    assert [c[0] for c in calls if c[0] in EIGENSOLVES] == ["eigvals", "eig", "eig"]
     assert "zero_nilpotent_index_bound" not in sd.__dict__
 
 
@@ -350,6 +362,20 @@ def patch_eig(monkeypatch, corrupt):
     monkeypatch.setattr(np.linalg, "eig", patched)
 
 
+def patch_eigvals(monkeypatch, corrupt):
+    """Make ``np.linalg.eigvals`` return ``corrupt(w)`` on a copy of the
+    true eigenvalues."""
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: corrupt(eigvals(a).copy()))
+
+
+def patch_eigensolves(monkeypatch, corrupt):
+    """Corrupt the eigenvalues of ``eigvals`` and the first ``eig`` alike:
+    ``corrupt(w, v)`` gets ``v = None`` from ``eigvals``."""
+    patch_eigvals(monkeypatch, lambda w: corrupt(w, None)[0])
+    patch_eig(monkeypatch, corrupt)
+
+
 def first_pair(w):
     j = int(np.flatnonzero(w.imag > 0)[0])
     assert w[j + 1] == w[j].conj()
@@ -358,16 +384,19 @@ def first_pair(w):
 
 # Real, with a conjugate pair at +-0.5i and a real eigenvalue 0.25.
 PAIR_MATRIX = np.array([[0.0, -0.5, 0.1], [0.5, 0.0, 0.2], [0.0, 0.0, 0.25]])
+# Real, with a conjugate pair at +-i on the unit circle and 0.25: its
+# eigenvectors are computed and residual-checked.
+UNIT_PAIR_MATRIX = np.array([[0.0, -1.0, 0.1], [1.0, 0.0, 0.2], [0.0, 0.0, 0.25]])
 
 
 def test_residual_guard_catches_a_real_spectrum_eigenvalue(monkeypatch):
-    def corrupt(w, v):
-        assert np.isrealobj(w) and np.isrealobj(v)
+    def corrupt(w):
+        assert np.isrealobj(w)
         w[0] += 1e-6
-        return w, v
+        return w
 
-    patch_eig(monkeypatch, corrupt)
-    with pytest.raises(EigensolverError, match="right eigenpair residual"):
+    patch_eigvals(monkeypatch, corrupt)
+    with pytest.raises(EigensolverError, match=r"power sum sum\(lambda\) "):
         spectral_decompose(np.array([[0.5, 1.0], [0.0, 0.25]]))
 
 
@@ -380,28 +409,169 @@ def test_residual_guard_catches_an_upper_pair_column(monkeypatch):
 
     patch_eig(monkeypatch, corrupt)
     with pytest.raises(EigensolverError, match="right eigenpair residual"):
-        spectral_decompose(PAIR_MATRIX)
+        spectral_decompose(UNIT_PAIR_MATRIX)
 
 
 def test_residual_guard_catches_an_inexact_conjugate_partner(monkeypatch):
     # The partner's own residual stays near 1e-12, far below TOL_EIG: only
     # the pairing check can see that it was not checked.
-    def corrupt(w, v):
+    def corrupt_vector(w, v):
         j = first_pair(w)
         v[:, j + 1] *= 1 + 1e-12
         return w, v
 
-    patch_eig(monkeypatch, corrupt)
-    with pytest.raises(EigensolverError, match="exact conjugate"):
+    patch_eig(monkeypatch, corrupt_vector)
+    with pytest.raises(EigensolverError, match="eigenpair .* exact conjugate"):
+        spectral_decompose(UNIT_PAIR_MATRIX)
+
+    # Without unit spectrum the same holds for the eigenvalues alone: the
+    # power sums would move by only about 1e-12.
+    def corrupt_value(w):
+        j = first_pair(w)
+        w[j + 1] *= 1 + 1e-12
+        return w
+
+    patch_eigvals(monkeypatch, corrupt_value)
+    with pytest.raises(EigensolverError, match="eigenvalue .* exact conjugate"):
         spectral_decompose(PAIR_MATRIX)
 
 
 def test_corrupted_eigensolve_exits_5(monkeypatch, capsys):
-    def corrupt(w, v):
+    def shift_largest(w):
         w[np.argmax(np.abs(w))] += 1e-6
-        return w, v
+        return w
 
-    patch_eig(monkeypatch, corrupt)
+    patch_eigvals(monkeypatch, shift_largest)
     code = main(["verify", str(MODELS_DIR / "bitflip_p05.model"), "-o", "P0"])
     assert code == 5
+    assert "power sum" in capsys.readouterr().err
+
+    monkeypatch.undo()
+    patch_eig(monkeypatch, lambda w, v: (shift_largest(w), v))
+    code = main(["terminate", str(MODELS_DIR / "bitflip_p1.model")])
+    assert code == 5
     assert "right eigenpair residual" in capsys.readouterr().err
+
+
+def duplicate_first(w, v):
+    """Repeat the first eigenpair in place of the last one: a residual per
+    pair passes, the spectrum is wrong."""
+    w[-1] = w[0]
+    if v is not None:
+        v[:, -1] = v[:, 0]
+    return w, v
+
+
+def test_duplicated_eigenvalue_is_refused(monkeypatch):
+    patch_eigensolves(monkeypatch, duplicate_first)
+    with pytest.raises(EigensolverError, match=r"power sum sum\(lambda\) "):
+        spectral_decompose(np.array([[0.5, 1.0], [0.0, 0.25]]))
+
+
+def test_duplicated_eigenvalue_exits_5(monkeypatch, capsys):
+    # The step of bitflip_p05 has eigenvalues 0.5, 0, 0, 0, and LAPACK
+    # returns 0.5 first.
+    patch_eigensolves(monkeypatch, duplicate_first)
+    code = main(["verify", str(MODELS_DIR / "bitflip_p05.model"), "-o", "P0"])
+    assert code == 5
+    assert "power sum" in capsys.readouterr().err
+
+
+def shift_apart(delta):
+    """Move the eigenvalues of largest and smallest real part by
+    ``+delta`` and ``-delta``: the trace stays, ``sum(lambda^2)`` moves by
+    about ``2 delta (max - min)``."""
+    def corrupt(w, v):
+        hi, lo = int(np.argmax(w.real)), int(np.argmin(w.real))
+        w[hi] += delta
+        w[lo] -= delta
+        return w, v
+
+    return corrupt
+
+
+def test_opposite_shifts_are_refused(monkeypatch):
+    # Eigenvalues 0.9, -0.9, 0.1 with unit eigenvectors: shifts of
+    # 0.6 TOL_EIG leave every eigenpair residual at 0.6 TOL_EIG, below the
+    # residual bound, and move sum(lambda^2) by 2.16 TOL_EIG.
+    patch_eigensolves(monkeypatch, shift_apart(0.6 * TOL_EIG))
+    with pytest.raises(EigensolverError, match=r"power sum sum\(lambda\^2\)"):
+        spectral_decompose(np.diag([0.9, -0.9, 0.1]))
+
+
+def test_opposite_shifts_exit_5(monkeypatch, capsys):
+    patch_eigensolves(monkeypatch, shift_apart(1e-6))
+    code = main(["verify", str(MODELS_DIR / "bitflip_p05.model"), "-o", "P0"])
+    assert code == 5
+    assert "power sum sum(lambda^2)" in capsys.readouterr().err
+
+
+def test_single_shift_refused_at_the_residual_bound(monkeypatch):
+    # One eigenvalue moved by just over TOL_EIG moves sum(lambda) by as
+    # much; the residual of a unit eigenvector needs at least that.
+    patch_eigvals(monkeypatch, lambda w: w + np.eye(w.size)[0] * 1.01 * TOL_EIG)
+    with pytest.raises(EigensolverError, match="power sum"):
+        spectral_decompose(np.diag([0.9, -0.9, 0.1]))
+
+
+def power_sum_gaps(sd):
+    """The two power-sum gaps of ``sd`` over their tolerances."""
+    a, w = sd.matrix, sd.eigenvalues
+    tol = TOL_EIG * max(1.0, sd.norm)
+    gap1 = abs(w.sum() - a.trace()) / tol
+    gap2 = abs(w @ w - np.einsum("ij,ji->", a, a)) / (tol * max(1.0, sd.norm))
+    return gap1, gap2
+
+
+def battery_cases(family):
+    if family == "committed":
+        for path in sorted(MODELS_DIR.glob("*.model")):
+            yield load_model(path).to_scheme()
+    elif family == "counter":
+        for d in range(3, 19):
+            yield counter_scheme(d)
+    elif family == "random":
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            for d in range(2, 13):
+                yield random_contracting_program(d, rng)
+
+
+@pytest.mark.parametrize("family", ["committed", "counter", "random"])
+def test_power_sums_raise_no_false_alarm(family):
+    # At the default tolerances every build passes, with each gap at least
+    # a thousand times below its tolerance.
+    eigvals_path = 0
+    for scheme in battery_cases(family):
+        sd = build_representation(scheme).spectral
+        if sd.right_vectors is None:
+            eigvals_path += 1
+            assert max(power_sum_gaps(sd)) <= 1e-3
+    assert eigvals_path >= (3 if family == "committed" else 1)
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.9])
+def test_no_false_alarm_on_a_similar_rotation(rng, radius):
+    # A real rotation block (on the unit circle, or inside it) beside a
+    # 3x3 Jordan block at zero and 0.5, under a random real similarity.
+    m, _ = rotation_jordan_half()
+    m = m.real.copy()
+    m[:2, :2] *= radius
+    for _ in range(10):
+        t = rng.standard_normal((6, 6))
+        sd = spectral_decompose(t @ m @ np.linalg.inv(t))
+        assert np.count_nonzero(sd.unit_circle_flags) == (2 if radius == 1.0 else 0)
+        assert (sd.right_vectors is None) == (radius < 1.0)
+        if radius < 1.0:
+            assert max(power_sum_gaps(sd)) <= 1e-3
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in MODELS_DIR.glob("*.model")))
+def test_eigenvalues_are_those_of_the_path_taken(name):
+    # Bit for bit: eig's on the unit-circle path, eigvals' on the other.
+    sd = build_representation(load_model(MODELS_DIR / name).to_scheme()).spectral
+    if sd.unit_circle_flags.any():
+        assert np.array_equal(sd.eigenvalues, np.linalg.eig(sd.matrix)[0])
+    else:
+        assert sd.right_vectors is None
+        assert np.array_equal(sd.eigenvalues, np.linalg.eigvals(sd.matrix))

@@ -44,6 +44,7 @@ def test_every_counter_counts_a_real_return_value(tracing):
     p0 = model.observable("P0")
     rep = build_representation(prog)
     step = matrix_representation(prog.g)
+    unit_step = matrix_representation(load_model(MODELS_DIR / "unitary_m0zero.model").to_scheme().g)
     calls = {
         "oracle_expectation": lambda f: f(prog, p0),
         "least_fixed_point_q": lambda f: f(prog, p0),
@@ -53,8 +54,15 @@ def test_every_counter_counts_a_real_return_value(tracing):
     }
     counted = [(mod, attr, counter) for mod, attr, _, counter in tracing.FUNCTIONS if counter]
     assert sorted(attr for _, attr, _ in counted) == sorted(calls)
+    results = []
     for mod_name, attr, counter in counted:
-        result = calls[attr](getattr(importlib.import_module(mod_name), attr))
+        fn = getattr(importlib.import_module(mod_name), attr)
+        results.append((attr, counter, calls[attr](fn)))
+        if attr == "spectral_decompose":
+            # Eigenvectors exist only with unit spectrum: the counter must
+            # read the return value of that path too.
+            results.append((attr, counter, fn(unit_step)))
+    for attr, counter, result in results:
         counts = counter(result)
         assert counts and set(counts) <= set(tracing.COUNT_METRICS), attr
         for name, value in counts.items():

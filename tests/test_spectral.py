@@ -46,6 +46,7 @@ from helpers import (
     bitflip_scheme,
     bitflip_step_matrix,
     block_unitary_scheme,
+    count_calls,
     counter_scheme,
     decaying_block_program,
     filtered_power_residual,
@@ -542,20 +543,14 @@ def test_real_coordinates_reject_a_step_that_breaks_hermiticity():
         _real_coordinates(np.kron(X, np.eye(2)))
 
 
-def test_build_without_unit_spectrum_runs_one_real_eig(monkeypatch, rng):
+def test_build_without_unit_spectrum_runs_one_real_eigvals(monkeypatch, rng):
     prog = random_contracting_program(3, rng)
-    dtypes = []
-    eig = np.linalg.eig
-
-    def recording_eig(a):
-        dtypes.append(a.dtype)
-        return eig(a)
-
-    monkeypatch.setattr(np.linalg, "eig", recording_eig)
+    calls = count_calls(monkeypatch, "eigvals", "eig")
     rep = build_representation(prog)
     assert not np.any(rep.spectral.unit_circle_flags)
-    assert dtypes == [np.float64]
-    assert rep.spectral.eigenvalues.dtype == rep.spectral.right_vectors.dtype == complex
+    assert calls == [("eigvals", np.float64)]
+    assert rep.spectral.eigenvalues.dtype == complex
+    assert rep.spectral.right_vectors is None and rep.spectral.left_vectors is None
 
 
 def conjugated(scheme, v):
