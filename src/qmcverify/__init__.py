@@ -26,7 +26,6 @@ from .errors import (
 from .invariant import (
     ConditionCheck,
     InvariantCertificate,
-    certificate_for,
     certified_expectation,
     check_conditions,
     least_fixed_point_q,
@@ -88,7 +87,6 @@ __all__ = [
     "apply_dual",
     "average_running_time",
     "build_representation",
-    "certificate_for",
     "certified_expectation",
     "check_conditions",
     "check_program_termination",

@@ -62,11 +62,7 @@ the remainder of the terminal-expectation series
 ``sum_k tr(b G^k(rho0)) = tr(P rho_star)``, whose terms are non-negative
 for ``P >= 0``.  That series converges for every program, terminating or
 not, so the remainder tends to 0; a partial iterate ``L_N`` keeps only
-its first ``N`` terms and gives a smaller one.  A candidate from
-:func:`certificate_for` has no such guarantee (``K = I`` on a bitflip that
-never flips keeps the tail at the mass that never halts), so its QV3 is
-decided on ``tr(Q E1(G^n(rho0)))`` at ``n = 2^j, 2^j + 1``, stepped one
-``G`` at a time.
+its first ``N`` terms and gives a smaller one.
 """
 
 from __future__ import annotations
@@ -119,13 +115,12 @@ _RATIO_WINDOW = 4
 # The first linear steps are checked for Loewner monotonicity.
 _LOEWNER_CHECKED_STEPS = 32
 _LOEWNER_TOL = 1e-8
-# QV2 holds when the invariance residual is at most this, and a given
-# candidate's QV3 when its last tail samples are.
+# QV2 holds when the invariance residual is at most this.
 CONDITION_TOL = 1e-8
 
 STOP_REASONS = ("bound", "tol", "n_max")
 
-# Tail sampling for the QV3 of a given candidate: geometric step counts,
+# Tail sampling by :func:`_qv3_tail_values`: geometric step counts,
 # stopping early once both the surviving mass and the tail value have
 # stabilized (they are monotone resp. eventually constant up to
 # unit-circle rotation, which the paired odd/even samples cover), and at
@@ -142,15 +137,13 @@ class InvariantCertificate:
 
     ``q`` is the invariant candidate, ``completion`` the observable whose
     initial-state expectation reproduces the terminal one.  ``qv3_tail``
-    holds ``tr(q . E1(G^n(rho0)))`` at geometrically spaced ``n`` for a
-    candidate given on a program; it is empty for a computed certificate,
-    whose QV3 holds by construction, and for schemes, which have no
-    initial state.  ``error_bound`` bounds
+    is empty: QV3 holds by construction (see the module docstring), so
+    no tail ``tr(q . E1(G^n(rho0)))`` is sampled.  ``error_bound`` bounds
     ``||L - L_n||_max`` for the iterate ``L_n`` that ``completion`` was
     built from (``inf`` when none could be certified); ``stop_reason`` is
     ``bound`` (certified below ``tol``), ``tol`` (the increment fell below
-    ``tol`` but no bound could be certified), ``n_max`` (the cap was hit)
-    or ``given`` (a candidate from :func:`certificate_for`).
+    ``tol`` but no bound could be certified) or ``n_max`` (the cap was
+    hit).
     """
 
     q: Observable
@@ -321,14 +314,6 @@ def least_fixed_point_q(
     return _certificate(prog_or_scheme, p, q, iterations, bound, reason)
 
 
-def certificate_for(
-    prog_or_scheme: ProgramScheme, p: Observable, q: Observable
-) -> InvariantCertificate:
-    """Certificate for a user-supplied invariant candidate ``q`` (used to
-    probe QV2/QV3 for candidates other than the least fixed point)."""
-    return _certificate(prog_or_scheme, p, q, 0, 0.0, "given")
-
-
 def _certificate(
     prog_or_scheme: ProgramScheme,
     p: Observable,
@@ -338,20 +323,17 @@ def _certificate(
     stop_reason: str,
 ) -> InvariantCertificate:
     """The certificate of ``q``: its completion, the QV2 residual and, for
-    a program, the QV1 value and, for a given candidate, the QV3 tail."""
+    a program, the QV1 value."""
     completion = Observable(_completion_mat(prog_or_scheme.meas, p.mat, q.mat))
     qv2_residual = max_abs(prog_or_scheme.e.apply_dual_mat(completion.mat) - q.mat)
     qv1_value = None
-    qv3_tail: tuple[float, ...] = ()
     if isinstance(prog_or_scheme, QuantumProgram):
         qv1_value = _initial_value(completion, prog_or_scheme)
-        if stop_reason == "given":
-            qv3_tail = _qv3_tail_values(prog_or_scheme, q.mat)
     return InvariantCertificate(
         q=q,
         completion=completion,
         qv2_residual=qv2_residual,
-        qv3_tail=qv3_tail,
+        qv3_tail=(),
         qv1_value=qv1_value,
         iterations=iterations,
         converged=stop_reason != "n_max",
@@ -369,38 +351,27 @@ class ConditionCheck:
     qv2: bool
     qv2_residual: float
     qv3: bool
-    qv3_limit: float | None
 
 
 def check_conditions(prog: QuantumProgram, cert: InvariantCertificate) -> ConditionCheck:
     """Evaluate QV1/QV2/QV3 for a certificate.
 
     QV1 is always finite in finite dimension; the value is reported for
-    completeness.  QV2 is decided at :data:`CONDITION_TOL`.  For a
-    certificate from :func:`least_fixed_point_q`, QV3 holds by
-    construction (see the module docstring) and ``qv3_limit`` is None.
-    For a given candidate, QV3 is decided at :data:`CONDITION_TOL` on
-    ``qv3_limit``, the larger of the last two tail samples.  A certificate
-    built on a scheme carries neither the QV1 value nor the tail; both are
-    computed here for ``prog``'s initial state.
+    completeness.  QV2 is decided at :data:`CONDITION_TOL`.  QV3 holds by
+    construction for a certificate from :func:`least_fixed_point_q` (see
+    the module docstring).  A certificate built on a scheme carries no
+    QV1 value; it is computed here for ``prog``'s initial state.
     """
     qv1_value = cert.qv1_value
     if qv1_value is None:
         qv1_value = _initial_value(cert.completion, prog)
-
-    qv3, qv3_limit = True, None
-    if cert.stop_reason == "given":
-        tail = cert.qv3_tail or _qv3_tail_values(prog, cert.q.mat)
-        qv3_limit = max(abs(t) for t in tail[-2:])
-        qv3 = qv3_limit <= CONDITION_TOL
 
     return ConditionCheck(
         qv1=bool(np.isfinite(qv1_value)),
         qv1_value=qv1_value,
         qv2=cert.qv2_residual <= CONDITION_TOL,
         qv2_residual=cert.qv2_residual,
-        qv3=qv3,
-        qv3_limit=qv3_limit,
+        qv3=True,
     )
 
 

@@ -4,14 +4,13 @@ Everything here operates on plain ``numpy`` arrays of ``complex128``,
 except that :func:`spectral_decompose` takes a real matrix as
 ``float64``, so that it gets a real eigensolve; its eigendata come back
 ``complex128`` either way.  That function is the one nontrivial piece.
-It computes eigenvalues first, and eigenvectors only when one of them
-lies on the unit circle, the one place the spectral route needs a
-basis: there it eigensolves the matrix and its adjoint, and dual
-eigenvectors are biorthonormalized inside each unit cluster so that the
-unit-modulus spectral projector is ``sum(right @ left.conj().T)``
-without ever touching a Jordan basis.  Without unit spectrum the
-eigenvalue-only solve is its only O(n^3) LAPACK call, checked as a whole
-by its power sums against ``tr A`` and ``tr A^2`` (O(n^2)); the
+It computes all eigenvalues, checked as a whole by their power sums
+against ``tr A`` and ``tr A^2`` (O(n^2)), and eigenvectors only for the
+eigenvalues on the unit circle, the one place the spectral route needs
+a basis: there it eigensolves the matrix and its adjoint, keeps each
+side's columns for the unit clusters, and biorthonormalizes the dual
+ones inside each cluster, so that the unit-modulus spectral projector is
+``right @ left.conj().T`` without ever touching a Jordan basis.  The
 tolerance scale is the RMS singular value ``||A||_F / sqrt(n)``, which
 costs O(n^2), not an SVD.
 ``scipy.linalg.eig(left=True)`` would give both sides from one call, but
@@ -107,22 +106,18 @@ def psd_split(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class SpectralData:
     """Eigendata of a (generally non-normal) square matrix.
 
-    ``eigenvalues`` is complex128 even when the matrix is real.  Which
-    vectors exist depends on the path :func:`spectral_decompose` took:
-
-    - No eigenvalue within ``eps_unit`` of the unit circle:
-      ``eigenvalues`` are ``np.linalg.eigvals``'s, and ``right_vectors``
-      and ``left_vectors`` are ``None``.
-    - Otherwise ``eigenvalues`` are ``np.linalg.eig``'s, and the two
-      vector arrays are complex128 with one column per eigenvalue,
-      paired index-by-index.  Left columns are filled only inside
-      clusters that contain a unit-circle eigenvalue; every other left
-      column is zero, so a cluster's spectral projector ``r_c l_c^dag``
-      can be formed for unit clusters only.  Within a unit cluster whose
-      Gram matrix is nonsingular -- those of valid step representations
-      always are -- the left columns are rescaled so that
-      ``left[:, i].conj().T @ right[:, j] = delta_ij`` inside the
-      cluster.
+    ``eigenvalues`` are ``np.linalg.eigvals``'s, complex128 even when the
+    matrix is real; ``unit_circle_flags`` marks those within ``eps_unit``
+    of the unit circle, and ``cluster_ids`` numbers their clusters.
+    ``right_vectors`` and ``left_vectors`` are complex128 ``(dim, k)``
+    arrays, ``k`` the number of unit flags, one column per flagged
+    eigenvalue in the order of ``np.flatnonzero(unit_circle_flags)``.
+    The columns of a unit cluster (:meth:`unit_clusters`) span its right
+    and its dual eigenspace; within a unit cluster whose Gram matrix is
+    nonsingular -- those of valid step representations always are -- the
+    left columns are rescaled so that ``left[:, i].conj().T @ right[:, j]
+    = delta_ij`` inside the cluster.  So each unit cluster's spectral
+    projector is ``r_c l_c^dag`` over its columns.
 
     ``matrix`` is the matrix whose eigendata these are, as passed in
     (``spectral.build_representation`` passes the real Hermitian-basis
@@ -137,8 +132,8 @@ class SpectralData:
     dim: int
     matrix: np.ndarray
     eigenvalues: np.ndarray
-    right_vectors: np.ndarray | None
-    left_vectors: np.ndarray | None
+    right_vectors: np.ndarray
+    left_vectors: np.ndarray
     cluster_ids: np.ndarray
     unit_circle_flags: np.ndarray
     norm: float
@@ -150,15 +145,15 @@ class SpectralData:
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(self.eigenvalues))) if self.eigenvalues.size else 0.0
 
+    def unit_clusters(self) -> list[np.ndarray]:
+        """The column positions in the vector arrays of each unit
+        cluster."""
+        return _unit_cluster_columns(self.cluster_ids, self.unit_circle_flags)
+
     def unit_projector(self) -> np.ndarray:
         """Spectral projector onto the span of unit-modulus eigenvalue
         clusters (the zero matrix when there are none)."""
-        idx = np.flatnonzero(self.unit_circle_flags)
-        if idx.size == 0:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        r = self.right_vectors[:, idx]
-        l = self.left_vectors[:, idx]
-        return r @ dagger(l)
+        return self.right_vectors @ dagger(self.left_vectors)
 
 
 def _cluster_eigenvalues(evals: np.ndarray, threshold: float) -> np.ndarray:
@@ -199,29 +194,6 @@ def _nilpotent_index_bound(a: np.ndarray) -> int:
     return n
 
 
-def _conjugate_pair_heads(
-    evals: np.ndarray, right: np.ndarray | None = None
-) -> np.ndarray | None:
-    """The indices with ``imag(lambda) >= 0`` of a real matrix's complex
-    eigenvalues, provided that every eigenvalue with ``imag(lambda) < 0``
-    comes right after its partner as its exact conjugate (LAPACK's
-    layout), and so does its column of ``right`` when eigenvectors are
-    given; ``None`` otherwise.  The residual of each such tail column is
-    then the exact conjugate of its head's, so checking the returned
-    columns bounds them all.  O(n^2) with vectors, O(n) without."""
-    lower = evals.imag < 0
-    tail = np.flatnonzero(lower)
-    head = tail - 1
-    if (
-        np.count_nonzero(evals.imag > 0) != tail.size
-        or (tail.size > 0 and tail[0] == 0)
-        or not np.array_equal(evals[tail], evals[head].conj())
-        or (right is not None and not np.array_equal(right[:, tail], right[:, head].conj()))
-    ):
-        return None
-    return np.flatnonzero(~lower)
-
-
 def _check_power_sums(arr: np.ndarray, evals: np.ndarray, norm: float, tol: float) -> None:
     """Check a whole computed spectrum against the matrix without
     eigenvectors: ``sum(lambda) = tr A`` within ``tol`` and
@@ -251,12 +223,20 @@ def _check_power_sums(arr: np.ndarray, evals: np.ndarray, norm: float, tol: floa
     eigenpair's residual can miss, move one of the two sums.
     """
     n = arr.shape[0]
-    # LAPACK returns real eigenvalues as float64 when all of them are real.
-    if np.isrealobj(arr) and np.iscomplexobj(evals) and _conjugate_pair_heads(evals) is None:
-        raise EigensolverError(
-            n, norm, "an eigenvalue with imag(lambda) < 0 is not the exact "
-            "conjugate of the eigenvalue before it"
-        )
+    # LAPACK returns real eigenvalues as float64 when all of them are real,
+    # and a complex pair as the head with imag(lambda) > 0 and then its
+    # exact conjugate.
+    if np.isrealobj(arr) and np.iscomplexobj(evals):
+        tail = np.flatnonzero(evals.imag < 0)
+        if (
+            np.count_nonzero(evals.imag > 0) != tail.size
+            or (tail.size > 0 and tail[0] == 0)
+            or not np.array_equal(evals[tail], evals[tail - 1].conj())
+        ):
+            raise EigensolverError(
+                n, norm, "an eigenvalue with imag(lambda) < 0 is not the exact "
+                "conjugate of the eigenvalue before it"
+            )
     gap1 = abs(evals.sum() - arr.trace())
     if gap1 > tol:
         raise EigensolverError(n, norm, f"power sum sum(lambda) off tr A by {gap1:.3e}")
@@ -269,18 +249,74 @@ def _unit_flags(evals: np.ndarray, eps_unit: float) -> np.ndarray:
     return np.abs(np.abs(evals) - 1.0) <= eps_unit
 
 
-def spectral_decompose(a, eps_unit: float = EPS_UNIT) -> SpectralData:
-    """Eigen-decompose ``a``, with eigenvectors only when some eigenvalue
-    lies on the unit circle, and then dual eigenvectors for its
-    unit-circle clusters.
 
-    ``np.linalg.eigvals`` runs first.  When none of its eigenvalues is
-    within ``eps_unit`` of the unit circle, they are the result, checked
-    as a whole spectrum by :func:`_check_power_sums`, and no eigenvector
-    is computed.  Otherwise ``np.linalg.eig`` runs as well and its
-    eigenvalues, vectors and flags are the result, each right eigenpair
-    residual-checked, and the adjoint eigensolve follows if ``eig``
-    flags a unit-circle eigenvalue too.
+
+def _lapack(solve, arr: np.ndarray, norm: float):
+    """``solve(arr)``, with a LAPACK failure to converge raised as
+    :class:`EigensolverError`."""
+    try:
+        return solve(arr)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(arr.shape[0], norm, str(exc)) from exc
+
+
+def _unit_cluster_columns(cluster_ids: np.ndarray, unit_flags: np.ndarray) -> list[np.ndarray]:
+    """For each cluster holding a unit flag, in order of cluster id, the
+    positions of its flagged eigenvalues in ``np.flatnonzero(unit_flags)``."""
+    unit_ids = cluster_ids[unit_flags]
+    # A set, not np.unique, which imports numpy.ma (about 10 ms) on first use.
+    return [np.flatnonzero(unit_ids == cid) for cid in sorted(set(unit_ids.tolist()))]
+
+
+def _unit_vectors(
+    mat: np.ndarray,
+    targets: np.ndarray,
+    groups: list[np.ndarray],
+    threshold: float,
+    eps_unit: float,
+    norm: float,
+    tol: float,
+    side: str,
+) -> np.ndarray:
+    """The ``n x k`` eigenvectors of ``mat`` for the ``k`` unit-circle
+    ``targets``, whose clusters are ``groups`` (positions into
+    ``targets``).
+
+    One ``np.linalg.eig(mat)``.  A group gets the eigenvectors whose
+    eigenvalue is unit-circle itself and within ``threshold`` of one of
+    the group's targets, exactly as many as it has targets, in the
+    group's columns; all of them are residual-checked in one product.
+    """
+    n = mat.shape[0]
+    mu, vecs = _lapack(np.linalg.eig, mat, norm)
+    candidate = _unit_flags(mu, eps_unit)
+    out = np.empty((n, targets.size), dtype=complex)
+    lam = np.empty(targets.size, dtype=complex)
+    for cols in groups:
+        near = np.abs(mu[:, None] - targets[None, cols]).min(axis=1) <= threshold
+        jdx = np.flatnonzero(candidate & near)
+        if jdx.size != cols.size:
+            raise EigensolverError(
+                n, norm, f"{jdx.size} {side} eigenvectors for a unit-circle "
+                f"cluster of {cols.size} eigenvalues"
+            )
+        out[:, cols] = vecs[:, jdx]
+        lam[cols] = mu[jdx]
+    res = max_abs(mat @ out - out * lam)
+    if res > tol:
+        raise EigensolverError(n, norm, f"{side} eigenpair residual {res:.3e}")
+    return out
+
+
+def spectral_decompose(a, eps_unit: float = EPS_UNIT) -> SpectralData:
+    """Eigen-decompose ``a``: all eigenvalues, and right and dual
+    eigenvectors for its unit-circle clusters only.
+
+    ``np.linalg.eigvals`` gives the eigenvalues, checked as a whole
+    spectrum by :func:`_check_power_sums`.  When one of them is within
+    ``eps_unit`` of the unit circle, ``np.linalg.eig`` runs on ``a`` and
+    on its adjoint, and :func:`_unit_vectors` keeps each side's columns
+    for the unit clusters.
 
     Parameters
     ----------
@@ -298,91 +334,43 @@ def spectral_decompose(a, eps_unit: float = EPS_UNIT) -> SpectralData:
     Raises
     ------
     EigensolverError
-        If LAPACK fails to converge, the complex eigendata of a real
-        matrix are not in exact conjugate pairs, the power sums of an
-        eigenvalue-only spectrum miss ``tr A`` or ``tr A^2``, an eigenpair
-        violates the residual bound ``TOL_EIG * max(1, norm)``, or a
-        unit-circle cluster does not get exactly as many adjoint
-        eigenvectors as it has eigenvalues.
+        If LAPACK fails to converge, the complex eigenvalues of a real
+        matrix are not in exact conjugate pairs, their power sums miss
+        ``tr A`` or ``tr A^2``, a unit-circle cluster does not get exactly
+        as many right or adjoint eigenvectors as it has eigenvalues, or
+        one of those eigenpairs violates the residual bound ``TOL_EIG *
+        max(1, norm)``.
     """
     arr = require_square(a, dtype=float if np.isrealobj(a) else complex)
     n = arr.shape[0]
     norm = float(np.linalg.norm(arr)) / math.sqrt(n) if n else 0.0
     tol = TOL_EIG * max(1.0, norm)
-    try:
-        evals = np.linalg.eigvals(arr)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(n, norm, str(exc)) from exc
-
-    right = left = None
-    unit_flags = _unit_flags(evals, eps_unit)
-    if not unit_flags.any():
-        _check_power_sums(arr, evals, norm, tol)
-    else:
-        try:
-            evals, right = np.linalg.eig(arr)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(n, norm, str(exc)) from exc
-        if np.isrealobj(arr) and np.iscomplexobj(right):
-            # Only the columns with imag(lambda) >= 0, in real arithmetic: one
-            # real matmul on their interleaved (re, im) parts.
-            keep = _conjugate_pair_heads(evals, right)
-            if keep is None:
-                raise EigensolverError(
-                    n, norm, "an eigenpair with imag(lambda) < 0 is not the exact "
-                    "conjugate of the eigenpair before it"
-                )
-            head = np.ascontiguousarray(right[:, keep])
-            image = (arr @ head.view(np.float64)).view(complex)
-            res_right = max_abs(image - head * evals[None, keep])
-        else:
-            # A complex matrix, or a real one with real spectrum: LAPACK then
-            # returns real eigendata, and this is one real matmul on n columns.
-            res_right = max_abs(arr @ right - right * evals[None, :])
-        if res_right > tol:
-            raise EigensolverError(n, norm, f"right eigenpair residual {res_right:.3e}")
-        right = right.astype(complex, copy=False)
-        unit_flags = _unit_flags(evals, eps_unit)
+    evals = _lapack(np.linalg.eigvals, arr, norm)
+    _check_power_sums(arr, evals, norm, tol)
     evals = evals.astype(complex, copy=False)
+    unit_flags = _unit_flags(evals, eps_unit)
 
     radius = float(np.max(np.abs(evals))) if n else 0.0
     threshold = CLUSTER_REL_TOL * max(1.0, radius)
     cluster_ids = _cluster_eigenvalues(evals, threshold)
 
-    # Dual vectors only for the unit clusters, biorthonormalized inside each
-    # where its Gram matrix allows it.  A singular Gram means the cluster is
+    # Dual vectors are biorthonormalized inside each unit cluster where its
+    # Gram matrix allows it.  A singular Gram means the cluster is
     # defective; unit-circle clusters of valid programs never are, and the
     # projector checks downstream catch the rest.
-    if right is not None:
-        left = np.zeros_like(right)
-    # A set, not np.unique, which imports numpy.ma (about 10 ms) on first use.
-    unit_clusters = set(cluster_ids[unit_flags].tolist())
-    if unit_clusters:
-        try:
-            evals_adj, adj = np.linalg.eig(dagger(arr))
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(n, norm, str(exc)) from exc
-        mu = evals_adj.conj()
-        for cid in unit_clusters:
-            idx = np.flatnonzero(cluster_ids == cid)
-            jdx = np.flatnonzero(
-                np.min(np.abs(mu[:, None] - evals[None, idx]), axis=1) <= threshold
-            )
-            if jdx.size != idx.size:
-                raise EigensolverError(
-                    n, norm, f"{jdx.size} adjoint eigenvectors for a unit-circle "
-                    f"cluster of {idx.size} eigenvalues"
-                )
-            lc = adj[:, jdx]
-            res_left = max_abs(dagger(lc) @ arr - mu[jdx, None] * dagger(lc))
-            if res_left > tol:
-                raise EigensolverError(n, norm, f"left eigenpair residual {res_left:.3e}")
-            gram = dagger(lc) @ right[:, idx]
+    right = left = np.zeros((n, 0), dtype=complex)
+    groups = _unit_cluster_columns(cluster_ids, unit_flags)
+    if groups:
+        unit = evals[unit_flags]
+        args = (groups, threshold, eps_unit, norm, tol)
+        right = _unit_vectors(arr, unit, *args, "right")
+        left = _unit_vectors(dagger(arr), unit.conj(), *args, "left")
+        for cols in groups:
+            gram = dagger(left[:, cols]) @ right[:, cols]
             with np.errstate(divide="ignore", invalid="ignore"):
                 cond = np.linalg.cond(gram)
             if np.isfinite(cond) and cond < 1e10:
-                lc = lc @ dagger(np.linalg.inv(gram))
-            left[:, idx] = lc
+                left[:, cols] = left[:, cols] @ dagger(np.linalg.inv(gram))
 
     return SpectralData(
         dim=n,

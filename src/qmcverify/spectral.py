@@ -197,12 +197,11 @@ def build_representation(
             )
         # (R - lam I) P_c with P_c = r_c l_c^dag, in low rank as
         # (R r_c - lam r_c) l_c^dag.
-        # Not np.unique, whose first call imports numpy.ma (about 10 ms).
-        for cid in sorted(set(sd.cluster_ids[sd.unit_circle_flags].tolist())):
-            idx = np.flatnonzero(sd.cluster_ids == cid)
-            lam = sd.eigenvalues[idx].mean()
-            r_c = sd.right_vectors[:, idx]
-            defect = _cluster_defect(r @ r_c - lam * r_c, sd.left_vectors[:, idx])
+        unit_evals = sd.eigenvalues[sd.unit_circle_flags]
+        for cols in sd.unit_clusters():
+            lam = unit_evals[cols].mean()
+            r_c = sd.right_vectors[:, cols]
+            defect = _cluster_defect(r @ r_c - lam * r_c, sd.left_vectors[:, cols])
             if defect > TOL_PROJ * r_norm:
                 raise RepresentationError(
                     f"unit-modulus eigenvalue cluster at {lam:.9g} is not "

@@ -111,6 +111,29 @@ def counter_scheme(d):
     return ProgramScheme(SuperOperator([shift]), TerminationMeasurement(m0, np.eye(d) - m0))
 
 
+def unitary_scheme(u):
+    """``X -> u X u^dag`` with ``M0 = 0``: nothing halts, and every
+    eigenvalue of the step is on the unit circle."""
+    d = u.shape[0]
+    meas = TerminationMeasurement(np.zeros((d, d), dtype=complex), np.eye(d, dtype=complex))
+    return ProgramScheme(SuperOperator([u]), meas)
+
+
+def hadamard_walk_scheme(n):
+    """Absorbing Hadamard walk on an n-cycle, d = 2n in coin (x) vertex
+    order: ``U = shift (H (x) I_n)``, where coin 0 steps to vertex v - 1
+    and coin 1 to v + 1, halting on |coin 0, vertex 0>.  Odd n almost
+    terminate; even n keep a never-halting subspace S, and the step has
+    dim(S)^2 unit eigenvalues."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+    up = np.roll(np.eye(n), 1, axis=0)
+    shift = np.kron(np.diag([1.0, 0.0]), up.T) + np.kron(np.diag([0.0, 1.0]), up)
+    m0 = np.zeros((2 * n, 2 * n), dtype=complex)
+    m0[0, 0] = 1.0
+    u = (shift @ np.kron(h, np.eye(n))).astype(complex)
+    return ProgramScheme(SuperOperator([u]), TerminationMeasurement(m0, np.eye(2 * n) - m0))
+
+
 def decaying_block_program():
     """d=8, identity channel, M1 = 0.1 I_3 (+) N_5 with N_5 the nilpotent
     shift, M0 = sqrt(I - M1^dag M1), started in |0><0|.  The surviving

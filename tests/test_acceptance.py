@@ -194,10 +194,10 @@ def test_c07_spectral_structure_suite(rng):
         assert sd.spectral_radius() <= 1.0 + 1e-7
         m = matrix_representation(prog.g)
         m_norm = np.linalg.norm(m, 2)
-        for cid in np.unique(sd.cluster_ids[sd.unit_circle_flags]):
-            idx = np.flatnonzero(sd.cluster_ids == cid)
-            lam = sd.eigenvalues[idx].mean()
-            p_c = vec_matrix(sd.right_vectors[:, idx] @ dagger(sd.left_vectors[:, idx]))
+        unit_evals = sd.eigenvalues[sd.unit_circle_flags]
+        for cols in sd.unit_clusters():
+            lam = unit_evals[cols].mean()
+            p_c = vec_matrix(sd.right_vectors[:, cols] @ dagger(sd.left_vectors[:, cols]))
             assert max_abs((m - lam * np.eye(rep.dim2)) @ p_c) <= 1e-6 * max(
                 1.0, m_norm
             )

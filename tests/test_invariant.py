@@ -11,7 +11,6 @@ from qmcverify import (
     SuperOperator,
     TerminationMeasurement,
     ValidationError,
-    certificate_for,
     certified_expectation,
     check_conditions,
     is_positive_semidefinite,
@@ -105,16 +104,6 @@ def test_conditions_hold_for_terminating_bitflip():
     assert cond.qv1 and cond.qv2 and cond.qv3
 
 
-def test_conditions_reject_non_least_candidate_when_stuck():
-    # on the p = 1 program, K = 1 satisfies QV2 but the tail stays |beta|^2
-    prog = bitflip_program(1.0, 0.6, 0.8)
-    cert = certificate_for(prog, P0, Observable(np.eye(2)))
-    cond = check_conditions(prog, cert)
-    assert cond.qv2
-    assert not cond.qv3
-    assert cond.qv3_limit == pytest.approx(0.64, abs=1e-10)
-
-
 def test_conditions_zero_observable():
     prog = bitflip_program(0.5, 0.6, 0.8)
     cert = least_fixed_point_q(prog, Observable(np.zeros((2, 2))))
@@ -194,14 +183,17 @@ def test_monotone_iteration_is_loewner_increasing():
 
 def test_fixed_point_minimality_weak(rng):
     # any other QV2 solution dominates the least one in expectation
+    from qmcverify.invariant import _completion_mat
+
     prog = bitflip_program(1.0, 0.6, 0.8)
     least = least_fixed_point_q(prog, P0)
-    other = certificate_for(prog, P0, Observable(np.eye(2)))
-    assert other.qv2_residual <= 1e-12
+    other = np.eye(2)
+    completion = _completion_mat(prog.meas, P0.mat, other)
+    assert max_abs(prog.e.apply_dual_mat(completion) - other) <= 1e-12
     for _ in range(10):
         rho = random_density(2, rng)
         lhs = np.trace(least.q.mat @ rho.mat).real
-        rhs = np.trace(other.q.mat @ rho.mat).real
+        rhs = np.trace(other @ rho.mat).real
         assert lhs <= rhs + 1e-10
 
 
@@ -333,17 +325,6 @@ def test_computed_certificates_sample_no_tail(monkeypatch, rng):
         assert certified_expectation(prog, o)[1]["qv3"]
         for part in psd_split(o.mat):
             assert least_fixed_point_q(prog, Observable(part)).qv3_tail == ()
-
-
-def test_given_candidate_decides_qv3_on_its_tail():
-    prog = bitflip_program(0.5, 0.6, 0.8)
-    least = least_fixed_point_q(prog, P0)
-    cert = certificate_for(prog, P0, least.q)
-    assert cert.qv3_tail
-    cond = check_conditions(prog, cert)
-    assert cond.qv3
-    assert np.isfinite(cond.qv3_limit)
-    assert cond.qv3_limit == max(abs(t) for t in cert.qv3_tail[-2:])
 
 
 def test_non_psd_increment_in_doubling_stage_raises(monkeypatch):

@@ -16,9 +16,16 @@ from qmcverify import (
 from qmcverify.cli import main
 from qmcverify.linalg import TOL_EIG, _cluster_eigenvalues, max_abs
 from qmcverify.model import load_model
-from qmcverify.sampling import random_contracting_program
+from qmcverify.sampling import random_contracting_program, random_unitary
 
-from helpers import X, bitflip_step_matrix, count_calls, counter_scheme
+from helpers import (
+    X,
+    bitflip_step_matrix,
+    count_calls,
+    counter_scheme,
+    hadamard_walk_scheme,
+    unitary_scheme,
+)
 
 MODELS_DIR = Path(__file__).parent.parent / "models"
 
@@ -108,21 +115,24 @@ def test_spectral_nilpotent_index():
 
 
 def test_spectral_eigenpair_residuals(rng):
-    # Without unit spectrum only eigenvalues come back: each is within
-    # TOL_EIG of the spectrum of a, i.e. a - lambda I has a singular value
-    # that small.  With unit spectrum every right eigenpair is returned and
-    # residual-checked.
+    # Each eigenvalue is within TOL_EIG of the spectrum of a, i.e.
+    # a - lambda I has a singular value that small.  Vectors come back for
+    # the unit flags only, none without unit spectrum; on a unitary every
+    # eigenvalue is flagged, and each right and left eigenpair is within
+    # TOL_EIG.
     for d in (2, 4, 6):
         a = random_complex(rng, d)
         sd = spectral_decompose(a)
-        assert sd.right_vectors is None and sd.left_vectors is None
+        assert sd.right_vectors.shape == sd.left_vectors.shape == (d, 0)
         tol = TOL_EIG * max(1.0, np.linalg.norm(a, 2))
         for lam in sd.eigenvalues:
             assert np.linalg.svd(a - lam * np.eye(d), compute_uv=False)[-1] <= tol
         q, _ = np.linalg.qr(a)
         sd = spectral_decompose(q)
-        res = max_abs(q @ sd.right_vectors - sd.right_vectors * sd.eigenvalues[None, :])
-        assert res <= TOL_EIG
+        assert sd.unit_circle_flags.all()
+        r, l, lam = sd.right_vectors, sd.left_vectors, sd.eigenvalues
+        assert max_abs(q @ r - r * lam[None, :]) <= TOL_EIG
+        assert max_abs(l.conj().T @ q - lam[:, None] * l.conj().T) <= TOL_EIG
 
 
 def test_unit_projector_idempotent_for_unitary(rng):
@@ -165,7 +175,8 @@ def test_adjoint_eigensolve_only_with_unit_spectrum(monkeypatch, m, eig_calls):
     sd = spectral_decompose(m)
     assert [name for name, _ in calls] == ["eigvals"] + ["eig"] * eig_calls
     assert sd.unit_circle_flags.any() == (eig_calls == 2)
-    assert (sd.right_vectors is None) == (eig_calls == 0)
+    k = np.count_nonzero(sd.unit_circle_flags)
+    assert sd.right_vectors.shape == sd.left_vectors.shape == (m.shape[0], k)
 
 
 def rotation_jordan_half(theta=0.7):
@@ -199,14 +210,14 @@ def test_unit_projector_next_to_defective_zero_block(rng, similar):
 def test_dual_vectors_biorthonormal_in_unit_clusters(name):
     scheme = load_model(MODELS_DIR / f"{name}.model").to_scheme()
     sd = build_representation(scheme).spectral
-    unit_clusters = np.unique(sd.cluster_ids[sd.unit_circle_flags])
-    assert unit_clusters.size > 0
-    for cid in unit_clusters:
-        idx = np.flatnonzero(sd.cluster_ids == cid)
-        gram = sd.left_vectors[:, idx].conj().T @ sd.right_vectors[:, idx]
-        assert max_abs(gram - np.eye(idx.size)) <= 1e-12
-    outside = ~np.isin(sd.cluster_ids, unit_clusters)
-    assert max_abs(sd.left_vectors[:, outside]) == 0.0
+    clusters = sd.unit_clusters()
+    assert clusters
+    for cols in clusters:
+        gram = sd.left_vectors[:, cols].conj().T @ sd.right_vectors[:, cols]
+        assert max_abs(gram - np.eye(cols.size)) <= 1e-12
+    # dual vectors exist for the unit-flagged eigenvalues only
+    k = np.count_nonzero(sd.unit_circle_flags)
+    assert sd.left_vectors.shape == sd.right_vectors.shape == (sd.dim, k)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -234,11 +245,11 @@ def test_spectral_real_input_returns_complex_eigendata(monkeypatch, m, calls_exp
     sd = spectral_decompose(m)
     assert calls == [(name, np.float64) for name in calls_expected]
     assert sd.eigenvalues.dtype == complex
-    if sd.right_vectors is None:
-        assert np.array_equal(sd.eigenvalues, np.linalg.eigvals(m))
-    else:
-        assert sd.right_vectors.dtype == sd.left_vectors.dtype == complex
-        assert max_abs(m @ sd.right_vectors - sd.right_vectors * sd.eigenvalues) <= 1e-15
+    assert np.array_equal(sd.eigenvalues, np.linalg.eigvals(m))
+    assert sd.right_vectors.dtype == sd.left_vectors.dtype == complex
+    unit = sd.eigenvalues[sd.unit_circle_flags]
+    assert sd.right_vectors.shape == (m.shape[0], unit.size)
+    assert max_abs(m @ sd.right_vectors - sd.right_vectors * unit) <= 1e-15
 
 
 def cluster_by_search(evals, threshold):
@@ -332,7 +343,7 @@ def test_build_without_unit_spectrum_runs_one_eigensolve(monkeypatch):
     assert not sd.unit_circle_flags.any()
     assert [c for c in calls if c[0] in EIGENSOLVES] == [("eigvals", None)]
     assert svd_backed(calls) == []
-    assert sd.right_vectors is None and sd.left_vectors is None
+    assert sd.right_vectors.shape == sd.left_vectors.shape == (sd.dim, 0)
     # the rank-of-powers bound is computed on first read only
     assert "zero_nilpotent_index_bound" not in sd.__dict__
 
@@ -348,16 +359,17 @@ def test_build_with_unit_spectrum_runs_two_eigensolves(monkeypatch):
     assert "zero_nilpotent_index_bound" not in sd.__dict__
 
 
-def patch_eig(monkeypatch, corrupt):
+def patch_eig(monkeypatch, corrupt, call=1):
     """Make ``np.linalg.eig`` return ``corrupt(w, v)`` on copies of the
-    true eigendata, for the first call only."""
+    true eigendata, for the ``call``-th call only: the right eigensolve
+    is the first, the adjoint one the second."""
     eig = np.linalg.eig
     calls = []
 
     def patched(a):
         w, v = eig(a)
         calls.append(a.shape)
-        return corrupt(w.copy(), v.copy()) if len(calls) == 1 else (w, v)
+        return corrupt(w.copy(), v.copy()) if len(calls) == call else (w, v)
 
     monkeypatch.setattr(np.linalg, "eig", patched)
 
@@ -413,19 +425,9 @@ def test_residual_guard_catches_an_upper_pair_column(monkeypatch):
 
 
 def test_residual_guard_catches_an_inexact_conjugate_partner(monkeypatch):
-    # The partner's own residual stays near 1e-12, far below TOL_EIG: only
-    # the pairing check can see that it was not checked.
-    def corrupt_vector(w, v):
-        j = first_pair(w)
-        v[:, j + 1] *= 1 + 1e-12
-        return w, v
-
-    patch_eig(monkeypatch, corrupt_vector)
-    with pytest.raises(EigensolverError, match="eigenpair .* exact conjugate"):
-        spectral_decompose(UNIT_PAIR_MATRIX)
-
-    # Without unit spectrum the same holds for the eigenvalues alone: the
-    # power sums would move by only about 1e-12.
+    # The power sums would move by only about 1e-12, far below TOL_EIG:
+    # only the pairing check sees it.  (Every eigenvector that is used is
+    # residual-checked itself, so no vector needs a pairing check.)
     def corrupt_value(w):
         j = first_pair(w)
         w[j + 1] *= 1 + 1e-12
@@ -436,21 +438,73 @@ def test_residual_guard_catches_an_inexact_conjugate_partner(monkeypatch):
         spectral_decompose(PAIR_MATRIX)
 
 
-def test_corrupted_eigensolve_exits_5(monkeypatch, capsys):
-    def shift_largest(w):
-        w[np.argmax(np.abs(w))] += 1e-6
-        return w
+def shift_largest(w):
+    w[np.argmax(np.abs(w))] += 1e-6
+    return w
 
+
+def test_corrupted_eigensolve_exits_5(monkeypatch, capsys):
     patch_eigvals(monkeypatch, shift_largest)
     code = main(["verify", str(MODELS_DIR / "bitflip_p05.model"), "-o", "P0"])
     assert code == 5
     assert "power sum" in capsys.readouterr().err
 
+    # eig's unit eigenvalue moved off the circle: no right eigenvector is
+    # left for the unit cluster that eigvals found.
     monkeypatch.undo()
     patch_eig(monkeypatch, lambda w, v: (shift_largest(w), v))
     code = main(["terminate", str(MODELS_DIR / "bitflip_p1.model")])
     assert code == 5
-    assert "right eigenpair residual" in capsys.readouterr().err
+    assert "0 right eigenvectors for a unit-circle cluster of 1" in capsys.readouterr().err
+
+
+def nearest_one(w):
+    """The index of the eigenvalue closest to 1."""
+    return int(np.argmin(np.abs(w - 1.0)))
+
+
+def test_shifted_unit_spectrum_is_refused_by_the_power_sums(monkeypatch, capsys):
+    # unitary_m0zero's step has eigenvalues 1, 1 and exp(+-i phi).  One 1
+    # moved to 1 + 1e-6 is no longer flagged, but the others are, so
+    # eigenvectors are computed; the power sums still see the shift.
+    def shift_a_one(w):
+        w[nearest_one(w)] += 1e-6
+        return w
+
+    patch_eigvals(monkeypatch, shift_a_one)
+    code = main(["terminate", str(MODELS_DIR / "unitary_m0zero.model")])
+    assert code == 5
+    assert "power sum sum(lambda) " in capsys.readouterr().err
+
+
+def corrupt_unit_column(w, v):
+    """Move the eigenvector of the eigenvalue 1 by 1e-6 in every entry."""
+    v[:, nearest_one(w)] += 1e-6
+    return w, v
+
+
+def drop_a_unit_column(w, v):
+    """Move one eigenvalue 1 of the eigensolve to 0.5, so that its column
+    matches no unit cluster."""
+    w[nearest_one(w)] = 0.5
+    return w, v
+
+
+@pytest.mark.parametrize("call, side", [(1, "right"), (2, "left")])
+def test_corrupted_unit_vector_exits_5(monkeypatch, capsys, call, side):
+    patch_eig(monkeypatch, corrupt_unit_column, call)
+    code = main(["terminate", str(MODELS_DIR / "bitflip_p1.model")])
+    assert code == 5
+    assert f"{side} eigenpair residual" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("call, side", [(1, "right"), (2, "left")])
+def test_dropped_unit_column_exits_5(monkeypatch, capsys, call, side):
+    patch_eig(monkeypatch, drop_a_unit_column, call)
+    code = main(["terminate", str(MODELS_DIR / "unitary_m0zero.model")])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert f"1 {side} eigenvectors for a unit-circle cluster of 2 eigenvalues" in err
 
 
 def duplicate_first(w, v):
@@ -535,19 +589,28 @@ def battery_cases(family):
             rng = np.random.default_rng(seed)
             for d in range(2, 13):
                 yield random_contracting_program(d, rng)
+    elif family == "unitary":
+        # M0 = 0: every eigenvalue on the unit circle
+        rng = np.random.default_rng(0)
+        for d in range(2, 13):
+            yield unitary_scheme(random_unitary(d, rng))
+    elif family == "walk":
+        # dim(S)^2 unit eigenvalues beside decaying ones, S the walk's
+        # never-halting subspace
+        for n in (4, 6, 8):
+            yield hadamard_walk_scheme(n)
 
 
-@pytest.mark.parametrize("family", ["committed", "counter", "random"])
+@pytest.mark.parametrize("family", ["committed", "counter", "random", "unitary", "walk"])
 def test_power_sums_raise_no_false_alarm(family):
     # At the default tolerances every build passes, with each gap at least
-    # a thousand times below its tolerance.
-    eigvals_path = 0
+    # a thousand times below its tolerance, unit spectrum or not.
+    units = 0
     for scheme in battery_cases(family):
         sd = build_representation(scheme).spectral
-        if sd.right_vectors is None:
-            eigvals_path += 1
-            assert max(power_sum_gaps(sd)) <= 1e-3
-    assert eigvals_path >= (3 if family == "committed" else 1)
+        units += int(sd.unit_circle_flags.any())
+        assert max(power_sum_gaps(sd)) <= 1e-3
+    assert units == {"committed": 2, "counter": 0, "random": 0, "unitary": 11, "walk": 3}[family]
 
 
 @pytest.mark.parametrize("radius", [1.0, 0.9])
@@ -561,17 +624,12 @@ def test_no_false_alarm_on_a_similar_rotation(rng, radius):
         t = rng.standard_normal((6, 6))
         sd = spectral_decompose(t @ m @ np.linalg.inv(t))
         assert np.count_nonzero(sd.unit_circle_flags) == (2 if radius == 1.0 else 0)
-        assert (sd.right_vectors is None) == (radius < 1.0)
-        if radius < 1.0:
-            assert max(power_sum_gaps(sd)) <= 1e-3
+        assert sd.right_vectors.shape == (6, 2 if radius == 1.0 else 0)
+        assert max(power_sum_gaps(sd)) <= 1e-3
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in MODELS_DIR.glob("*.model")))
 def test_eigenvalues_are_those_of_the_path_taken(name):
-    # Bit for bit: eig's on the unit-circle path, eigvals' on the other.
+    # There is one path: bit for bit eigvals', with unit spectrum or not.
     sd = build_representation(load_model(MODELS_DIR / name).to_scheme()).spectral
-    if sd.unit_circle_flags.any():
-        assert np.array_equal(sd.eigenvalues, np.linalg.eig(sd.matrix)[0])
-    else:
-        assert sd.right_vectors is None
-        assert np.array_equal(sd.eigenvalues, np.linalg.eigvals(sd.matrix))
+    assert np.array_equal(sd.eigenvalues, np.linalg.eigvals(sd.matrix))

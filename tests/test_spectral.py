@@ -234,6 +234,23 @@ def test_representation_rejects_a_non_semisimple_unit_cluster(monkeypatch):
         build_representation(scheme, eps_unit=1e-6)
 
 
+def test_decaying_eigenvalue_in_a_unit_cluster_stays_out_of_the_projector(monkeypatch):
+    # Eigenvalues 1 and 1 - 9e-7 share a cluster at CLUSTER_REL_TOL = 1e-6,
+    # but only 1 is unit at the default eps_unit: the eigenvectors of
+    # 1 - 9e-7 are not taken for it, P_u is the spectral projector of 1
+    # alone, and 1 - 9e-7 sets the margin.
+    v = _Q @ np.triu(np.ones((4, 4)))
+    v_inv = np.linalg.inv(v)
+    r = v @ np.diag([1.0, 1.0 - 9e-7, 0.5, 0.25]) @ v_inv
+    rep = build_representation(_crafted_step(monkeypatch, r))
+    sd = rep.spectral
+    assert np.count_nonzero(sd.unit_circle_flags) == 1
+    assert len(set(sd.cluster_ids[np.abs(sd.eigenvalues) > 0.9].tolist())) == 1
+    assert sd.right_vectors.shape == (4, 1)
+    assert max_abs(rep.unit_projector - np.outer(v[:, 0], v_inv[0])) <= 1e-9
+    assert rep.margin == pytest.approx(9e-7, rel=1e-6)
+
+
 def test_one_eigenvalue_cluster_defect_is_the_product_of_maxima():
     # max_ij |w_i conj(l_j)| = max|w| max|l| in exact arithmetic.  Rounded,
     # each outer-product entry is a complex product (within sqrt(2) gamma_2
@@ -550,7 +567,7 @@ def test_build_without_unit_spectrum_runs_one_real_eigvals(monkeypatch, rng):
     assert not np.any(rep.spectral.unit_circle_flags)
     assert calls == [("eigvals", np.float64)]
     assert rep.spectral.eigenvalues.dtype == complex
-    assert rep.spectral.right_vectors is None and rep.spectral.left_vectors is None
+    assert rep.spectral.right_vectors.shape == rep.spectral.left_vectors.shape == (9, 0)
 
 
 def conjugated(scheme, v):
