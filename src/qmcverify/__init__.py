@@ -24,7 +24,6 @@ from .errors import (
     ValidationError,
 )
 from .invariant import (
-    ConditionCheck,
     InvariantCertificate,
     certified_expectation,
     check_conditions,
@@ -60,7 +59,6 @@ from .termination import (
 )
 
 __all__ = [
-    "ConditionCheck",
     "ConsistencyError",
     "DensityOperator",
     "DimensionMismatchError",

@@ -49,13 +49,23 @@ EXIT_NUMERICAL = 5
 GOLDEN_SEEDS = (101, 102, 103, 104, 105, 106)
 
 
-def _add_common(sub: argparse.ArgumentParser):
+# The override flag of each model option: its type and what its help names.
+_OVERRIDES = {
+    "--tail-tol": (float, "tail_tol"),
+    "--n-max": (int, "n_max"),
+    "--eps-unit": (float, "eps_unit"),
+    "--tol": (float, "agreement tolerance"),
+}
+
+
+def _add_common(sub: argparse.ArgumentParser, *overrides: str):
+    """The model path, ``--json-out`` and the override flags of the model
+    options that the subcommand reads."""
     sub.add_argument("model", help="path to a model file")
     sub.add_argument("--json-out", metavar="PATH", help="write the machine-readable report here")
-    sub.add_argument("--tail-tol", type=float, help="override the model's tail_tol")
-    sub.add_argument("--n-max", type=int, help="override the model's n_max")
-    sub.add_argument("--eps-unit", type=float, help="override the model's eps_unit")
-    sub.add_argument("--tol", type=float, help="override the model's agreement tolerance")
+    for flag in overrides:
+        kind, what = _OVERRIDES[flag]
+        sub.add_argument(flag, type=kind, help=f"override the model's {what}")
 
 
 def _load(args) -> tuple[Model, ModelOptions]:
@@ -316,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("verify", help="terminal expectation of an observable")
-    _add_common(sub)
+    _add_common(sub, *_OVERRIDES)
     sub.add_argument("--observable", "-o", required=True, help="observable name from the model")
     sub.add_argument(
         "--method",
@@ -326,16 +336,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("runtime", help="average running time")
-    _add_common(sub)
+    _add_common(sub, *_OVERRIDES)
     sub.set_defaults(func=cmd_runtime)
 
     sub = subs.add_parser("terminate", help="termination analysis")
-    _add_common(sub)
+    _add_common(sub, "--eps-unit")
     sub.add_argument("--scope", choices=("program", "scheme"), default="program")
     sub.set_defaults(func=cmd_terminate)
 
     sub = subs.add_parser("spectrum", help="eigenvalues of the step representation")
-    _add_common(sub)
+    _add_common(sub, "--eps-unit")
     sub.set_defaults(func=cmd_spectrum)
 
     sub = subs.add_parser("simulate", help="step probability table")

@@ -48,9 +48,10 @@ visit iterates ``L_n`` of the same monotone sequence from zero, whose
 limit is the least fixed point.  There is no linear-solve shortcut: the
 equivalent linear system can silently pick a non-least fixed point
 whenever the step representation has unit-modulus spectrum.  On such a
-spectrum ``||A^k||_inf`` stays at or above one, so no bound can be
-certified; the doubling stage then stops once an increment ``A^k L_k``
-with ``k >= 256`` falls below ``tol`` and says so.  It waits for
+spectrum ``||A^k||_inf`` stays at one (rounding can put it just below),
+so no bound can be certified; the doubling stage then stops once an
+increment ``A^k L_k`` with ``k >= 256`` falls below ``tol`` and says so,
+with bound ``inf`` whatever the bound formula gives.  It waits for
 ``k = 256`` whatever ``B`` is: on a bitflip that halts at rate
 ``1e-13`` per step the first increments are below ``tol`` long before
 ``L_k`` nears the value 1.
@@ -219,7 +220,7 @@ def _doubling_stage(g, limit: np.ndarray, tol: float, exp: int, cap: int):
         bound = norm * max_abs(s) / (1.0 - norm) if norm < 1.0 else math.inf
         for reason, stop in (("bound", bound < tol), ("tol", small), ("n_max", squarings >= cap)):
             if stop:
-                return s.reshape(d, d), squarings, reason, bound
+                return s.reshape(d, d), squarings, reason, math.inf if reason == "tol" else bound
         increment = power @ s
         if not increment.any():
             # A^k L_k = 0, so every later increment A^{mk} L_k is zero too.
@@ -311,68 +312,51 @@ def least_fixed_point_q(
     q_mat = prog_or_scheme.e.apply_dual_mat(limit)
     # Exactly Hermitian once symmetrized, so Observable keeps its bits.
     q = Observable((q_mat + dagger(q_mat)) / 2)
-    return _certificate(prog_or_scheme, p, q, iterations, bound, reason)
-
-
-def _certificate(
-    prog_or_scheme: ProgramScheme,
-    p: Observable,
-    q: Observable,
-    iterations: int,
-    error_bound: float,
-    stop_reason: str,
-) -> InvariantCertificate:
-    """The certificate of ``q``: its completion, the QV2 residual and, for
-    a program, the QV1 value."""
     completion = Observable(_completion_mat(prog_or_scheme.meas, p.mat, q.mat))
-    qv2_residual = max_abs(prog_or_scheme.e.apply_dual_mat(completion.mat) - q.mat)
-    qv1_value = None
-    if isinstance(prog_or_scheme, QuantumProgram):
-        qv1_value = _initial_value(completion, prog_or_scheme)
     return InvariantCertificate(
         q=q,
         completion=completion,
-        qv2_residual=qv2_residual,
+        qv2_residual=max_abs(prog_or_scheme.e.apply_dual_mat(completion.mat) - q.mat),
         qv3_tail=(),
-        qv1_value=qv1_value,
+        qv1_value=(
+            _initial_value(completion, prog_or_scheme)
+            if isinstance(prog_or_scheme, QuantumProgram)
+            else None
+        ),
         iterations=iterations,
-        converged=stop_reason != "n_max",
-        error_bound=error_bound,
-        stop_reason=stop_reason,
+        converged=reason != "n_max",
+        error_bound=bound,
+        stop_reason=reason,
     )
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
-    """Boolean verdicts plus the residuals they were decided on."""
+def check_conditions(prog: QuantumProgram, cert: InvariantCertificate) -> dict:
+    """The invariant row's diagnostics for a certificate, keyed as
+    :data:`_COMBINE_PARTS`: the iterations, ``converged``, error bound and
+    stop reason of the iteration, and the QV1/QV2/QV3 verdicts with the
+    values they were decided on.
 
-    qv1: bool
-    qv1_value: float
-    qv2: bool
-    qv2_residual: float
-    qv3: bool
-
-
-def check_conditions(prog: QuantumProgram, cert: InvariantCertificate) -> ConditionCheck:
-    """Evaluate QV1/QV2/QV3 for a certificate.
-
-    QV1 is always finite in finite dimension; the value is reported for
-    completeness.  QV2 is decided at :data:`CONDITION_TOL`.  QV3 holds by
-    construction for a certificate from :func:`least_fixed_point_q` (see
-    the module docstring).  A certificate built on a scheme carries no
-    QV1 value; it is computed here for ``prog``'s initial state.
+    QV1 is always finite in finite dimension; its value
+    ``tr(completion rho0)`` is the invariant method's expectation.  QV2 is
+    decided at :data:`CONDITION_TOL`.  QV3 holds by construction for a
+    certificate from :func:`least_fixed_point_q` (see the module
+    docstring).  A certificate built on a scheme carries no QV1 value; it
+    is computed here for ``prog``'s initial state.
     """
     qv1_value = cert.qv1_value
     if qv1_value is None:
         qv1_value = _initial_value(cert.completion, prog)
-
-    return ConditionCheck(
-        qv1=bool(np.isfinite(qv1_value)),
-        qv1_value=qv1_value,
-        qv2=cert.qv2_residual <= CONDITION_TOL,
-        qv2_residual=cert.qv2_residual,
-        qv3=True,
-    )
+    return {
+        "iterations": cert.iterations,
+        "converged": cert.converged,
+        "error_bound": cert.error_bound,
+        "stop_reason": cert.stop_reason,
+        "qv1": bool(np.isfinite(qv1_value)),
+        "qv1_value": qv1_value,
+        "qv2": cert.qv2_residual <= CONDITION_TOL,
+        "qv2_residual": cert.qv2_residual,
+        "qv3": True,
+    }
 
 
 # How the diagnostics of the positive parts of a general observable combine.
@@ -414,26 +398,11 @@ def certified_expectation(
             for sign, part in zip((1.0, -1.0), psd_split(o.mat))
             if max_abs(part) > 0.0
         ]
-    values, diags = [], []
+    rows = []
     for sign, part in parts:
-        cert = least_fixed_point_q(prog, part, n_max=n_max)
-        cond = check_conditions(prog, cert)
-        values.append(sign * cond.qv1_value)
-        diags.append(
-            {
-                "iterations": cert.iterations,
-                "converged": cert.converged,
-                "error_bound": cert.error_bound,
-                "stop_reason": cert.stop_reason,
-                "qv1": cond.qv1,
-                "qv1_value": values[-1],
-                "qv2": cond.qv2,
-                "qv2_residual": cond.qv2_residual,
-                "qv3": cond.qv3,
-            }
-        )
-    if len(parts) == 1:
-        return values[0], diags[0]
-    combined = {key: how(d[key] for d in diags) for key, how in _COMBINE_PARTS.items()}
-    return sum(values), combined
-
+        rows.append(check_conditions(prog, least_fixed_point_q(prog, part, n_max=n_max)))
+        rows[-1]["qv1_value"] *= sign
+    row = rows[0] if len(rows) == 1 else {
+        key: how(r[key] for r in rows) for key, how in _COMBINE_PARTS.items()
+    }
+    return row["qv1_value"], row

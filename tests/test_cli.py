@@ -345,17 +345,40 @@ def test_simulate_table(capsys):
     assert rows[1].split("\t")[1] == "0.5"
 
 
-def test_json_report_is_deterministic(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "-o", "P0"],
+        ["verify", "-o", "Z"],
+        ["runtime"],
+        ["terminate", "--scope", "program"],
+        ["terminate", "--scope", "scheme"],
+        ["spectrum"],
+        ["simulate"],
+    ],
+    ids=[
+        "verify-P0",
+        "verify-Z",
+        "runtime",
+        "terminate-program",
+        "terminate-scheme",
+        "spectrum",
+        "simulate",
+    ],
+)
+def test_json_report_is_deterministic(argv, tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    main(["verify", model("bitflip_p05.model"), "-o", "P0", "--json-out", str(a)])
-    main(["verify", model("bitflip_p05.model"), "-o", "P0", "--json-out", str(b)])
+    command, *rest = argv
+    for out in (a, b):
+        assert main([command, model("bitflip_p05.model"), *rest, "--json-out", str(out)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
     doc = json.loads(a.read_text())
-    assert doc["command"] == "verify"
-    assert {m["method"] for m in doc["methods"]} == {"series", "invariant", "spectral"}
-    for m in doc["methods"]:
+    assert doc["command"] == command
+    if command == "verify":
+        assert {m["method"] for m in doc["methods"]} == {"series", "invariant", "spectral"}
+    for m in doc.get("methods", []):
         assert "tolerance" in m and "value" in m
 
 
@@ -443,6 +466,32 @@ def test_option_overrides_leave_the_model_unchanged(monkeypatch):
     _, opts = cli._load(args)
     assert opts.n_max == 10
     assert loaded.options.n_max == 1_000_000
+
+
+# The model options each subcommand reads, and so takes overrides for.
+OVERRIDES = {
+    "verify": {"--tail-tol", "--n-max", "--eps-unit", "--tol"},
+    "runtime": {"--tail-tol", "--n-max", "--eps-unit", "--tol"},
+    "terminate": {"--eps-unit"},
+    "spectrum": {"--eps-unit"},
+    "simulate": set(),
+}
+OVERRIDE_VALUES = {"--tail-tol": "1e-10", "--n-max": "10", "--eps-unit": "1e-9", "--tol": "1e-3"}
+
+
+@pytest.mark.parametrize("command", sorted(OVERRIDES))
+def test_each_subcommand_takes_only_the_overrides_it_reads(command, capsys):
+    extra = ["-o", "P0"] if command == "verify" else []
+    for flag, value in OVERRIDE_VALUES.items():
+        argv = [command, model("bitflip_p05.model"), *extra, flag, value]
+        if flag in OVERRIDES[command]:
+            _, opts = cli._load(cli.build_parser().parse_args(argv))
+            assert getattr(opts, flag[2:].replace("-", "_")) == float(value)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,8 @@ from qmcverify import (
     terminal_state_series,
 )
 from qmcverify.invariant import (
+    STOP_REASONS,
+    _COMBINE_PARTS,
     _MAX_LINEAR_EXP,
     _TAIL_STEPS,
     _linear_budget,
@@ -37,6 +39,7 @@ from helpers import (
     bitflip_program,
     completion_expansion_residual,
     counter_scheme,
+    hadamard_walk_scheme,
     m1_zero_program,
 )
 
@@ -101,15 +104,15 @@ def test_conditions_hold_for_terminating_bitflip():
     prog = bitflip_program(0.5, 0.6, 0.8)
     cert = least_fixed_point_q(prog, P0)
     cond = check_conditions(prog, cert)
-    assert cond.qv1 and cond.qv2 and cond.qv3
+    assert cond["qv1"] and cond["qv2"] and cond["qv3"]
 
 
 def test_conditions_zero_observable():
     prog = bitflip_program(0.5, 0.6, 0.8)
     cert = least_fixed_point_q(prog, Observable(np.zeros((2, 2))))
     cond = check_conditions(prog, cert)
-    assert cond.qv1 and cond.qv2 and cond.qv3
-    assert cond.qv1_value == pytest.approx(0.0, abs=1e-12)
+    assert cond["qv1"] and cond["qv2"] and cond["qv3"]
+    assert cond["qv1_value"] == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -399,7 +402,40 @@ def test_qv1_value_is_the_invariant_expectation(rng):
             p = random_observable(d, rng, psd=True)
             cert = least_fixed_point_q(prog, p)
             assert cert.qv1_value == certified_expectation(prog, p)[0]
-            assert check_conditions(prog, cert).qv1_value == cert.qv1_value
+            assert check_conditions(prog, cert)["qv1_value"] == cert.qv1_value
+
+
+def test_split_observable_row_combines_its_parts_rows(rng):
+    model = load_model(MODELS_DIR / "bitflip_p05.model")
+    cases = [
+        (model.to_program(), model.observable("Z")),
+        (random_contracting_program(3, rng), random_observable(3, rng)),
+    ]
+    for prog, o in cases:
+        assert not is_positive_semidefinite(o.mat)
+        value, row = certified_expectation(prog, o)
+        pos, neg = (
+            check_conditions(prog, least_fixed_point_q(prog, Observable(part)))
+            for part in psd_split(o.mat)
+        )
+        assert list(row) == list(_COMBINE_PARTS) == list(pos)
+        assert row["iterations"] == pos["iterations"] + neg["iterations"]
+        assert row["error_bound"] == pos["error_bound"] + neg["error_bound"]
+        assert row["qv2_residual"] == max(pos["qv2_residual"], neg["qv2_residual"])
+        for flag in ("converged", "qv1", "qv2", "qv3"):
+            assert row[flag] == (pos[flag] and neg[flag])
+        worse = max(pos["stop_reason"], neg["stop_reason"], key=STOP_REASONS.index)
+        assert row["stop_reason"] == worse
+        assert value == row["qv1_value"] == pos["qv1_value"] - neg["qv1_value"]
+
+
+def test_psd_observable_row_is_its_certificate_row(rng):
+    prog = random_contracting_program(3, rng)
+    p = random_observable(3, rng, psd=True)
+    value, row = certified_expectation(prog, p)
+    assert row == check_conditions(prog, least_fixed_point_q(prog, p))
+    assert list(row) == list(_COMBINE_PARTS)
+    assert value == row["qv1_value"]
 
 
 def test_unit_spectrum_stops_on_tol_without_a_bound():
@@ -416,6 +452,17 @@ def test_unit_spectrum_stops_on_tol_without_a_bound():
     assert cert.error_bound == np.inf
     assert cert.qv1_value == pytest.approx(1.0, abs=1e-9)
     assert max_abs(cert.q.mat - np.diag([1.0, 1.0, 0])) <= 1e-9
+    # The absorbing Hadamard walk on a 4-cycle from |coin 0, vertex 1>: on
+    # its unit spectrum ||A^k||_inf rounds just below 1, so the bound
+    # formula runs and gave 9.9e12; a tol stop still certifies nothing.
+    walk = hadamard_walk_scheme(4)
+    start = np.zeros((8, 8))
+    start[1, 1] = 1.0
+    halt = Observable(walk.meas.m0)
+    cert = least_fixed_point_q(walk.with_initial_state(DensityOperator(start)), halt)
+    assert cert.stop_reason == "tol" and cert.converged
+    assert cert.error_bound == np.inf
+    assert cert.qv1_value == pytest.approx(0.75, abs=1e-9)
 
 
 def test_linear_budget_rule():

@@ -28,14 +28,18 @@ TEST_ONLY = {
 # now read tr(E0*(P) X) on d x d; the vec-coordinate helpers and the
 # complex-scalar guard of the spectral layer, which now stays in its real
 # Hermitian basis; the oracle's copy of DEFAULT_N_MAX; the two invariant
-# entry points that certified_expectation and cert.qv1_value replace; and
-# the two result types and the second entry point of the series pass, whose
-# one result SeriesPass both public series entry points now return.
+# entry points that certified_expectation and cert.qv1_value replace; the
+# two result types and the second entry point of the series pass, whose
+# one result SeriesPass both public series entry points now return; and
+# the invariant route's second result type and certificate builder, whose
+# row check_conditions now builds.
 REMOVED = {
+    "ConditionCheck",
     "IMAG_TOL",
     "ORACLE_N_MAX",
     "SeriesResult",
     "StepTrace",
+    "_certificate",
     "_real_part",
     "_vec_coordinates",
     "as_complex_matrix",
