@@ -6,13 +6,15 @@ A super-operator is stored as its Kraus family ``{E_i}`` with
 ``M -> sum(E_i^dag M E_i)``.  Equality of super-operators is always decided
 through :func:`matrix_representation`, never through the Kraus lists, which
 are not unique.  That function builds the d^2 x d^2 super-operator
-matrix, in row-major ``vec`` coordinates, that the spectral layer takes
-its Hermitian-basis step matrix from and the invariant route's doubling
-stage its ``M``, and it runs on the stacked Kraus array below.  The one
-other such matrix is the series pass's step matrix in
-:mod:`qmcverify.program`, built column by column from ``apply_mat`` on
-purpose: the series is the independent check on the other two routes,
-and a fault in a builder that all three shared would go unseen.
+matrix, in row-major ``vec`` coordinates, that the invariant route's
+doubling stage takes its ``M`` from, and it runs on the stacked Kraus
+array below.  The two other such matrices are built apart from it on
+purpose, so that no builder is shared by two routes and a fault in one
+cannot pass unseen in all three: the spectral layer writes its real
+Hermitian-basis step matrix slab by slab from the Kraus stack
+(:func:`qmcverify.spectral._step_coordinates`), and the series pass's
+step matrix in :mod:`qmcverify.program` is built column by column from
+``apply_mat``.
 
 Both actions run on the stacked Kraus array ``(K, d, d)`` and its stacked
 conjugate transpose, built once per super-operator on first use: one
@@ -214,11 +216,13 @@ def matrix_representation(e: SuperOperator) -> np.ndarray:
 
     Acting on row-major vectorized matrices it reproduces the channel:
     ``rep @ vec(A) = vec(e(A))``; see :func:`qmcverify.spectral.vec`.
-    The terms are added in Kraus order to a zero matrix, one d^2 x d^2
-    product at a time; the operators were checked when ``e`` was built.
+    The terms are added in Kraus order to a zero matrix, each formed in
+    one reused product buffer; the operators were checked when ``e`` was
+    built.
     """
     d = e.dim
-    rep = np.zeros((d * d, d * d), dtype=complex)
+    rep = np.zeros((d, d, d, d), dtype=complex)
+    term = np.empty_like(rep)
     for k in e.stack:
-        rep += np.kron(k, k.conj())
-    return rep
+        rep += np.multiply(k[:, None, :, None], k.conj()[None, :, None, :], out=term)
+    return rep.reshape(d * d, d * d)

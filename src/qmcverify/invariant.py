@@ -144,7 +144,8 @@ class InvariantCertificate:
     built from (``inf`` when none could be certified); ``stop_reason`` is
     ``bound`` (certified below ``tol``), ``tol`` (the increment fell below
     ``tol`` but no bound could be certified) or ``n_max`` (the cap was
-    hit).
+    hit).  ``converged`` is true only on a ``bound`` stop, the one stop
+    whose ``error_bound`` is finite.
     """
 
     q: Observable
@@ -324,7 +325,7 @@ def least_fixed_point_q(
             else None
         ),
         iterations=iterations,
-        converged=reason != "n_max",
+        converged=reason == "bound",
         error_bound=bound,
         stop_reason=reason,
     )

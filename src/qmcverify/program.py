@@ -21,9 +21,10 @@ costs ``2K d^3`` multiply-adds and a product with ``G``'s own
 ``d^2 x d^2`` matrix costs ``d^4``, so when ``d <= 2K`` the pass builds
 that matrix once; otherwise it applies the Kraus operators.  The matrix
 is built column by column from ``G.apply_mat`` on the matrix units, never
-from :func:`~qmcverify.channels.matrix_representation`: the spectral and
-invariant routes both use that builder, and a fault in it must not pass
-unseen because the series shares it.  The matrix kernel keeps a stack of
+from :func:`~qmcverify.channels.matrix_representation`, which the
+invariant route's doubling stage uses, nor from the spectral route's
+Hermitian-basis builder: a fault in either must not pass unseen because
+the series shares it.  The matrix kernel keeps a stack of
 its first ``s`` powers, so one matrix-vector product gives ``s`` states;
 ``s`` is the largest power of two up to 256 whose ``s d^4`` entries fit
 in 256 KB (256 at d <= 2, 1 from d = 10 on), and the stack grows by
@@ -247,8 +248,9 @@ def _step_matrix(g: SuperOperator) -> np.ndarray | None:
     when a product with it costs no more than a Kraus step (``d <= 2K``
     with ``K`` Kraus operators), else ``None``.  Column ``j`` is
     ``vec(G(E_j))`` for the j-th matrix unit ``E_j``: the Kraus action of
-    ``g.apply_mat``, batched over all units in one product, and not
-    ``channels.matrix_representation``, which the other routes use."""
+    ``g.apply_mat``, batched over all units in one product, and neither
+    ``channels.matrix_representation`` (the invariant route's builder)
+    nor the spectral route's slab-by-slab Hermitian-basis builder."""
     d = g.dim
     if d > 2 * len(g.kraus):
         return None

@@ -3,7 +3,11 @@
 The survival step ``G`` maps Hermitian operators to Hermitian operators,
 so in the orthonormal Hermitian basis ``E_ii``, ``(E_ij + E_ji)/sqrt2``
 and ``i(E_ij - E_ji)/sqrt2`` (``i < j``) its matrix ``R = T M T^dag`` is
-real, with ``M`` from :func:`qmcverify.channels.matrix_representation`.
+real, with ``M = sum_s K_s (x) conj(K_s)`` the row-major ``vec`` matrix of
+``G``'s Kraus operators ``K_s``.  ``R`` is written slab by slab straight
+from the Kraus stack (:func:`_step_coordinates`), never through a complex
+d^2 x d^2 ``M``; :func:`qmcverify.channels.matrix_representation` builds
+that ``M`` for the invariant route's doubling stage and is not read here.
 Every d^2 x d^2 array here is ``R`` or built from it, in float64, and a
 Hermitian ``A`` enters as ``coordinates(A) = T vec(A)``, so that ``tr(A
 B)`` is the dot product of the coordinates.  Every eigenvalue of ``R`` has
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DensityOperator, Observable, SuperOperator, matrix_representation
+from .channels import DensityOperator, Observable, SuperOperator
 from .errors import RepresentationError, SingularResolventError
 from .linalg import (
     EPS_UNIT,
@@ -112,33 +116,77 @@ def coordinates(a: np.ndarray) -> np.ndarray:
     return (alpha * v + beta * v[swap]).real
 
 
-def _checked_real(c: np.ndarray, what: str) -> np.ndarray:
-    """The Hermitian-basis array ``c`` as float64.
+def _require_hermitian(defect: float, scale: float, what: str) -> None:
+    """Check Hermitian-basis coordinates ``c`` with ``defect = ||Im c||_max``
+    and ``scale = ||c||_max``.
 
     Raises
     ------
     RepresentationError
-        If ``c`` has an imaginary part above :data:`HERMITIAN_COORD_TOL`
-        times ``max(1, ||c||_max)``: the operator it stands for does not
-        preserve Hermiticity.
+        If ``defect`` is above :data:`HERMITIAN_COORD_TOL` times ``max(1,
+        scale)``: the operator ``c`` stands for does not preserve
+        Hermiticity.
     """
-    defect = max_abs(c.imag)
-    if defect > HERMITIAN_COORD_TOL * max(1.0, max_abs(c)):
+    if defect > HERMITIAN_COORD_TOL * max(1.0, scale):
         raise RepresentationError(
             f"{what} has Hermitian-basis coordinates with imaginary part "
             f"{defect:.3e}; it does not preserve Hermiticity"
         )
+
+
+def _checked_real(c: np.ndarray, what: str) -> np.ndarray:
+    """The Hermitian-basis array ``c`` as float64, through
+    :func:`_require_hermitian`."""
+    _require_hermitian(max_abs(c.imag), max_abs(c), what)
     return np.ascontiguousarray(c.real)
 
 
-def _real_coordinates(m: np.ndarray) -> np.ndarray:
-    """``R = T m T^dag`` through :func:`_checked_real`, for a d^2 x d^2
-    ``m`` that preserves Hermiticity."""
-    swap, alpha, beta = _hermitian_basis(math.isqrt(m.shape[0]))
-    rows = alpha[:, None] * m + beta[:, None] * m[swap]
-    return _checked_real(
-        rows * alpha.conj() + rows[:, swap] * beta.conj(), "step representation"
-    )
+def _step_coordinates(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``R = T M T^dag`` for ``M = sum_s L_s (x) conj(R_s)``, from the
+    factors stacked as ``(K, d, d)``; a channel passes its Kraus stack as
+    both.
+
+    ``R`` is written one slab of ``d`` rows at a time.  Rows ``i*d + p``
+    of ``T M`` read rows ``i*d + p`` and ``p*d + i`` of ``M``: the slices
+    ``M4[i]`` and ``M4[:, i]`` of ``M4[i, p, j, q] = M[i*d + p, j*d + q]``.
+    Each slice is summed in factor order from zero, as the Kraus loop of
+    ``matrix_representation`` sums ``M``, and the ``alpha``/``beta``
+    products of :func:`_hermitian_basis` follow in the order of the
+    whole-matrix formula ``T M T^dag``, so every entry of ``R`` has the
+    bits, signed zeros included, that the d^2 x d^2 complex products
+    would give; the temporaries are O(d^3).  The Hermiticity check of
+    :func:`_require_hermitian` reads the maxima over all slabs.
+    """
+    left = np.asarray(left)
+    right_conj = np.asarray(right).conj()
+    d = left.shape[1]
+    swap, alpha, beta = _hermitian_basis(d)
+    alpha_rows, beta_rows = alpha.reshape(d, d, 1), beta.reshape(d, d, 1)
+    alpha_conj, beta_conj = alpha.conj(), beta.conj()
+    r = np.empty((d * d, d * d))
+    defects, scales = np.empty((2, d))
+    term, m = np.empty((2, 2, d, d, d), dtype=complex)
+    c, swapped = m.reshape(2, d, d * d)
+    for i in range(d):
+        # m[0, p, j, q] = M4[i, p, j, q] and m[1, p, j, q] = M4[p, i, j, q].
+        m.fill(0.0)
+        for factor, conj_factor in zip(left, right_conj):
+            np.multiply(factor[i, None, :, None], conj_factor[:, None, :], out=term[0])
+            np.multiply(factor[:, :, None], conj_factor[i, None, None, :], out=term[1])
+            m += term
+        # Rows i*d + p of T M, then of T M T^dag.
+        np.multiply(alpha_rows[i], c, out=c)
+        np.multiply(beta_rows[i], swapped, out=swapped)
+        c += swapped
+        # swap is in range; mode="clip" only spares take a buffered copy.
+        np.take(c, swap, axis=1, out=swapped, mode="clip")
+        c *= alpha_conj
+        swapped *= beta_conj
+        c += swapped
+        defects[i], scales[i] = abs(c.imag).max(), abs(c).max()
+        r[i * d : (i + 1) * d] = c.real
+    _require_hermitian(float(defects.max()), float(scales.max()), "step representation")
+    return r
 
 
 def _cluster_defect(w: np.ndarray, l: np.ndarray) -> float:
@@ -166,7 +214,7 @@ def build_representation(
         rounding error; otherwise the usual cause is corrupted model data.
     """
     d = scheme.dim
-    r = _real_coordinates(matrix_representation(scheme.g))
+    r = _step_coordinates(scheme.g.stack, scheme.g.stack)
     sd = spectral_decompose(r, eps_unit)
     radius = sd.spectral_radius()
     if radius > 1.0 + eps_unit:

@@ -27,7 +27,7 @@ from qmcverify.linalg import (
     spectral_decompose,
 )
 from qmcverify.program import DEFAULT_N_MAX, DEFAULT_TAIL_TOL, _series_pass
-from qmcverify.spectral import UNIT_OVERLAP_RTOL, _hermitian_basis, vec
+from qmcverify.spectral import UNIT_OVERLAP_RTOL, _checked_real, _hermitian_basis, vec
 
 MODELS_DIR = Path(__file__).parent.parent / "models"
 
@@ -258,6 +258,15 @@ def positive_part_decompose(a):
 # eigendecomposition of M = matrix_representation(g).  The package keeps
 # the unitarily similar real R = T M T^dag instead; this is the reference
 # it is checked against.
+
+
+def real_coordinates_reference(m):
+    """``R = T m T^dag`` for a d^2 x d^2 ``m`` by whole-matrix products,
+    through the spectral layer's Hermiticity check: the formula whose bits
+    :func:`qmcverify.spectral._step_coordinates` reproduces slab by slab."""
+    swap, alpha, beta = _hermitian_basis(math.isqrt(m.shape[0]))
+    rows = alpha[:, None] * m + beta[:, None] * m[swap]
+    return _checked_real(rows * alpha.conj() + rows[:, swap] * beta.conj(), "step representation")
 
 
 def vec_coordinates(c):

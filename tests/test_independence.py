@@ -63,12 +63,16 @@ def identifiers(path: Path) -> set[str]:
 
 
 def test_series_step_matrix_is_not_the_shared_builder():
-    # The spectral and invariant routes take their d^2 x d^2 matrices from
-    # channels.matrix_representation; the series builds its own from
-    # apply_mat, so a fault in that builder cannot hide in all three.
-    assert "matrix_representation" not in identifiers(PACKAGE / "program.py")
-    assert "apply_mat" in identifiers(PACKAGE / "program.py")
-    assert "matrix_representation" in identifiers(PACKAGE / "spectral.py")
+    # Each route builds its d^2 x d^2 matrix with its own builder, so a
+    # fault in one builder cannot hide in all three: the series from
+    # apply_mat, the spectral route slab by slab from the Kraus stack, and
+    # the invariant route's doubling stage from matrix_representation.
+    program, spectral = identifiers(PACKAGE / "program.py"), identifiers(PACKAGE / "spectral.py")
+    assert not {"matrix_representation", "_step_coordinates"} & program
+    assert "apply_mat" in program
+    assert "matrix_representation" not in spectral
+    assert "_step_coordinates" in spectral
+    assert "matrix_representation" in identifiers(PACKAGE / "invariant.py")
 
 
 def test_import_scan_sees_relative_and_absolute_imports(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +38,10 @@ from qmcverify.sampling import (
     random_scheme,
     random_unitary,
 )
-from qmcverify.spectral import _cluster_defect, _hermitian_basis, _real_coordinates, coordinates
+from qmcverify.spectral import _cluster_defect, _hermitian_basis, _step_coordinates, coordinates
 
 from helpers import (
+    I2,
     P0,
     X,
     bitflip_program,
@@ -52,6 +54,7 @@ from helpers import (
     filtered_power_residual,
     m1_zero_program,
     power_norm_bound_check,
+    real_coordinates_reference,
     schrodinger_closed_form,
     schrodinger_running_time,
     vec_closed_form,
@@ -118,6 +121,55 @@ def test_representation_matrices_are_bit_identical_to_kraus_loop(scheme):
     m, n0 = _kraus_loop_matrices(scheme)
     assert _same_bits(matrix_representation(scheme.g), m)
     assert _same_bits(matrix_representation(scheme.meas.e0), n0)
+
+
+def _seeded_counter(d, rng):
+    """The cyclic shift of ``counter_scheme`` through a seeded basis order
+    with seeded phases, halting on the last state of the cycle."""
+    order = rng.permutation(d)
+    shift = np.zeros((d, d), dtype=complex)
+    shift[order[(np.arange(d) + 1) % d], order] = np.exp(2j * np.pi * rng.uniform(size=d))
+    m0 = np.zeros((d, d))
+    m0[order[-1], order[-1]] = 1.0
+    return ProgramScheme(SuperOperator([shift]), TerminationMeasurement(m0, np.eye(d) - m0))
+
+
+def _assert_step_coordinates_match_the_whole_matrix_formula(g):
+    r = _step_coordinates(g.stack, g.stack)
+    assert r.dtype == np.float64 and r.flags.c_contiguous
+    assert _same_bits(r, real_coordinates_reference(matrix_representation(g)))
+
+
+# Products of these exact Kraus entries leave negative zeros, which only a
+# sum that starts from +0, as the Kraus loop's does, clears.
+_SIGNED_ZERO_STEP = SuperOperator([0.5 * np.array([[1, -1j], [1j, -1j]])])
+
+
+@pytest.mark.parametrize("g", [s.g for s in _builder_schemes()] + [_SIGNED_ZERO_STEP])
+def test_step_coordinates_are_bit_identical_to_the_whole_matrix_formula(g):
+    _assert_step_coordinates_match_the_whole_matrix_formula(g)
+
+
+@pytest.mark.parametrize("d", [12, 15, 18])
+def test_step_coordinates_are_bit_identical_at_large_dimension(d):
+    rng = np.random.default_rng(d)
+    _assert_step_coordinates_match_the_whole_matrix_formula(_seeded_counter(d, rng).g)
+    _assert_step_coordinates_match_the_whole_matrix_formula(random_contracting_program(d, rng).g)
+
+
+def test_step_coordinates_allocate_less_than_twice_the_result():
+    # The whole-matrix formula peaks at 10.2 times R's own d^4 * 8 bytes
+    # at d = 18; slab by slab, every temporary is O(d^3).
+    d = 18
+    stack = random_scheme(d, np.random.default_rng(3)).g.stack
+    _step_coordinates(stack, stack)
+    tracemalloc.start()
+    try:
+        _step_coordinates(stack, stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * d**4 * 8
 
 
 @pytest.mark.parametrize("scheme", _builder_schemes())
@@ -216,7 +268,7 @@ _Q = np.eye(4) - 2 * np.outer(_U, _U) / (_U @ _U)
 def _crafted_step(monkeypatch, r):
     """Make ``build_representation`` of any d = 2 scheme decompose the
     4 x 4 real ``r`` as its step representation."""
-    monkeypatch.setattr(qmcverify.spectral, "_real_coordinates", lambda m: r)
+    monkeypatch.setattr(qmcverify.spectral, "_step_coordinates", lambda left, right: r)
     return bitflip_scheme(0.5)
 
 
@@ -554,10 +606,29 @@ def test_real_coordinates_are_the_step_on_the_hermitian_basis(rng, d):
     assert max_abs(r - expected) <= 1e-14
 
 
+@pytest.mark.parametrize("scale, rejected", [(1.0, True), (1e4, False)])
+def test_step_coordinates_decide_hermiticity_on_all_slabs(scale, rejected):
+    # M = 1e-9 E_11 (x) E_10 + scale E_00 (x) E_00 at d = 3 maps A to
+    # 1e-9 A_10 E_11 + scale A_00 E_00.  The imaginary part, 7.1e-10, lies
+    # in slab 1 only and the largest modulus, at scale 1e4, in slab 0 only:
+    # 7.1e-10 is above HERMITIAN_COORD_TOL * max(1, 1) but not * 1e4.
+    unit = np.eye(3)
+    e11, e10, e00 = (np.outer(unit[a], unit[b]).astype(complex) for a, b in ((1, 1), (1, 0), (0, 0)))
+    left, right = [1e-9 * e11, scale * e00], [e10, e00]
+    if rejected:
+        with pytest.raises(RepresentationError, match="step representation .*Hermiticity"):
+            _step_coordinates(left, right)
+    else:
+        m = np.zeros((9, 9), dtype=complex)
+        for a, b in zip(left, right):
+            m += np.kron(a, b.conj())
+        assert _same_bits(_step_coordinates(left, right), real_coordinates_reference(m))
+
+
 def test_real_coordinates_reject_a_step_that_breaks_hermiticity():
-    # vec(A) -> vec(X A) maps Hermitian A to a non-Hermitian X A
-    with pytest.raises(RepresentationError, match="Hermiticity"):
-        _real_coordinates(np.kron(X, np.eye(2)))
+    # M = X (x) I: vec(A) -> vec(X A) maps Hermitian A to a non-Hermitian X A
+    with pytest.raises(RepresentationError, match="step representation .*Hermiticity"):
+        _step_coordinates([X], [I2])
 
 
 def test_build_without_unit_spectrum_runs_one_real_eigvals(monkeypatch, rng):

@@ -32,7 +32,8 @@ TEST_ONLY = {
 # two result types and the second entry point of the series pass, whose
 # one result SeriesPass both public series entry points now return; and
 # the invariant route's second result type and certificate builder, whose
-# row check_conditions now builds.
+# row check_conditions now builds; and the whole-matrix Hermitian-basis
+# formula, which the slab builder _step_coordinates replaces.
 REMOVED = {
     "ConditionCheck",
     "IMAG_TOL",
@@ -40,6 +41,7 @@ REMOVED = {
     "SeriesResult",
     "StepTrace",
     "_certificate",
+    "_real_coordinates",
     "_real_part",
     "_vec_coordinates",
     "as_complex_matrix",
