@@ -107,12 +107,13 @@ class SpectralData:
     """Eigendata of a (generally non-normal) square matrix.
 
     ``eigenvalues`` are ``np.linalg.eigvals``'s, complex128 even when the
-    matrix is real; ``unit_circle_flags`` marks those within ``eps_unit``
-    of the unit circle, and ``cluster_ids`` numbers their clusters.
-    ``right_vectors`` and ``left_vectors`` are complex128 ``(dim, k)``
-    arrays, ``k`` the number of unit flags, one column per flagged
-    eigenvalue in the order of ``np.flatnonzero(unit_circle_flags)``.
-    The columns of a unit cluster (:meth:`unit_clusters`) span its right
+    matrix is real, and ``unit_circle_flags`` marks those within
+    ``eps_unit`` of the unit circle.  The ``k`` flagged eigenvalues, in
+    the order of ``np.flatnonzero(unit_circle_flags)``, are the only ones
+    clustered: ``cluster_ids`` holds one id per flag, and
+    ``right_vectors`` and ``left_vectors`` are complex128 ``(n, k)``
+    arrays with one column per flag, ``n`` the matrix's order.  The
+    columns of a unit cluster (:meth:`unit_clusters`) span its right
     and its dual eigenspace; within a unit cluster whose Gram matrix is
     nonsingular -- those of valid step representations always are -- the
     left columns are rescaled so that ``left[:, i].conj().T @ right[:, j]
@@ -129,7 +130,6 @@ class SpectralData:
     it costs one SVD per power and is computed on first read only.
     """
 
-    dim: int
     matrix: np.ndarray
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
@@ -147,8 +147,9 @@ class SpectralData:
 
     def unit_clusters(self) -> list[np.ndarray]:
         """The column positions in the vector arrays of each unit
-        cluster."""
-        return _unit_cluster_columns(self.cluster_ids, self.unit_circle_flags)
+        cluster, in order of cluster id."""
+        ids = self.cluster_ids
+        return [np.flatnonzero(ids == cid) for cid in range(ids.max(initial=-1) + 1)]
 
     def unit_projector(self) -> np.ndarray:
         """Spectral projector onto the span of unit-modulus eigenvalue
@@ -158,12 +159,14 @@ class SpectralData:
 
 def _cluster_eigenvalues(evals: np.ndarray, threshold: float) -> np.ndarray:
     """Group eigenvalues into connected components under
-    |lambda_i - lambda_j| <= threshold, numbered by their first index.
+    |lambda_i - lambda_j| <= threshold, numbered 0, 1, ... in order of
+    their first index.
 
     One n x n comparison gives the graph; each round replaces every label
     by the least label among its neighbours and then jumps pointers
     (``label <- label[label]``) to a fixed point, so every label ends at
-    the least index of its component.  O(n^2) per round; n <= d^2.
+    the least index of its component.  O(n^2) per round; ``n`` is the
+    number of unit flags.
     """
     n = evals.size
     near = np.abs(evals[:, None] - evals[None, :]) <= threshold
@@ -249,23 +252,17 @@ def _unit_flags(evals: np.ndarray, eps_unit: float) -> np.ndarray:
     return np.abs(np.abs(evals) - 1.0) <= eps_unit
 
 
-
-
 def _lapack(solve, arr: np.ndarray, norm: float):
-    """``solve(arr)``, with a LAPACK failure to converge raised as
-    :class:`EigensolverError`."""
+    """``solve(arr)``, with a LAPACK failure to converge or a non-finite
+    entry in any returned array raised as :class:`EigensolverError`.  A
+    NaN would pass every ``gap > tol`` check downstream."""
     try:
-        return solve(arr)
+        out = solve(arr)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(arr.shape[0], norm, str(exc)) from exc
-
-
-def _unit_cluster_columns(cluster_ids: np.ndarray, unit_flags: np.ndarray) -> list[np.ndarray]:
-    """For each cluster holding a unit flag, in order of cluster id, the
-    positions of its flagged eigenvalues in ``np.flatnonzero(unit_flags)``."""
-    unit_ids = cluster_ids[unit_flags]
-    # A set, not np.unique, which imports numpy.ma (about 10 ms) on first use.
-    return [np.flatnonzero(unit_ids == cid) for cid in sorted(set(unit_ids.tolist()))]
+    if not all(np.isfinite(x).all() for x in (out if isinstance(out, tuple) else (out,))):
+        raise EigensolverError(arr.shape[0], norm, "non-finite output")
+    return out
 
 
 def _unit_vectors(
@@ -334,12 +331,12 @@ def spectral_decompose(a, eps_unit: float = EPS_UNIT) -> SpectralData:
     Raises
     ------
     EigensolverError
-        If LAPACK fails to converge, the complex eigenvalues of a real
-        matrix are not in exact conjugate pairs, their power sums miss
-        ``tr A`` or ``tr A^2``, a unit-circle cluster does not get exactly
-        as many right or adjoint eigenvectors as it has eigenvalues, or
-        one of those eigenpairs violates the residual bound ``TOL_EIG *
-        max(1, norm)``.
+        If LAPACK fails to converge or returns a non-finite entry, the
+        complex eigenvalues of a real matrix are not in exact conjugate
+        pairs, their power sums miss ``tr A`` or ``tr A^2``, a unit-circle
+        cluster does not get exactly as many right or adjoint eigenvectors
+        as it has eigenvalues, or one of those eigenpairs violates the
+        residual bound ``TOL_EIG * max(1, norm)``.
     """
     arr = require_square(a, dtype=float if np.isrealobj(a) else complex)
     n = arr.shape[0]
@@ -352,16 +349,17 @@ def spectral_decompose(a, eps_unit: float = EPS_UNIT) -> SpectralData:
 
     radius = float(np.max(np.abs(evals))) if n else 0.0
     threshold = CLUSTER_REL_TOL * max(1.0, radius)
-    cluster_ids = _cluster_eigenvalues(evals, threshold)
+    unit = evals[unit_flags]
+    cluster_ids = _cluster_eigenvalues(unit, threshold)
 
     # Dual vectors are biorthonormalized inside each unit cluster where its
     # Gram matrix allows it.  A singular Gram means the cluster is
     # defective; unit-circle clusters of valid programs never are, and the
     # projector checks downstream catch the rest.
     right = left = np.zeros((n, 0), dtype=complex)
-    groups = _unit_cluster_columns(cluster_ids, unit_flags)
+    n_clusters = cluster_ids.max(initial=-1) + 1
+    groups = [np.flatnonzero(cluster_ids == cid) for cid in range(n_clusters)]
     if groups:
-        unit = evals[unit_flags]
         args = (groups, threshold, eps_unit, norm, tol)
         right = _unit_vectors(arr, unit, *args, "right")
         left = _unit_vectors(dagger(arr), unit.conj(), *args, "left")
@@ -373,7 +371,6 @@ def spectral_decompose(a, eps_unit: float = EPS_UNIT) -> SpectralData:
                 left[:, cols] = left[:, cols] @ dagger(np.linalg.inv(gram))
 
     return SpectralData(
-        dim=n,
         matrix=arr,
         eigenvalues=evals,
         right_vectors=right,

@@ -44,9 +44,11 @@ from .program import ProgramScheme
 # many times ||x||, for x its coordinates.
 UNIT_OVERLAP_RTOL = 1e-9
 # Largest imaginary part, relative to max(1, ||C||_max), that the
-# Hermitian-basis coordinates C of the step matrix or of its unit-circle
-# projector may carry.  Rounding leaves a few ulps; a step that does not
-# preserve Hermiticity leaves O(||C||).
+# Hermitian-basis coordinates C of the unit-circle projector may carry.
+# Rounding leaves a few ulps; a projector that does not preserve
+# Hermiticity leaves O(||C||).  The step matrix needs no such check:
+# M = sum_s K_s (x) conj(K_s) preserves Hermiticity for every Kraus
+# family, so Im(T M T^dag) is rounding alone.
 HERMITIAN_COORD_TOL = 1e-12
 
 
@@ -69,7 +71,6 @@ class ProgramRepresentation:
     """
 
     dim: int
-    dim2: int
     m0: np.ndarray
     g: SuperOperator
     spectral: SpectralData
@@ -116,63 +117,55 @@ def coordinates(a: np.ndarray) -> np.ndarray:
     return (alpha * v + beta * v[swap]).real
 
 
-def _require_hermitian(defect: float, scale: float, what: str) -> None:
-    """Check Hermitian-basis coordinates ``c`` with ``defect = ||Im c||_max``
-    and ``scale = ||c||_max``.
+def _checked_real(c: np.ndarray, what: str) -> np.ndarray:
+    """The Hermitian-basis array ``c`` as float64.
 
     Raises
     ------
     RepresentationError
-        If ``defect`` is above :data:`HERMITIAN_COORD_TOL` times ``max(1,
-        scale)``: the operator ``c`` stands for does not preserve
-        Hermiticity.
+        If ``||Im c||_max`` is above :data:`HERMITIAN_COORD_TOL` times
+        ``max(1, ||c||_max)``: the operator ``c`` stands for does not
+        preserve Hermiticity.
     """
-    if defect > HERMITIAN_COORD_TOL * max(1.0, scale):
+    defect = max_abs(c.imag)
+    if defect > HERMITIAN_COORD_TOL * max(1.0, max_abs(c)):
         raise RepresentationError(
             f"{what} has Hermitian-basis coordinates with imaginary part "
             f"{defect:.3e}; it does not preserve Hermiticity"
         )
-
-
-def _checked_real(c: np.ndarray, what: str) -> np.ndarray:
-    """The Hermitian-basis array ``c`` as float64, through
-    :func:`_require_hermitian`."""
-    _require_hermitian(max_abs(c.imag), max_abs(c), what)
     return np.ascontiguousarray(c.real)
 
 
-def _step_coordinates(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``R = T M T^dag`` for ``M = sum_s L_s (x) conj(R_s)``, from the
-    factors stacked as ``(K, d, d)``; a channel passes its Kraus stack as
-    both.
+def _step_coordinates(stack: np.ndarray) -> np.ndarray:
+    """``R = T M T^dag`` for ``M = sum_s K_s (x) conj(K_s)``, from the
+    Kraus operators stacked as ``(K, d, d)``.
 
     ``R`` is written one slab of ``d`` rows at a time.  Rows ``i*d + p``
     of ``T M`` read rows ``i*d + p`` and ``p*d + i`` of ``M``: the slices
     ``M4[i]`` and ``M4[:, i]`` of ``M4[i, p, j, q] = M[i*d + p, j*d + q]``.
-    Each slice is summed in factor order from zero, as the Kraus loop of
+    Each slice is summed in Kraus order from zero, as the Kraus loop of
     ``matrix_representation`` sums ``M``, and the ``alpha``/``beta``
     products of :func:`_hermitian_basis` follow in the order of the
     whole-matrix formula ``T M T^dag``, so every entry of ``R`` has the
     bits, signed zeros included, that the d^2 x d^2 complex products
-    would give; the temporaries are O(d^3).  The Hermiticity check of
-    :func:`_require_hermitian` reads the maxima over all slabs.
+    would give; the temporaries are O(d^3).  The imaginary part, rounding
+    alone for any Kraus family, is dropped.
     """
-    left = np.asarray(left)
-    right_conj = np.asarray(right).conj()
-    d = left.shape[1]
+    stack = np.asarray(stack)
+    stack_conj = stack.conj()
+    d = stack.shape[1]
     swap, alpha, beta = _hermitian_basis(d)
     alpha_rows, beta_rows = alpha.reshape(d, d, 1), beta.reshape(d, d, 1)
     alpha_conj, beta_conj = alpha.conj(), beta.conj()
     r = np.empty((d * d, d * d))
-    defects, scales = np.empty((2, d))
     term, m = np.empty((2, 2, d, d, d), dtype=complex)
     c, swapped = m.reshape(2, d, d * d)
     for i in range(d):
         # m[0, p, j, q] = M4[i, p, j, q] and m[1, p, j, q] = M4[p, i, j, q].
         m.fill(0.0)
-        for factor, conj_factor in zip(left, right_conj):
-            np.multiply(factor[i, None, :, None], conj_factor[:, None, :], out=term[0])
-            np.multiply(factor[:, :, None], conj_factor[i, None, None, :], out=term[1])
+        for k, k_conj in zip(stack, stack_conj):
+            np.multiply(k[i, None, :, None], k_conj[:, None, :], out=term[0])
+            np.multiply(k[:, :, None], k_conj[i, None, None, :], out=term[1])
             m += term
         # Rows i*d + p of T M, then of T M T^dag.
         np.multiply(alpha_rows[i], c, out=c)
@@ -183,9 +176,7 @@ def _step_coordinates(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         c *= alpha_conj
         swapped *= beta_conj
         c += swapped
-        defects[i], scales[i] = abs(c.imag).max(), abs(c).max()
         r[i * d : (i + 1) * d] = c.real
-    _require_hermitian(float(defects.max()), float(scales.max()), "step representation")
     return r
 
 
@@ -206,15 +197,14 @@ def build_representation(
     Raises
     ------
     RepresentationError
-        If the step or its unit-circle projector does not preserve
-        Hermiticity, the spectral radius of R exceeds ``1 + eps_unit`` or
-        a unit-modulus eigenvalue cluster is not semisimple.  Valid
-        programs (trace-preserving channel, complete measurement) trigger
-        none of these unless ``eps_unit`` is below the eigensolver's
-        rounding error; otherwise the usual cause is corrupted model data.
+        If the spectral radius of R exceeds ``1 + eps_unit``, the
+        unit-circle projector does not preserve Hermiticity or a
+        unit-modulus eigenvalue cluster is not semisimple.  Valid programs
+        (trace-preserving channel, complete measurement) trigger none of
+        these unless ``eps_unit`` is below the eigensolver's rounding
+        error; otherwise the usual cause is corrupted model data.
     """
-    d = scheme.dim
-    r = _step_coordinates(scheme.g.stack, scheme.g.stack)
+    r = _step_coordinates(scheme.g.stack)
     sd = spectral_decompose(r, eps_unit)
     radius = sd.spectral_radius()
     if radius > 1.0 + eps_unit:
@@ -263,8 +253,7 @@ def build_representation(
     margin = float(1.0 - nonunit.max()) if nonunit.size else 1.0
 
     return ProgramRepresentation(
-        dim=d,
-        dim2=d * d,
+        dim=scheme.dim,
         m0=scheme.meas.m0,
         g=scheme.g,
         spectral=sd,
@@ -280,7 +269,7 @@ def _resolvent_solve(rep: ProgramRepresentation, rhs: np.ndarray) -> np.ndarray:
             f"I - N is singular (margin {rep.margin:.3e}); filtering failed"
         )
     try:
-        return np.linalg.solve(np.eye(rep.dim2) - rep.n_filtered, rhs)
+        return np.linalg.solve(np.eye(rep.dim**2) - rep.n_filtered, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularResolventError(str(exc)) from exc
 

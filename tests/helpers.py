@@ -27,7 +27,7 @@ from qmcverify.linalg import (
     spectral_decompose,
 )
 from qmcverify.program import DEFAULT_N_MAX, DEFAULT_TAIL_TOL, _series_pass
-from qmcverify.spectral import UNIT_OVERLAP_RTOL, _checked_real, _hermitian_basis, vec
+from qmcverify.spectral import UNIT_OVERLAP_RTOL, _hermitian_basis, vec
 
 MODELS_DIR = Path(__file__).parent.parent / "models"
 
@@ -260,13 +260,19 @@ def positive_part_decompose(a):
 # it is checked against.
 
 
-def real_coordinates_reference(m):
-    """``R = T m T^dag`` for a d^2 x d^2 ``m`` by whole-matrix products,
-    through the spectral layer's Hermiticity check: the formula whose bits
-    :func:`qmcverify.spectral._step_coordinates` reproduces slab by slab."""
+def hermitian_basis_reference(m):
+    """The complex ``T m T^dag`` for a d^2 x d^2 ``m`` by whole-matrix
+    products."""
     swap, alpha, beta = _hermitian_basis(math.isqrt(m.shape[0]))
     rows = alpha[:, None] * m + beta[:, None] * m[swap]
-    return _checked_real(rows * alpha.conj() + rows[:, swap] * beta.conj(), "step representation")
+    return rows * alpha.conj() + rows[:, swap] * beta.conj()
+
+
+def real_coordinates_reference(m):
+    """The real part of :func:`hermitian_basis_reference`: the formula
+    whose bits :func:`qmcverify.spectral._step_coordinates` reproduces
+    slab by slab."""
+    return np.ascontiguousarray(hermitian_basis_reference(m).real)
 
 
 def vec_coordinates(c):
@@ -289,7 +295,6 @@ class VecRepresentation:
     they are."""
 
     dim: int
-    dim2: int
     m0: np.ndarray
     g: SuperOperator
     m: np.ndarray
@@ -311,7 +316,6 @@ def vec_reference(scheme, eps_unit=EPS_UNIT):
     nonunit = np.abs(sd.eigenvalues[~sd.unit_circle_flags])
     return VecRepresentation(
         dim=scheme.dim,
-        dim2=scheme.dim**2,
         m0=scheme.meas.m0,
         g=scheme.g,
         m=m,
@@ -324,7 +328,7 @@ def vec_reference(scheme, eps_unit=EPS_UNIT):
 
 def vec_closed_form(ref, rho0, p):
     """``vdot(vec(E0*(P)), (I - N)^-1 vec(rho0))``, complex."""
-    y = np.linalg.solve(np.eye(ref.dim2) - ref.n_filtered, vec(rho0.mat))
+    y = np.linalg.solve(np.eye(ref.dim**2) - ref.n_filtered, vec(rho0.mat))
     return complex(np.vdot(vec(dagger(ref.m0) @ p.mat @ ref.m0), y))
 
 
@@ -333,7 +337,7 @@ def vec_running_time(ref, rho0):
     ``rho0`` overlaps the unit-circle eigenspace."""
     if not ref.unit_overlap(rho0.mat)[1]:
         return math.inf
-    resolvent = np.eye(ref.dim2) - ref.n_filtered
+    resolvent = np.eye(ref.dim**2) - ref.n_filtered
     y = np.linalg.solve(resolvent, np.linalg.solve(resolvent, vec(rho0.mat)))
     return complex(np.vdot(vec(dagger(ref.m0) @ ref.m0), y))
 
@@ -350,7 +354,7 @@ def schrodinger_closed_form(rep, n0, rho0, p):
     d = rep.dim
     phi = np.eye(d, dtype=complex).reshape(-1)
     x = np.kron(rho0.mat, np.eye(d)) @ phi
-    y = np.linalg.solve(np.eye(rep.dim2) - rep.n_filtered, x)
+    y = np.linalg.solve(np.eye(rep.dim**2) - rep.n_filtered, x)
     return complex(phi.conj() @ (np.kron(p.mat, np.eye(d)) @ (n0 @ y)))
 
 
@@ -358,7 +362,7 @@ def schrodinger_running_time(rep, n0, rho0):
     """``<Phi| N0 (I - N)^-2 (rho0 (x) I) |Phi>``, complex."""
     d = rep.dim
     phi = np.eye(d, dtype=complex).reshape(-1)
-    resolvent = np.eye(rep.dim2) - rep.n_filtered
+    resolvent = np.eye(rep.dim**2) - rep.n_filtered
     x = np.kron(rho0.mat, np.eye(d)) @ phi
     y = np.linalg.solve(resolvent, np.linalg.solve(resolvent, x))
     return complex(phi.conj() @ (n0 @ y))

@@ -198,7 +198,7 @@ def test_c07_spectral_structure_suite(rng):
         for cols in sd.unit_clusters():
             lam = unit_evals[cols].mean()
             p_c = vec_matrix(sd.right_vectors[:, cols] @ dagger(sd.left_vectors[:, cols]))
-            assert max_abs((m - lam * np.eye(rep.dim2)) @ p_c) <= 1e-6 * max(
+            assert max_abs((m - lam * np.eye(rep.dim**2)) @ p_c) <= 1e-6 * max(
                 1.0, m_norm
             )
 

@@ -166,6 +166,46 @@ def test_numerical_failure_exits_5(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def _one_nan_eigenvalue(eigvals):
+    def patched(a):
+        w = eigvals(a).copy()
+        w[0] = np.nan
+        return w
+
+    return patched
+
+
+def _nan_eigenvectors(eig):
+    def patched(a):
+        w, v = eig(a)
+        return w, np.full_like(v, np.nan)
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "command", [["verify", "-o", "P0"], ["terminate"], ["spectrum"]], ids=lambda c: c[0]
+)
+@pytest.mark.parametrize(
+    "fault, name",
+    [
+        ("eigvals", "bitflip_p05"),
+        ("eigvals", "bitflip_p1"),
+        ("eigvals", "unitary_m0zero"),
+        ("eig", "bitflip_p1"),
+        ("eig", "unitary_m0zero"),
+    ],
+)
+def test_non_finite_eigensolver_output_exits_5(fault, name, command, monkeypatch, capsys):
+    # A NaN passes every `gap > tol` check, so it must be refused where the
+    # eigensolver returns it.  eig runs only with unit spectrum, which
+    # bitflip_p05 lacks.
+    patch = {"eigvals": _one_nan_eigenvalue, "eig": _nan_eigenvectors}[fault]
+    monkeypatch.setattr(np.linalg, fault, patch(getattr(np.linalg, fault)))
+    assert main([command[0], model(f"{name}.model"), *command[1:]]) == 5
+    assert "non-finite output" in capsys.readouterr().err
+
+
 def test_radius_guard_names_eps_unit(capsys):
     # The diagonal unitary has spectral radius 1 up to rounding; with
     # eps_unit = 0 the guard fires on that rounding and must say so.

@@ -13,6 +13,7 @@ from qmcverify import (
     is_positive_semidefinite,
     spectral_decompose,
 )
+from qmcverify import linalg
 from qmcverify.cli import main
 from qmcverify.linalg import TOL_EIG, _cluster_eigenvalues, max_abs
 from qmcverify.model import load_model
@@ -217,7 +218,7 @@ def test_dual_vectors_biorthonormal_in_unit_clusters(name):
         assert max_abs(gram - np.eye(cols.size)) <= 1e-12
     # dual vectors exist for the unit-flagged eigenvalues only
     k = np.count_nonzero(sd.unit_circle_flags)
-    assert sd.left_vectors.shape == sd.right_vectors.shape == (sd.dim, k)
+    assert sd.left_vectors.shape == sd.right_vectors.shape == (sd.matrix.shape[0], k)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -289,8 +290,24 @@ def test_cluster_ids_match_the_search(rng):
 @pytest.mark.parametrize("name", sorted(p.name for p in MODELS_DIR.glob("*.model")))
 def test_cluster_ids_match_the_search_on_models(name):
     sd = build_representation(load_model(MODELS_DIR / name).to_scheme()).spectral
+    # Only the unit flags are clustered, one id each in flag order.
     threshold = 1e-6 * max(1.0, sd.spectral_radius())
-    assert np.array_equal(sd.cluster_ids, cluster_by_search(sd.eigenvalues, threshold))
+    unit = sd.eigenvalues[sd.unit_circle_flags]
+    assert np.array_equal(sd.cluster_ids, cluster_by_search(unit, threshold))
+
+
+@pytest.mark.parametrize("name, flagged", [("bitflip_p05", 0), ("unitary_m0zero", 4)])
+def test_only_unit_flags_are_clustered(monkeypatch, name, flagged):
+    sizes = []
+
+    def spy(evals, threshold, _cluster=linalg._cluster_eigenvalues):
+        sizes.append(evals.size)
+        return _cluster(evals, threshold)
+
+    monkeypatch.setattr(linalg, "_cluster_eigenvalues", spy)
+    sd = build_representation(load_model(MODELS_DIR / f"{name}.model").to_scheme()).spectral
+    assert sd.eigenvalues.size == 4
+    assert sizes == [flagged] == [np.count_nonzero(sd.unit_circle_flags)]
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -343,7 +360,7 @@ def test_build_without_unit_spectrum_runs_one_eigensolve(monkeypatch):
     assert not sd.unit_circle_flags.any()
     assert [c for c in calls if c[0] in EIGENSOLVES] == [("eigvals", None)]
     assert svd_backed(calls) == []
-    assert sd.right_vectors.shape == sd.left_vectors.shape == (sd.dim, 0)
+    assert sd.right_vectors.shape == sd.left_vectors.shape == (sd.matrix.shape[0], 0)
     # the rank-of-powers bound is computed on first read only
     assert "zero_nilpotent_index_bound" not in sd.__dict__
 

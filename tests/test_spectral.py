@@ -52,6 +52,7 @@ from helpers import (
     counter_scheme,
     decaying_block_program,
     filtered_power_residual,
+    hermitian_basis_reference,
     m1_zero_program,
     power_norm_bound_check,
     real_coordinates_reference,
@@ -135,7 +136,7 @@ def _seeded_counter(d, rng):
 
 
 def _assert_step_coordinates_match_the_whole_matrix_formula(g):
-    r = _step_coordinates(g.stack, g.stack)
+    r = _step_coordinates(g.stack)
     assert r.dtype == np.float64 and r.flags.c_contiguous
     assert _same_bits(r, real_coordinates_reference(matrix_representation(g)))
 
@@ -150,11 +151,30 @@ def test_step_coordinates_are_bit_identical_to_the_whole_matrix_formula(g):
     _assert_step_coordinates_match_the_whole_matrix_formula(g)
 
 
+def _large_dimension_steps(d):
+    """A seeded counter and a random contracting program at dimension d."""
+    rng = np.random.default_rng(d)
+    return _seeded_counter(d, rng).g, random_contracting_program(d, rng).g
+
+
 @pytest.mark.parametrize("d", [12, 15, 18])
 def test_step_coordinates_are_bit_identical_at_large_dimension(d):
-    rng = np.random.default_rng(d)
-    _assert_step_coordinates_match_the_whole_matrix_formula(_seeded_counter(d, rng).g)
-    _assert_step_coordinates_match_the_whole_matrix_formula(random_contracting_program(d, rng).g)
+    for g in _large_dimension_steps(d):
+        _assert_step_coordinates_match_the_whole_matrix_formula(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [s.g for s in _builder_schemes()]
+    + [g for d in (12, 15, 18) for g in _large_dimension_steps(d)],
+)
+def test_step_in_the_hermitian_basis_is_real_up_to_rounding(g):
+    # M = sum_s K_s (x) conj(K_s) preserves Hermiticity for every Kraus
+    # family, so Im(T M T^dag) is rounding alone, and _step_coordinates
+    # drops it unchecked.  It measured at most 1.1e-16 max(1, ||c||_max),
+    # on the seeded counters.
+    c = hermitian_basis_reference(matrix_representation(g))
+    assert max_abs(c.imag) <= 1e-15 * max(1.0, max_abs(c))
 
 
 def test_step_coordinates_allocate_less_than_twice_the_result():
@@ -162,10 +182,10 @@ def test_step_coordinates_allocate_less_than_twice_the_result():
     # at d = 18; slab by slab, every temporary is O(d^3).
     d = 18
     stack = random_scheme(d, np.random.default_rng(3)).g.stack
-    _step_coordinates(stack, stack)
+    _step_coordinates(stack)
     tracemalloc.start()
     try:
-        _step_coordinates(stack, stack)
+        _step_coordinates(stack)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -176,7 +196,7 @@ def test_step_coordinates_allocate_less_than_twice_the_result():
 def test_representation_holds_no_complex_step_matrix(scheme):
     rep = build_representation(scheme)
     assert not hasattr(rep, "m")
-    d2 = rep.dim2
+    d2 = rep.dim**2
     for arr in (rep.spectral.matrix, rep.unit_projector, rep.n_filtered):
         assert arr.shape == (d2, d2) and arr.dtype == np.float64
     for field in dataclasses.fields(rep):
@@ -268,7 +288,7 @@ _Q = np.eye(4) - 2 * np.outer(_U, _U) / (_U @ _U)
 def _crafted_step(monkeypatch, r):
     """Make ``build_representation`` of any d = 2 scheme decompose the
     4 x 4 real ``r`` as its step representation."""
-    monkeypatch.setattr(qmcverify.spectral, "_step_coordinates", lambda left, right: r)
+    monkeypatch.setattr(qmcverify.spectral, "_step_coordinates", lambda stack: r)
     return bitflip_scheme(0.5)
 
 
@@ -287,17 +307,17 @@ def test_representation_rejects_a_non_semisimple_unit_cluster(monkeypatch):
 
 
 def test_decaying_eigenvalue_in_a_unit_cluster_stays_out_of_the_projector(monkeypatch):
-    # Eigenvalues 1 and 1 - 9e-7 share a cluster at CLUSTER_REL_TOL = 1e-6,
-    # but only 1 is unit at the default eps_unit: the eigenvectors of
-    # 1 - 9e-7 are not taken for it, P_u is the spectral projector of 1
-    # alone, and 1 - 9e-7 sets the margin.
+    # Eigenvalues 1 and 1 - 9e-7 lie within CLUSTER_REL_TOL = 1e-6 of each
+    # other, but only 1 is unit at the default eps_unit: 1 - 9e-7 is not
+    # clustered, its eigenvectors are not taken for 1, P_u is the spectral
+    # projector of 1 alone, and 1 - 9e-7 sets the margin.
     v = _Q @ np.triu(np.ones((4, 4)))
     v_inv = np.linalg.inv(v)
     r = v @ np.diag([1.0, 1.0 - 9e-7, 0.5, 0.25]) @ v_inv
     rep = build_representation(_crafted_step(monkeypatch, r))
     sd = rep.spectral
     assert np.count_nonzero(sd.unit_circle_flags) == 1
-    assert len(set(sd.cluster_ids[np.abs(sd.eigenvalues) > 0.9].tolist())) == 1
+    assert sd.cluster_ids.tolist() == [0]
     assert sd.right_vectors.shape == (4, 1)
     assert max_abs(rep.unit_projector - np.outer(v[:, 0], v_inv[0])) <= 1e-9
     assert rep.margin == pytest.approx(9e-7, rel=1e-6)
@@ -432,7 +452,7 @@ def test_filtering_correctness():
     p_u, r = rep.unit_projector, rep.spectral.matrix
     assert max_abs(rep.n_filtered @ p_u) <= 1e-10
     assert max_abs(
-        rep.n_filtered @ (np.eye(rep.dim2) - p_u) - r @ (np.eye(rep.dim2) - p_u)
+        rep.n_filtered @ (np.eye(rep.dim**2) - p_u) - r @ (np.eye(rep.dim**2) - p_u)
     ) <= 1e-10
     assert max_abs(p_u @ p_u - p_u) <= 1e-6
 
@@ -606,31 +626,6 @@ def test_real_coordinates_are_the_step_on_the_hermitian_basis(rng, d):
     assert max_abs(r - expected) <= 1e-14
 
 
-@pytest.mark.parametrize("scale, rejected", [(1.0, True), (1e4, False)])
-def test_step_coordinates_decide_hermiticity_on_all_slabs(scale, rejected):
-    # M = 1e-9 E_11 (x) E_10 + scale E_00 (x) E_00 at d = 3 maps A to
-    # 1e-9 A_10 E_11 + scale A_00 E_00.  The imaginary part, 7.1e-10, lies
-    # in slab 1 only and the largest modulus, at scale 1e4, in slab 0 only:
-    # 7.1e-10 is above HERMITIAN_COORD_TOL * max(1, 1) but not * 1e4.
-    unit = np.eye(3)
-    e11, e10, e00 = (np.outer(unit[a], unit[b]).astype(complex) for a, b in ((1, 1), (1, 0), (0, 0)))
-    left, right = [1e-9 * e11, scale * e00], [e10, e00]
-    if rejected:
-        with pytest.raises(RepresentationError, match="step representation .*Hermiticity"):
-            _step_coordinates(left, right)
-    else:
-        m = np.zeros((9, 9), dtype=complex)
-        for a, b in zip(left, right):
-            m += np.kron(a, b.conj())
-        assert _same_bits(_step_coordinates(left, right), real_coordinates_reference(m))
-
-
-def test_real_coordinates_reject_a_step_that_breaks_hermiticity():
-    # M = X (x) I: vec(A) -> vec(X A) maps Hermitian A to a non-Hermitian X A
-    with pytest.raises(RepresentationError, match="step representation .*Hermiticity"):
-        _step_coordinates([X], [I2])
-
-
 def test_build_without_unit_spectrum_runs_one_real_eigvals(monkeypatch, rng):
     prog = random_contracting_program(3, rng)
     calls = count_calls(monkeypatch, "eigvals", "eig")
@@ -701,7 +696,9 @@ def test_real_eigensolve_matches_the_complex_reference(case):
         assert abs(remaining.pop(k) - z) <= tol
     assert abs(sd.norm - sd_ref.norm) <= tol
     assert np.count_nonzero(sd.unit_circle_flags) == np.count_nonzero(sd_ref.unit_circle_flags)
-    assert sd.cluster_ids.max() == sd_ref.cluster_ids.max()
+    # the two eigensolves may order the unit clusters differently
+    sizes, sizes_ref = ([c.size for c in s.unit_clusters()] for s in (sd, sd_ref))
+    assert sorted(sizes) == sorted(sizes_ref)
     assert abs(rep.margin - ref.margin) <= 1e-12
     assert max_abs(vec_matrix(rep.unit_projector) - ref.unit_projector) <= 1e-10
 

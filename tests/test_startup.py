@@ -32,8 +32,11 @@ TEST_ONLY = {
 # two result types and the second entry point of the series pass, whose
 # one result SeriesPass both public series entry points now return; and
 # the invariant route's second result type and certificate builder, whose
-# row check_conditions now builds; and the whole-matrix Hermitian-basis
-# formula, which the slab builder _step_coordinates replaces.
+# row check_conditions now builds; the whole-matrix Hermitian-basis
+# formula, which the slab builder _step_coordinates replaces; the step
+# matrix's Hermiticity guard, which no Kraus family can trip; and the
+# unit-cluster filter over a whole-spectrum clustering, now that only
+# the unit flags are clustered.
 REMOVED = {
     "ConditionCheck",
     "IMAG_TOL",
@@ -43,6 +46,8 @@ REMOVED = {
     "_certificate",
     "_real_coordinates",
     "_real_part",
+    "_require_hermitian",
+    "_unit_cluster_columns",
     "_vec_coordinates",
     "as_complex_matrix",
     "expectation_via_invariant",
