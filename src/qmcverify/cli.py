@@ -13,7 +13,8 @@ spectral check finds not almost-terminating (its unit overlap is
 nonzero), so the series cannot use up the mass that survives; else 3
 when two values are apart by more than the tolerance (a finite value
 and an infinite one are apart by ``inf``, and a NaN value disagrees
-with any other); else 0.
+with any other); else 0.  Both decide almost termination only, by the
+unit overlap; only ``terminate`` and ``spectrum`` run the exact search.
 """
 
 from __future__ import annotations
@@ -116,9 +117,8 @@ def _series_row(result, value) -> tuple:
     return "series", value, diagnostics
 
 
-def _spectral_row(rep, verdict, value) -> tuple:
-    diagnostics = {"margin": rep.margin, "unit_overlap": verdict.unit_overlap_norm}
-    return "spectral", value, diagnostics
+def _spectral_row(rep, overlap, value) -> tuple:
+    return "spectral", value, {"margin": rep.margin, "unit_overlap": overlap}
 
 
 def _decide(report, args, tol, rows, what, warning=None, refusal=None) -> int:
@@ -151,7 +151,7 @@ def cmd_verify(args) -> int:
     prog = _program(model)
     p = _observable(model, args.observable)
     rep = build_representation(prog, eps_unit=opts.eps_unit)
-    verdict = check_program_termination(rep, prog.rho0)
+    overlap, almost = rep.unit_overlap(prog.rho0.mat)
 
     report = _new_report("verify", args, model, opts)
     report.observable = args.observable
@@ -169,13 +169,13 @@ def cmd_verify(args) -> int:
             rows.append(("invariant", *certified_expectation(prog, p, n_max=opts.n_max)))
         elif method == "spectral":
             value = expectation_closed_form(rep, prog.rho0, p)
-            rows.append(_spectral_row(rep, verdict, value))
+            rows.append(_spectral_row(rep, overlap, value))
 
     warning = refusal = None
-    if not verdict.almost_terminates:
+    if not almost:
         warning = (
             "program is not almost-terminating for this initial state "
-            f"(unit overlap {verdict.unit_overlap_norm:.6g}); "
+            f"(unit overlap {overlap:.6g}); "
             + (
                 "series expectations are lower estimates"
                 if is_positive_semidefinite(p.mat)
@@ -185,7 +185,7 @@ def cmd_verify(args) -> int:
         if "series" in selected:
             refusal = (
                 "the spectral check finds the program not almost-terminating "
-                f"(unit overlap {verdict.unit_overlap_norm:.6g}); the series method "
+                f"(unit overlap {overlap:.6g}); the series method "
                 "cannot use up the mass that survives"
             )
     return _decide(report, args, opts.tol, rows, "methods", warning, refusal)
@@ -195,18 +195,18 @@ def cmd_runtime(args) -> int:
     model, opts = _load(args)
     prog = _program(model)
     rep = build_representation(prog, eps_unit=opts.eps_unit)
-    verdict = check_program_termination(rep, prog.rho0)
+    overlap, almost = rep.unit_overlap(prog.rho0.mat)
 
     report = _new_report("runtime", args, model, opts)
     report.eigenvalues = eigenvalue_table(rep.spectral)
-    spectral = _spectral_row(rep, verdict, average_running_time(rep, prog.rho0))
+    spectral = _spectral_row(rep, overlap, average_running_time(rep, prog.rho0))
     series = oracle_expectation(
         prog, Observable(np.eye(prog.dim)), opts.tail_tol, opts.n_max
     )
     rows = [spectral, _series_row(series, series.running_time_series)]
-    warning = None if verdict.almost_terminates else (
+    warning = None if almost else (
         "program is not almost-terminating; the average running time "
-        f"diverges (unit overlap {verdict.unit_overlap_norm:.6g})"
+        f"diverges (unit overlap {overlap:.6g})"
     )
     return _decide(report, args, opts.tol, rows, "running times", warning)
 
@@ -224,14 +224,9 @@ def cmd_terminate(args) -> int:
 
     report = _new_report("terminate", args, model, opts)
     report.eigenvalues = eigenvalue_table(rep.spectral)
-    report.termination = {
-        "scope": args.scope,
-        "terminates": verdict.terminates,
-        "terminates_at": verdict.terminates_at,
-        "almost_terminates": verdict.almost_terminates,
-        "unit_overlap_norm": verdict.unit_overlap_norm,
-        "nilpotent_check_power": verdict.nilpotent_check_power,
-    }
+    report.termination = dict(
+        scope=args.scope, terminates=verdict.terminates, **dataclasses.asdict(verdict)
+    )
     _emit(report, args)
     return EXIT_OK
 

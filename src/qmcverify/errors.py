@@ -49,4 +49,5 @@ class SingularResolventError(QmcError):
 
 
 class ConsistencyError(QmcError):
-    """Two routes that must agree produced different answers."""
+    """Two routes or verdicts that must agree produced different answers,
+    e.g. exact termination without almost termination."""

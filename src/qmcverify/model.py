@@ -43,12 +43,14 @@ from .program import (
 
 FORMAT_TAG = "qmc-model/1"
 
-# Lower bound of each option and whether the bound itself is allowed.
+# Lower bound of each option, whether the bound itself is allowed, and
+# the upper bound, never allowed.  At eps_unit >= 1 the unit-circle window
+# ||lambda| - 1| <= eps_unit holds 0, so every eigenvalue would be flagged.
 _OPTION_BOUNDS = {
-    "tail_tol": (0, False),
-    "n_max": (1, True),
-    "eps_unit": (0, True),
-    "tol": (0, True),
+    "tail_tol": (0, False, math.inf),
+    "n_max": (1, True, math.inf),
+    "eps_unit": (0, True, 1),
+    "tol": (0, True, math.inf),
 }
 
 
@@ -63,18 +65,20 @@ class ModelOptions:
     tol: float = 1e-6
 
     def __post_init__(self):
-        for name, (low, inclusive) in _OPTION_BOUNDS.items():
+        for name, (low, inclusive, high) in _OPTION_BOUNDS.items():
             value = getattr(self, name)
             ok = (
                 _finite_number(value)
                 and (value >= low if inclusive else value > low)
+                and value < high
                 and (name != "n_max" or value == int(value))
             )
             if not ok:
                 kind = "an integer" if name == "n_max" else "a finite number"
                 rel = ">=" if inclusive else ">"
+                below = f" and < {high}" if high < math.inf else ""
                 raise ValidationError(
-                    f"option {name} must be {kind} {rel} {low}, got {value!r}"
+                    f"option {name} must be {kind} {rel} {low}{below}, got {value!r}"
                 )
         self.n_max = int(self.n_max)
 

@@ -9,7 +9,9 @@ The support is stepped with ``G`` itself, on d x d matrices.
 Almost termination means the halting probability
 ``sum_n tr(E0*(I) G^n(rho0))`` is one.  It holds iff the coordinates of
 ``rho0`` carry no unit-modulus spectral component of the step matrix,
-read against the dual eigenbasis since that matrix is not normal.
+read against the dual eigenbasis since that matrix is not normal: the
+one rule of :meth:`ProgramRepresentation.unit_overlap`, which the running
+time reads too.  Exact termination implies it, or the check fails.
 """
 
 from __future__ import annotations
@@ -27,17 +29,24 @@ ZERO_VECTOR_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class TerminationVerdict:
-    terminates: bool
+    """Exact termination (a step in ``terminates_at``) without almost
+    termination raises :class:`ConsistencyError`."""
+
     terminates_at: int | None
     almost_terminates: bool
     unit_overlap_norm: float
     nilpotent_check_power: int
 
+    @property
+    def terminates(self) -> bool:
+        return self.terminates_at is not None
+
     def __post_init__(self):
         if self.terminates and not self.almost_terminates:
-            raise ConsistencyError("exact termination without almost termination")
-        if self.terminates != (self.terminates_at is not None):
-            raise ConsistencyError("terminates_at must be present iff terminates")
+            raise ConsistencyError(
+                f"exact termination at step {self.terminates_at} without almost "
+                f"termination (unit overlap {self.unit_overlap_norm:.6g})"
+            )
 
 
 def _support(mat: np.ndarray) -> np.ndarray | None:
@@ -53,18 +62,14 @@ def _verdict(rep: ProgramRepresentation, a: np.ndarray) -> TerminationVerdict:
     """Verdict for the runs started in the PSD ``a``; reads only ``rep``'s
     ``dim``, ``g`` and unit overlap."""
     overlap, almost = rep.unit_overlap(a)
-
     support = _support(a)
     n = 0
     while support is not None and n < rep.dim:
         n += 1
         support = _support(rep.g.apply_mat(support))
-    terminates = support is None
-
     return TerminationVerdict(
-        terminates=terminates,
-        terminates_at=n if terminates else None,
-        almost_terminates=almost or terminates,
+        terminates_at=n if support is None else None,
+        almost_terminates=almost,
         unit_overlap_norm=overlap,
         nilpotent_check_power=n,
     )

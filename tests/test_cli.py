@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmcverify import EigensolverError, ProgramScheme, cli
+from qmcverify import EigensolverError, ProgramScheme, cli, termination
 from qmcverify.cli import main
 from qmcverify.model import Model, dumps, load_model, save_model
 from qmcverify.sampling import random_contracting_program
@@ -359,6 +359,51 @@ def test_spectrum_reports_scheme_termination_without_rank_of_powers(
     assert calls == []
 
 
+def _program_model(name, tmp_path) -> str:
+    """The counter program from |0> (d = 6) or a seeded random one (d = 4),
+    each with one observable ``P = M0^dag M0``."""
+    if name == "counter":
+        scheme = counter_scheme(6)
+        kraus, m0, m1 = list(scheme.e.kraus), scheme.meas.m0, scheme.meas.m1
+        rho0 = np.diag([1.0] + [0.0] * 5).astype(complex)
+    else:
+        prog = random_contracting_program(4, np.random.default_rng(7))
+        kraus, m0, m1, rho0 = list(prog.e.kraus), prog.meas.m0, prog.meas.m1, prog.rho0.mat
+    path = tmp_path / f"{name}.model"
+    observables = {"P": m0.conj().T @ m0}
+    save_model(
+        Model(dim=m0.shape[0], kraus=kraus, m0=m0, m1=m1, rho0=rho0, observables=observables),
+        path,
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("name", ["counter", "random"])
+def test_only_terminate_and_spectrum_run_the_exact_termination_search(
+    name, monkeypatch, tmp_path, capsys
+):
+    path = _program_model(name, tmp_path)
+    calls = []
+    support = termination._support
+
+    def counting_support(mat):
+        calls.append(1)
+        return support(mat)
+
+    monkeypatch.setattr(termination, "_support", counting_support)
+    for argv, searches in (
+        (["verify", path, "-o", "P"], False),
+        (["runtime", path], False),
+        (["terminate", path], True),
+        (["terminate", path, "--scope", "scheme"], True),
+        (["spectrum", path], True),
+    ):
+        calls.clear()
+        assert main(argv) == 0
+        assert bool(calls) == searches, argv
+    capsys.readouterr()
+
+
 def test_verify_invariant_alone_is_sound_on_stuck_program(capsys):
     # the least invariant satisfies Q-termination even here, so no exit 4
     code = main(["verify", model("bitflip_p1.model"), "-o", "P0", "--method", "invariant"])
@@ -544,6 +589,7 @@ def test_each_subcommand_takes_only_the_overrides_it_reads(command, capsys):
         ("--tol", "inf", "tol"),
         ("--eps-unit", "-1", "eps_unit"),
         ("--eps-unit", "nan", "eps_unit"),
+        ("--eps-unit", "1", "eps_unit"),
         ("--tail-tol", "nan", "tail_tol"),
         ("--tail-tol", "0", "tail_tol"),
         ("--tail-tol", "-1e-12", "tail_tol"),
@@ -556,6 +602,17 @@ def test_bad_option_override_exits_2(flag, value, option, capsys):
     assert f"option {option} " in err
 
 
+@pytest.mark.parametrize("value", ["1", "2", "1e300"])
+@pytest.mark.parametrize("command", ["verify", "runtime", "terminate", "spectrum"])
+def test_eps_unit_of_one_or_more_exits_2(command, value, capsys):
+    # The window ||lambda| - 1| <= eps_unit would hold 0 and flag every
+    # eigenvalue unit-circle.
+    extra = ["-o", "P0"] if command == "verify" else []
+    code = main([command, model("bitflip_p05.model"), *extra, "--eps-unit", value])
+    assert code == 2
+    assert "option eps_unit must be a finite number >= 0 and < 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "options,option",
     [
@@ -564,6 +621,7 @@ def test_bad_option_override_exits_2(flag, value, option, capsys):
         ({"tail_tol": 0.0}, "tail_tol"),
         ({"tol": -1.0}, "tol"),
         ({"eps_unit": "1e-7"}, "eps_unit"),
+        ({"eps_unit": 1}, "eps_unit"),
     ],
 )
 def test_bad_option_in_model_file_exits_2(options, option, tmp_path, capsys):

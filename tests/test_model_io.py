@@ -77,7 +77,10 @@ def test_unknown_option_rejected():
 def test_model_options_are_validated_on_every_construction():
     opts = ModelOptions(n_max=1e6)
     assert opts.n_max == 1_000_000 and isinstance(opts.n_max, int)
-    for name, value in (("n_max", 0), ("n_max", True), ("tail_tol", float("nan")), ("tol", -1e-9)):
+    assert ModelOptions(eps_unit=0.99).eps_unit == 0.99
+    bad = (("n_max", 0), ("n_max", True), ("tail_tol", float("nan")), ("tol", -1e-9),
+           ("eps_unit", 1.0))
+    for name, value in bad:
         with pytest.raises(ValidationError, match=f"option {name} "):
             ModelOptions(**{name: value})
         with pytest.raises(ValidationError, match=f"option {name} "):

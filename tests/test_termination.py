@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmcverify import (
+    ConsistencyError,
     DensityOperator,
     ProgramRepresentation,
     ProgramScheme,
@@ -199,6 +201,16 @@ def test_step_only_verdicts_match_the_vec_reference(rng):
         assert _verdict_tuple(check_program_termination(rep, rho)) == _verdict_tuple(
             check_program_termination(ref, rho)
         )
+
+
+def test_exact_termination_without_almost_termination_is_a_consistency_error():
+    # A unit projector of I puts all of m1zero's start on the unit circle,
+    # while the program halts at its first step.
+    prog = load_model(MODELS_DIR / "m1zero.model").validated.scheme
+    rep = build_representation(prog)
+    rep = dataclasses.replace(rep, unit_projector=np.eye(rep.dim**2))
+    with pytest.raises(ConsistencyError, match=r"at step 1 .*\(unit overlap 1\)"):
+        check_program_termination(rep, prog.rho0)
 
 
 def test_decaying_mass_is_not_exact_termination():
