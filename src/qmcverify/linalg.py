@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,6 +249,22 @@ def _check_power_sums(arr: np.ndarray, evals: np.ndarray, norm: float, tol: floa
         raise EigensolverError(n, norm, f"power sum sum(lambda^2) off tr A^2 by {gap2:.3e}")
 
 
+def check_eps_unit(eps_unit) -> None:
+    """Raise :class:`ValidationError` unless ``eps_unit`` is a finite
+    number in [0, 1).  At 1 or more the unit-circle window ``||lambda| -
+    1| <= eps_unit`` holds 0, so every eigenvalue would be flagged.  A
+    bool, which JSON's ``true`` and ``false`` load as, is not a number."""
+    ok = (
+        isinstance(eps_unit, numbers.Real)
+        and not isinstance(eps_unit, bool)
+        and 0 <= eps_unit < 1
+    )
+    if not ok:
+        raise ValidationError(
+            f"option eps_unit must be a finite number >= 0 and < 1, got {eps_unit!r}"
+        )
+
+
 def _unit_flags(evals: np.ndarray, eps_unit: float) -> np.ndarray:
     return np.abs(np.abs(evals) - 1.0) <= eps_unit
 
@@ -322,7 +339,7 @@ def spectral_decompose(a, eps_unit: float = EPS_UNIT) -> SpectralData:
         in real arithmetic; anything else as complex128.
     eps_unit : float
         An eigenvalue is flagged unit-circle when ``| |lambda| - 1 | <=
-        eps_unit``.
+        eps_unit``; it must lie in [0, 1) (:func:`check_eps_unit`).
 
     Returns
     -------
@@ -330,6 +347,8 @@ def spectral_decompose(a, eps_unit: float = EPS_UNIT) -> SpectralData:
 
     Raises
     ------
+    ValidationError
+        If ``a`` has a non-finite entry or ``eps_unit`` is not in [0, 1).
     EigensolverError
         If LAPACK fails to converge or returns a non-finite entry, the
         complex eigenvalues of a real matrix are not in exact conjugate
@@ -338,6 +357,7 @@ def spectral_decompose(a, eps_unit: float = EPS_UNIT) -> SpectralData:
         as it has eigenvalues, or one of those eigenpairs violates the
         residual bound ``TOL_EIG * max(1, norm)``.
     """
+    check_eps_unit(eps_unit)
     arr = require_square(a, dtype=float if np.isrealobj(a) else complex)
     n = arr.shape[0]
     norm = float(np.linalg.norm(arr)) / math.sqrt(n) if n else 0.0

@@ -1,7 +1,8 @@
 """Shared builders for the test suite, the lemma diagnostics that only
 the tests call, and the references the spectral route is checked
 against: its representation in row-major vec coordinates and the
-Schrödinger-picture closed forms."""
+Schrödinger-picture closed forms; also the scalar-loop eigenvalue table
+the report's array code is checked against."""
 
 import math
 from dataclasses import dataclass
@@ -366,3 +367,21 @@ def schrodinger_running_time(rep, n0, rho0):
     x = np.kron(rho0.mat, np.eye(d)) @ phi
     y = np.linalg.solve(resolvent, np.linalg.solve(resolvent, x))
     return complex(phi.conj() @ (n0 @ y))
+
+
+def eigenvalue_table_reference(spectral) -> list[dict]:
+    """``report.eigenvalue_table`` as a scalar loop: one Python sort key
+    per eigenvalue, and each modulus the scalar ``abs`` of a complex128."""
+    rows = sorted(
+        zip(spectral.eigenvalues, spectral.unit_circle_flags),
+        key=lambda row: (-abs(row[0]), -row[0].real, -row[0].imag),
+    )
+    return [
+        {
+            "re": float(z.real),
+            "im": float(z.imag),
+            "modulus": float(abs(z)),
+            "unit_circle": bool(unit),
+        }
+        for z, unit in rows
+    ]

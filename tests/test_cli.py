@@ -313,25 +313,49 @@ def test_spectrum_stuck_bitflip_single_unit_flag(capsys):
     assert "semisimple_unit_part=True" in out
 
 
-def test_eigenvalue_table_reports_the_spectral_layers_flags():
+EIGENVALUE_TABLE_CASES = [
     # The table sorts the decided flags with their eigenvalues instead of
     # deciding the unit circle again: here 0.99999999 is flagged and 1 is
     # not, which no eps_unit rule would give.
+    (
+        [0.5, 1.0, -0.99999999, 0.5j],
+        [False, False, True, True],
+        [(1.0, 0.0, False), (-0.99999999, 0.0, True), (0.5, 0.0, False), (0.0, 0.5, True)],
+    ),
+    # Ties in modulus: descending real part, then descending imaginary
+    # part, so a conjugate pair lists its upper member first.  The literal
+    # -1j is complex(-0.0, -1.0).
+    (
+        [-1j, -1.0, 0.25 - 0.5j, 1j, 1.0, 0.25 + 0.5j],
+        [True, True, False, True, True, False],
+        [(1.0, 0.0, True), (0.0, 1.0, True), (-0.0, -1.0, True), (-1.0, 0.0, True),
+         (0.25, 0.5, False), (0.25, -0.5, False)],
+    ),
+    # Signed zeros tie with unsigned ones, keep their order and their sign.
+    (
+        [complex(0.0, -0.0), complex(-0.0, 0.0), complex(0.5, -0.0),
+         complex(-0.0, -0.0), complex(0.5, 0.0)],
+        [False] * 5,
+        [(0.5, -0.0, False), (0.5, 0.0, False), (0.0, -0.0, False),
+         (-0.0, 0.0, False), (-0.0, -0.0, False)],
+    ),
+]
+
+
+def test_eigenvalue_table_reports_the_spectral_layers_flags():
     from types import SimpleNamespace
 
     from qmcverify.report import eigenvalue_table
 
-    spectral = SimpleNamespace(
-        eigenvalues=np.array([0.5, 1.0, -0.99999999, 0.5j]),
-        unit_circle_flags=np.array([False, False, True, True]),
-    )
-    rows = eigenvalue_table(spectral)
-    assert [(r["re"], r["im"], r["unit_circle"]) for r in rows] == [
-        (1.0, 0.0, False),
-        (-0.99999999, 0.0, True),
-        (0.5, 0.0, False),
-        (0.0, 0.5, True),
-    ]
+    for eigenvalues, flags, expected in EIGENVALUE_TABLE_CASES:
+        spectral = SimpleNamespace(
+            eigenvalues=np.array(eigenvalues, dtype=complex),
+            unit_circle_flags=np.array(flags),
+        )
+        rows = eigenvalue_table(spectral)
+        assert [(repr(r["re"]), repr(r["im"]), r["unit_circle"]) for r in rows] == [
+            (repr(re), repr(im), unit) for re, im, unit in expected
+        ]
 
 
 def test_spectrum_reports_scheme_termination_without_rank_of_powers(

@@ -227,6 +227,21 @@ def test_spectral_real_input_rejects_non_finite(bad):
         spectral_decompose(np.array([[1.0, bad], [0.0, 0.5]]))
 
 
+@pytest.mark.parametrize("eps_unit", [1, 1.5, math.inf, math.nan, -1])
+def test_eps_unit_outside_zero_one_is_a_validation_error(eps_unit):
+    # At 1 or more every eigenvalue would be flagged unit-circle, which the
+    # build reported as a defective unit eigenvalue (xflip_scheme) or let
+    # through to a termination ConsistencyError (m1zero); NaN and negative
+    # values flagged nothing.  All are bad input, as in ModelOptions.
+    message = "option eps_unit must be a finite number >= 0 and < 1"
+    with pytest.raises(ValidationError, match=message):
+        spectral_decompose(np.eye(2), eps_unit)
+    for name in ("xflip_scheme", "m1zero"):
+        scheme = load_model(MODELS_DIR / f"{name}.model").validated.scheme
+        with pytest.raises(ValidationError, match=message):
+            build_representation(scheme, eps_unit=eps_unit)
+
+
 def test_spectral_real_input_rejects_non_square():
     with pytest.raises(DimensionMismatchError):
         spectral_decompose(np.zeros((2, 3)))
