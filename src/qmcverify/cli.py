@@ -2,7 +2,8 @@
 
 Subcommands: verify, runtime, terminate, spectrum, simulate,
 regen-goldens.  Exit codes: 0 success, 2 model validation failure (bad
-model data or option value) or missing model file, 3 method
+model data or option value) or a model file or ``--json-out`` path that
+cannot be read or written (any ``OSError``), 3 method
 disagreement, 4 refusal to run the series, 5 numerical failure (an
 eigensolve, a structural check of the step representation, a resolvent
 solve or an internal consistency check).
@@ -367,7 +368,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, FileNotFoundError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except QmcError as exc:

@@ -99,12 +99,14 @@ class ModelOptions:
 
 def _finite_number(value) -> bool:
     """Whether ``value`` is a finite real number; a bool, which JSON's
-    ``true`` and ``false`` load as, is not."""
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
+    ``true`` and ``false`` load as, is not, and neither is an integer too
+    large for a float, on which ``math.isfinite`` would overflow."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def encode_matrix(mat: np.ndarray) -> list:
@@ -244,15 +246,25 @@ def model_from_dict(doc: dict) -> Model:
 
 
 def loads(text: str) -> Model:
+    """Parse and validate a model document.  Besides malformed JSON,
+    ``json`` refuses an integer of more than 4300 digits (``ValueError``)
+    and nesting deeper than the recursion limit (``RecursionError``);
+    each is a :class:`ValidationError`."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"model file is not valid JSON: {exc}") from exc
     return model_from_dict(doc)
 
 
 def load_model(path) -> Model:
-    return loads(Path(path).read_text())
+    """Read and validate the model file at ``path``, which must be UTF-8.
+    A path that cannot be read raises its ``OSError``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"model file is not UTF-8 text: {exc}") from exc
+    return loads(text)
 
 
 _PAIR = re.compile(r"\[\n\s*(-?[0-9.eE+-]+),\n\s*(-?[0-9.eE+-]+)\n\s*\]")

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import modulus
+
 
 def _num(value: float):
     if math.isnan(value):
@@ -64,18 +66,16 @@ def eigenvalue_table(spectral) -> list[dict]:
     """Eigenvalues of the step representation in report order, each with
     the unit-circle flag the spectral layer decided for it.
 
-    The modulus is ``np.hypot(re, im)``, which equals the scalar
-    ``abs(np.complex128)`` bit for bit; the vectorized ``np.abs`` of a
-    complex array differs from it in the last bit on about a third of
-    random values, and the JSON report prints every digit.  ``lexsort``
-    is stable, so ties keep their eigensolver order."""
+    The modulus is :func:`qmcverify.linalg.modulus`, the one that decided
+    the flag.  ``lexsort`` is stable, so ties keep their eigensolver
+    order."""
     ev = np.asarray(spectral.eigenvalues)
-    modulus = np.hypot(ev.real, ev.imag)
-    order = np.lexsort((-ev.imag, -ev.real, -modulus))
+    mod = modulus(ev)
+    order = np.lexsort((-ev.imag, -ev.real, -mod))
     columns = zip(
         ev.real[order].tolist(),
         ev.imag[order].tolist(),
-        modulus[order].tolist(),
+        mod[order].tolist(),
         np.asarray(spectral.unit_circle_flags, dtype=bool)[order].tolist(),
     )
     return [

@@ -36,6 +36,7 @@ from .linalg import (
     SpectralData,
     dagger,
     max_abs,
+    modulus,
     spectral_decompose,
 )
 from .program import ProgramScheme
@@ -180,15 +181,6 @@ def _step_coordinates(stack: np.ndarray) -> np.ndarray:
     return r
 
 
-def _cluster_defect(w: np.ndarray, l: np.ndarray) -> float:
-    """``max_abs(w l^dag)`` for ``n x k`` blocks ``w`` and ``l``: O(n^2 k)
-    as a product, and for ``k = 1`` the product of the two maxima, which
-    is the same number up to rounding, in O(n)."""
-    if w.shape[1] == 1:
-        return max_abs(w) * max_abs(l)
-    return max_abs(w @ dagger(l))
-
-
 def build_representation(
     scheme: ProgramScheme, eps_unit: float = EPS_UNIT
 ) -> ProgramRepresentation:
@@ -239,7 +231,7 @@ def build_representation(
         for cols in sd.unit_clusters():
             lam = unit_evals[cols].mean()
             r_c = sd.right_vectors[:, cols]
-            defect = _cluster_defect(r @ r_c - lam * r_c, sd.left_vectors[:, cols])
+            defect = max_abs((r @ r_c - lam * r_c) @ dagger(sd.left_vectors[:, cols]))
             if defect > TOL_PROJ * r_norm:
                 raise RepresentationError(
                     f"unit-modulus eigenvalue cluster at {lam:.9g} is not "
@@ -249,7 +241,7 @@ def build_representation(
     else:
         p_u = np.zeros_like(r)
         n = r
-    nonunit = np.abs(sd.eigenvalues[~sd.unit_circle_flags])
+    nonunit = modulus(sd.eigenvalues[~sd.unit_circle_flags])
     margin = float(1.0 - nonunit.max()) if nonunit.size else 1.0
 
     return ProgramRepresentation(

@@ -2,10 +2,13 @@
 
 Exact termination means ``G^n(rho0) = 0`` for some ``n``, with ``G`` the
 survival step.  That depends only on ``supp rho0``, so the search steps
-support projectors and each zero test is a rank decision on ``G`` of one
-projector.  The span of the supports from step ``k`` on shrinks strictly
-until it is zero, so termination, if it happens, happens by ``n = d``.
-The support is stepped with ``G`` itself, on d x d matrices.
+supports, each held as an orthonormal basis ``V``.  With ``K_s`` the
+Kraus operators of ``G``, ``supp G(V V^dag)`` is the range of the d x
+(K rank) matrix ``[K_1 V, ..., K_K V]``, so each step is one SVD of the
+Kraus images of the basis.  Its singular values are amplitudes: a
+transition of weight ``w`` shows as ``sqrt(w)``.  The span of the
+supports from step ``k`` on shrinks strictly until it is zero, so
+termination, if it happens, happens by ``n = d``.
 Almost termination means the halting probability
 ``sum_n tr(E0*(I) G^n(rho0))`` is one.  It holds iff the coordinates of
 ``rho0`` carry no unit-modulus spectral component of the step matrix,
@@ -24,7 +27,9 @@ from .channels import DensityOperator
 from .errors import ConsistencyError
 from .spectral import ProgramRepresentation
 
-ZERO_VECTOR_RTOL = 1e-9
+# A singular value of a support's matrix counts when it exceeds this many
+# times max(1, the largest one); see _verdict.
+SUPPORT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,26 +54,38 @@ class TerminationVerdict:
             )
 
 
-def _support(mat: np.ndarray) -> np.ndarray | None:
-    """Projector onto the eigenvectors of the PSD ``mat`` whose eigenvalue
-    exceeds ``ZERO_VECTOR_RTOL * max(1, lambda_max)``; ``None`` when none
-    does."""
-    w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
-    keep = v[:, w > ZERO_VECTOR_RTOL * max(1.0, float(w[-1]))]
-    return keep @ keep.conj().T if keep.shape[1] else None
+def _range(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the range of ``a``: its left singular vectors
+    whose singular value exceeds ``SUPPORT_RTOL * max(1, s_max)``; no
+    columns when none does."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u[:, s > SUPPORT_RTOL * max(1.0, float(s[0]))]
 
 
 def _verdict(rep: ProgramRepresentation, a: np.ndarray) -> TerminationVerdict:
     """Verdict for the runs started in the PSD ``a``; reads only ``rep``'s
-    ``dim``, ``g`` and unit overlap."""
+    ``dim``, ``g`` and unit overlap.
+
+    The support of ``a`` is :func:`_range` of ``a`` (its singular values
+    are its eigenvalues), and each step's is :func:`_range` of ``[K_1 V,
+    ..., K_K V]``.  The cut is relative to ``max(1, s_max)``, not to
+    ``s_max`` alone: the images are products with factors of norm at most
+    one (``sum_s K_s^dag K_s <= I``), so their rounding floor is about
+    ``d u`` (``u = 2.2e-16``; about 4e-15 at d = 18) however small the
+    images are.  A cut relative to ``s_max`` alone, numpy's default rank
+    rule among them, keeps the ~1e-16 image that rounding leaves of a
+    vector a factor kills whenever nothing larger survives.  1e-12 sits
+    far above that floor; it reads an amplitude up to 1e-12 (a weight up
+    to 1e-24) as absent.
+    """
     overlap, almost = rep.unit_overlap(a)
-    support = _support(a)
+    support = _range(a)
     n = 0
-    while support is not None and n < rep.dim:
+    while support.shape[1] and n < rep.dim:
         n += 1
-        support = _support(rep.g.apply_mat(support))
+        support = _range(np.concatenate(rep.g.stack @ support, axis=1))
     return TerminationVerdict(
-        terminates_at=n if support is None else None,
+        terminates_at=None if support.shape[1] else n,
         almost_terminates=almost,
         unit_overlap_norm=overlap,
         nilpotent_check_power=n,
@@ -79,7 +96,7 @@ def check_program_termination(
     rep: ProgramRepresentation, rho0: DensityOperator
 ) -> TerminationVerdict:
     """Termination verdict for the program started in ``rho0``.  The support
-    decisions cut eigenvalues at :data:`ZERO_VECTOR_RTOL`, relative; the
+    decisions cut singular values at :data:`SUPPORT_RTOL`, relative; the
     unit overlap is decided by :meth:`ProgramRepresentation.unit_overlap`."""
     return _verdict(rep, rho0.mat)
 

@@ -1,0 +1,98 @@
+"""Byte-identity battery: every CLI command on a set of model files.
+
+Usage::
+
+    PYTHONPATH=src python tests/cli_battery.py [MODEL ...] > battery.txt
+
+With no arguments it runs on ``models/*.model``.  Each invocation runs
+``qmcverify.cli.main`` in process, with ``--json-out`` into a scratch
+directory, and prints one line: a SHA-256 over its stdout, stderr, exit
+code and JSON report bytes, then the exit code and the argv.  To check
+that a change leaves the CLI's output alone, run the battery once with
+the parent's ``src`` on ``PYTHONPATH`` and once with the change's, from
+the same directory and on the same model paths (the report records the
+path as given), and ``diff`` the two outputs.
+
+The invocations per model: ``verify`` for every observable under each
+``--method``, ``runtime``, ``terminate`` in both scopes and
+``spectrum``, each at the model's ``eps_unit`` and with ``--eps-unit``
+0 and 0.5; and ``simulate``.  A model without ``rho0`` runs them too;
+the commands that need an initial state exit 2.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from qmcverify.cli import main
+
+METHODS = ("series", "invariant", "spectral", "all")
+EPS_UNITS = (None, "0", "0.5")
+
+
+def invocations(path: str) -> list[list[str]]:
+    """The argv list for the model file at ``path``, without
+    ``--json-out``.  A file that is not a JSON object gets the commands
+    without ``verify``, which need its observable names."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        observables = sorted(doc.get("observables", {}))
+    except (OSError, ValueError, AttributeError):
+        observables = []
+    out = []
+    for eps in EPS_UNITS:
+        extra = [] if eps is None else ["--eps-unit", eps]
+        for name in observables:
+            for method in METHODS:
+                out.append(["verify", path, "-o", name, "--method", method, *extra])
+        out.append(["runtime", path, *extra])
+        for scope in ("program", "scheme"):
+            out.append(["terminate", path, "--scope", scope, *extra])
+        out.append(["spectrum", path, *extra])
+    out.append(["simulate", path])
+    return out
+
+
+def run_one(argv: list[str], json_out: Path) -> tuple[str, str]:
+    """``(digest, exit code)`` of one in-process CLI call.  An exception
+    that escapes ``main`` is recorded as ``raised <type>`` in place of the
+    code, so that the battery runs to the end and the diff shows it."""
+    json_out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = str(main([*argv, "--json-out", str(json_out)]))
+        except SystemExit as exc:
+            code = str(exc.code)
+        except Exception as exc:  # noqa: BLE001 -- recorded, not hidden
+            code = f"raised {type(exc).__name__}"
+    report = json_out.read_bytes() if json_out.is_file() else b""
+    digest = hashlib.sha256()
+    for part in (stdout.getvalue().encode(), stderr.getvalue().encode(), code.encode(), report):
+        digest.update(len(part).to_bytes(8, "little"))
+        digest.update(part)
+    return digest.hexdigest(), code
+
+
+def run(paths: list[str]) -> list[str]:
+    """One line per invocation: digest, exit code, argv."""
+    lines = []
+    with tempfile.TemporaryDirectory() as scratch:
+        json_out = Path(scratch) / "report.json"
+        for path in paths:
+            for argv in invocations(path):
+                digest, code = run_one(argv, json_out)
+                lines.append(f"{digest} {code} {' '.join(argv)}")
+    return lines
+
+
+if __name__ == "__main__":
+    paths = sys.argv[1:] or sorted(str(p) for p in Path("models").glob("*.model"))
+    for line in run(paths):
+        print(line)

@@ -408,13 +408,13 @@ def test_only_terminate_and_spectrum_run_the_exact_termination_search(
 ):
     path = _program_model(name, tmp_path)
     calls = []
-    support = termination._support
+    support = termination._range
 
-    def counting_support(mat):
+    def counting_range(mat):
         calls.append(1)
         return support(mat)
 
-    monkeypatch.setattr(termination, "_support", counting_support)
+    monkeypatch.setattr(termination, "_range", counting_range)
     for argv, searches in (
         (["verify", path, "-o", "P"], False),
         (["runtime", path], False),
@@ -683,6 +683,55 @@ def test_malformed_model_field_exits_2(field, raw, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert f"{field} must be " in err
+
+
+# An integer too large for a float.
+_HUGE_INT = "1" + "0" * 400
+
+
+def _bad_input_argv(case, tmp_path):
+    """``runtime`` argv that hits one kind of bad input, or ``terminate``
+    with a ``--json-out`` that is a directory."""
+    if case == "json_out_is_a_directory":
+        return ["terminate", model("m1zero.model"), "--json-out", str(tmp_path)]
+    if case == "model_is_a_directory":
+        return ["runtime", str(tmp_path)]
+    path = tmp_path / "bad.model"
+    text = Path(model("bitflip_p05.model")).read_text()
+    if case == "not_utf8":
+        path.write_bytes(text.encode().replace(b'"P0"', b'"P\xe9"'))
+    elif case == "deep_nesting":
+        path.write_text("[" * 100_000)
+    else:
+        doc = json.loads(text)
+        if case == "dim":
+            doc["dim"] = "<raw>"
+        else:
+            doc["options"]["tol" if case == "integer_of_5000_digits" else case] = "<raw>"
+        raw = "1" * 5000 if case == "integer_of_5000_digits" else _HUGE_INT
+        path.write_text(json.dumps(doc).replace('"<raw>"', raw))
+    return ["runtime", str(path)]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "tol",
+        "tail_tol",
+        "n_max",
+        "dim",
+        "integer_of_5000_digits",
+        "deep_nesting",
+        "not_utf8",
+        "model_is_a_directory",
+        "json_out_is_a_directory",
+    ],
+)
+def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys):
+    code = main(_bad_input_argv(case, tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 def test_verify_invariant_certifies_near_unit_bitflip(tmp_path, capsys):

@@ -30,6 +30,7 @@ from qmcverify import (
     vec,
 )
 from qmcverify.linalg import SpectralData, dagger, max_abs
+from qmcverify.report import eigenvalue_table
 from qmcverify.sampling import (
     random_contracting_program,
     random_density,
@@ -38,7 +39,7 @@ from qmcverify.sampling import (
     random_scheme,
     random_unitary,
 )
-from qmcverify.spectral import _cluster_defect, _hermitian_basis, _step_coordinates, coordinates
+from qmcverify.spectral import _hermitian_basis, _step_coordinates, coordinates
 
 from helpers import (
     I2,
@@ -323,22 +324,19 @@ def test_decaying_eigenvalue_in_a_unit_cluster_stays_out_of_the_projector(monkey
     assert rep.margin == pytest.approx(9e-7, rel=1e-6)
 
 
-def test_one_eigenvalue_cluster_defect_is_the_product_of_maxima():
-    # max_ij |w_i conj(l_j)| = max|w| max|l| in exact arithmetic.  Rounded,
-    # each outer-product entry is a complex product (within sqrt(2) gamma_2
-    # of exact, about 2.83u) and a modulus (u); the product of maxima is two
-    # moduli and one product (3u).  So the forms agree to 7u relative.
-    u = np.finfo(float).eps / 2
-    rng = np.random.default_rng(11)
-    for n in (1, 2, 7, 64, 324):
-        for k in (1, 2, 3):
-            w = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-            l = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) * 1e-3
-            full = max_abs(w @ dagger(l))
-            if k == 1:
-                assert abs(_cluster_defect(w, l) - full) <= 7 * u * full
-            else:
-                assert _cluster_defect(w, l) == full
+@pytest.mark.parametrize("b", [0.435, 0.47, 0.475, 0.485])
+def test_margin_and_radius_read_the_reported_modulus(b, monkeypatch):
+    # A complex pair 0.3 +- i b of modulus above 0.5 leads the spectrum.
+    # For these b, numpy's SIMD complex abs of the computed pair differs
+    # from hypot in the last bit (x86-64 with AVX2), so a margin or a
+    # radius taken by np.abs would miss the report's modulus by one ulp.
+    blk = np.diag([0.3, 0.3, 0.5, 0.25])
+    blk[0, 1], blk[1, 0] = -b, b
+    rep = build_representation(_crafted_step(monkeypatch, _Q @ blk @ _Q.T))
+    table = eigenvalue_table(rep.spectral)
+    assert not any(row["unit_circle"] for row in table)
+    assert rep.margin == 1.0 - max(row["modulus"] for row in table)
+    assert rep.spectral.spectral_radius() == max(row["modulus"] for row in table)
 
 
 def test_representation_rejects_a_defective_unit_eigenvalue(monkeypatch):

@@ -13,6 +13,7 @@ from qmcverify import (
     ProgramScheme,
     SuperOperator,
     TerminationMeasurement,
+    average_running_time,
     build_representation,
     check_program_termination,
     check_scheme_termination,
@@ -214,7 +215,7 @@ def test_exact_termination_without_almost_termination_is_a_consistency_error():
 
 
 def test_decaying_mass_is_not_exact_termination():
-    # The surviving mass drops below ZERO_VECTOR_RTOL at the nilpotent index
+    # The surviving mass drops below 1e-9 at the nilpotent index
     # of the step matrix, but the surviving state never vanishes.
     prog = decaying_block_program()
     rep = build_representation(prog)
@@ -299,3 +300,21 @@ def test_exact_termination_matches_exact_zero_reference(case):
         rho = DensityOperator(basis @ rho0 @ basis.conj().T)
         assert check_program_termination(rep, rho).terminates_at == expected
         assert check_scheme_termination(rep).terminates_at == expected_scheme
+
+
+@pytest.mark.parametrize("w", [1e-3, 1e-6, 1e-9, 1e-10, 1e-12, 1e-16, 1e-20])
+def test_a_small_weight_to_stay_is_not_exact_termination(w):
+    # |0> halts; |1> steps to |0> with weight 1 - w and stays with weight
+    # w, so w^n of the mass survives every step: the run never terminates
+    # exactly, and its mean running time is 1 + 1/(1 - w).  The support
+    # step reads the stay as the amplitude sqrt(w) >= 1e-10.
+    kraus = [np.diag([1.0, 0.0]), np.array([[0.0, np.sqrt(1 - w)], [0.0, 0.0]]),
+             np.diag([0.0, np.sqrt(w)])]
+    m0 = np.diag([1.0, 0.0])
+    for basis in (np.eye(2), random_unitary(2, np.random.default_rng(7))):
+        rep = build_representation(_scheme_in_basis(kraus, m0, basis))
+        rho = DensityOperator(basis @ np.diag([0.0, 1.0]) @ basis.conj().T)
+        for verdict in (check_program_termination(rep, rho), check_scheme_termination(rep)):
+            assert verdict.terminates_at is None
+            assert verdict.almost_terminates
+        assert average_running_time(rep, rho) == pytest.approx(1 + 1 / (1 - w), rel=1e-12)
