@@ -223,6 +223,10 @@ class VerificationReport:
                          + (f" at step {t['terminates_at']}" if t["terminates_at"] is not None else ""))
             lines.append(f"  almost terminates: {_yn(t['almost_terminates'])}")
             lines.append(f"  unit overlap norm: {_fmt_json_num(t['unit_overlap_norm'])}")
+            lines.append(f"  support search:    {t['support_stop']} at step "
+                         f"{t['nilpotent_check_power']}")
+            lines.append(f"  smallest kept:     {_fmt_json_num(t['support_kept_min'])}")
+            lines.append(f"  largest dropped:   {_fmt_json_num(t['support_dropped_max'])}")
         for w in self.warnings:
             lines.append("")
             lines.append(f"warning: {w}")
@@ -234,6 +238,8 @@ def _yn(flag: bool) -> str:
 
 
 def _fmt_json_num(value) -> str:
+    if value is None:
+        return "none"
     if isinstance(value, str):
         return value
     return f"{value:.6g}"

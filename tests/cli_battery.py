@@ -7,11 +7,15 @@ Usage::
 With no arguments it runs on ``models/*.model``.  Each invocation runs
 ``qmcverify.cli.main`` in process, with ``--json-out`` into a scratch
 directory, and prints one line: a SHA-256 over its stdout, stderr, exit
-code and JSON report bytes, then the exit code and the argv.  To check
+code and JSON report bytes, then the exit code and the argv, then after
+`` | `` a short digest (8 hex digits) of each part on its own:
+``stdout``, ``stderr``, ``exit`` and ``json.KEY`` for each top-level key
+of the report (``json`` for a report that does not parse).  To check
 that a change leaves the CLI's output alone, run the battery once with
 the parent's ``src`` on ``PYTHONPATH`` and once with the change's, from
 the same directory and on the same model paths (the report records the
-path as given), and ``diff`` the two outputs.
+path as given), and ``diff`` the two outputs; a line that differs names
+the parts that moved.
 
 The invocations per model: ``verify`` for every observable under each
 ``--method``, ``runtime``, ``terminate`` in both scopes and
@@ -59,10 +63,31 @@ def invocations(path: str) -> list[list[str]]:
     return out
 
 
-def run_one(argv: list[str], json_out: Path) -> tuple[str, str]:
-    """``(digest, exit code)`` of one in-process CLI call.  An exception
-    that escapes ``main`` is recorded as ``raised <type>`` in place of the
-    code, so that the battery runs to the end and the diff shows it."""
+def _short(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:8]
+
+
+def _part_digests(stdout: bytes, stderr: bytes, code: bytes, report: bytes) -> str:
+    """``name=digest`` for each part of one invocation.  A report's
+    top-level values are digested as ``json.dumps`` writes them, keys
+    sorted; parsing and writing back keeps every float's bits."""
+    parts = {"stdout": stdout, "stderr": stderr, "exit": code}
+    if report:
+        try:
+            doc = json.loads(report)
+        except ValueError:
+            parts["json"] = report
+        else:
+            for key in sorted(doc):
+                parts[f"json.{key}"] = json.dumps(doc[key], sort_keys=True).encode()
+    return " ".join(f"{name}={_short(data)}" for name, data in parts.items())
+
+
+def run_one(argv: list[str], json_out: Path) -> tuple[str, str, str]:
+    """``(digest, exit code, part digests)`` of one in-process CLI call.
+    An exception that escapes ``main`` is recorded as ``raised <type>`` in
+    place of the code, so that the battery runs to the end and the diff
+    shows it."""
     json_out.unlink(missing_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -73,22 +98,23 @@ def run_one(argv: list[str], json_out: Path) -> tuple[str, str]:
         except Exception as exc:  # noqa: BLE001 -- recorded, not hidden
             code = f"raised {type(exc).__name__}"
     report = json_out.read_bytes() if json_out.is_file() else b""
+    parts = (stdout.getvalue().encode(), stderr.getvalue().encode(), code.encode(), report)
     digest = hashlib.sha256()
-    for part in (stdout.getvalue().encode(), stderr.getvalue().encode(), code.encode(), report):
+    for part in parts:
         digest.update(len(part).to_bytes(8, "little"))
         digest.update(part)
-    return digest.hexdigest(), code
+    return digest.hexdigest(), code, _part_digests(*parts)
 
 
 def run(paths: list[str]) -> list[str]:
-    """One line per invocation: digest, exit code, argv."""
+    """One line per invocation: digest, exit code, argv, part digests."""
     lines = []
     with tempfile.TemporaryDirectory() as scratch:
         json_out = Path(scratch) / "report.json"
         for path in paths:
             for argv in invocations(path):
-                digest, code = run_one(argv, json_out)
-                lines.append(f"{digest} {code} {' '.join(argv)}")
+                digest, code, parts = run_one(argv, json_out)
+                lines.append(f"{digest} {code} {' '.join(argv)} | {parts}")
     return lines
 
 

@@ -29,6 +29,7 @@ from qmcverify.linalg import (
 )
 from qmcverify.program import DEFAULT_N_MAX, DEFAULT_TAIL_TOL, _series_pass
 from qmcverify.spectral import UNIT_OVERLAP_RTOL, _hermitian_basis, vec
+from qmcverify.termination import START_RTOL, SUPPORT_RTOL
 
 MODELS_DIR = Path(__file__).parent.parent / "models"
 
@@ -149,6 +150,26 @@ def decaying_block_program():
     rho0 = np.zeros((8, 8))
     rho0[0, 0] = 1.0
     return scheme.with_initial_state(DensityOperator(rho0))
+
+
+def reference_termination(rep, a):
+    """``(terminates_at, almost_terminates)`` of the runs started in the PSD
+    ``a``, by the support search with no early stop: it takes every step
+    up to ``d`` unless the support vanishes.  It cuts as
+    :mod:`qmcverify.termination` does, the start's eigenvalues at
+    ``START_RTOL`` and each step's singular values at ``SUPPORT_RTOL``,
+    both relative to ``max(1, the largest)``."""
+
+    def support(m, rtol):
+        u, s, _ = np.linalg.svd(m, full_matrices=False)
+        return u[:, s > rtol * max(1.0, s[0])]
+
+    v = support(a, START_RTOL)
+    n = 0
+    while v.shape[1] and n < rep.dim:
+        n += 1
+        v = support(np.concatenate([k @ v for k in rep.g.kraus], axis=1), SUPPORT_RTOL)
+    return (None if v.shape[1] else n), rep.unit_overlap(a)[1]
 
 
 def count_calls(monkeypatch, *names):

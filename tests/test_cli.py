@@ -295,6 +295,34 @@ def test_terminate_stuck_scheme_not_almost(capsys):
     assert "almost terminates: no" in out
 
 
+@pytest.mark.parametrize(
+    "name, scope, block, lines",
+    [
+        ("counter", "program",
+         {"support_stop": "vanished", "nilpotent_check_power": 6, "terminates_at": 6},
+         ["support search:    vanished at step 6", "largest dropped:   0\n"]),
+        ("random", "scheme",
+         {"support_stop": "whole_space", "nilpotent_check_power": 1,
+          "support_dropped_max": None},
+         ["support search:    whole_space at step 1", "largest dropped:   none\n"]),
+    ],
+)
+def test_terminate_reports_how_the_support_search_ended(
+    name, scope, block, lines, tmp_path, capsys
+):
+    out = tmp_path / "t.json"
+    argv = ["terminate", _program_model(name, tmp_path), "--scope", scope,
+            "--json-out", str(out)]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    termination_block = json.loads(out.read_text())["termination"]
+    assert termination_block.items() >= block.items()
+    assert 0.0 < termination_block["support_kept_min"] <= 1.0
+    assert f"smallest kept:     {termination_block['support_kept_min']:.6g}\n" in text
+    for line in lines:
+        assert line in text
+
+
 def test_spectrum_ordering_and_flags(capsys):
     code = main(["spectrum", model("bitflip_p05.model")])
     out = capsys.readouterr().out
