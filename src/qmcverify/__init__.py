@@ -50,7 +50,6 @@ from .spectral import (
     average_running_time,
     build_representation,
     expectation_closed_form,
-    vec,
 )
 from .termination import (
     TerminationVerdict,
@@ -102,5 +101,4 @@ __all__ = [
     "spectral_decompose",
     "step_probabilities",
     "terminal_state_series",
-    "vec",
 ]

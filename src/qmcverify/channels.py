@@ -215,7 +215,7 @@ def matrix_representation(e: SuperOperator) -> np.ndarray:
     """The d^2 x d^2 matrix ``sum(E_i (x) conj(E_i))``.
 
     Acting on row-major vectorized matrices it reproduces the channel:
-    ``rep @ vec(A) = vec(e(A))``; see :func:`qmcverify.spectral.vec`.
+    ``rep @ vec(A) = vec(e(A))`` with ``vec(A)[i*d + j] = A[i, j]``.
     The terms are added in Kraus order to a zero matrix, each formed in
     one reused product buffer; the operators were checked when ``e`` was
     built.

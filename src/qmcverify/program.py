@@ -24,11 +24,11 @@ is built column by column from ``G.apply_mat`` on the matrix units, never
 from :func:`~qmcverify.channels.matrix_representation`, which the
 invariant route's doubling stage uses, nor from the spectral route's
 Hermitian-basis builder: a fault in either must not pass unseen because
-the series shares it.  The matrix kernel keeps a stack of
-its first ``s`` powers, so one matrix-vector product gives ``s`` states;
+the series shares it.  The matrix kernel builds a stack of
+its first ``s`` powers once, when the pass starts, by ``log2 s``
+doubling products, so one matrix-vector product gives ``s`` states;
 ``s`` is the largest power of two up to 256 whose ``s d^4`` entries fit
-in 256 KB (256 at d <= 2, 1 from d = 10 on), and the stack grows by
-doubling only as far as the steps taken pay for it.  The states go into
+in 256 KB (256 at d <= 2, 1 from d = 10 on).  The states go into
 chunks of up to 256; per chunk, one product with ``vec(I)`` and
 ``vec((M0^dag M0)^T)`` reads every mass and every ``tr E0(sigma_n)``, one
 dot product adds the chunk's share of ``sum_n n p_n`` and one sum adds
@@ -201,18 +201,14 @@ class SeriesPass:
     time_sum: float  # sum of (n + 1) * p[n] for n = 0..n_used
     n_used: int
     stop_reason: str  # "tail_tol" or "n_max"
-    e1: SuperOperator
+    # tr E1(sigma_{n_used}), the mass left after the last step: the pass's
+    # one residual
+    residual_mass: float
 
     @cached_property
     def rho_star(self) -> DensityOperator:
         """The terminal sum ``acc``, validated on first read."""
         return DensityOperator(self.acc)
-
-    @cached_property
-    def residual_mass(self) -> float:
-        """``tr E1(sigma_{n_used})``, the mass left after the last step: the
-        pass's one residual."""
-        return _real_trace(self.e1.apply_mat(self.last))
 
     @cached_property
     def steps(self) -> tuple[StepRecord, ...]:
@@ -259,38 +255,20 @@ def _step_matrix(g: SuperOperator) -> np.ndarray | None:
     return _sum_terms(terms).reshape(d * d, d * d).T
 
 
-class _PowerStack:
-    """The powers ``P_1..P_h`` of a step matrix ``P_1``, stacked as one
-    ``(h d^2, d^2)`` array whose i-th block of ``d^2`` rows is ``P_{i+1}``.
-    ``h`` grows by doubling, ``P_{h+i} = P_i P_h`` in one product, up to
-    the height ``s`` given at construction.  Filled blocks are never
-    written again."""
-
-    def __init__(self, m: np.ndarray, s: int):
-        n = m.shape[0]
-        self.dim2 = n
-        self.blocks = np.empty((s * n, n), complex)
-        self.blocks[:n] = m
-        self.height = 1
-
-    def grow(self, k: int, steps: int) -> int:
-        """Double the stack toward ``k`` powers, within its height ``s``,
-        while a doubling costs no more multiply-adds than the ``steps``
-        the pass has taken (``h d^6`` against ``d^4`` per step); return
-        the height."""
-        h, n = self.height, self.dim2
-        while h < k and 2 * h * n <= len(self.blocks) and h * n <= steps:
-            np.matmul(self.blocks[: h * n], self.blocks[(h - 1) * n : h * n],
-                      out=self.blocks[h * n : 2 * h * n])
-            h *= 2
-        self.height = h
-        return h
-
-    def advance(self, state: np.ndarray, out: np.ndarray) -> None:
-        """``out``, a ``(k, d^2)`` array with ``k <= height``, gets
-        ``vec(sigma_{n+1..n+k})`` from ``state = vec(sigma_n)`` in one
-        matrix-vector product."""
-        np.dot(self.blocks[: len(out) * self.dim2], state, out=out.reshape(-1))
+def _power_stack(m: np.ndarray, s: int) -> np.ndarray:
+    """The powers ``P_1..P_s`` of a step matrix ``P_1 = m``, stacked as one
+    ``(s d^2, d^2)`` array whose i-th block of ``d^2`` rows is
+    ``P_{i+1}``, built by doubling: ``P_{h+i} = P_i P_h`` for all
+    ``i <= h`` in one product, ``log2 s`` products in all."""
+    n = m.shape[0]
+    blocks = np.empty((s * n, n), complex)
+    blocks[:n] = m
+    h = 1
+    while h < s:
+        np.matmul(blocks[: h * n], blocks[(h - 1) * n : h * n],
+                  out=blocks[h * n : 2 * h * n])
+        h *= 2
+    return blocks
 
 
 def _series_pass(
@@ -309,14 +287,13 @@ def _series_pass(
     each; chunks grow 1, 2, 4, ... up to :data:`_CHUNK` steps, so a short
     series overshoots by at most as many steps as it took, and rows past
     the stop are dropped.  ``G`` fills a chunk by one of two kernels.
-    With the matrix of :func:`_step_matrix` (``d <= 2K``), a
-    :class:`_PowerStack` of ``h`` powers gives ``h`` states per product,
-    ``sigma_{n+i} = P_i sigma_n``, so a chunk costs ``count / h`` calls.
-    ``h`` doubles up to :func:`_stack_height` ``s`` while a doubling costs
-    no more multiply-adds than the steps taken, so the stack never holds
-    more than ``_STACK_ENTRIES`` entries (256 KB) and never costs more
-    than the stepping; at ``h = 1`` this is one product per step.
-    Otherwise ``g.apply_mat`` steps each row.
+    With the matrix of :func:`_step_matrix` (``d <= 2K``), the pass
+    builds the :func:`_power_stack` of ``s = _stack_height(d)`` powers
+    once, when it starts, and each product gives ``s`` states,
+    ``sigma_{n+i} = P_i sigma_n``, so a chunk costs ``ceil(count / s)``
+    calls.  The stack holds at most ``_STACK_ENTRIES`` entries (256 KB)
+    and costs ``log2 s`` products; at ``s = 1`` this is one product per
+    step.  Otherwise ``g.apply_mat`` steps each row.
 
     One reduction per chunk serves both kernels: the masses are
     ``rows @ vec(I)`` and ``p_n = tr E0(sigma_n) = tr(M0^dag M0 sigma_n)``
@@ -329,7 +306,8 @@ def _series_pass(
     ``u`` the unit roundoff; the test derives the bound."""
     g, d = scheme.g, scheme.dim
     m = _step_matrix(g)
-    stack = None if m is None else _PowerStack(m, _stack_height(d))
+    s = _stack_height(d)
+    stack = None if m is None else _power_stack(m, s)
     m0 = scheme.meas.m0
     # Column 0 reads tr sigma, column 1 tr E0(sigma), from vec(sigma).
     readout = np.column_stack(
@@ -351,9 +329,10 @@ def _series_pass(
                 row[...] = g.apply_mat(sigma)
                 sigma = row
         else:
-            h = stack.grow(len(rows), n)
-            for b in range(0, len(rows), h):
-                stack.advance(rows[b - 1] if b else state, rows[b : b + h])
+            for b in range(0, len(rows), s):
+                out = rows[b : b + s]
+                np.dot(stack[: len(out) * d * d], rows[b - 1] if b else state,
+                       out=out.reshape(-1))
         scalars = (rows @ readout).real
         mass = scalars[:, 0]
         below = np.flatnonzero(mass < tail_tol)
@@ -371,10 +350,12 @@ def _series_pass(
         n += kept
         if stop is not None:
             reason = "tail_tol" if mass[stop] < tail_tol else "n_max"
+            last = state.reshape(d, d).copy()
             return SeriesPass(
                 acc=scheme.meas.e0.apply_mat(total.reshape(d, d)),
-                last=state.reshape(d, d).copy(), p=ps, mass=masses,
-                time_sum=time_sum, n_used=n, stop_reason=reason, e1=scheme.meas.e1,
+                last=last, p=ps, mass=masses, time_sum=time_sum, n_used=n,
+                stop_reason=reason,
+                residual_mass=_real_trace(scheme.meas.e1.apply_mat(last)),
             )
         size = min(2 * size, _CHUNK)
 

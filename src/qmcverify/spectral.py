@@ -53,12 +53,6 @@ UNIT_OVERLAP_RTOL = 1e-9
 HERMITIAN_COORD_TOL = 1e-12
 
 
-def vec(mat: np.ndarray) -> np.ndarray:
-    """Row-major vectorization: ``vec(A)[i*d + j] = A[i, j]``, so that
-    ``vdot(vec(A), vec(X)) = tr(A^dag X)``."""
-    return np.asarray(mat, dtype=complex).reshape(-1)
-
-
 @dataclass(frozen=True, eq=False)
 class ProgramRepresentation:
     """Hermitian-basis data of a program scheme: ``spectral`` decomposes

@@ -3,6 +3,7 @@
 Usage::
 
     PYTHONPATH=src python tests/cli_battery.py [MODEL ...] > battery.txt
+    python tests/cli_battery.py --against OTHER_SRC [MODEL ...]
 
 With no arguments it runs on ``models/*.model``.  Each invocation runs
 ``qmcverify.cli.main`` in process, with ``--json-out`` into a scratch
@@ -10,12 +11,15 @@ directory, and prints one line: a SHA-256 over its stdout, stderr, exit
 code and JSON report bytes, then the exit code and the argv, then after
 `` | `` a short digest (8 hex digits) of each part on its own:
 ``stdout``, ``stderr``, ``exit`` and ``json.KEY`` for each top-level key
-of the report (``json`` for a report that does not parse).  To check
-that a change leaves the CLI's output alone, run the battery once with
-the parent's ``src`` on ``PYTHONPATH`` and once with the change's, from
-the same directory and on the same model paths (the report records the
-path as given), and ``diff`` the two outputs; a line that differs names
-the parts that moved.
+of the report (``json`` for a report that does not parse).
+
+``--against OTHER_SRC`` checks that a change leaves the CLI's output
+alone: it runs the battery once under ``OTHER_SRC`` and once under the
+``src`` next to this file, each in a subprocess with that tree alone on
+``PYTHONPATH``, from the same directory and on the same model paths (the
+report records the path as given).  It prints each invocation whose
+line differs and the parts that moved, then how many lines each part
+moved in, and exits 1 if any line differs, else 0.
 
 The invocations per model: ``verify`` for every observable under each
 ``--method``, ``runtime``, ``terminate`` in both scopes and
@@ -26,15 +30,17 @@ the commands that need an initial state exit 2.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
-
-from qmcverify.cli import main
 
 METHODS = ("series", "invariant", "spectral", "all")
 EPS_UNITS = (None, "0", "0.5")
@@ -88,6 +94,8 @@ def run_one(argv: list[str], json_out: Path) -> tuple[str, str, str]:
     An exception that escapes ``main`` is recorded as ``raised <type>`` in
     place of the code, so that the battery runs to the end and the diff
     shows it."""
+    from qmcverify.cli import main
+
     json_out.unlink(missing_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -118,7 +126,44 @@ def run(paths: list[str]) -> list[str]:
     return lines
 
 
+def _parts(line: str) -> dict[str, str]:
+    return dict(part.split("=") for part in line.split(" | ", 1)[1].split())
+
+
+def against(other_src: str, paths: list[str]) -> int:
+    """The battery under ``other_src`` and under this checkout's ``src``,
+    compared line by line: prints ``argv | moved parts`` for each line
+    that differs, then ``part: count`` for each part that moved; returns
+    1 if any line differs, else 0."""
+    trees = (other_src, str(Path(__file__).resolve().parent.parent / "src"))
+    outputs = [
+        subprocess.run(
+            [sys.executable, __file__, *paths], env={**os.environ, "PYTHONPATH": tree},
+            stdout=subprocess.PIPE, text=True, check=True,
+        ).stdout.splitlines()
+        for tree in trees
+    ]
+    argvs = [argv for path in paths for argv in invocations(path)]
+    counts: Counter[str] = Counter()
+    for argv, old, new in zip(argvs, *outputs):
+        if old != new:
+            before, after = _parts(old), _parts(new)
+            moved = [name for name in {**before, **after} if before.get(name) != after.get(name)]
+            counts.update(moved)
+            print(f"{' '.join(argv)} | {' '.join(moved)}")
+    for name, count in counts.items():
+        print(f"{name}: {count}")
+    return int(outputs[0] != outputs[1])
+
+
 if __name__ == "__main__":
-    paths = sys.argv[1:] or sorted(str(p) for p in Path("models").glob("*.model"))
+    parser = argparse.ArgumentParser(description="byte-identity battery of the CLI")
+    parser.add_argument("--against", metavar="OTHER_SRC",
+                        help="compare with the battery under this src tree")
+    parser.add_argument("models", nargs="*", metavar="MODEL")
+    args = parser.parse_args()
+    paths = args.models or sorted(str(p) for p in Path("models").glob("*.model"))
+    if args.against:
+        sys.exit(against(args.against, paths))
     for line in run(paths):
         print(line)

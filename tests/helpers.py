@@ -6,6 +6,7 @@ the report's array code is checked against."""
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from qmcverify.linalg import (
     spectral_decompose,
 )
 from qmcverify.program import DEFAULT_N_MAX, DEFAULT_TAIL_TOL, _series_pass
-from qmcverify.spectral import UNIT_OVERLAP_RTOL, _hermitian_basis, vec
+from qmcverify.spectral import UNIT_OVERLAP_RTOL, _hermitian_basis
 from qmcverify.termination import START_RTOL, SUPPORT_RTOL
 
 MODELS_DIR = Path(__file__).parent.parent / "models"
@@ -40,6 +41,12 @@ M0_COMP = np.diag([1.0, 0.0]).astype(complex)
 M1_COMP = np.diag([0.0, 1.0]).astype(complex)
 P0 = Observable(np.diag([1.0, 0.0]))
 IDENTITY_OBS = Observable(I2)
+
+
+def vec(mat):
+    """Row-major vectorization: ``vec(A)[i*d + j] = A[i, j]``, so that
+    ``vdot(vec(A), vec(X)) = tr(A^dag X)``."""
+    return np.asarray(mat, dtype=complex).reshape(-1)
 
 
 def computational_measurement():
@@ -388,6 +395,47 @@ def schrodinger_running_time(rep, n0, rho0):
     x = np.kron(rho0.mat, np.eye(d)) @ phi
     y = np.linalg.solve(resolvent, np.linalg.solve(resolvent, x))
     return complex(phi.conj() @ (n0 @ y))
+
+
+def _exact_entries(mat):
+    """The entries of a real-entry matrix as exact ``Fraction`` rows."""
+    mat = np.asarray(mat)
+    assert not np.any(mat.imag), "the exact reference takes real entries only"
+    return [[Fraction(float(x)) for x in row] for row in mat.real]
+
+
+def exact_expectation(prog, p):
+    """The whole series ``sum_n tr(P E0(G^n(rho0)))`` in exact rational
+    arithmetic: the float entries of ``G``'s Kraus operators, ``M0``,
+    ``rho0`` and ``P`` (real entries only) are taken exactly, ``(I - M)
+    vec(X) = vec(rho0)`` is solved by Gaussian elimination, ``M`` the
+    row-major ``vec`` matrix of ``G``, and ``tr(P M0 X M0^dag)`` is
+    returned as a ``Fraction``."""
+    d = prog.dim
+    n = d * d
+    kraus = [_exact_entries(k) for k in prog.g.kraus]
+    rho = _exact_entries(prog.rho0.mat)
+    # [I - M | vec(rho0)], with M[i*d + j, a*d + b] = sum_k K[i][a] K[j][b]
+    # for real K.
+    rows = [
+        [int(r == c) - sum(k[r // d][c // d] * k[r % d][c % d] for k in kraus)
+         for c in range(n)] + [rho[r // d][r % d]]
+        for r in range(n)
+    ]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    x = [[rows[r][n] / rows[r][r] for r in range(i * d, i * d + d)] for i in range(d)]
+    m0, pm = _exact_entries(prog.meas.m0), _exact_entries(p.mat)
+    # tr(P M0 X M0^T) = sum P[a][b] M0[b][i] X[i][j] M0[a][j]
+    return sum(
+        pm[a][b] * m0[b][i] * x[i][j] * m0[a][j]
+        for a in range(d) for b in range(d) for i in range(d) for j in range(d)
+    )
 
 
 def eigenvalue_table_reference(spectral) -> list[dict]:

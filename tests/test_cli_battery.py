@@ -1,15 +1,19 @@
 """The byte-identity battery (``tests/cli_battery.py``) on the committed
 models: every invocation ends in an exit code that README's table names,
-never in an exception, and a second pass repeats every digest."""
+never in an exception, and a second pass repeats every digest; and its
+``--against`` comparison of a tree with itself finds nothing."""
 
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import cli_battery
 
 from helpers import MODELS_DIR
 
-README = Path(__file__).parent.parent / "README.md"
+ROOT = Path(__file__).parent.parent
+README = ROOT / "README.md"
 
 
 def test_battery_exits_by_the_readme_table_and_repeats_its_bytes():
@@ -20,3 +24,11 @@ def test_battery_exits_by_the_readme_table_and_repeats_its_bytes():
     codes = {line.split()[1] for line in first}
     assert codes <= table, codes
     assert cli_battery.run(paths) == first
+
+
+def test_battery_against_its_own_src_prints_nothing_and_exits_0():
+    proc = subprocess.run(
+        [sys.executable, "tests/cli_battery.py", "--against", "src", "models/m1zero.model"],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")

@@ -11,16 +11,23 @@ that ``_assert_agrees`` derives.
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qmcverify import DensityOperator, load_model, step_probabilities, terminal_state_series
+from qmcverify import (
+    DensityOperator,
+    Observable,
+    load_model,
+    step_probabilities,
+    terminal_state_series,
+)
 from qmcverify.linalg import max_abs
 from qmcverify.program import (
     _CHUNK,
     _STACK_ENTRIES,
-    _PowerStack,
+    _power_stack,
     _real_trace,
     _series_pass,
     _stack_height,
@@ -28,7 +35,7 @@ from qmcverify.program import (
 )
 from qmcverify.sampling import random_density, random_scheme
 
-from helpers import MODELS_DIR
+from helpers import MODELS_DIR, P0, Z, bitflip_program, counter_scheme, exact_expectation
 
 U = np.finfo(float).eps / 2  # unit roundoff
 
@@ -96,9 +103,10 @@ def _assert_agrees(scheme, rho_mat, tail_tol, n_max, run=None):
 
     Sums over steps.  Through ``sum E0 G^i`` the reference's step errors
     add up to at most ``n g d^2``.  The pass's block bases carry errors of
-    at most ``h g d^3`` per block of ``h`` steps, ``n g d^3`` in all; the
-    state ``i`` steps into a block carries its own ``i g d^3``, on average
-    at most ``(s/2) g d^3`` per step for stack height ``s``.  So ``sum_k ||E0(delta sigma_k)||_1`` and
+    at most ``s g d^3`` per block of ``s`` steps, ``n g d^3`` in all, for
+    stack height ``s``; the state ``i`` steps into a block carries its own
+    ``i g d^3``, on average at most ``(s/2) g d^3`` per step.  So
+    ``sum_k ||E0(delta sigma_k)||_1`` and
     ``sum_k |delta p_k|`` are at most ``S = n g (d^2 + d^3 (1 + s/2))``.
 
     - ``last``: ``n g (d^3 + d^2)``.
@@ -131,26 +139,40 @@ def _assert_agrees(scheme, rho_mat, tail_tol, n_max, run=None):
     assert len(run.mass) == len(mass) == n_used + 1
 
     d, n = scheme.dim, n_used
-    g = (d * d + 2) * U
+    g, state, steps = _rounding(scheme, n)
     if _step_matrix(scheme.g) is None:
         # The Kraus kernel takes the reference's own steps.
         assert np.array_equal(run.last, last)
-        state = steps = 0.0
-    else:
-        state = g * (d**3 + d * d)
-        steps = n * g * (d * d + d**3 * (1 + _stack_height(d) / 2))
-    total_mass = 1 + sum(mass[:-1])
     assert max_abs(run.last - last) <= n * state
     assert max(abs(a - b) for a, b in zip(run.mass, mass)) <= (n + 1) * state + 2 * g
     assert max(abs(a - b) for a, b in zip(run.p, p)) <= n * state + 5 * g * d
-    assert max_abs(run.acc - acc) <= (
-        steps + 2 * (n + 1) * g * d + (n + 1) * U
-        + (n + 1) * U * d * total_mass + 2 * g * d * total_mass
-    )
+    assert max_abs(run.acc - acc) <= _acc_bound(scheme, n, 1 + sum(mass[:-1]))
     assert abs(run.time_sum - time_sum) <= (
         (n + 1) * (steps + 5 * (n + 1) * g * d) + 2 * (n + 2) * U * time_sum
     )
     return run
+
+
+def _rounding(scheme, n):
+    """``(g, state, steps)`` of :func:`_assert_agrees` for ``n`` steps:
+    ``g``, the per-step state bound and ``S``; the last two are 0 on the
+    Kraus kernel, which takes the reference's own steps."""
+    d = scheme.dim
+    g = (d * d + 2) * U
+    if _step_matrix(scheme.g) is None:
+        return g, 0.0, 0.0
+    return g, g * (d**3 + d * d), n * g * (d * d + d**3 * (1 + _stack_height(d) / 2))
+
+
+def _acc_bound(scheme, n, total_mass):
+    """The bound on ``max|delta acc|`` that :func:`_assert_agrees` derives
+    for ``n`` steps, ``total_mass`` the ``T = sum_k tr sigma_k``."""
+    d = scheme.dim
+    g, _, steps = _rounding(scheme, n)
+    return (
+        steps + 2 * (n + 1) * g * d + (n + 1) * U
+        + (n + 1) * U * d * total_mass + 2 * g * d * total_mass
+    )
 
 
 # 255 = 1 + 2 + ... + 128 ends a chunk, 256 and 257 fall just past it, and
@@ -211,7 +233,43 @@ def test_public_entry_points_are_bit_identical_to_the_step_loop():
             _assert_agrees(prog, rho, -math.inf, n_max, step_probabilities(prog, n_max + 1))
 
 
-def test_power_stack_height_rule_and_growth():
+def _exact_cases():
+    """Bitflips from |1> at p = 0.5 and at the gaps 1 - p of the
+    near-unit benchmark, read by ``P0`` and the non-PSD ``Z``; the d = 4
+    counter from each basis state, read by its halting projector."""
+    for gap in (0.5, 1e-2, 6e-3, 3.5e-3):
+        prog = bitflip_program(1 - gap, 0, 1)
+        yield prog, P0
+        yield prog, Observable(Z)
+    scheme = counter_scheme(4)
+    for k in range(4):
+        yield scheme.with_initial_state(DensityOperator(np.diag(np.eye(4)[k]))), \
+            Observable(scheme.meas.m0)
+
+
+@pytest.mark.parametrize("prog, p", list(_exact_cases()))
+def test_series_value_is_within_its_tail_and_rounding_of_the_exact_value(prog, p):
+    # The cut tail sum_{n > N} E0(sigma_n) is PSD with trace at most the
+    # surviving mass tr sigma_{N+1}, so it moves tr(P rho_star) by at most
+    # ||P||_op times that mass (itself computed within the mass bound of
+    # _assert_agrees).  The rounding of acc is at most _acc_bound per
+    # entry, so |P|_1 times it moves the value, and the trace's own
+    # length-d products add g |P|_1 max|acc|.  _acc_bound counts both the
+    # pass's and the reference's roundings; the reference's k g d^2 per
+    # state covers the rounding of the step matrix's entries (one product
+    # and K - 1 = 1 addition each on the bitflip), and the counter's
+    # 0/1 entries round nothing.
+    run = terminal_state_series(prog)
+    value = float(np.trace(p.mat @ run.acc).real)
+    n = run.n_used
+    g, state, _ = _rounding(prog, n)
+    tail = np.linalg.norm(p.mat, 2) * (run.mass[-1] + (n + 1) * state + 2 * g)
+    entries = abs(p.mat).sum()
+    bound = tail + entries * (_acc_bound(prog, n, 1 + sum(run.mass[:-1])) + g * max_abs(run.acc))
+    assert abs(Fraction(value) - exact_expectation(prog, p)) <= Fraction(bound)
+
+
+def test_power_stack_height_rule_and_build():
     # The largest power of two up to _CHUNK whose s d^4 entries fit the
     # budget, and 1 where not even one d^2 x d^2 power fits.
     assert _stack_height(1) == _stack_height(2) == _CHUNK == 256
@@ -221,23 +279,19 @@ def test_power_stack_height_rule_and_growth():
         assert s & (s - 1) == 0 and 1 <= s <= _CHUNK
         assert s * d**4 <= _STACK_ENTRIES or s == 1
         assert s == _CHUNK or 2 * s * d**4 > _STACK_ENTRIES
-    # The stack holds P_1..P_h, grows only while a doubling costs no more
-    # than the steps taken (h d^2 of them), and never past its height.
-    # P_i errs by at most (i - 1) g d^3 per entry, and so does
-    # matrix_power, by the argument of _assert_agrees.
+    # The stack built once holds P_1..P_s, s blocks of d^2 rows within
+    # the budget.  P_i errs by at most (i - 1) g d^3 per entry, and so
+    # does matrix_power, by the argument of _assert_agrees.
     rng = np.random.default_rng(7)
-    for d in (2, 3, 4):
+    for d in (2, 3, 4, 8, 9):
         m = _step_matrix(random_scheme(d, rng, d).g)
         s = _stack_height(d)
-        stack = _PowerStack(m, s)
-        assert stack.blocks.size <= _STACK_ENTRIES
-        assert stack.grow(_CHUNK, 0) == 1
-        assert stack.grow(_CHUNK, d * d) == 2
-        assert stack.grow(3, 10**9) == 4
-        assert stack.grow(_CHUNK, 10**9) == s
+        stack = _power_stack(m, s)
+        assert stack.shape == (s * d * d, d * d)
+        assert stack.size <= _STACK_ENTRIES
         g = (d * d + 2) * U
         for i in range(1, s + 1):
-            block = stack.blocks[(i - 1) * d * d : i * d * d]
+            block = stack[(i - 1) * d * d : i * d * d]
             assert max_abs(block - np.linalg.matrix_power(m, i)) <= 2 * (i - 1) * g * d**3
 
 

@@ -27,7 +27,6 @@ from qmcverify import (
     matrix_representation,
     oracle_expectation,
     spectral_decompose,
-    vec,
 )
 from qmcverify.linalg import SpectralData, dagger, max_abs
 from qmcverify.report import eigenvalue_table
@@ -59,6 +58,7 @@ from helpers import (
     real_coordinates_reference,
     schrodinger_closed_form,
     schrodinger_running_time,
+    vec,
     vec_closed_form,
     vec_coordinates,
     vec_matrix,

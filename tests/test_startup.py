@@ -34,15 +34,17 @@ TEST_ONLY = {
 # the invariant route's second result type and certificate builder, whose
 # row check_conditions now builds; the whole-matrix Hermitian-basis
 # formula, which the slab builder _step_coordinates replaces; the step
-# matrix's Hermiticity guard, which no Kraus family can trip; and the
+# matrix's Hermiticity guard, which no Kraus family can trip; the
 # unit-cluster filter over a whole-spectrum clustering, now that only
-# the unit flags are clustered.
+# the unit flags are clustered; and the series pass's growing stack of
+# powers and the package's vec, which no module called.
 REMOVED = {
     "ConditionCheck",
     "IMAG_TOL",
     "ORACLE_N_MAX",
     "SeriesResult",
     "StepTrace",
+    "_PowerStack",
     "_certificate",
     "_real_coordinates",
     "_real_part",
@@ -56,6 +58,7 @@ REMOVED = {
     "maximally_entangled_vector",
     "terminal_series_pass",
     "unvec",
+    "vec",
 }
 
 
