@@ -9,8 +9,6 @@ from .channels import (
     DensityOperator,
     Observable,
     SuperOperator,
-    apply,
-    apply_dual,
     compose,
     matrix_representation,
 )
@@ -35,7 +33,7 @@ from .linalg import (
     spectral_decompose,
 )
 from .model import Model, ModelOptions, load_model, model_hash, save_model
-from .oracle import OracleResult, oracle_expectation, oracle_fixed_point
+from .oracle import OracleResult, oracle_expectation
 from .program import (
     ProgramScheme,
     QuantumProgram,
@@ -80,8 +78,6 @@ __all__ = [
     "TerminationMeasurement",
     "TerminationVerdict",
     "ValidationError",
-    "apply",
-    "apply_dual",
     "average_running_time",
     "build_representation",
     "certified_expectation",
@@ -96,7 +92,6 @@ __all__ = [
     "matrix_representation",
     "model_hash",
     "oracle_expectation",
-    "oracle_fixed_point",
     "save_model",
     "spectral_decompose",
     "step_probabilities",

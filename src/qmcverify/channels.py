@@ -191,19 +191,6 @@ def _check_dims(a, b, what: str):
         raise DimensionMismatchError(f"{what}: dimensions {a.dim} and {b.dim} differ")
 
 
-def apply(e: SuperOperator, rho: DensityOperator) -> DensityOperator:
-    """Schroedinger-picture action ``sum(E_i rho E_i^dag)``."""
-    _check_dims(e, rho, "apply")
-    return DensityOperator(e.apply_mat(rho.mat))
-
-
-def apply_dual(e: SuperOperator, m: Observable) -> Observable:
-    """Heisenberg-picture action ``sum(E_i^dag M E_i)``; Hermitian output
-    for Hermitian input."""
-    _check_dims(e, m, "apply_dual")
-    return Observable(e.apply_dual_mat(m.mat))
-
-
 def compose(e: SuperOperator, f: SuperOperator) -> SuperOperator:
     """Composition ``e . f`` (first ``f``, then ``e``) as the pairwise
     product Kraus list ``{E_i F_j}``; no simplification is attempted."""

@@ -1,12 +1,12 @@
 """Command-line interface.
 
-Subcommands: verify, runtime, terminate, spectrum, simulate,
-regen-goldens.  Exit codes: 0 success, 2 model validation failure (bad
-model data or option value) or a model file or ``--json-out`` path that
-cannot be read or written (any ``OSError``), 3 method
-disagreement, 4 refusal to run the series, 5 numerical failure (an
-eigensolve, a structural check of the step representation, a resolvent
-solve or an internal consistency check).
+Subcommands: verify, runtime, terminate, spectrum, simulate.  Exit
+codes: 0 success, 2 model validation failure (bad model data or option
+value) or a model file or ``--json-out`` path that cannot be read or
+written (any ``OSError``), 3 method disagreement, 4 refusal to run the
+series, 5 numerical failure (an eigensolve, a structural check of the
+step representation, a resolvent solve, the series' terminal state
+failing its density-operator check, or an internal consistency check).
 
 ``verify`` and ``runtime`` decide by one rule over one row per route:
 4 when ``verify`` was asked for the series of a program that the
@@ -38,7 +38,6 @@ from .model import Model, ModelOptions, load_model, model_hash
 from .oracle import oracle_expectation
 from .program import QuantumProgram, step_probabilities
 from .report import VerificationReport, eigenvalue_table, simulation_table
-from .sampling import random_contracting_program, random_observable
 from .spectral import average_running_time, build_representation, expectation_closed_form
 from .termination import check_program_termination, check_scheme_termination
 
@@ -47,8 +46,6 @@ EXIT_VALIDATION = 2
 EXIT_DISAGREEMENT = 3
 EXIT_NONTERMINATION = 4
 EXIT_NUMERICAL = 5
-
-GOLDEN_SEEDS = (101, 102, 103, 104, 105, 106)
 
 
 # The override flag of each model option: its type and what its help names.
@@ -269,49 +266,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def golden_records(tail_tol: float = 1e-12) -> dict:
-    """Recompute the golden oracle records from their seeds."""
-    records = []
-    for seed in GOLDEN_SEEDS:
-        rng = np.random.default_rng(seed)
-        prog = random_contracting_program(2, rng)
-        p = random_observable(2, rng, psd=True)
-        model = Model(
-            dim=2,
-            kraus=[np.array(k) for k in prog.e.kraus],
-            m0=np.array(prog.meas.m0),
-            m1=np.array(prog.meas.m1),
-            rho0=np.array(prog.rho0.mat),
-            observables={"P": p.mat},
-        )
-        result = oracle_expectation(prog, p, tail_tol=tail_tol)
-        records.append(
-            {
-                "seed": seed,
-                "dim": 2,
-                "model_hash": model_hash(model),
-                "tolerances": {"tail_tol": tail_tol},
-                "values": {
-                    "expectation_series": result.expectation_series,
-                    "running_time_series": result.running_time_series,
-                    "residual_mass": result.residual_mass,
-                    "n_used": result.n_used,
-                    "p_first": result.run.p[:8].tolist(),
-                },
-            }
-        )
-    return {"format": "qmc-goldens/1", "records": records}
-
-
-def cmd_regen_goldens(args) -> int:
-    doc = golden_records()
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(doc['records'])} golden records to {out}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmcverify",
@@ -348,10 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
     sub.add_argument("--steps", type=int, default=20)
     sub.set_defaults(func=cmd_simulate)
-
-    sub = subs.add_parser("regen-goldens", help="regenerate the committed golden records")
-    sub.add_argument("--out", default="tests/goldens/oracle_goldens.json")
-    sub.set_defaults(func=cmd_regen_goldens)
 
     return parser
 

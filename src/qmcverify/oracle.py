@@ -1,7 +1,7 @@
-"""Brute-force oracles: direct evaluation of the defining series.
+"""The brute-force oracle: direct evaluation of the defining series.
 
-These deliberately reuse nothing from the invariant or spectral modules;
-they ground the expected values of every derived test and the three-way
+It deliberately reuses nothing from the invariant or spectral modules;
+it grounds the expected values of every derived test and the three-way
 agreement suite.  :func:`oracle_expectation` makes a single pass over the
 series and keeps its one result, the :class:`~qmcverify.program.SeriesPass`:
 the terminal state, the step table, the residual mass and the running
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import Observable
-from .linalg import dagger
 from .program import (
     DEFAULT_N_MAX,
     DEFAULT_TAIL_TOL,
@@ -71,28 +70,3 @@ def oracle_expectation(
         n_used=run.n_used,
         run=run,
     )
-
-
-def oracle_fixed_point(
-    prog: QuantumProgram,
-    p: Observable,
-    tol: float = 1e-13,
-    n_max: int = 10_000_000,
-) -> Observable:
-    """Independent recomputation of the least invariant.
-
-    Runs the monotone completion iteration from zero, written out here so
-    it shares no code with the verifier it cross-checks, at 10x tighter
-    tolerance and 10x more iterations than the verifier defaults.
-    """
-    m0, m1 = prog.meas.m0, prog.meas.m1
-    base = dagger(m0) @ p.mat @ m0
-    limit = np.zeros_like(base)
-    for _ in range(n_max):
-        nxt = base + dagger(m1) @ prog.e.apply_dual_mat(limit) @ m1
-        done = float(np.max(np.abs(nxt - limit))) < tol
-        limit = nxt
-        if done:
-            break
-    q = prog.e.apply_dual_mat(limit)
-    return Observable((q + dagger(q)) / 2)

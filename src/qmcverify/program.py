@@ -53,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .channels import DensityOperator, SuperOperator, _sum_terms, compose
-from .errors import DimensionMismatchError, ValidationError
+from .errors import ConsistencyError, DimensionMismatchError, ValidationError
 from .linalg import TOL_TP, dagger, max_abs, require_square
 
 DEFAULT_TAIL_TOL = 1e-12
@@ -207,8 +207,13 @@ class SeriesPass:
 
     @cached_property
     def rho_star(self) -> DensityOperator:
-        """The terminal sum ``acc``, validated on first read."""
-        return DensityOperator(self.acc)
+        """The terminal sum ``acc``, validated on first read.  The program
+        was validated when it was built, so a sum that fails the check is
+        a numerical fault of the pass, not bad input."""
+        try:
+            return DensityOperator(self.acc)
+        except ValidationError as exc:
+            raise ConsistencyError(f"series terminal state: {exc}") from exc
 
     @cached_property
     def steps(self) -> tuple[StepRecord, ...]:
@@ -374,7 +379,8 @@ def terminal_state_series(
     n_max: int = DEFAULT_N_MAX,
 ) -> SeriesPass:
     """The pass behind the truncated terminal state
-    ``rho_star = sum_{n=0}^{n_used} E0(G^n(rho0))``, validated here.
+    ``rho_star = sum_{n=0}^{n_used} E0(G^n(rho0))``, validated here: a
+    sum that is not a density operator raises ``ConsistencyError``.
 
     A residual above ``tail_tol`` is not an error: the series still
     converges, but the program may not terminate almost surely and any

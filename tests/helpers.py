@@ -1,8 +1,10 @@
 """Shared builders for the test suite, the lemma diagnostics that only
-the tests call, and the references the spectral route is checked
-against: its representation in row-major vec coordinates and the
-Schrödinger-picture closed forms; also the scalar-loop eigenvalue table
-the report's array code is checked against."""
+the tests call, and the references the routes are checked against: the
+written-out fixed-point iteration of the invariant route, the spectral
+route's representation in row-major vec coordinates and the
+Schrödinger-picture closed forms, the exact rational series sum, and the
+scalar-loop eigenvalue table the report's array code is checked
+against."""
 
 import math
 from dataclasses import dataclass
@@ -192,6 +194,26 @@ def count_calls(monkeypatch, *names):
 
         monkeypatch.setattr(np.linalg, name, recording)
     return calls
+
+
+def oracle_fixed_point(prog, p, tol=1e-13, n_max=10_000_000):
+    """Independent recomputation of the least invariant.
+
+    Runs the monotone completion iteration from zero, written out here so
+    it shares no code with the verifier it cross-checks, at 10x tighter
+    tolerance and 10x more iterations than the verifier defaults.
+    """
+    m0, m1 = prog.meas.m0, prog.meas.m1
+    base = dagger(m0) @ p.mat @ m0
+    limit = np.zeros_like(base)
+    for _ in range(n_max):
+        nxt = base + dagger(m1) @ prog.e.apply_dual_mat(limit) @ m1
+        done = float(np.max(np.abs(nxt - limit))) < tol
+        limit = nxt
+        if done:
+            break
+    q = prog.e.apply_dual_mat(limit)
+    return Observable((q + dagger(q)) / 2)
 
 
 # Lemma diagnostics.  Each checks one identity of the paper on a built
@@ -410,7 +432,8 @@ def exact_expectation(prog, p):
     ``rho0`` and ``P`` (real entries only) are taken exactly, ``(I - M)
     vec(X) = vec(rho0)`` is solved by Gaussian elimination, ``M`` the
     row-major ``vec`` matrix of ``G``, and ``tr(P M0 X M0^dag)`` is
-    returned as a ``Fraction``."""
+    returned as a ``Fraction``.  A singular ``I - M`` (``G`` with the
+    eigenvalue 1) raises ``ZeroDivisionError``."""
     d = prog.dim
     n = d * d
     kraus = [_exact_entries(k) for k in prog.g.kraus]
@@ -423,7 +446,12 @@ def exact_expectation(prog, p):
         for r in range(n)
     ]
     for col in range(n):
-        pivot = next(r for r in range(col, n) if rows[r][col])
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            raise ZeroDivisionError(
+                f"I - M is singular (column {col} has no pivot): G has the "
+                "eigenvalue 1, so the series has no unique exact solve"
+            )
         rows[col], rows[pivot] = rows[pivot], rows[col]
         for r in range(n):
             if r != col and rows[r][col]:

@@ -1,15 +1,18 @@
-"""Random instance generation for property suites and golden files.
+"""Random instance generation for the test suites and the golden
+records (``tests/regen_goldens.py``).
 
 All generators take an explicit ``numpy.random.Generator`` so that golden
-records and test suites are reproducible from a seed alone.
+records and test suites are reproducible from a seed alone.  They import
+no verification route, so the programs behind the golden records do not
+depend on the routes they check (``tests/test_independence.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channels import DensityOperator, Observable, SuperOperator, matrix_representation
-from .program import ProgramScheme, QuantumProgram, TerminationMeasurement
+from qmcverify.channels import DensityOperator, Observable, SuperOperator, matrix_representation
+from qmcverify.program import ProgramScheme, QuantumProgram, TerminationMeasurement
 
 # random_contracting_program redraws until the step matrix has spectral
 # radius at most RADIUS_CAP, and gives up after MAX_TRIES draws.

@@ -22,15 +22,6 @@ from qmcverify import (
     terminal_state_series,
 )
 from qmcverify.linalg import dagger, max_abs
-from qmcverify.sampling import (
-    random_channel,
-    random_contracting_program,
-    random_density,
-    random_observable,
-    random_program,
-    random_scheme,
-    random_unitary,
-)
 
 from helpers import (
     P0,
@@ -42,6 +33,15 @@ from helpers import (
     power_norm_bound_check,
     vec_matrix,
     xflip_scheme,
+)
+from sampling import (
+    random_channel,
+    random_contracting_program,
+    random_density,
+    random_observable,
+    random_program,
+    random_scheme,
+    random_unitary,
 )
 
 

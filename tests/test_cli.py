@@ -1,16 +1,19 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qmcverify import EigensolverError, ProgramScheme, cli, termination
+from qmcverify import EigensolverError, ProgramScheme, cli, program, termination
 from qmcverify.cli import main
 from qmcverify.model import Model, dumps, load_model, save_model
-from qmcverify.sampling import random_contracting_program
 
 from helpers import MODELS_DIR, counter_scheme
+from sampling import random_contracting_program, random_observable
 
 
 def model(name):
@@ -164,6 +167,45 @@ def test_numerical_failure_exits_5(monkeypatch, capsys):
     assert code == 5
     assert "eigensolver failed" in capsys.readouterr().err
     capsys.readouterr()
+
+
+def _seed3_model(tmp_path, rho0_scale=1.0):
+    """A d = 3 random program, which the series runs on its step matrix."""
+    rng = np.random.default_rng(3)
+    prog = random_contracting_program(3, rng)
+    p = random_observable(3, rng, psd=True)
+    path = tmp_path / "seed3.model"
+    save_model(Model(dim=3, kraus=[np.array(k) for k in prog.e.kraus], m0=np.array(prog.meas.m0),
+                     m1=np.array(prog.meas.m1), rho0=rho0_scale * np.array(prog.rho0.mat),
+                     observables={"P": p.mat}), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("delta, code", [(1e-6, 5), (1e-8, 0)])
+def test_series_terminal_state_fault_is_numerical_not_bad_input(
+    delta, code, monkeypatch, tmp_path, capsys
+):
+    # Scaling one entry of the series' step matrix by 1 + delta pushes the
+    # terminal sum's trace above one at 1e-6: a fault of the series route,
+    # which exits 5; at 1e-8 the sum still passes its check.
+    path = _seed3_model(tmp_path)
+    step_matrix = program._step_matrix
+
+    def faulty(g):
+        m = step_matrix(g)
+        m[0, 0] *= 1 + delta
+        return m
+
+    monkeypatch.setattr(program, "_step_matrix", faulty)
+    for method in ("all", "series"):
+        assert main(["verify", path, "-o", "P", "--method", method]) == code
+        err = capsys.readouterr().err
+        assert ("series terminal state: density operator has trace" in err) == (code == 5)
+
+
+def test_initial_state_with_a_bad_trace_is_still_bad_input(tmp_path, capsys):
+    assert main(["verify", _seed3_model(tmp_path, rho0_scale=1.01), "-o", "P"]) == 2
+    assert "trace" in capsys.readouterr().err
 
 
 def _one_nan_eigenvalue(eigvals):
@@ -540,16 +582,22 @@ def test_option_overrides_change_report(tmp_path, capsys):
     assert doc["options"]["tail_tol"] == 1e-6
 
 
-def test_regen_goldens_round_trip(tmp_path, capsys):
+def test_regen_goldens_round_trip(tmp_path):
+    # The regeneration is a test script, not a subcommand; run it as the
+    # README does, from the checkout's root with src/ on the path.
     out = tmp_path / "g.json"
-    code = main(["regen-goldens", "--out", str(out)])
-    capsys.readouterr()
-    assert code == 0
-    fresh = json.loads(out.read_text())
-    committed = json.loads(
-        (Path(__file__).parent / "goldens" / "oracle_goldens.json").read_text()
+    root = Path(__file__).parent.parent
+    done = subprocess.run(
+        [sys.executable, "tests/regen_goldens.py", str(out)],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
-    assert fresh == committed
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"wrote 6 golden records to {out}\n"
+    assert out.read_bytes() == (root / "tests" / "goldens" / "oracle_goldens.json").read_bytes()
 
 
 def test_verify_general_observable_on_terminating_program(tmp_path, capsys):

@@ -17,7 +17,6 @@ from qmcverify import (
     least_fixed_point_q,
     matrix_representation,
     oracle_expectation,
-    oracle_fixed_point,
     terminal_state_series,
 )
 from qmcverify.invariant import (
@@ -30,7 +29,6 @@ from qmcverify.invariant import (
 )
 from qmcverify.linalg import max_abs, psd_split
 from qmcverify.model import load_model
-from qmcverify.sampling import random_contracting_program, random_density, random_observable
 
 from helpers import (
     MODELS_DIR,
@@ -41,7 +39,9 @@ from helpers import (
     counter_scheme,
     hadamard_walk_scheme,
     m1_zero_program,
+    oracle_fixed_point,
 )
+from sampling import random_contracting_program, random_density, random_observable
 
 
 # The largest linear-stage budget the rule can give.

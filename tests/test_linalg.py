@@ -17,7 +17,6 @@ from qmcverify import linalg
 from qmcverify.cli import main
 from qmcverify.linalg import TOL_EIG, _cluster_eigenvalues, max_abs
 from qmcverify.model import load_model
-from qmcverify.sampling import random_contracting_program, random_unitary
 
 from helpers import (
     X,
@@ -27,6 +26,7 @@ from helpers import (
     hadamard_walk_scheme,
     unitary_scheme,
 )
+from sampling import random_contracting_program, random_unitary
 
 MODELS_DIR = Path(__file__).parent.parent / "models"
 

@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 
 import qmcverify
-from qmcverify import load_model, oracle_expectation, oracle_fixed_point, step_probabilities
-from qmcverify.cli import golden_records
+from qmcverify import load_model, oracle_expectation, step_probabilities
 from qmcverify.model import ModelOptions
-from qmcverify.sampling import random_contracting_program, random_observable
 
-from helpers import MODELS_DIR, P0, bitflip_program, m1_zero_program
-
-GOLDEN_PATH = Path(__file__).parent / "goldens" / "oracle_goldens.json"
+from helpers import MODELS_DIR, P0, bitflip_program, m1_zero_program, oracle_fixed_point
+from regen_goldens import GOLDEN_PATH, golden_records
+from sampling import random_contracting_program, random_observable
 
 
 def test_oracle_bitflip_reference_values():

@@ -8,9 +8,9 @@ from qmcverify import (
     step_probabilities,
     terminal_state_series,
 )
-from qmcverify.sampling import random_contracting_program, random_density, random_observable
 
 from helpers import bitflip_program, check_recursion, m0_zero_program, m1_zero_program
+from sampling import random_contracting_program, random_density, random_observable
 
 
 def test_step_probabilities_bitflip_tail():

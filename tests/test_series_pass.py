@@ -33,9 +33,9 @@ from qmcverify.program import (
     _stack_height,
     _step_matrix,
 )
-from qmcverify.sampling import random_density, random_scheme
 
 from helpers import MODELS_DIR, P0, Z, bitflip_program, counter_scheme, exact_expectation
+from sampling import random_density, random_scheme
 
 U = np.finfo(float).eps / 2  # unit roundoff
 
@@ -267,6 +267,13 @@ def test_series_value_is_within_its_tail_and_rounding_of_the_exact_value(prog, p
     entries = abs(p.mat).sum()
     bound = tail + entries * (_acc_bound(prog, n, 1 + sum(run.mass[:-1])) + g * max_abs(run.acc))
     assert abs(Fraction(value) - exact_expectation(prog, p)) <= Fraction(bound)
+
+
+def test_exact_reference_names_a_singular_system():
+    # At p = 1 the bitflip never flips: |1> never halts, so G has the
+    # eigenvalue 1 and I - M has no inverse.
+    with pytest.raises(ZeroDivisionError, match="I - M is singular"):
+        exact_expectation(bitflip_program(1.0, 0.6, 0.8), P0)
 
 
 def test_power_stack_height_rule_and_build():

@@ -30,14 +30,6 @@ from qmcverify import (
 )
 from qmcverify.linalg import SpectralData, dagger, max_abs
 from qmcverify.report import eigenvalue_table
-from qmcverify.sampling import (
-    random_contracting_program,
-    random_density,
-    random_observable,
-    random_program,
-    random_scheme,
-    random_unitary,
-)
 from qmcverify.spectral import _hermitian_basis, _step_coordinates, coordinates
 
 from helpers import (
@@ -64,6 +56,14 @@ from helpers import (
     vec_matrix,
     vec_reference,
     vec_running_time,
+)
+from sampling import (
+    random_contracting_program,
+    random_density,
+    random_observable,
+    random_program,
+    random_scheme,
+    random_unitary,
 )
 
 MODELS_DIR = Path(__file__).parent.parent / "models"
@@ -486,7 +486,6 @@ def test_norm_bound_random(rng):
 def test_norm_bound_isometric_case(rng):
     # M0 = 0 with a unitary channel leaves ||M^n alpha|| = ||alpha||
     from qmcverify import ProgramScheme, SuperOperator, TerminationMeasurement
-    from qmcverify.sampling import random_unitary
 
     u = random_unitary(2, rng)
     scheme = ProgramScheme(

@@ -2,26 +2,41 @@
 imports, and ``python -m qmcverify`` from a checkout."""
 
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import qmcverify
+from qmcverify.cli import main
 
 ROOT = Path(__file__).parent.parent
 MODEL = str(ROOT / "models" / "bitflip_p05.model")
 
 
-# Lemma diagnostics that only the tests call; they live in tests/helpers.py.
+# Lemma diagnostics and the fixed-point reference that only the tests
+# call, which live in tests/helpers.py, and the random instance
+# generators, which live in tests/sampling.py.
 TEST_ONLY = {
     "check_recursion",
     "choi_matrix",
     "completion_expansion_residual",
     "filtered_power_residual",
+    "oracle_fixed_point",
     "positive_part_decompose",
     "power_norm_bound_check",
+    "random_channel",
+    "random_contracting_program",
+    "random_density",
+    "random_measurement",
+    "random_observable",
+    "random_program",
+    "random_scheme",
+    "random_unitary",
 }
 
 # The Schrödinger-picture machinery of the spectral closed forms, which
@@ -36,10 +51,13 @@ TEST_ONLY = {
 # formula, which the slab builder _step_coordinates replaces; the step
 # matrix's Hermiticity guard, which no Kraus family can trip; the
 # unit-cluster filter over a whole-spectrum clustering, now that only
-# the unit flags are clustered; and the series pass's growing stack of
-# powers and the package's vec, which no module called.
+# the unit flags are clustered; the series pass's growing stack of
+# powers and the package's vec, which no module called; the validated
+# channel actions, which no module called either; and the golden
+# regeneration, now tests/regen_goldens.py.
 REMOVED = {
     "ConditionCheck",
+    "GOLDEN_SEEDS",
     "IMAG_TOL",
     "ORACLE_N_MAX",
     "SeriesResult",
@@ -51,9 +69,13 @@ REMOVED = {
     "_require_hermitian",
     "_unit_cluster_columns",
     "_vec_coordinates",
+    "apply",
+    "apply_dual",
     "as_complex_matrix",
+    "cmd_regen_goldens",
     "expectation_via_invariant",
     "general_expectation",
+    "golden_records",
     "kron",
     "maximally_entangled_vector",
     "terminal_series_pass",
@@ -78,6 +100,13 @@ def test_no_module_binds_a_removed_or_test_only_name():
     ]
     for module in modules:
         assert not (TEST_ONLY | REMOVED) & set(vars(module)), module.__name__
+
+
+def test_the_package_ships_neither_the_generators_nor_the_golden_regeneration():
+    assert importlib.util.find_spec("qmcverify.sampling") is None
+    with pytest.raises(SystemExit) as exc:
+        main(["regen-goldens"])
+    assert exc.value.code == 2
 
 
 def run_python(*args):

@@ -22,13 +22,6 @@ from qmcverify import (
     terminal_state_series,
 )
 from qmcverify import termination
-from qmcverify.sampling import (
-    random_channel,
-    random_density,
-    random_measurement,
-    random_scheme,
-    random_unitary,
-)
 
 from helpers import (
     MODELS_DIR,
@@ -41,6 +34,13 @@ from helpers import (
     reference_termination,
     vec_reference,
     xflip_scheme,
+)
+from sampling import (
+    random_channel,
+    random_density,
+    random_measurement,
+    random_scheme,
+    random_unitary,
 )
 
 
