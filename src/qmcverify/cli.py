@@ -3,10 +3,12 @@
 Subcommands: verify, runtime, terminate, spectrum, simulate.  Exit
 codes: 0 success, 2 model validation failure (bad model data or option
 value) or a model file or ``--json-out`` path that cannot be read or
-written (any ``OSError``), 3 method disagreement, 4 refusal to run the
-series, 5 numerical failure (an eigensolve, a structural check of the
-step representation, a resolvent solve, the series' terminal state
-failing its density-operator check, or an internal consistency check).
+written (any ``OSError``), 3 method disagreement, 4 a ``verify`` that
+asked for the series of a program that is not almost-terminating (the
+series still runs and its row is reported), 5 numerical failure (an
+eigensolve, a structural check of the step representation, a resolvent
+solve, the series' terminal state failing its density-operator check,
+or an internal consistency check).
 
 ``verify`` and ``runtime`` decide by one rule over one row per route:
 4 when ``verify`` was asked for the series of a program that the
@@ -33,7 +35,7 @@ from . import __version__
 from .channels import Observable
 from .errors import QmcError, ValidationError
 from .invariant import certified_expectation
-from .linalg import is_positive_semidefinite
+from .linalg import is_positive_semidefinite, require_number
 from .model import Model, ModelOptions, load_model, model_hash
 from .oracle import oracle_expectation
 from .program import QuantumProgram, step_probabilities
@@ -48,13 +50,23 @@ EXIT_NONTERMINATION = 4
 EXIT_NUMERICAL = 5
 
 
-# The override flag of each model option: its type and what its help names.
+# The override flag of each model option, and what its help names.
 _OVERRIDES = {
-    "--tail-tol": (float, "tail_tol"),
-    "--n-max": (int, "n_max"),
-    "--eps-unit": (float, "eps_unit"),
-    "--tol": (float, "agreement tolerance"),
+    "--tail-tol": "tail_tol",
+    "--n-max": "n_max",
+    "--eps-unit": "eps_unit",
+    "--tol": "agreement tolerance",
 }
+
+
+def number(text: str) -> int | float:
+    """A flag's number, read as the model file reads one: an integer
+    literal as an exact int, anything else as a float.  Its bounds, and
+    whether it must be whole, are the rule's (:func:`require_number`)."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 def _add_common(sub: argparse.ArgumentParser, *overrides: str):
@@ -63,8 +75,7 @@ def _add_common(sub: argparse.ArgumentParser, *overrides: str):
     sub.add_argument("model", help="path to a model file")
     sub.add_argument("--json-out", metavar="PATH", help="write the machine-readable report here")
     for flag in overrides:
-        kind, what = _OVERRIDES[flag]
-        sub.add_argument(flag, type=kind, help=f"override the model's {what}")
+        sub.add_argument(flag, type=number, help=f"override the model's {_OVERRIDES[flag]}")
 
 
 def _load(args) -> tuple[Model, ModelOptions]:
@@ -249,10 +260,9 @@ def cmd_spectrum(args) -> int:
 
 def cmd_simulate(args) -> int:
     model, opts = _load(args)
-    if args.steps < 1:
-        raise ValidationError(f"option --steps must be >= 1, got {args.steps}")
+    steps = require_number(args.steps, "option --steps", 1, whole=True)
     prog = _program(model)
-    trace = step_probabilities(prog, args.steps)
+    trace = step_probabilities(prog, steps)
     sys.stdout.write(simulation_table(trace))
     if args.json_out:
         report = _new_report("simulate", args, model, opts)
@@ -300,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("simulate", help="step probability table")
     _add_common(sub)
-    sub.add_argument("--steps", type=int, default=20)
+    sub.add_argument("--steps", type=number, default=20)
     sub.set_defaults(func=cmd_simulate)
 
     return parser

@@ -75,7 +75,7 @@ import numpy as np
 
 from .channels import Observable, matrix_representation
 from .errors import ConsistencyError, ValidationError
-from .linalg import dagger, is_positive_semidefinite, max_abs, psd_split
+from .linalg import dagger, is_positive_semidefinite, max_abs, psd_split, require_number
 from .program import ProgramScheme, QuantumProgram
 
 DEFAULT_FIXED_POINT_TOL = 1e-12
@@ -286,9 +286,14 @@ def least_fixed_point_q(
 
     Raises
     ------
+    ValidationError
+        If ``tol`` is not finite and > 0, ``n_max`` not whole and >= 0, or
+        ``p`` not a positive observable of the program's dimension.
     ConsistencyError
         If an increment of the iteration is not positive semidefinite.
     """
+    tol = require_number(tol, "tol", 0, strict=True)
+    n_max = require_number(n_max, "n_max", 0, whole=True)
     if p.dim != prog_or_scheme.dim:
         raise ValidationError(
             f"observable dimension {p.dim} != program dimension {prog_or_scheme.dim}"
@@ -378,6 +383,7 @@ def certified_expectation(
     prog: QuantumProgram,
     o: Observable,
     n_max: int = DEFAULT_FIXED_POINT_N_MAX,
+    tol: float = DEFAULT_FIXED_POINT_TOL,
 ) -> tuple[float, dict]:
     """Terminal expectation of a Hermitian observable by the least
     invariant, with its diagnostics.
@@ -389,7 +395,8 @@ def certified_expectation(
     difference too, the error bounds add up, and the stop reason is the
     worse one).  The value and ``qv1_value`` are one number,
     ``tr(completion rho0)``, computed once per part.  QV3 holds by
-    construction for every part, so no tail is sampled.
+    construction for every part, so no tail is sampled.  ``n_max`` and
+    ``tol`` go to :func:`least_fixed_point_q` for each part.
     """
     if is_positive_semidefinite(o.mat):
         parts = [(1.0, o)]
@@ -401,7 +408,7 @@ def certified_expectation(
         ]
     rows = []
     for sign, part in parts:
-        rows.append(check_conditions(prog, least_fixed_point_q(prog, part, n_max=n_max)))
+        rows.append(check_conditions(prog, least_fixed_point_q(prog, part, tol, n_max)))
         rows[-1]["qv1_value"] *= sign
     row = rows[0] if len(rows) == 1 else {
         key: how(r[key] for r in rows) for key, how in _COMBINE_PARTS.items()

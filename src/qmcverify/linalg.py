@@ -63,6 +63,40 @@ def require_square(a, name="matrix", dtype=complex) -> np.ndarray:
     return arr
 
 
+# The bounds of each model option, as keyword arguments of
+# :func:`require_number`.  At ``eps_unit`` >= 1 the unit-circle window
+# ``||lambda| - 1| <= eps_unit`` holds 0, so every eigenvalue would be
+# flagged.
+OPTION_RULES = {
+    "tail_tol": {"low": 0, "strict": True},
+    "n_max": {"low": 1, "whole": True},
+    "eps_unit": {"low": 0, "below": 1},
+    "tol": {"low": 0},
+}
+
+
+def require_number(value, name: str, low, *, strict=False, below=None, whole=False):
+    """``value`` as an int if ``whole``, else as a float, once it is a
+    finite real number (a bool, which JSON's ``true`` loads as, is not)
+    ``>= low`` (``> low`` if ``strict``), ``< below`` if given and whole if
+    ``whole``; else :class:`ValidationError` naming ``name``."""
+    try:
+        ok = (
+            isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value)  # OverflowError: an int too large for a float
+            and (value > low if strict else value >= low)
+            and (below is None or value < below)
+            and (not whole or value == int(value))
+        )
+    except OverflowError:
+        ok = False
+    if not ok:
+        kind, rel = "an integer" if whole else "a finite number", ">" if strict else ">="
+        upper = "" if below is None else f" and < {below}"
+        raise ValidationError(f"{name} must be {kind} {rel} {low}{upper}, got {value!r}")
+    return int(value) if whole else float(value)
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
@@ -259,22 +293,6 @@ def _check_power_sums(arr: np.ndarray, evals: np.ndarray, norm: float, tol: floa
         raise EigensolverError(n, norm, f"power sum sum(lambda^2) off tr A^2 by {gap2:.3e}")
 
 
-def check_eps_unit(eps_unit) -> None:
-    """Raise :class:`ValidationError` unless ``eps_unit`` is a finite
-    number in [0, 1).  At 1 or more the unit-circle window ``||lambda| -
-    1| <= eps_unit`` holds 0, so every eigenvalue would be flagged.  A
-    bool, which JSON's ``true`` and ``false`` load as, is not a number."""
-    ok = (
-        isinstance(eps_unit, numbers.Real)
-        and not isinstance(eps_unit, bool)
-        and 0 <= eps_unit < 1
-    )
-    if not ok:
-        raise ValidationError(
-            f"option eps_unit must be a finite number >= 0 and < 1, got {eps_unit!r}"
-        )
-
-
 def _unit_flags(evals: np.ndarray, eps_unit: float) -> np.ndarray:
     return np.abs(modulus(evals) - 1.0) <= eps_unit
 
@@ -349,7 +367,7 @@ def spectral_decompose(a, eps_unit: float = EPS_UNIT) -> SpectralData:
         in real arithmetic; anything else as complex128.
     eps_unit : float
         An eigenvalue is flagged unit-circle when ``| |lambda| - 1 | <=
-        eps_unit``; it must lie in [0, 1) (:func:`check_eps_unit`).
+        eps_unit``; it must lie in [0, 1) (:data:`OPTION_RULES`).
 
     Returns
     -------
@@ -367,7 +385,7 @@ def spectral_decompose(a, eps_unit: float = EPS_UNIT) -> SpectralData:
         as it has eigenvalues, or one of those eigenpairs violates the
         residual bound ``TOL_EIG * max(1, norm)``.
     """
-    check_eps_unit(eps_unit)
+    eps_unit = require_number(eps_unit, "option eps_unit", **OPTION_RULES["eps_unit"])
     arr = require_square(a, dtype=float if np.isrealobj(a) else complex)
     n = arr.shape[0]
     norm = float(np.linalg.norm(arr)) / math.sqrt(n) if n else 0.0

@@ -22,8 +22,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
-import numbers
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,7 +30,7 @@ import numpy as np
 
 from .channels import DensityOperator, Observable, SuperOperator
 from .errors import ValidationError
-from .linalg import EPS_UNIT, check_eps_unit
+from .linalg import EPS_UNIT, OPTION_RULES, require_number
 from .program import (
     DEFAULT_N_MAX,
     DEFAULT_TAIL_TOL,
@@ -43,20 +41,12 @@ from .program import (
 
 FORMAT_TAG = "qmc-model/1"
 
-# Lower bound of each option, and whether the bound itself is allowed.
-# ``eps_unit`` has its rule in ``linalg``, next to the one function that
-# reads it.
-_OPTION_BOUNDS = {
-    "tail_tol": (0, False),
-    "n_max": (1, True),
-    "tol": (0, True),
-}
 
-
-@dataclass
+@dataclass(frozen=True)
 class ModelOptions:
-    """Numerical options of a model.  Every construction is validated,
-    including ``dataclasses.replace`` with command-line overrides."""
+    """Numerical options of a model, each held as the number that the rule
+    of :data:`~qmcverify.linalg.OPTION_RULES` returns: ``n_max`` an int,
+    the others floats.  Frozen, so every value has passed the rule."""
 
     tail_tol: float = DEFAULT_TAIL_TOL
     n_max: int = DEFAULT_N_MAX
@@ -64,24 +54,9 @@ class ModelOptions:
     tol: float = 1e-6
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            name, value = f.name, getattr(self, f.name)
-            if name == "eps_unit":
-                check_eps_unit(value)
-                continue
-            low, inclusive = _OPTION_BOUNDS[name]
-            ok = (
-                _finite_number(value)
-                and (value >= low if inclusive else value > low)
-                and (name != "n_max" or value == int(value))
-            )
-            if not ok:
-                kind = "an integer" if name == "n_max" else "a finite number"
-                rel = ">=" if inclusive else ">"
-                raise ValidationError(
-                    f"option {name} must be {kind} {rel} {low}, got {value!r}"
-                )
-        self.n_max = int(self.n_max)
+        for name, bounds in OPTION_RULES.items():
+            value = require_number(getattr(self, name), f"option {name}", **bounds)
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelOptions":
@@ -95,18 +70,6 @@ class ModelOptions:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-
-def _finite_number(value) -> bool:
-    """Whether ``value`` is a finite real number; a bool, which JSON's
-    ``true`` and ``false`` load as, is not, and neither is an integer too
-    large for a float, on which ``math.isfinite`` would overflow."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 def encode_matrix(mat: np.ndarray) -> list:
@@ -214,15 +177,10 @@ def model_from_dict(doc: dict) -> Model:
     tag = doc.get("format", FORMAT_TAG)
     if tag != FORMAT_TAG:
         raise ValidationError(f"unsupported format tag {tag!r}, expected {FORMAT_TAG!r}")
-    if "dim" not in doc:
-        raise ValidationError("model file is missing the required 'dim' field")
-    dim = doc["dim"]
-    if not (_finite_number(dim) and dim >= 1 and dim == int(dim)):
-        raise ValidationError(f"dim must be an integer >= 1, got {dim!r}")
-    dim = int(dim)
-    for key in ("kraus", "m0", "m1"):
+    for key in ("dim", "kraus", "m0", "m1"):
         if key not in doc:
             raise ValidationError(f"model file is missing the required {key!r} field")
+    dim = require_number(doc["dim"], "dim", 1, whole=True)
     kraus_data = doc["kraus"]
     if not isinstance(kraus_data, list) or not kraus_data:
         raise ValidationError("'kraus' must be a non-empty list of matrices")

@@ -54,7 +54,7 @@ import numpy as np
 
 from .channels import DensityOperator, SuperOperator, _sum_terms, compose
 from .errors import ConsistencyError, DimensionMismatchError, ValidationError
-from .linalg import TOL_TP, dagger, max_abs, require_square
+from .linalg import TOL_TP, dagger, max_abs, require_number, require_square
 
 DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_N_MAX = 1_000_000
@@ -368,8 +368,7 @@ def _series_pass(
 def step_probabilities(prog: QuantumProgram, n_max: int) -> SeriesPass:
     """The pass over steps n = 1..n_max, whatever mass is left: its
     ``steps`` tabulate p_n and the nontermination probability."""
-    if n_max < 1:
-        raise ValidationError(f"n_max must be >= 1, got {n_max}")
+    n_max = require_number(n_max, "n_max", 1, whole=True)
     return _series_pass(prog, prog.rho0.mat, -math.inf, n_max - 1)
 
 
@@ -386,8 +385,8 @@ def terminal_state_series(
     converges, but the program may not terminate almost surely and any
     expectation taken in ``rho_star`` is a lower estimate.
     """
-    if tail_tol <= 0:
-        raise ValidationError(f"tail_tol must be positive, got {tail_tol}")
+    tail_tol = require_number(tail_tol, "tail_tol", 0, strict=True)
+    n_max = require_number(n_max, "n_max", 0, whole=True)
     run = _series_pass(prog, prog.rho0.mat, tail_tol, n_max)
     run.rho_star  # the one validation of the terminal state
     return run

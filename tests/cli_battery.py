@@ -24,7 +24,11 @@ moved in, and exits 1 if any line differs, else 0.
 The invocations per model: ``verify`` for every observable under each
 ``--method``, ``runtime``, ``terminate`` in both scopes and
 ``spectrum``, each at the model's ``eps_unit`` and with ``--eps-unit``
-0 and 0.5; and ``simulate``.  A model without ``rho0`` runs them too;
+0 and 0.5; and ``simulate``.  Then the bad and borderline numbers, so
+that a change to the rule that decides them shows up as a moved
+``stderr`` or ``exit`` part: ``runtime`` with each override flag at
+each of :data:`BAD_NUMBERS`, ``runtime --n-max 1e6``, and ``simulate``
+with ``--steps`` 0 and 2.5.  A model without ``rho0`` runs them too;
 the commands that need an initial state exit 2.
 """
 
@@ -44,6 +48,8 @@ from pathlib import Path
 
 METHODS = ("series", "invariant", "spectral", "all")
 EPS_UNITS = (None, "0", "0.5")
+OVERRIDE_FLAGS = ("--tail-tol", "--n-max", "--eps-unit", "--tol")
+BAD_NUMBERS = ("nan", "inf", "-1", "0", "1e400")
 
 
 def invocations(path: str) -> list[list[str]]:
@@ -66,6 +72,12 @@ def invocations(path: str) -> list[list[str]]:
             out.append(["terminate", path, "--scope", scope, *extra])
         out.append(["spectrum", path, *extra])
     out.append(["simulate", path])
+    for flag in OVERRIDE_FLAGS:
+        for value in BAD_NUMBERS:
+            out.append(["runtime", path, flag, value])
+    out.append(["runtime", path, "--n-max", "1e6"])
+    for steps in ("0", "2.5"):
+        out.append(["simulate", path, "--steps", steps])
     return out
 
 

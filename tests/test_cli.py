@@ -684,6 +684,9 @@ def test_each_subcommand_takes_only_the_overrides_it_reads(command, capsys):
     [
         ("--n-max", "0", "n_max"),
         ("--n-max", "-3", "n_max"),
+        ("--n-max", "2.5", "n_max"),
+        ("--n-max", "nan", "n_max"),
+        ("--n-max", "1e400", "n_max"),
         ("--tol", "-1", "tol"),
         ("--tol", "nan", "tol"),
         ("--tol", "inf", "tol"),
@@ -834,13 +837,55 @@ def test_verify_invariant_certifies_near_unit_bitflip(tmp_path, capsys):
     assert diag["qv1_value"] == inv["value"]
 
 
-@pytest.mark.parametrize("steps", ["0", "-2"])
+@pytest.mark.parametrize("steps", ["0", "-2", "2.5", "nan", "1e400"])
 def test_simulate_rejects_nonpositive_steps(steps, capsys):
+    # The rule, not argparse, refuses a count that is not whole too.
     code = main(["simulate", model("bitflip_p05.model"), "--steps", steps])
     err = capsys.readouterr().err
     assert code == 2
     assert "--steps" in err
     assert "n_max" not in err
+    assert err.startswith("error: option --steps must be an integer >= 1, got "), err
+
+
+def test_simulate_reads_a_whole_float_steps_as_its_integer(capsys):
+    assert main(["simulate", model("bitflip_p05.model"), "--steps", "4"]) == 0
+    want = capsys.readouterr().out
+    assert main(["simulate", model("bitflip_p05.model"), "--steps", "4e0"]) == 0
+    assert capsys.readouterr().out == want
+
+
+def _run(argv, tmp_path, capsys):
+    """``(exit code, stdout, report bytes)`` of one CLI call."""
+    out = tmp_path / "report.json"
+    out.unlink(missing_ok=True)
+    code = main([*argv, "--json-out", str(out)])
+    return code, capsys.readouterr().out, out.read_bytes()
+
+
+def test_n_max_flag_reads_1e6_as_the_model_file_does(tmp_path, capsys):
+    # "n_max": 1e6 in a model file loads as 1000000, and so does the flag.
+    argv = ["verify", model("bitflip_p05.model"), "-o", "P0"]
+    whole = _run([*argv, "--n-max", "1000000"], tmp_path, capsys)
+    assert whole[0] == 0
+    assert _run([*argv, "--n-max", "1e6"], tmp_path, capsys) == whole
+
+
+@pytest.mark.parametrize(
+    "flag,option,text",
+    [("--tol", "tol", "1"), ("--eps-unit", "eps_unit", "0"), ("--n-max", "n_max", "500.0")],
+)
+def test_a_flag_and_the_model_file_give_the_same_option(flag, option, text, tmp_path, capsys):
+    # The same number gives the same option, and so the same report
+    # bytes, whether a flag or the model file gives it.
+    doc = json.loads(Path(model("bitflip_p05.model")).read_text())
+    doc["options"][option] = "<raw>"
+    path = tmp_path / "same.model"
+    path.write_text(json.dumps(doc).replace('"<raw>"', text))
+    from_file = _run(["runtime", str(path)], tmp_path, capsys)
+    from_flag = _run(["runtime", model("bitflip_p05.model"), flag, text], tmp_path, capsys)
+    file_doc, flag_doc = (json.loads(run[2]) for run in (from_file, from_flag))
+    assert json.dumps(file_doc["options"]) == json.dumps(flag_doc["options"])
 
 
 def test_repeated_main_calls_share_the_parser_but_not_options(monkeypatch, tmp_path, capsys):

@@ -87,6 +87,23 @@ def test_model_options_are_validated_on_every_construction():
             dataclasses.replace(opts, **{name: value})
 
 
+def test_model_options_are_frozen():
+    # An assignment after construction would skip the rule.
+    opts = ModelOptions()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        opts.n_max = -5
+    assert opts.n_max == 1_000_000
+
+
+def test_model_options_hold_the_kind_the_rule_gives():
+    # A whole n_max is an int however it is written, and every other
+    # option a float, so a flag and a model file that give the same
+    # number give the same option.
+    opts = ModelOptions(tail_tol=1, n_max=10.0, eps_unit=0, tol=1)
+    assert [type(v) for v in opts.to_dict().values()] == [float, int, float, float]
+    assert opts == ModelOptions(tail_tol=1.0, n_max=10, eps_unit=0.0, tol=1.0)
+
+
 def test_scheme_model_has_no_program():
     model = load_model(MODELS_DIR / "xflip_scheme.model")
     model.to_scheme()

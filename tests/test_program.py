@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -5,11 +8,20 @@ from qmcverify import (
     DensityOperator,
     ValidationError,
     is_positive_semidefinite,
+    load_model,
+    oracle_expectation,
     step_probabilities,
     terminal_state_series,
 )
 
-from helpers import bitflip_program, check_recursion, m0_zero_program, m1_zero_program
+from helpers import (
+    MODELS_DIR,
+    P0,
+    bitflip_program,
+    check_recursion,
+    m0_zero_program,
+    m1_zero_program,
+)
 from sampling import random_contracting_program, random_density, random_observable
 
 
@@ -49,6 +61,44 @@ def test_step_probabilities_conservation(rng):
 def test_step_probabilities_needs_positive_n():
     with pytest.raises(ValidationError):
         step_probabilities(m1_zero_program(), 0)
+
+
+@pytest.mark.parametrize("n_max", [0, 2.5])
+def test_step_probabilities_needs_a_whole_n_max_of_at_least_one(n_max):
+    # Unchecked, 2.5 reaches the pass's row count as a bare TypeError.
+    with pytest.raises(ValidationError, match=r"^n_max must be an integer >= 1, got "):
+        step_probabilities(m1_zero_program(), n_max)
+
+
+# Each bad number, with the start of its message.  Unchecked, a NaN
+# tail_tol runs all n_max steps and an infinite one stops at once, and
+# n_max = -5 returns n_used = 0, 2.5 runs three steps and True one;
+# 10**400 is too large for a float.
+_TAIL_TOL = "tail_tol must be a finite number > 0, got "
+_N_MAX = "n_max must be an integer >= 0, got "
+BAD_SERIES_NUMBERS = {
+    "tail_tol=nan": ("tail_tol", math.nan, _TAIL_TOL),
+    "tail_tol=0": ("tail_tol", 0, _TAIL_TOL),
+    "tail_tol=-1": ("tail_tol", -1, _TAIL_TOL),
+    "tail_tol=inf": ("tail_tol", math.inf, _TAIL_TOL),
+    "n_max=-5": ("n_max", -5, _N_MAX),
+    "n_max=2.5": ("n_max", 2.5, _N_MAX),
+    "n_max=True": ("n_max", True, _N_MAX),
+    "n_max=10**400": ("n_max", 10**400, _N_MAX),
+}
+SERIES_ENTRIES = {
+    "terminal_state_series": lambda prog, **number: terminal_state_series(prog, **number),
+    "oracle_expectation": lambda prog, **number: oracle_expectation(prog, P0, **number),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SERIES_NUMBERS))
+@pytest.mark.parametrize("entry", sorted(SERIES_ENTRIES))
+def test_series_entry_points_refuse_a_bad_number(entry, case):
+    name, value, message = BAD_SERIES_NUMBERS[case]
+    prog = load_model(MODELS_DIR / "bitflip_p05.model").to_program()
+    with pytest.raises(ValidationError, match="^" + re.escape(message)):
+        SERIES_ENTRIES[entry](prog, **{name: value})
 
 
 @pytest.mark.parametrize("p", [0.2, 0.7])

@@ -53,8 +53,9 @@ TEST_ONLY = {
 # unit-cluster filter over a whole-spectrum clustering, now that only
 # the unit flags are clustered; the series pass's growing stack of
 # powers and the package's vec, which no module called; the validated
-# channel actions, which no module called either; and the golden
-# regeneration, now tests/regen_goldens.py.
+# channel actions, which no module called either; the golden
+# regeneration, now tests/regen_goldens.py; and the per-module number
+# rules, which linalg.require_number and OPTION_RULES replace.
 REMOVED = {
     "ConditionCheck",
     "GOLDEN_SEEDS",
@@ -62,8 +63,10 @@ REMOVED = {
     "ORACLE_N_MAX",
     "SeriesResult",
     "StepTrace",
+    "_OPTION_BOUNDS",
     "_PowerStack",
     "_certificate",
+    "_finite_number",
     "_real_coordinates",
     "_real_part",
     "_require_hermitian",
@@ -72,6 +75,7 @@ REMOVED = {
     "apply",
     "apply_dual",
     "as_complex_matrix",
+    "check_eps_unit",
     "cmd_regen_goldens",
     "expectation_via_invariant",
     "general_expectation",
