@@ -383,7 +383,6 @@ def certified_expectation(
     prog: QuantumProgram,
     o: Observable,
     n_max: int = DEFAULT_FIXED_POINT_N_MAX,
-    tol: float = DEFAULT_FIXED_POINT_TOL,
 ) -> tuple[float, dict]:
     """Terminal expectation of a Hermitian observable by the least
     invariant, with its diagnostics.
@@ -395,8 +394,7 @@ def certified_expectation(
     difference too, the error bounds add up, and the stop reason is the
     worse one).  The value and ``qv1_value`` are one number,
     ``tr(completion rho0)``, computed once per part.  QV3 holds by
-    construction for every part, so no tail is sampled.  ``n_max`` and
-    ``tol`` go to :func:`least_fixed_point_q` for each part.
+    construction for every part, so no tail is sampled.
     """
     if is_positive_semidefinite(o.mat):
         parts = [(1.0, o)]
@@ -408,7 +406,7 @@ def certified_expectation(
         ]
     rows = []
     for sign, part in parts:
-        rows.append(check_conditions(prog, least_fixed_point_q(prog, part, tol, n_max)))
+        rows.append(check_conditions(prog, least_fixed_point_q(prog, part, n_max=n_max)))
         rows[-1]["qv1_value"] *= sign
     row = rows[0] if len(rows) == 1 else {
         key: how(r[key] for r in rows) for key, how in _COMBINE_PARTS.items()

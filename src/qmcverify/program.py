@@ -54,7 +54,7 @@ import numpy as np
 
 from .channels import DensityOperator, SuperOperator, _sum_terms, compose
 from .errors import ConsistencyError, DimensionMismatchError, ValidationError
-from .linalg import TOL_TP, dagger, max_abs, require_number, require_square
+from .linalg import OPTION_RULES, TOL_TP, dagger, max_abs, require_number, require_square
 
 DEFAULT_TAIL_TOL = 1e-12
 DEFAULT_N_MAX = 1_000_000
@@ -368,7 +368,7 @@ def _series_pass(
 def step_probabilities(prog: QuantumProgram, n_max: int) -> SeriesPass:
     """The pass over steps n = 1..n_max, whatever mass is left: its
     ``steps`` tabulate p_n and the nontermination probability."""
-    n_max = require_number(n_max, "n_max", 1, whole=True)
+    n_max = require_number(n_max, "n_max", **OPTION_RULES["n_max"])
     return _series_pass(prog, prog.rho0.mat, -math.inf, n_max - 1)
 
 
@@ -385,7 +385,7 @@ def terminal_state_series(
     converges, but the program may not terminate almost surely and any
     expectation taken in ``rho_star`` is a lower estimate.
     """
-    tail_tol = require_number(tail_tol, "tail_tol", 0, strict=True)
+    tail_tol = require_number(tail_tol, "tail_tol", **OPTION_RULES["tail_tol"])
     n_max = require_number(n_max, "n_max", 0, whole=True)
     run = _series_pass(prog, prog.rho0.mat, tail_tol, n_max)
     run.rho_star  # the one validation of the terminal state

@@ -88,10 +88,7 @@ def test_least_fixed_point_requires_psd_observable():
         least_fixed_point_q(prog, Observable(Z))
 
 
-# Each bad number, with the start of its message.  Unchecked, no bound
-# falls below a NaN tol, so the iteration runs on until an increment is
-# exactly zero and then reports a "bound" stop; n_max = -3 returns a
-# certificate with iterations = -3, and 2.5 raises a bare TypeError.
+# Each bad number, with the start of its message.
 _TOL = "tol must be a finite number > 0, got "
 _N_MAX = "n_max must be an integer >= 0, got "
 BAD_FIXED_POINT_NUMBERS = {
@@ -101,26 +98,21 @@ BAD_FIXED_POINT_NUMBERS = {
     "n_max=-3": ("n_max", -3, _N_MAX),
     "n_max=2.5": ("n_max", 2.5, _N_MAX),
 }
-FIXED_POINT_ENTRIES = {
-    "least_fixed_point_q": least_fixed_point_q,
-    "certified_expectation": certified_expectation,
-}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_FIXED_POINT_NUMBERS))
-@pytest.mark.parametrize("entry", sorted(FIXED_POINT_ENTRIES))
-def test_fixed_point_entry_points_refuse_a_bad_number(entry, case):
+def test_least_fixed_point_refuses_a_bad_number(case):
     name, value, message = BAD_FIXED_POINT_NUMBERS[case]
     prog = load_model(MODELS_DIR / "bitflip_p05.model").to_program()
     with pytest.raises(ValidationError, match="^" + re.escape(message)):
-        FIXED_POINT_ENTRIES[entry](prog, P0, **{name: value})
+        least_fixed_point_q(prog, P0, **{name: value})
 
 
-def test_certified_expectation_passes_tol_to_each_part():
-    prog = bitflip_program(0.5, 0.6, 0.8)
-    for o in (P0, Observable(Z)):
-        coarse = certified_expectation(prog, o, tol=1e-3)[1]
-        assert coarse["iterations"] < certified_expectation(prog, o)[1]["iterations"]
+@pytest.mark.parametrize("n_max", [-3, 2.5])
+def test_certified_expectation_refuses_a_bad_n_max(n_max):
+    prog = load_model(MODELS_DIR / "bitflip_p05.model").to_program()
+    with pytest.raises(ValidationError, match="^" + re.escape(_N_MAX)):
+        certified_expectation(prog, P0, n_max=n_max)
 
 
 def test_solve_fast_path_matches_iteration(rng):
