@@ -18,6 +18,14 @@ when two values are apart by more than the tolerance (a finite value
 and an infinite one are apart by ``inf``, and a NaN value disagrees
 with any other); else 0.  Both decide almost termination only, by the
 unit overlap; only ``terminate`` and ``spectrum`` run the exact search.
+
+Only ``spectrum`` always eigensolves the step matrix.  ``verify``,
+``runtime`` and ``terminate`` first try to prove, by a checked
+certificate, that the step has no unit spectrum; where it holds they run
+no eigensolve and report no eigenvalues, and their margin is the
+certificate's lower bound on the gap.  Where it fails, the eigenvalues
+decide, as ``spectrum``'s do.  The spectral row and the termination
+block say which (``unit_decided_by``).
 """
 
 from __future__ import annotations
@@ -126,8 +134,29 @@ def _series_row(result, value) -> tuple:
     return "series", value, diagnostics
 
 
+def _unit_decision(rep) -> dict:
+    """What decided the unit circle: ``unit_decided_by`` is
+    ``"certificate"``, with the certificate's ``eta`` and ``lambda``, or
+    ``"eigenvalues"``."""
+    cert = rep.certificate
+    if cert is None:
+        return {"unit_decided_by": "eigenvalues"}
+    return {
+        "unit_decided_by": "certificate",
+        "certificate_eta": cert.eta,
+        "certificate_lambda": cert.lam,
+    }
+
+
 def _spectral_row(rep, overlap, value) -> tuple:
-    return "spectral", value, {"margin": rep.margin, "unit_overlap": overlap}
+    diagnostics = {"margin": rep.margin, "unit_overlap": overlap, **_unit_decision(rep)}
+    return "spectral", value, diagnostics
+
+
+def _decided_eigenvalues(rep) -> list[dict]:
+    """The eigenvalue table when the eigenvalues decided the unit circle;
+    empty when the certificate did, since then none were computed."""
+    return [] if rep.certificate else eigenvalue_table(rep.spectral)
 
 
 def _decide(report, args, tol, rows, what, warning=None, refusal=None) -> int:
@@ -164,7 +193,7 @@ def cmd_verify(args) -> int:
 
     report = _new_report("verify", args, model, opts)
     report.observable = args.observable
-    report.eigenvalues = eigenvalue_table(rep.spectral)
+    report.eigenvalues = _decided_eigenvalues(rep)
 
     selected = (
         ["series", "invariant", "spectral"] if args.method == "all" else [args.method]
@@ -207,7 +236,7 @@ def cmd_runtime(args) -> int:
     overlap, almost = rep.unit_overlap(prog.rho0.mat)
 
     report = _new_report("runtime", args, model, opts)
-    report.eigenvalues = eigenvalue_table(rep.spectral)
+    report.eigenvalues = _decided_eigenvalues(rep)
     spectral = _spectral_row(rep, overlap, average_running_time(rep, prog.rho0))
     series = oracle_expectation(
         prog, Observable(np.eye(prog.dim)), opts.tail_tol, opts.n_max
@@ -232,9 +261,12 @@ def cmd_terminate(args) -> int:
         verdict = check_scheme_termination(rep)
 
     report = _new_report("terminate", args, model, opts)
-    report.eigenvalues = eigenvalue_table(rep.spectral)
+    report.eigenvalues = _decided_eigenvalues(rep)
     report.termination = dict(
-        scope=args.scope, terminates=verdict.terminates, **dataclasses.asdict(verdict)
+        scope=args.scope,
+        terminates=verdict.terminates,
+        **dataclasses.asdict(verdict),
+        **_unit_decision(rep),
     )
     _emit(report, args)
     return EXIT_OK
@@ -249,7 +281,7 @@ def cmd_spectrum(args) -> int:
         "spectral",
         rep.spectral.spectral_radius(),
         opts.eps_unit,
-        margin=rep.margin,
+        margin=rep.spectral.gap(),
         unit_eigenvalues=int(np.count_nonzero(rep.spectral.unit_circle_flags)),
         scheme_terminates_at=check_scheme_termination(rep).terminates_at,
         semisimple_unit_part=True,

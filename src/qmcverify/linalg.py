@@ -3,8 +3,11 @@
 Everything here operates on plain ``numpy`` arrays of ``complex128``,
 except that :func:`spectral_decompose` takes a real matrix as
 ``float64``, so that it gets a real eigensolve; its eigendata come back
-``complex128`` either way.  That function is the one nontrivial piece.
-It computes all eigenvalues, checked as a whole by their power sums
+``complex128`` either way.  That function is the one nontrivial piece,
+and the one costly call of most commands where it runs: ``spectrum``
+always runs it, while ``verify``, ``runtime`` and ``terminate`` run it
+only when :func:`qmcverify.spectral.no_unit_certificate` fails to prove
+that the step has no unit spectrum.  It computes all eigenvalues, checked as a whole by their power sums
 against ``tr A`` and ``tr A^2`` (O(n^2)), and eigenvectors only for the
 eigenvalues on the unit circle, the one place the spectral route needs
 a basis: there it eigensolves the matrix and its adjoint, keeps each
@@ -189,6 +192,12 @@ class SpectralData:
 
     def spectral_radius(self) -> float:
         return float(np.max(modulus(self.eigenvalues))) if self.eigenvalues.size else 0.0
+
+    def gap(self) -> float:
+        """``1 - max |lambda|`` over the eigenvalues not flagged
+        unit-circle; 1 when every eigenvalue is flagged."""
+        nonunit = modulus(self.eigenvalues[~self.unit_circle_flags])
+        return float(1.0 - nonunit.max()) if nonunit.size else 1.0
 
     def unit_clusters(self) -> list[np.ndarray]:
         """The column positions in the vector arrays of each unit

@@ -19,6 +19,74 @@ for all ``n``.  It is read in the Heisenberg picture, ``tr(P E0(X)) =
 tr(E0*(P) X)`` with ``E0*(P) = M0^dag P M0``: terminal expectations and
 the average running time are ``coordinates(E0*(P))`` dotted with
 resolvent solves against ``coordinates(rho0)``.
+
+Most steps have no unit spectrum at all, and that is decided without an
+eigensolve.  ``G`` is positive, and a positive map has spectral radius
+below one iff some ``V > 0`` has ``G(V) < V`` (Perron-Frobenius theory
+for positive maps; cited from memory: Evans and Hoegh-Krohn, "Spectral
+properties of positive maps on C*-algebras", J. London Math. Soc.
+1978).  :func:`no_unit_certificate` looks for the ``V = sum_n G^n(I)``
+that exists exactly then: one solve of ``(I - R) v = coordinates(I)``,
+and ``V`` and ``D = V - G(V)`` read back from ``v`` and ``v - R v`` by
+:func:`from_coordinates`.  If ``D >= eta I`` and ``0 < V <= lam I``
+with ``eta > 0``, then ``G(V) = V - D <= V - eta I <= (1 - eta/lam) V``,
+so ``G^k(V) <= (1 - eta/lam)^k V`` by positivity; every Hermitian ``X``
+lies between ``-cV`` and ``cV`` for some ``c``, so the spectral radius
+of ``R`` is at most ``1 - eta/lam``.  Then no eigenvalue is on the unit
+circle, ``N = R``, and ``eta/lam`` is a lower bound on the gap ``1 -
+max|lambda|``.  ``v`` itself need not be accurate: the check is on the
+``V`` that the computed ``v`` stands for, ``T^dag v`` in exact
+arithmetic.  When the check fails, the eigenvalues decide as before.
+The argument needs ``R`` to be the matrix of a positive map, which
+every ``R`` that :func:`_step_coordinates` builds from a Kraus stack is;
+for an arbitrary real matrix the check can hold at a radius above ``1 -
+eta/lam``.
+
+The slack ``s``.  The check sets ``eta = lambda_min(D^) - s`` and
+``lam = lambda_max(V^) + s`` and requires ``lambda_min(V^) - s > 0``,
+``D^`` and ``V^`` the computed matrices.  By Weyl's inequality ``s``
+suffices once it bounds the spectral norm of ``D^ - D`` and of ``V^ -
+V``, each with the error of ``eigvalsh`` added.  To first order in the
+unit roundoff ``u = 2^-53``, with ``n = d^2``, ``K`` Kraus operators,
+``t = sum_s ||K_s||_F^2 = tr G(I)``, ``tau = max(1, t)`` and ``w = d
+max(1, ||v||_max) >= ||v||_2``, every error bounded in the Frobenius
+norm, which bounds the 2-norm:
+
+- *R from the Kraus stack.*  Each entry of ``R`` is a sum, over the
+  Kraus index and the slots that ``T`` and ``T^dag`` touch, of
+  ``K_s[..] conj(K_s[..])`` times two of ``1``, ``+-h``, ``+-ih``, with
+  ``h = fl(sqrt(1/2))`` within ``u h`` of ``1/sqrt2``.
+  :func:`_step_coordinates` rounds along any path once per complex
+  product (at most ``2 sqrt2 u``, counted as 3), ``K - 1`` times in the
+  Kraus sum and three times (``h``, product, sum) on each side of
+  ``T``: ``|R^ - R| <= (K + 8) u |T| A |T|^T`` entrywise, ``A = sum_s
+  |K_s| (x) |K_s|``.  ``|T|`` has 2-norm ``sqrt2`` and ``||A||_F <= t``,
+  so ``||(R^ - R) v||_2 <= 2 (K + 8) u t w``.
+- *The product ``R^ v``*, ``n`` terms per row: ``|fl(R^ v) - R^ v| <=
+  n u |R^| |v|``, of 2-norm at most ``n u ||R||_F w <= n u t w``, since
+  ``||R||_F = ||M||_F <= t``.
+- *The difference ``v - R^ v``*: ``u ||v - R^ v||_2 <= u (1 + t) w``.
+- *The back-map* rounds each entry three times (``h``, product, sum)
+  on ``|T|^T |c|``, of norm at most ``sqrt2 ||c||_2``, and ``eigvalsh``
+  reads one triangle, which multiplies the Frobenius norm of an error by
+  at most ``sqrt2``: ``6 u ||c||_2``, with ``||c||_2 <= (1 + t) w`` for
+  ``D`` and ``<= w`` for ``V``.
+- *eigvalsh* is backward stable: its eigenvalues are those of ``H +
+  F`` with ``||F||_2 <= c(d) u ||H||_2``, ``c(d)`` a modest polynomial
+  (Golub and Van Loan, *Matrix Computations*, 8.1), taken as ``d`` as
+  in :func:`qmcverify.linalg._check_power_sums`: ``d u (1 + t) w`` for
+  ``D`` and ``d u w`` for ``V``.
+
+For ``D`` that is ``u w (2 (K + 8) t + n t + (7 + d)(1 + t)) <= u w tau
+(n + 2K + 2d + 30)``, and for ``V`` the smaller ``(6 + d) u w``, so
+
+    s = (d^2 + 2d + 2K + 30) tau d u max(1, ||v||_max)
+
+covers both.  It grows with ``||v||_max``, about ``1 / (1 - max|lambda|)``
+for a step near the unit circle, because ``D = v - R v`` is a
+difference of that size whose rounding does not shrink with it.  At d =
+18 and K = 2, with ``t <= d`` for a trace-nonincreasing step, it is
+below ``1.5e-11 max(1, ||v||_max)``.
 """
 from __future__ import annotations
 
@@ -32,11 +100,12 @@ from .channels import DensityOperator, Observable, SuperOperator
 from .errors import RepresentationError, SingularResolventError
 from .linalg import (
     EPS_UNIT,
+    OPTION_RULES,
     TOL_PROJ,
     SpectralData,
     dagger,
     max_abs,
-    modulus,
+    require_number,
     spectral_decompose,
 )
 from .program import ProgramScheme
@@ -53,25 +122,53 @@ UNIT_OVERLAP_RTOL = 1e-9
 HERMITIAN_COORD_TOL = 1e-12
 
 
+@dataclass(frozen=True)
+class NoUnitCertificate:
+    """The checked proof of :func:`no_unit_certificate`: ``D >= eta I``
+    and ``0 < V <= lam I``, rounding included, so ``G(V) <= (1 -
+    eta/lam) V`` and the spectral radius of ``R`` is at most ``1 -
+    margin``."""
+
+    eta: float
+    lam: float
+
+    @property
+    def margin(self) -> float:
+        return self.eta / self.lam
+
+
 @dataclass(frozen=True, eq=False)
 class ProgramRepresentation:
-    """Hermitian-basis data of a program scheme: ``spectral`` decomposes
-    ``R``, and ``unit_projector`` and ``n_filtered`` are float64.
+    """Hermitian-basis data of a program scheme: ``unit_projector`` and
+    ``n_filtered`` are float64.
 
     ``g`` is the survival step, which the termination checks apply on
-    d x d matrices, and ``m0`` the d x d halting operator ``M0``, from
-    which the closed forms read ``E0*``.  ``margin`` is the gap ``1 -
-    max{|lambda| : lambda below the unit circle}``; it quantifies the
-    conditioning of the ``I - N`` solves.
+    d x d matrices, ``step_matrix`` its matrix ``R`` and ``m0`` the d x
+    d halting operator ``M0``, from which the closed forms read ``E0*``.
+    ``margin`` is a lower bound on the gap ``1 - max{|lambda| : lambda
+    below the unit circle}``; it quantifies the conditioning of the ``I
+    - N`` solves.  ``certificate`` is the :class:`NoUnitCertificate` that
+    decided the unit circle, with ``n_filtered`` then ``R`` itself and
+    ``margin`` the certificate's, or ``None`` when the eigenvalues
+    decided, with ``margin`` their gap.
     """
 
     dim: int
     m0: np.ndarray
     g: SuperOperator
-    spectral: SpectralData
+    step_matrix: np.ndarray
+    eps_unit: float
     unit_projector: np.ndarray
     n_filtered: np.ndarray
     margin: float
+    certificate: NoUnitCertificate | None
+
+    @functools.cached_property
+    def spectral(self) -> SpectralData:
+        """The eigendata of ``R`` at ``eps_unit``.  A build that the
+        certificate decided runs no eigensolve, and they are computed on
+        first read."""
+        return spectral_decompose(self.step_matrix, self.eps_unit)
 
     def unit_overlap(self, a: np.ndarray) -> tuple[float, bool]:
         """``||P_u x||`` for ``x = coordinates(a)``, and whether it is
@@ -110,6 +207,14 @@ def coordinates(a: np.ndarray) -> np.ndarray:
     swap, alpha, beta = _hermitian_basis(a.shape[0])
     v = a.reshape(-1)
     return (alpha * v + beta * v[swap]).real
+
+
+def from_coordinates(c: np.ndarray) -> np.ndarray:
+    """``T^dag c``, the inverse of :func:`coordinates`: the Hermitian d x
+    d matrix whose coordinates are the real ``c`` of length d^2."""
+    d = math.isqrt(c.size)
+    swap, alpha, beta = _hermitian_basis(d)
+    return (alpha.conj() * c + beta[swap].conj() * c[swap]).reshape(d, d)
 
 
 def _checked_real(c: np.ndarray, what: str) -> np.ndarray:
@@ -175,22 +280,71 @@ def _step_coordinates(stack: np.ndarray) -> np.ndarray:
     return r
 
 
+def no_unit_certificate(r: np.ndarray, kraus_count: int) -> NoUnitCertificate | None:
+    """A checked proof, from ``R`` alone, that the step has spectral
+    radius below one (module docstring), or ``None`` when the check
+    fails: a singular solve, a non-finite ``v`` or an eigensolve that
+    does not converge, or a minimum that does not clear the slack.
+    ``kraus_count`` is the number of Kraus operators ``R`` was built from,
+    which the slack's bound on the rounding of ``R`` counts."""
+    n = r.shape[0]
+    d = math.isqrt(n)
+    e = coordinates(np.eye(d))
+    try:
+        v = np.linalg.solve(np.eye(n) - r, e)
+        if not np.isfinite(v).all():
+            return None
+        v_min, v_max = np.linalg.eigvalsh(from_coordinates(v))[[0, -1]]
+        d_min = np.linalg.eigvalsh(from_coordinates(v - r @ v))[0]
+    except np.linalg.LinAlgError:
+        return None
+    tau = max(1.0, float(e @ r @ e))
+    u = 2.0**-53
+    slack = (n + 2 * d + 2 * kraus_count + 30) * tau * d * u * max(1.0, max_abs(v))
+    eta, lam = float(d_min) - slack, float(v_max) + slack
+    if not (eta > 0 and v_min - slack > 0):
+        return None
+    return NoUnitCertificate(eta, lam)
+
+
 def build_representation(
     scheme: ProgramScheme, eps_unit: float = EPS_UNIT
 ) -> ProgramRepresentation:
     """Assemble R and the unit-circle-filtered N for a scheme.
 
+    When :func:`no_unit_certificate` holds, ``N`` is ``R`` and nothing
+    is eigensolved; otherwise the eigenvalues of ``R`` decide the unit
+    circle, with ``eps_unit`` as the window.
+
     Raises
     ------
+    ValidationError
+        If ``eps_unit`` is not in [0, 1).
     RepresentationError
-        If the spectral radius of R exceeds ``1 + eps_unit``, the
-        unit-circle projector does not preserve Hermiticity or a
-        unit-modulus eigenvalue cluster is not semisimple.  Valid programs
-        (trace-preserving channel, complete measurement) trigger none of
-        these unless ``eps_unit`` is below the eigensolver's rounding
-        error; otherwise the usual cause is corrupted model data.
+        If the certificate fails and the spectral radius of R exceeds ``1
+        + eps_unit``, the unit-circle projector does not preserve
+        Hermiticity or a unit-modulus eigenvalue cluster is not
+        semisimple.  Valid programs (trace-preserving channel, complete
+        measurement) trigger none of these unless ``eps_unit`` is below
+        the eigensolver's rounding error; otherwise the usual cause is
+        corrupted model data.
     """
-    r = _step_coordinates(scheme.g.stack)
+    eps_unit = require_number(eps_unit, "option eps_unit", **OPTION_RULES["eps_unit"])
+    stack = scheme.g.stack
+    r = _step_coordinates(stack)
+    common = dict(
+        dim=scheme.dim, m0=scheme.meas.m0, g=scheme.g, step_matrix=r, eps_unit=eps_unit
+    )
+    cert = no_unit_certificate(r, stack.shape[0])
+    if cert is not None:
+        return ProgramRepresentation(
+            **common,
+            unit_projector=np.zeros_like(r),
+            n_filtered=r,
+            margin=cert.margin,
+            certificate=cert,
+        )
+
     sd = spectral_decompose(r, eps_unit)
     radius = sd.spectral_radius()
     if radius > 1.0 + eps_unit:
@@ -235,18 +389,18 @@ def build_representation(
     else:
         p_u = np.zeros_like(r)
         n = r
-    nonunit = modulus(sd.eigenvalues[~sd.unit_circle_flags])
-    margin = float(1.0 - nonunit.max()) if nonunit.size else 1.0
 
-    return ProgramRepresentation(
-        dim=scheme.dim,
-        m0=scheme.meas.m0,
-        g=scheme.g,
-        spectral=sd,
+    rep = ProgramRepresentation(
+        **common,
         unit_projector=p_u,
         n_filtered=n,
-        margin=margin,
+        margin=sd.gap(),
+        certificate=None,
     )
+    # The eigendata this build decided on, so that reading rep.spectral
+    # does not decompose R again.
+    rep.__dict__["spectral"] = sd
+    return rep
 
 
 def _resolvent_solve(rep: ProgramRepresentation, rhs: np.ndarray) -> np.ndarray:

@@ -426,13 +426,12 @@ def _exact_entries(mat):
     return [[Fraction(float(x)) for x in row] for row in mat.real]
 
 
-def exact_expectation(prog, p):
-    """The whole series ``sum_n tr(P E0(G^n(rho0)))`` in exact rational
-    arithmetic: the float entries of ``G``'s Kraus operators, ``M0``,
-    ``rho0`` and ``P`` (real entries only) are taken exactly, ``(I - M)
-    vec(X) = vec(rho0)`` is solved by Gaussian elimination, ``M`` the
-    row-major ``vec`` matrix of ``G``, and ``tr(P M0 X M0^dag)`` is
-    returned as a ``Fraction``.  A singular ``I - M`` (``G`` with the
+def exact_series_sum(prog):
+    """``X = sum_n G^n(rho0)`` in exact rational arithmetic, as ``d`` rows
+    of ``Fraction``: the float entries of ``G``'s Kraus operators and
+    ``rho0`` (real entries only) are taken exactly, and ``(I - M) vec(X) =
+    vec(rho0)`` is solved by Gaussian elimination, ``M`` the row-major
+    ``vec`` matrix of ``G``.  A singular ``I - M`` (``G`` with the
     eigenvalue 1) raises ``ZeroDivisionError``."""
     d = prog.dim
     n = d * d
@@ -457,13 +456,31 @@ def exact_expectation(prog, p):
             if r != col and rows[r][col]:
                 f = rows[r][col] / rows[col][col]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    x = [[rows[r][n] / rows[r][r] for r in range(i * d, i * d + d)] for i in range(d)]
+    return [[rows[r][n] / rows[r][r] for r in range(i * d, i * d + d)] for i in range(d)]
+
+
+def exact_expectation(prog, p):
+    """The whole series ``sum_n tr(P E0(G^n(rho0)))`` in exact rational
+    arithmetic: ``tr(P M0 X M0^dag)`` for the ``X`` of
+    :func:`exact_series_sum`, with the float entries of ``M0`` and ``P``
+    (real entries only) taken exactly, as a ``Fraction``."""
+    d = prog.dim
+    x = exact_series_sum(prog)
     m0, pm = _exact_entries(prog.meas.m0), _exact_entries(p.mat)
     # tr(P M0 X M0^T) = sum P[a][b] M0[b][i] X[i][j] M0[a][j]
     return sum(
         pm[a][b] * m0[b][i] * x[i][j] * m0[a][j]
         for a in range(d) for b in range(d) for i in range(d) for j in range(d)
     )
+
+
+def exact_running_time(prog):
+    """``tr X`` for the ``X`` of :func:`exact_series_sum`: ``sum_n tr
+    G^n(rho0)``, the mass that survives each step summed, which is the
+    average running time of an almost-terminating program, as a
+    ``Fraction``."""
+    x = exact_series_sum(prog)
+    return sum(x[i][i] for i in range(prog.dim))
 
 
 def eigenvalue_table_reference(spectral) -> list[dict]:

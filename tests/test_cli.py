@@ -12,7 +12,14 @@ from qmcverify import EigensolverError, ProgramScheme, cli, program, termination
 from qmcverify.cli import main
 from qmcverify.model import Model, dumps, load_model, save_model
 
-from helpers import MODELS_DIR, counter_scheme
+from helpers import (
+    MODELS_DIR,
+    P0,
+    bitflip_program,
+    counter_scheme,
+    exact_expectation,
+    exact_running_time,
+)
 from sampling import random_contracting_program, random_observable
 
 
@@ -241,10 +248,17 @@ def _nan_eigenvectors(eig):
 def test_non_finite_eigensolver_output_exits_5(fault, name, command, monkeypatch, capsys):
     # A NaN passes every `gap > tol` check, so it must be refused where the
     # eigensolver returns it.  eig runs only with unit spectrum, which
-    # bitflip_p05 lacks.
+    # bitflip_p05 lacks.  Its step is certified to have none, so verify and
+    # terminate run no eigensolve on it; spectrum, which always does, runs
+    # on it in their place.
     patch = {"eigvals": _one_nan_eigenvalue, "eig": _nan_eigenvectors}[fault]
     monkeypatch.setattr(np.linalg, fault, patch(getattr(np.linalg, fault)))
-    assert main([command[0], model(f"{name}.model"), *command[1:]]) == 5
+    argv = [command[0], model(f"{name}.model"), *command[1:]]
+    if name == "bitflip_p05":
+        if command[0] != "spectrum":
+            assert main(argv) == 0
+        argv = ["spectrum", model(f"{name}.model")]
+    assert main(argv) == 5
     assert "non-finite output" in capsys.readouterr().err
 
 
@@ -930,3 +944,85 @@ def test_one_validated_construction_per_call(argv, monkeypatch, capsys):
     assert main([argv[0], model(argv[1]), *argv[2:]]) == 0
     capsys.readouterr()
     assert built == ["ProgramScheme"]
+
+
+def _bitflip_from_one_model(gap, tmp_path) -> str:
+    """Bitflip with ``1 - p = gap`` started in |1>, with the observable
+    ``P0``."""
+    prog = bitflip_program(1.0 - gap, 0.0, 1.0)
+    path = tmp_path / "bitflip.model"
+    save_model(
+        Model(dim=2, kraus=list(prog.e.kraus), m0=prog.meas.m0, m1=prog.meas.m1,
+              rho0=prog.rho0.mat, observables={"P0": P0.mat}),
+        path,
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("gap", [1e-7, 1e-8, 1e-10, 1e-13])
+def test_near_unit_bitflip_almost_terminates(gap, tmp_path, capsys):
+    # Every eigenvalue of the step, 1 - gap among them, lies inside the unit
+    # circle; the default eps_unit = 1e-7 window used to flag 1 - gap and
+    # read the program as never halting.
+    assert main(["terminate", _bitflip_from_one_model(gap, tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "almost terminates: yes" in out
+    assert "decided by certificate" in out
+
+
+@pytest.mark.parametrize("gap", [1e-7, 1e-8])
+def test_near_unit_bitflip_spectral_values_match_the_exact_series(gap, tmp_path, capsys):
+    path = _bitflip_from_one_model(gap, tmp_path)
+    out = tmp_path / "verify.json"
+    argv = ["verify", path, "-o", "P0", "--method", "spectral", "--json-out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    (row,) = json.loads(out.read_text())["methods"]
+    prog = load_model(path).to_program()
+    assert abs(row["value"] - exact_expectation(prog, P0)) <= 1e-6
+    rep = cli.build_representation(prog)
+    time = cli.average_running_time(rep, prog.rho0)
+    exact = exact_running_time(prog)
+    assert math.isfinite(time)
+    assert abs(time - exact) <= 1e-6 * exact
+
+
+def test_eps_unit_half_no_longer_flags_the_bitflip_eigenvalue(tmp_path, capsys):
+    # bitflip_p05's step has eigenvalues 0.5 and 0; at eps_unit = 0.5 the
+    # window ||lambda| - 1| <= 0.5 holds 0.5, but the certificate proves a
+    # radius of at most 0.5 first.
+    path = model("bitflip_p05.model")
+    assert main(["verify", path, "-o", "P0", "--eps-unit", "0.5"]) == 0
+    values = []
+    for extra in ([], ["--eps-unit", "0.5"]):
+        out = tmp_path / "runtime.json"
+        assert main(["runtime", path, *extra, "--json-out", str(out)]) == 0
+        methods = json.loads(out.read_text())["methods"]
+        values.append(next(m["value"] for m in methods if m["method"] == "spectral"))
+    capsys.readouterr()
+    assert values[1] == values[0] == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name, by", [("bitflip_p05", "certificate"), ("bitflip_p1", "eigenvalues")])
+def test_reports_say_what_decided_the_unit_circle(name, by, tmp_path, capsys):
+    commands = [["verify", "-o", "P0"], ["runtime"], ["terminate"]]
+    for command in commands:
+        docs = []
+        for run in range(2):
+            out = tmp_path / f"{run}.json"
+            main([command[0], model(f"{name}.model"), *command[1:], "--json-out", str(out)])
+            docs.append(out.read_bytes())
+        assert docs[0] == docs[1]
+        doc = json.loads(docs[0])
+        if command[0] == "terminate":
+            decision = doc["termination"]
+        else:
+            decision = next(m for m in doc["methods"] if m["method"] == "spectral")["diagnostics"]
+        assert decision["unit_decided_by"] == by
+        assert ("certificate_eta" in decision) == ("certificate_lambda" in decision) == (
+            by == "certificate"
+        )
+        if by == "certificate" and command[0] != "terminate":
+            assert decision["margin"] == decision["certificate_eta"] / decision["certificate_lambda"]
+        assert (doc["eigenvalues"] == []) == (by == "certificate")
+    assert f"unit circle:       decided by {by}" in capsys.readouterr().out

@@ -1,11 +1,15 @@
 """The three routes stay independent: the series oracle shares no code
 with the invariant or spectral routes, the invariant route reads nothing
-from the spectral layer, and the random programs behind the golden
+from the spectral layer, the spectral layer nothing from the invariant
+route or the termination checks (its no-unit certificate reads only
+``R``), and the random programs behind the golden
 records are drawn, and the records regenerated, without the invariant
 or spectral route.  Importing the package loads every module, so the
 check reads each module's import statements."""
 
 import ast
+import inspect
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -20,6 +24,8 @@ FORBIDDEN = {
     "oracle": {"invariant", "spectral", "termination"},
     "program": {"invariant", "spectral", "termination"},
     "invariant": {"spectral", "termination"},
+    # The spectral route decides the unit circle from its own R.
+    "spectral": {"invariant", "termination"},
     # The programs behind the series oracle's golden records, and the
     # script that recomputes the records from them.
     "sampling": {"invariant", "spectral", "termination"},
@@ -61,8 +67,13 @@ def test_route_imports_nothing_from_the_other_routes(name):
 def identifiers(path: Path) -> set[str]:
     """Every name, attribute and imported name in the source at ``path``;
     docstrings and comments are not read."""
+    return source_identifiers(path.read_text())
+
+
+def source_identifiers(source: str) -> set[str]:
+    """Every name, attribute and imported name in ``source``."""
     found = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -83,6 +94,17 @@ def test_series_step_matrix_is_not_the_shared_builder():
     assert "matrix_representation" not in spectral
     assert "_step_coordinates" in spectral
     assert "matrix_representation" in identifiers(PACKAGE / "invariant.py")
+
+
+def test_certificate_reads_only_the_step_matrix():
+    # The certificate is the spectral route's own: it takes R and the
+    # Kraus count that R's rounding bound counts, and no name in it
+    # reaches the invariant route or the termination checks.
+    from qmcverify.spectral import no_unit_certificate
+
+    assert list(inspect.signature(no_unit_certificate).parameters) == ["r", "kraus_count"]
+    names = source_identifiers(textwrap.dedent(inspect.getsource(no_unit_certificate)))
+    assert not {n for n in names if "invariant" in n.lower() or "termination" in n.lower()}
 
 
 def test_import_scan_sees_relative_and_absolute_imports(tmp_path):

@@ -477,7 +477,7 @@ def shift_largest(w):
 
 def test_corrupted_eigensolve_exits_5(monkeypatch, capsys):
     patch_eigvals(monkeypatch, shift_largest)
-    code = main(["verify", str(MODELS_DIR / "bitflip_p05.model"), "-o", "P0"])
+    code = main(["spectrum", str(MODELS_DIR / "bitflip_p05.model")])
     assert code == 5
     assert "power sum" in capsys.readouterr().err
 
@@ -558,7 +558,7 @@ def test_duplicated_eigenvalue_exits_5(monkeypatch, capsys):
     # The step of bitflip_p05 has eigenvalues 0.5, 0, 0, 0, and LAPACK
     # returns 0.5 first.
     patch_eigensolves(monkeypatch, duplicate_first)
-    code = main(["verify", str(MODELS_DIR / "bitflip_p05.model"), "-o", "P0"])
+    code = main(["spectrum", str(MODELS_DIR / "bitflip_p05.model")])
     assert code == 5
     assert "power sum" in capsys.readouterr().err
 
@@ -587,7 +587,7 @@ def test_opposite_shifts_are_refused(monkeypatch):
 
 def test_opposite_shifts_exit_5(monkeypatch, capsys):
     patch_eigensolves(monkeypatch, shift_apart(1e-6))
-    code = main(["verify", str(MODELS_DIR / "bitflip_p05.model"), "-o", "P0"])
+    code = main(["spectrum", str(MODELS_DIR / "bitflip_p05.model")])
     assert code == 5
     assert "power sum sum(lambda^2)" in capsys.readouterr().err
 

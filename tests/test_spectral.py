@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +31,13 @@ from qmcverify import (
 )
 from qmcverify.linalg import SpectralData, dagger, max_abs
 from qmcverify.report import eigenvalue_table
-from qmcverify.spectral import _hermitian_basis, _step_coordinates, coordinates
+from qmcverify.spectral import (
+    _hermitian_basis,
+    _step_coordinates,
+    coordinates,
+    from_coordinates,
+    no_unit_certificate,
+)
 
 from helpers import (
     I2,
@@ -44,6 +51,7 @@ from helpers import (
     counter_scheme,
     decaying_block_program,
     filtered_power_residual,
+    hadamard_walk_scheme,
     hermitian_basis_reference,
     m1_zero_program,
     power_norm_bound_check,
@@ -330,12 +338,19 @@ def test_margin_and_radius_read_the_reported_modulus(b, monkeypatch):
     # For these b, numpy's SIMD complex abs of the computed pair differs
     # from hypot in the last bit (x86-64 with AVX2), so a margin or a
     # radius taken by np.abs would miss the report's modulus by one ulp.
+    # This R is not the matrix of a positive map, which the certificate's
+    # theorem needs (at b = 0.47 it would certify a margin of 0.46 against
+    # a gap of 0.44), so the eigenvalues decide, as for any R no Kraus
+    # stack can give.
     blk = np.diag([0.3, 0.3, 0.5, 0.25])
     blk[0, 1], blk[1, 0] = -b, b
+    monkeypatch.setattr(qmcverify.spectral, "no_unit_certificate", lambda r, k: None)
     rep = build_representation(_crafted_step(monkeypatch, _Q @ blk @ _Q.T))
     table = eigenvalue_table(rep.spectral)
     assert not any(row["unit_circle"] for row in table)
-    assert rep.margin == 1.0 - max(row["modulus"] for row in table)
+    gap = rep.spectral.gap()
+    assert gap == 1.0 - max(row["modulus"] for row in table)
+    assert 0 < rep.margin <= gap
     assert rep.spectral.spectral_radius() == max(row["modulus"] for row in table)
 
 
@@ -633,6 +648,16 @@ def test_build_without_unit_spectrum_runs_one_real_eigvals(monkeypatch, rng):
     assert rep.spectral.right_vectors.shape == rep.spectral.left_vectors.shape == (9, 0)
 
 
+def test_certified_build_eigensolves_only_when_spectral_is_read(monkeypatch, rng):
+    prog = random_contracting_program(3, rng)
+    calls = count_calls(monkeypatch, "eigvals", "eig")
+    rep = build_representation(prog)
+    assert rep.certificate is not None
+    assert calls == []
+    assert rep.spectral is rep.spectral
+    assert calls == [("eigvals", np.float64)]
+
+
 def conjugated(scheme, v):
     """The scheme in the basis v: K -> v K v^dag, M_i -> v M_i v^dag."""
     def conj(a):
@@ -696,7 +721,9 @@ def test_real_eigensolve_matches_the_complex_reference(case):
     # the two eigensolves may order the unit clusters differently
     sizes, sizes_ref = ([c.size for c in s.unit_clusters()] for s in (sd, sd_ref))
     assert sorted(sizes) == sorted(sizes_ref)
-    assert abs(rep.margin - ref.margin) <= 1e-12
+    gap = rep.spectral.gap()
+    assert abs(gap - ref.margin) <= 1e-12
+    assert 0 < rep.margin <= gap
     assert max_abs(vec_matrix(rep.unit_projector) - ref.unit_projector) <= 1e-10
 
     for check in (
@@ -712,3 +739,112 @@ def test_real_eigensolve_matches_the_complex_reference(case):
     assert abs(value - vec_closed_form(ref, prog.rho0, p)) <= 1e-10
     time, time_ref = average_running_time(rep, prog.rho0), vec_running_time(ref, prog.rho0)
     assert time == time_ref if time_ref == math.inf else abs(time - time_ref) <= 1e-10
+
+
+def eigen_path(scheme):
+    """``build_representation`` with the certificate refused: the
+    eigenvalues decide the unit circle."""
+    with mock.patch.object(qmcverify.spectral, "no_unit_certificate", return_value=None):
+        return build_representation(scheme)
+
+
+def assert_certified_like_the_eigen_path(prog, p):
+    """The certificate holds, its margin is a lower bound on the gap the
+    eigenvalues give, and the closed forms are the eigen path's, bit for
+    bit."""
+    rep, eigen = build_representation(prog), eigen_path(prog)
+    assert rep.certificate is not None and eigen.certificate is None
+    assert not rep.spectral.unit_circle_flags.any()
+    gap = 1.0 - rep.spectral.spectral_radius()
+    assert eigen.margin == gap
+    assert 0 < rep.margin <= gap
+    for closed_form in (
+        lambda r: expectation_closed_form(r, prog.rho0, p),
+        lambda r: average_running_time(r, prog.rho0),
+    ):
+        assert closed_form(rep) == closed_form(eigen)
+    return rep
+
+
+@st.composite
+def programs_without_unit_spectrum(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    make = draw(st.sampled_from([random_program, random_contracting_program]))
+    prog = make(draw(st.integers(2, 6)), rng)
+    return prog, random_observable(prog.dim, rng)
+
+
+@settings(deadline=None, derandomize=True)
+@given(programs_without_unit_spectrum())
+def test_certified_margin_bounds_the_gap_and_keeps_the_closed_forms(case):
+    # Every random program's survival step has norm below one, so the
+    # certificate must hold.
+    assert_certified_like_the_eigen_path(*case)
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [load_model(MODELS_DIR / name).to_scheme() for name in ("bitflip_p1.model", "unitary_m0zero.model")]
+    + [hadamard_walk_scheme(4), block_unitary_scheme()],
+    ids=["bitflip_p1", "unitary_m0zero", "walk4", "block_unitary"],
+)
+def test_certificate_refuses_an_exact_unit_spectrum(scheme):
+    rep = build_representation(scheme)
+    assert rep.certificate is None
+    assert rep.spectral.unit_circle_flags.any()
+
+
+def test_certificate_refuses_a_rotation_under_a_random_similarity(monkeypatch, rng):
+    # K = A U A^-1 keeps the eigenvalues 1, 1 and exp(+-i phi) of the
+    # unitary channel of U = diag(1, exp(i phi)), and its R is that
+    # channel's R under the similarity A (x) conj(A), which is not
+    # orthogonal: a rotation block in a random basis, of a positive map.
+    for _ in range(20):
+        u = np.diag([1.0, np.exp(1j * rng.uniform(0.1, 3.0))])
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        r = _step_coordinates((a @ u @ np.linalg.inv(a))[None])
+        assert no_unit_certificate(r, 1) is None
+        rep = build_representation(_crafted_step(monkeypatch, r))
+        assert rep.certificate is None
+        assert np.count_nonzero(rep.spectral.unit_circle_flags) == 4
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [hadamard_walk_scheme(n) for n in (5, 7, 9)] + [counter_scheme(d) for d in range(1, 19)],
+    ids=[f"walk{n}" for n in (5, 7, 9)] + [f"counter{d}" for d in range(1, 19)],
+)
+def test_certificate_holds_on_the_odd_walks_and_the_counters(scheme):
+    rng = np.random.default_rng(scheme.dim)
+    prog = scheme.with_initial_state(random_density(scheme.dim, rng))
+    assert_certified_like_the_eigen_path(prog, random_observable(scheme.dim, rng))
+
+
+@pytest.mark.parametrize(
+    "fault", [lambda v: np.full_like(v, np.nan), lambda v: -v], ids=["nan", "negated"]
+)
+def test_a_corrupted_certificate_solve_is_refused(fault, monkeypatch, rng):
+    # The closed forms solve with np.linalg.solve too, so the fault is in
+    # place for the build alone.
+    solve = np.linalg.solve
+    for prog in [bitflip_program(0.5, 0.6, 0.8)] + [random_program(d, rng) for d in (2, 3, 4)]:
+        p = random_observable(prog.dim, rng)
+        with monkeypatch.context() as patched:
+            patched.setattr(np.linalg, "solve", lambda a, b: fault(solve(a, b)))
+            rep = build_representation(prog)
+        eigen = eigen_path(prog)
+        assert rep.certificate is None
+        assert rep.margin == eigen.margin
+        assert expectation_closed_form(rep, prog.rho0, p) == expectation_closed_form(
+            eigen, prog.rho0, p
+        )
+        assert average_running_time(rep, prog.rho0) == average_running_time(eigen, prog.rho0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_from_coordinates_inverts_coordinates(rng, d):
+    h = random_observable(d, rng).mat
+    assert max_abs(from_coordinates(coordinates(h)) - h) <= 1e-15
+    c = rng.standard_normal(d * d)
+    assert max_abs(coordinates(from_coordinates(c)) - c) <= 1e-15
+    assert max_abs(from_coordinates(c).reshape(-1) - vec_coordinates(c[:, None])[:, 0]) == 0.0
