@@ -3,14 +3,14 @@
 Everything here operates on plain ``numpy`` arrays of ``complex128``,
 except that :func:`spectral_decompose` takes a real matrix as
 ``float64``, so that it gets a real eigensolve; its eigendata come back
-``complex128`` either way.  That function is the one nontrivial piece,
-and the one costly call of most commands where it runs: ``spectrum``
-always runs it, while ``verify``, ``runtime`` and ``terminate`` run it
-only when :func:`qmcverify.spectral.no_unit_certificate` fails to prove
-that the step has no unit spectrum.  It computes all eigenvalues, checked as a whole by their power sums
-against ``tr A`` and ``tr A^2`` (O(n^2)), and eigenvectors only for the
-eigenvalues on the unit circle, the one place the spectral route needs
-a basis: there it eigensolves the matrix and its adjoint, keeps each
+``complex128`` either way.  That function is the one nontrivial piece.
+``spectrum`` always runs it; ``verify``, ``runtime`` and ``terminate``
+run it only when :func:`qmcverify.spectral.no_unit_certificate` does not
+prove that the step has no unit spectrum.  It computes all eigenvalues,
+checked as a whole by their power sums against ``tr A`` and ``tr A^2``
+(O(n^2)), and eigenvectors only for the eigenvalues on the unit circle,
+the one place the spectral route needs a basis: there it eigensolves
+the matrix and its adjoint, keeps each
 side's columns for the unit clusters, and biorthonormalizes the dual
 ones inside each cluster, so that the unit-modulus spectral projector is
 ``right @ left.conj().T`` without ever touching a Jordan basis.  The

@@ -227,12 +227,11 @@ class VerificationReport:
                          f"{t['nilpotent_check_power']}")
             lines.append(f"  smallest kept:     {_fmt_json_num(t['support_kept_min'])}")
             lines.append(f"  largest dropped:   {_fmt_json_num(t['support_dropped_max'])}")
-            if "unit_decided_by" in t:
-                lines.append(f"  unit circle:       decided by {t['unit_decided_by']}" + (
-                    f" (eta {_fmt_json_num(t['certificate_eta'])}, "
-                    f"lambda {_fmt_json_num(t['certificate_lambda'])})"
-                    if "certificate_eta" in t else ""
-                ))
+            decided = f"  unit circle:       decided by {t['unit_decided_by']}"
+            if "certificate_eta" in t:
+                decided += (f" (eta {_fmt_json_num(t['certificate_eta'])}, "
+                            f"lambda {_fmt_json_num(t['certificate_lambda'])})")
+            lines.append(decided)
         for w in self.warnings:
             lines.append("")
             lines.append(f"warning: {w}")
