@@ -260,20 +260,30 @@ def _step_matrix(g: SuperOperator) -> np.ndarray | None:
     return _sum_terms(terms).reshape(d * d, d * d).T
 
 
-def _power_stack(m: np.ndarray, s: int) -> np.ndarray:
-    """The powers ``P_1..P_s`` of a step matrix ``P_1 = m``, stacked as one
-    ``(s d^2, d^2)`` array whose i-th block of ``d^2`` rows is
-    ``P_{i+1}``, built by doubling: ``P_{h+i} = P_i P_h`` for all
-    ``i <= h`` in one product, ``log2 s`` products in all."""
+def _power_stack(m: np.ndarray, s: int, height: int | None = None) -> np.ndarray:
+    """Room for the powers ``P_1..P_s`` of a step matrix ``P_1 = m``,
+    stacked as one ``(s d^2, d^2)`` array whose i-th block of ``d^2`` rows
+    is ``P_{i+1}``, with the first ``height`` of them (all ``s`` by
+    default) built by :func:`_grow_powers`."""
     n = m.shape[0]
     blocks = np.empty((s * n, n), complex)
     blocks[:n] = m
-    h = 1
-    while h < s:
-        np.matmul(blocks[: h * n], blocks[(h - 1) * n : h * n],
-                  out=blocks[h * n : 2 * h * n])
-        h *= 2
+    _grow_powers(blocks, 1, s if height is None else height)
     return blocks
+
+
+def _grow_powers(blocks: np.ndarray, built: int, need: int) -> int:
+    """Build the powers of a :func:`_power_stack` past the first ``built``
+    (a power of two) by doubling, ``P_{h+i} = P_i P_h`` for all ``i <=
+    h`` in one product, until at least ``need`` are built; returns how
+    many are.  Each product reads only powers built before it, so every
+    power has the same bits whatever height the stack stops at."""
+    n = blocks.shape[1]
+    while built < need:
+        np.matmul(blocks[: built * n], blocks[(built - 1) * n : built * n],
+                  out=blocks[built * n : 2 * built * n])
+        built *= 2
+    return built
 
 
 def _series_pass(
@@ -293,12 +303,14 @@ def _series_pass(
     series overshoots by at most as many steps as it took, and rows past
     the stop are dropped.  ``G`` fills a chunk by one of two kernels.
     With the matrix of :func:`_step_matrix` (``d <= 2K``), the pass
-    builds the :func:`_power_stack` of ``s = _stack_height(d)`` powers
-    once, when it starts, and each product gives ``s`` states,
-    ``sigma_{n+i} = P_i sigma_n``, so a chunk costs ``ceil(count / s)``
-    calls.  The stack holds at most ``_STACK_ENTRIES`` entries (256 KB)
-    and costs ``log2 s`` products; at ``s = 1`` this is one product per
-    step.  Otherwise ``g.apply_mat`` steps each row.
+    keeps a :func:`_power_stack` of up to ``s = _stack_height(d)`` powers,
+    and each product gives up to ``s`` states, ``sigma_{n+i} = P_i
+    sigma_n``, so a chunk costs ``ceil(count / s)`` calls.  The stack is
+    built only as high as the chunks reach, ``min(s, count)`` powers,
+    doubling as they grow: a pass that stops at once builds none past
+    ``P_1``.  It holds at most ``_STACK_ENTRIES`` entries (256 KB) and
+    costs at most ``log2 s`` products; at ``s = 1`` this is one product
+    per step.  Otherwise ``g.apply_mat`` steps each row.
 
     One reduction per chunk serves both kernels: the masses are
     ``rows @ vec(I)`` and ``p_n = tr E0(sigma_n) = tr(M0^dag M0 sigma_n)``
@@ -312,7 +324,8 @@ def _series_pass(
     g, d = scheme.g, scheme.dim
     m = _step_matrix(g)
     s = _stack_height(d)
-    stack = None if m is None else _power_stack(m, s)
+    stack = None if m is None else _power_stack(m, s, 1)
+    built = 1
     m0 = scheme.meas.m0
     # Column 0 reads tr sigma, column 1 tr E0(sigma), from vec(sigma).
     readout = np.column_stack(
@@ -334,6 +347,7 @@ def _series_pass(
                 row[...] = g.apply_mat(sigma)
                 sigma = row
         else:
+            built = _grow_powers(stack, built, min(s, len(rows)))
             for b in range(0, len(rows), s):
                 out = rows[b : b + s]
                 np.dot(stack[: len(out) * d * d], rows[b - 1] if b else state,

@@ -26,7 +26,7 @@ below one iff some ``V > 0`` has ``G(V) < V`` (Perron-Frobenius theory
 for positive maps; cited from memory: Evans and Hoegh-Krohn, "Spectral
 properties of positive maps on C*-algebras", J. London Math. Soc.
 1978).  :func:`no_unit_certificate` looks for the ``V = sum_n G^n(I)``
-that exists exactly then: one solve of ``(I - R) v = coordinates(I)``,
+that exists exactly then: ``v`` solves ``(I - R) v = coordinates(I)``,
 and ``V`` and ``D = V - G(V)`` read back from ``v`` and ``v - R v`` by
 :func:`from_coordinates`.  If ``D >= eta I`` and ``0 < V <= lam I``
 with ``eta > 0``, then ``G(V) = V - D <= V - eta I <= (1 - eta/lam) V``,
@@ -87,6 +87,23 @@ for a step near the unit circle, because ``D = v - R v`` is a
 difference of that size whose rounding does not shrink with it.  At d =
 18 and K = 2, with ``t <= d`` for a trace-nonincreasing step, it is
 below ``1.5e-11 max(1, ||v||_max)``.
+
+One factorization per command.  :func:`build_representation` builds ``I
+- R`` once, in one array (:func:`_identity_minus`), and solves it once for
+two columns, ``[coordinates(I), coordinates(start)]``: ``v`` for the
+certificate and ``y0 = (I - R)^-1 coordinates(rho0)`` for the closed
+forms, ``start`` being ``rho0`` for a program and ``I`` again for a bare
+scheme.  The slack still holds: it bounds the rounding of what is
+computed from a given ``v``, whatever solve produced it, and each column
+of a multi-column solve is rounded on its own, so column 0 has the same
+bits whatever column 1 holds; ``eta`` and ``lam`` read the same for a
+program and its scheme.  One right-hand side would take LAPACK's
+one-vector triangular kernel, whose bits differ, so every solve of a
+state has this two-column layout (:func:`_state_columns`): a kept ``y0``
+and a fresh solve of the same start agree bit for bit, and so do the
+certificate's build and the eigen path's when ``N = R``.  The expectation
+then runs no solve, and the running time one, ``(I - N)^-1 y0``; a
+certified build runs no eigensolve and allocates no d^2 x d^2 projector.
 """
 from __future__ import annotations
 
@@ -108,7 +125,7 @@ from .linalg import (
     require_number,
     spectral_decompose,
 )
-from .program import ProgramScheme
+from .program import ProgramScheme, QuantumProgram
 
 # An operator has no unit-circle component when ||P_u x|| is at most this
 # many times ||x||, for x its coordinates.
@@ -150,7 +167,19 @@ class ProgramRepresentation:
     - N`` solves.  ``certificate`` is the :class:`NoUnitCertificate` that
     decided the unit circle, with ``n_filtered`` then ``R`` itself and
     ``margin`` the certificate's, or ``None`` when the eigenvalues
-    decided, with ``margin`` their gap.
+    decided, with ``margin`` their gap.  Without unit spectrum,
+    ``unit_projector`` is a read-only view of one zero, which allocates
+    no d^2 x d^2 array and which :meth:`unit_overlap` reads as ``P_u =
+    0`` without a product.
+
+    ``resolvent`` is ``I - N``, the matrix every closed-form solve
+    factors, and ``start_solution`` what a certified build kept of its
+    one solve: the start's coordinates ``x0`` and ``y0 = (I - N)^-1
+    x0`` (module docstring).  The expectation of that start runs no
+    solve and its running time one; any other start costs one more.
+    Neither is a field, so a representation made by
+    ``dataclasses.replace`` builds ``I - N`` afresh from its own
+    ``n_filtered`` and keeps no ``y0``.
     """
 
     dim: int
@@ -170,12 +199,27 @@ class ProgramRepresentation:
         first read."""
         return spectral_decompose(self.step_matrix, self.eps_unit)
 
+    @functools.cached_property
+    def resolvent(self) -> np.ndarray:
+        """``I - N``: the build's own on a certified build, else built
+        from ``n_filtered`` on first read."""
+        return _identity_minus(self.n_filtered)
+
+    @functools.cached_property
+    def start_solution(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(x0, y0)`` that a certified build kept, else ``None``."""
+        return None
+
     def unit_overlap(self, a: np.ndarray) -> tuple[float, bool]:
         """``||P_u x||`` for ``x = coordinates(a)``, and whether it is
         negligible: at most :data:`UNIT_OVERLAP_RTOL` times ``||x||``.
         For a non-Hermitian ``a`` this reads its Hermitian part."""
         x = coordinates(a)
-        overlap = float(np.linalg.norm(self.unit_projector @ x))
+        p_u = self.unit_projector
+        # Every entry of a view with zero strides is the one number in it.
+        if not any(p_u.strides) and p_u.flat[0] == 0.0:
+            return 0.0, True
+        overlap = float(np.linalg.norm(p_u @ x))
         return overlap, overlap <= UNIT_OVERLAP_RTOL * float(np.linalg.norm(x))
 
 
@@ -280,18 +324,56 @@ def _step_coordinates(stack: np.ndarray) -> np.ndarray:
     return r
 
 
-def no_unit_certificate(r: np.ndarray, kraus_count: int) -> NoUnitCertificate | None:
+def _identity_minus(n: np.ndarray) -> np.ndarray:
+    """``I - n`` with the bits of ``np.eye(len(n)) - n``, in one array:
+    ``0.0 - n`` off the diagonal, and ``(0.0 - n_ii) + 1.0``, which rounds
+    the same number as ``1.0 - n_ii``, on it."""
+    out = np.subtract(0.0, n)
+    out.reshape(-1)[:: len(n) + 1] += 1.0
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _identity_coordinates(d: int) -> np.ndarray:
+    """``coordinates(I)`` on dimension ``d``, read-only."""
+    e = coordinates(np.eye(d))
+    e.setflags(write=False)
+    return e
+
+
+@functools.lru_cache(maxsize=16)
+def _zero_projector(n: int) -> np.ndarray:
+    """The ``n x n`` unit projector of a step without unit spectrum: a
+    read-only view of one zero, which allocates nothing."""
+    return np.broadcast_to(0.0, (n, n))
+
+
+def _state_columns(x: np.ndarray) -> np.ndarray:
+    """The right-hand side of every state solve, ``[coordinates(I), x]``:
+    ``x``'s column then takes the same LAPACK kernel, and gets the same
+    bits, wherever it is solved (module docstring)."""
+    return np.column_stack([_identity_coordinates(math.isqrt(x.size)), x])
+
+
+def no_unit_certificate(
+    r: np.ndarray, kraus_count: int, v: np.ndarray | None = None
+) -> NoUnitCertificate | None:
     """A checked proof, from ``R`` alone, that the step has spectral
     radius below one (module docstring), or ``None`` when the check
     fails: a singular solve, a non-finite ``v`` or an eigensolve that
     does not converge, or a minimum that does not clear the slack.
     ``kraus_count`` is the number of Kraus operators ``R`` was built from,
-    which the slack's bound on the rounding of ``R`` counts."""
+    which the slack's bound on the rounding of ``R`` counts.  ``v`` is
+    the computed solution of ``(I - R) v = coordinates(I)`` to check,
+    column 0 of :func:`build_representation`'s solve, and is solved here
+    when not given.  Any ``v`` gives a sound check; only an accurate one
+    lets it hold."""
     n = r.shape[0]
     d = math.isqrt(n)
-    e = coordinates(np.eye(d))
+    e = _identity_coordinates(d)
     try:
-        v = np.linalg.solve(np.eye(n) - r, e)
+        if v is None:
+            v = np.linalg.solve(_identity_minus(r), _state_columns(e))[:, 0]
         if not np.isfinite(v).all():
             return None
         v_min, v_max = np.linalg.eigvalsh(from_coordinates(v))[[0, -1]]
@@ -312,9 +394,13 @@ def build_representation(
 ) -> ProgramRepresentation:
     """Assemble R and the unit-circle-filtered N for a scheme.
 
-    When :func:`no_unit_certificate` holds, ``N`` is ``R`` and nothing
-    is eigensolved; otherwise the eigenvalues of ``R`` decide the unit
-    circle, with ``eps_unit`` as the window.
+    ``I - R`` is solved once for ``[coordinates(I), coordinates(start)]``,
+    ``start`` the program's ``rho0`` or, for a bare scheme, ``I``.  When
+    :func:`no_unit_certificate` holds on column 0, ``N`` is ``R``,
+    nothing is eigensolved and the representation keeps ``I - R`` and
+    column 1; otherwise the eigenvalues of ``R`` decide the unit circle,
+    with ``eps_unit`` as the window, and the closed forms solve ``I - N``
+    when they run.
 
     Raises
     ------
@@ -335,15 +421,27 @@ def build_representation(
     common = dict(
         dim=scheme.dim, m0=scheme.meas.m0, g=scheme.g, step_matrix=r, eps_unit=eps_unit
     )
-    cert = no_unit_certificate(r, stack.shape[0])
+    resolvent = _identity_minus(r)
+    if isinstance(scheme, QuantumProgram):
+        start = coordinates(scheme.rho0.mat)
+    else:
+        start = _identity_coordinates(scheme.dim)
+    try:
+        solved = np.linalg.solve(resolvent, _state_columns(start))
+    except np.linalg.LinAlgError:
+        solved = None
+    cert = None if solved is None else no_unit_certificate(r, stack.shape[0], solved[:, 0])
     if cert is not None:
-        return ProgramRepresentation(
+        rep = ProgramRepresentation(
             **common,
-            unit_projector=np.zeros_like(r),
+            unit_projector=_zero_projector(len(r)),
             n_filtered=r,
             margin=cert.margin,
             certificate=cert,
         )
+        rep.__dict__["resolvent"] = resolvent
+        rep.__dict__["start_solution"] = (start, solved[:, 1])
+        return rep
 
     sd = spectral_decompose(r, eps_unit)
     radius = sd.spectral_radius()
@@ -387,7 +485,7 @@ def build_representation(
                 )
         n = r - r_p_u
     else:
-        p_u = np.zeros_like(r)
+        p_u = _zero_projector(len(r))
         n = r
 
     rep = ProgramRepresentation(
@@ -398,8 +496,10 @@ def build_representation(
         certificate=None,
     )
     # The eigendata this build decided on, so that reading rep.spectral
-    # does not decompose R again.
+    # does not decompose R again, and I - R when it is I - N.
     rep.__dict__["spectral"] = sd
+    if n is r:
+        rep.__dict__["resolvent"] = resolvent
     return rep
 
 
@@ -409,9 +509,21 @@ def _resolvent_solve(rep: ProgramRepresentation, rhs: np.ndarray) -> np.ndarray:
             f"I - N is singular (margin {rep.margin:.3e}); filtering failed"
         )
     try:
-        return np.linalg.solve(np.eye(rep.dim**2) - rep.n_filtered, rhs)
+        return np.linalg.solve(rep.resolvent, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularResolventError(str(exc)) from exc
+
+
+def _state_resolvent(rep: ProgramRepresentation, rho0: DensityOperator) -> np.ndarray:
+    """``(I - N)^-1 coordinates(rho0)``: the build's ``y0`` when ``rho0``
+    has its start's coordinates, else column 1 of a fresh solve of
+    :func:`_state_columns`, which gives the same bits.  The margin guard
+    comes first either way."""
+    x = coordinates(rho0.mat)
+    kept = rep.start_solution
+    if rep.margin > 0 and kept is not None and np.array_equal(kept[0], x):
+        return kept[1]
+    return _resolvent_solve(rep, _state_columns(x))[:, 1]
 
 
 def _halting_functional(rep: ProgramRepresentation, p: np.ndarray) -> np.ndarray:
@@ -425,15 +537,15 @@ def expectation_closed_form(
     rep: ProgramRepresentation, rho0: DensityOperator, p: Observable
 ) -> float:
     """Terminal expectation ``tr(E0*(P) X)`` with ``coordinates(X) = (I -
-    N)^-1 coordinates(rho0)``, evaluated by a linear solve rather than
-    explicit inversion."""
-    y = _resolvent_solve(rep, coordinates(rho0.mat))
-    return float(_halting_functional(rep, p.mat) @ y)
+    N)^-1 coordinates(rho0)``: read off the build's solve for its own
+    start, and from a linear solve, not an inverse, for any other."""
+    return float(_halting_functional(rep, p.mat) @ _state_resolvent(rep, rho0))
 
 
 def average_running_time(rep: ProgramRepresentation, rho0: DensityOperator) -> float:
     """Average number of steps ``tr(E0*(I) X)`` with ``coordinates(X) = (I
-    - N)^-2 coordinates(rho0)``.
+    - N)^-2 coordinates(rho0)``: one solve of ``I - N`` against the
+    expectation's ``(I - N)^-1 coordinates(rho0)``.
 
     Returns ``inf`` when the initial state overlaps the unit-circle
     eigenspace (:meth:`ProgramRepresentation.unit_overlap`): the
@@ -442,5 +554,5 @@ def average_running_time(rep: ProgramRepresentation, rho0: DensityOperator) -> f
     """
     if not rep.unit_overlap(rho0.mat)[1]:
         return math.inf
-    y = _resolvent_solve(rep, _resolvent_solve(rep, coordinates(rho0.mat)))
+    y = _resolvent_solve(rep, _state_resolvent(rep, rho0))
     return float(_halting_functional(rep, np.eye(rep.dim)) @ y)

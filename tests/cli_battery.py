@@ -4,6 +4,7 @@ Usage::
 
     PYTHONPATH=src python tests/cli_battery.py [MODEL ...] > battery.txt
     python tests/cli_battery.py --against OTHER_SRC [MODEL ...]
+    PYTHONPATH=src python tests/cli_battery.py --reports DIR [MODEL ...]
 
 With no arguments it runs on ``models/*.model``.  Each invocation runs
 ``qmcverify.cli.main`` in process, with ``--json-out`` into a scratch
@@ -11,15 +12,20 @@ directory, and prints one line: a SHA-256 over its stdout, stderr, exit
 code and JSON report bytes, then the exit code and the argv, then after
 `` | `` a short digest (8 hex digits) of each part on its own:
 ``stdout``, ``stderr``, ``exit`` and ``json.KEY`` for each top-level key
-of the report (``json`` for a report that does not parse).
+of the report (``json`` for a report that does not parse).  ``--reports DIR``
+also keeps each invocation's JSON report as ``DIR/K.json``, ``K`` its
+line number from 0.
 
 ``--against OTHER_SRC`` checks that a change leaves the CLI's output
 alone: it runs the battery once under ``OTHER_SRC`` and once under the
 ``src`` next to this file, each in a subprocess with that tree alone on
 ``PYTHONPATH``, from the same directory and on the same model paths (the
 report records the path as given).  It prints each invocation whose
-line differs and the parts that moved, then how many lines each part
-moved in, and exits 1 if any line differs, else 0.
+line differs, the parts that moved and how far each ``json.KEY`` part's
+numbers moved: the largest relative change over its numeric leaves
+(:func:`relative_changes`).  Then it prints, for each part, how many
+lines it moved in and how far its numbers moved at most, and exits 1 if
+any line differs, else 0.
 
 The invocations per model: ``verify`` for every observable under each
 ``--method``, ``runtime``, ``terminate`` in both scopes and
@@ -39,6 +45,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -126,45 +133,106 @@ def run_one(argv: list[str], json_out: Path) -> tuple[str, str, str]:
     return digest.hexdigest(), code, _part_digests(*parts)
 
 
-def run(paths: list[str]) -> list[str]:
-    """One line per invocation: digest, exit code, argv, part digests."""
+def run(paths: list[str], reports: Path | None = None) -> list[str]:
+    """One line per invocation: digest, exit code, argv, part digests.
+    With ``reports``, the K-th invocation's JSON report stays there as
+    ``K.json``."""
     lines = []
     with tempfile.TemporaryDirectory() as scratch:
         json_out = Path(scratch) / "report.json"
-        for path in paths:
-            for argv in invocations(path):
-                digest, code, parts = run_one(argv, json_out)
-                lines.append(f"{digest} {code} {' '.join(argv)} | {parts}")
+        argvs = [argv for path in paths for argv in invocations(path)]
+        for k, argv in enumerate(argvs):
+            if reports is not None:
+                json_out = reports / f"{k}.json"
+            digest, code, parts = run_one(argv, json_out)
+            lines.append(f"{digest} {code} {' '.join(argv)} | {parts}")
     return lines
+
+
+def _numeric_leaves(doc, prefix=()):
+    """``{path: float}`` for every number in a parsed report, and for the
+    strings ``"inf"``, ``"-inf"`` and ``"nan"`` that stand for one."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return {
+            path: x for key, value in items
+            for path, x in _numeric_leaves(value, (*prefix, key)).items()
+        }
+    number = isinstance(doc, (int, float)) and not isinstance(doc, bool)
+    return {prefix: float(doc)} if number or doc in ("inf", "-inf", "nan") else {}
+
+
+def _relative_change(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def relative_changes(before: bytes, after: bytes) -> dict[str, float]:
+    """``{"json.KEY": x}`` for each top-level key of two JSON reports
+    whose numbers moved, ``x`` the largest ``|a - b| / max(|a|, |b|)``
+    over its numeric leaves matched by path: ``inf`` where one side is
+    infinite or NaN and the other is not, or where a number is on one
+    side only.  Equal numbers, two NaN included, do not move."""
+    old, new = (_numeric_leaves(json.loads(doc)) for doc in (before, after))
+    changes: dict[str, float] = {}
+    for path in {**old, **new}:
+        x = _relative_change(old[path], new[path]) if path in old and path in new else math.inf
+        if x:
+            name = f"json.{path[0]}"
+            changes[name] = max(changes.get(name, 0.0), x)
+    return changes
 
 
 def _parts(line: str) -> dict[str, str]:
     return dict(part.split("=") for part in line.split(" | ", 1)[1].split())
 
 
+def _changes(reports: tuple[Path, Path], k: int) -> dict[str, float]:
+    """:func:`relative_changes` of the K-th invocation's two reports;
+    empty when either side wrote none or one that does not parse."""
+    try:
+        return relative_changes(*((tree / f"{k}.json").read_bytes() for tree in reports))
+    except (OSError, ValueError):
+        return {}
+
+
 def against(other_src: str, paths: list[str]) -> int:
     """The battery under ``other_src`` and under this checkout's ``src``,
-    compared line by line: prints ``argv | moved parts`` for each line
-    that differs, then ``part: count`` for each part that moved; returns
-    1 if any line differs, else 0."""
+    compared line by line: prints ``argv | moved parts | part X ...`` for
+    each line that differs, ``X`` the largest relative change of a number
+    in that part of its JSON report, then ``part: count`` for each part
+    that moved, with the largest ``X`` over the lines; returns 1 if any
+    line differs, else 0."""
     trees = (other_src, str(Path(__file__).resolve().parent.parent / "src"))
-    outputs = [
-        subprocess.run(
-            [sys.executable, __file__, *paths], env={**os.environ, "PYTHONPATH": tree},
-            stdout=subprocess.PIPE, text=True, check=True,
-        ).stdout.splitlines()
-        for tree in trees
-    ]
-    argvs = [argv for path in paths for argv in invocations(path)]
-    counts: Counter[str] = Counter()
-    for argv, old, new in zip(argvs, *outputs):
-        if old != new:
-            before, after = _parts(old), _parts(new)
-            moved = [name for name in {**before, **after} if before.get(name) != after.get(name)]
-            counts.update(moved)
-            print(f"{' '.join(argv)} | {' '.join(moved)}")
+    with tempfile.TemporaryDirectory() as scratch:
+        reports = (Path(scratch) / "before", Path(scratch) / "after")
+        outputs = []
+        for tree, kept in zip(trees, reports):
+            kept.mkdir()
+            outputs.append(subprocess.run(
+                [sys.executable, __file__, "--reports", str(kept), *paths],
+                env={**os.environ, "PYTHONPATH": tree},
+                stdout=subprocess.PIPE, text=True, check=True,
+            ).stdout.splitlines())
+        argvs = [argv for path in paths for argv in invocations(path)]
+        counts: Counter[str] = Counter()
+        largest: dict[str, float] = {}
+        for k, (argv, old, new) in enumerate(zip(argvs, *outputs)):
+            if old != new:
+                before, after = _parts(old), _parts(new)
+                moved = [name for name in {**before, **after} if before.get(name) != after.get(name)]
+                counts.update(moved)
+                changes = _changes(reports, k)
+                for name, x in changes.items():
+                    largest[name] = max(largest.get(name, 0.0), x)
+                by = " ".join(f"{name} {x:.2g}" for name, x in changes.items())
+                print(f"{' '.join(argv)} | {' '.join(moved)} | {by}")
     for name, count in counts.items():
-        print(f"{name}: {count}")
+        by = f", numbers moved by at most {largest[name]:.2g}" if name in largest else ""
+        print(f"{name}: {count}{by}")
     return int(outputs[0] != outputs[1])
 
 
@@ -172,10 +240,12 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="byte-identity battery of the CLI")
     parser.add_argument("--against", metavar="OTHER_SRC",
                         help="compare with the battery under this src tree")
+    parser.add_argument("--reports", metavar="DIR", type=Path,
+                        help="keep each invocation's JSON report in this directory")
     parser.add_argument("models", nargs="*", metavar="MODEL")
     args = parser.parse_args()
     paths = args.models or sorted(str(p) for p in Path("models").glob("*.model"))
     if args.against:
         sys.exit(against(args.against, paths))
-    for line in run(paths):
+    for line in run(paths, args.reports):
         print(line)

@@ -20,7 +20,7 @@ from helpers import (
     exact_expectation,
     exact_running_time,
 )
-from sampling import random_contracting_program, random_observable
+from sampling import random_contracting_program, random_observable, random_program
 
 
 def model(name):
@@ -1026,3 +1026,54 @@ def test_reports_say_what_decided_the_unit_circle(name, by, tmp_path, capsys):
             assert decision["margin"] == decision["certificate_eta"] / decision["certificate_lambda"]
         assert (doc["eigenvalues"] == []) == (by == "certificate")
     assert f"unit circle:       decided by {by}" in capsys.readouterr().out
+
+
+def _certified_models(tmp_path) -> list[str]:
+    """``bitflip_p05``, the d = 6 counter and a seeded random d = 6
+    program, each with one observable ``P = M0^dag M0``."""
+    prog = random_program(6, np.random.default_rng(6))
+    m0 = prog.meas.m0
+    path = tmp_path / "random6.model"
+    save_model(
+        Model(dim=6, kraus=list(prog.e.kraus), m0=m0, m1=prog.meas.m1, rho0=prog.rho0.mat,
+              observables={"P": m0.conj().T @ m0}),
+        path,
+    )
+    return [model("bitflip_p05.model"), _program_model("counter", tmp_path), str(path)]
+
+
+def test_each_command_factors_i_minus_r_as_often_as_it_must(monkeypatch, tmp_path, capsys):
+    # One solve serves the certificate and the start state; only the
+    # running time's second resolvent adds one.
+    solve, shapes = np.linalg.solve, []
+
+    def counting(a, b):
+        shapes.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    for path in _certified_models(tmp_path):
+        observable = "P0" if "bitflip" in path else "P"
+        n = load_model(path).dim ** 2
+        for argv, solves in (
+            (["verify", path, "-o", observable], 1),
+            (["runtime", path], 2),
+            (["terminate", path], 1),
+            (["terminate", path, "--scope", "scheme"], 1),
+        ):
+            shapes.clear()
+            assert main(argv) == 0
+            assert shapes == [(n, n)] * solves, argv
+    capsys.readouterr()
+
+
+def test_certificate_reads_the_same_in_both_terminate_scopes(tmp_path, capsys):
+    for path in _certified_models(tmp_path):
+        blocks = []
+        for scope in ("program", "scheme"):
+            out = tmp_path / f"{scope}.json"
+            assert main(["terminate", path, "--scope", scope, "--json-out", str(out)]) == 0
+            blocks.append(json.loads(out.read_text())["termination"])
+        for key in ("certificate_eta", "certificate_lambda"):
+            assert blocks[0][key] == blocks[1][key], (path, key)
+    capsys.readouterr()

@@ -3,6 +3,8 @@ models: every invocation ends in an exit code that README's table names,
 never in an exception, and a second pass repeats every digest; and its
 ``--against`` comparison of a tree with itself finds nothing."""
 
+import json
+import math
 import re
 import subprocess
 import sys
@@ -32,3 +34,23 @@ def test_battery_against_its_own_src_prints_nothing_and_exits_0():
         cwd=ROOT, capture_output=True, text=True,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+def test_relative_changes_names_each_part_and_how_far_its_numbers_moved():
+    before = {
+        "methods": [{"method": "spectral", "value": 1.0, "diagnostics": {"margin": 0.5}}],
+        "agreement": {"max_delta": 1e-12, "ok": True},
+        "termination": {"eta": "nan", "lam": "inf"},
+        "options": {"tol": 1e-6},
+        "command": "runtime",
+    }
+    after = json.loads(json.dumps(before))
+    after["methods"][0]["value"] = 1.0 + 2**-52
+    after["agreement"]["max_delta"] = 2e-12
+    after["command"] = "verify"
+    changes = cli_battery.relative_changes(json.dumps(before).encode(), json.dumps(after).encode())
+    assert changes == {"json.methods": 2**-52 / (1 + 2**-52), "json.agreement": 0.5}
+    after["termination"]["lam"] = 3.0
+    del after["options"]["tol"]
+    changes = cli_battery.relative_changes(json.dumps(before).encode(), json.dumps(after).encode())
+    assert changes["json.termination"] == changes["json.options"] == math.inf

@@ -102,7 +102,7 @@ def test_certificate_reads_only_the_step_matrix():
     # reaches the invariant route or the termination checks.
     from qmcverify.spectral import no_unit_certificate
 
-    assert list(inspect.signature(no_unit_certificate).parameters) == ["r", "kraus_count"]
+    assert list(inspect.signature(no_unit_certificate).parameters) == ["r", "kraus_count", "v"]
     names = source_identifiers(textwrap.dedent(inspect.getsource(no_unit_certificate)))
     assert not {n for n in names if "invariant" in n.lower() or "termination" in n.lower()}
 

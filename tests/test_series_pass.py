@@ -24,9 +24,11 @@ from qmcverify import (
     terminal_state_series,
 )
 from qmcverify.linalg import max_abs
+from qmcverify import program
 from qmcverify.program import (
     _CHUNK,
     _STACK_ENTRIES,
+    _grow_powers,
     _power_stack,
     _real_trace,
     _series_pass,
@@ -300,6 +302,37 @@ def test_power_stack_height_rule_and_build():
         for i in range(1, s + 1):
             block = stack[(i - 1) * d * d : i * d * d]
             assert max_abs(block - np.linalg.matrix_power(m, i)) <= 2 * (i - 1) * g * d**3
+
+
+def test_power_stack_grown_in_steps_has_the_bits_of_one_build():
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 3, 4):
+        m = _step_matrix(random_scheme(d, rng, d).g)
+        s = _stack_height(d)
+        full = _power_stack(m, s)
+        stack, built = _power_stack(m, s, 1), 1
+        for need in (1, 2, 3, 8, 5, s):
+            built = _grow_powers(stack, built, min(s, need))
+            assert built >= min(s, need) and built & (built - 1) == 0
+            height = built * d * d
+            assert stack[:height].tobytes() == full[:height].tobytes()
+        assert built == s
+
+
+@pytest.mark.parametrize("name, height", [("m1zero", 1), ("bitflip_p05", 32)])
+def test_series_pass_builds_its_stack_only_as_high_as_its_chunks(name, height, monkeypatch):
+    # m1zero stops at n = 0, in its first chunk of one step; bitflip_p05
+    # stops at n = 40, in the chunk of 32 steps, below the height of 256.
+    grow, heights = program._grow_powers, []
+
+    def recording(blocks, built, need):
+        heights.append(grow(blocks, built, need))
+        return heights[-1]
+
+    monkeypatch.setattr(program, "_grow_powers", recording)
+    prog = load_model(MODELS_DIR / f"{name}.model").validated.scheme
+    terminal_state_series(prog)
+    assert max(heights) == height < _stack_height(prog.dim)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])

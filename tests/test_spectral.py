@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import qmcverify
 from qmcverify import (
+    DensityOperator,
     Observable,
     ProgramRepresentation,
     ProgramScheme,
@@ -33,6 +34,7 @@ from qmcverify.linalg import SpectralData, dagger, max_abs
 from qmcverify.report import eigenvalue_table
 from qmcverify.spectral import (
     _hermitian_basis,
+    _identity_minus,
     _step_coordinates,
     coordinates,
     from_coordinates,
@@ -344,7 +346,7 @@ def test_margin_and_radius_read_the_reported_modulus(b, monkeypatch):
     # stack can give.
     blk = np.diag([0.3, 0.3, 0.5, 0.25])
     blk[0, 1], blk[1, 0] = -b, b
-    monkeypatch.setattr(qmcverify.spectral, "no_unit_certificate", lambda r, k: None)
+    monkeypatch.setattr(qmcverify.spectral, "no_unit_certificate", lambda *args: None)
     rep = build_representation(_crafted_step(monkeypatch, _Q @ blk @ _Q.T))
     table = eigenvalue_table(rep.spectral)
     assert not any(row["unit_circle"] for row in table)
@@ -848,3 +850,128 @@ def test_from_coordinates_inverts_coordinates(rng, d):
     c = rng.standard_normal(d * d)
     assert max_abs(coordinates(from_coordinates(c)) - c) <= 1e-15
     assert max_abs(from_coordinates(c).reshape(-1) - vec_coordinates(c[:, None])[:, 0]) == 0.0
+
+
+def _certified_programs():
+    """Certified programs: ``bitflip_p05``, the d = 6 counter from a
+    random state and a seeded random d = 6 program."""
+    rng = np.random.default_rng(6)
+    return [
+        load_model(MODELS_DIR / "bitflip_p05.model").validated.scheme,
+        counter_scheme(6).with_initial_state(random_density(6, rng)),
+        random_program(6, rng),
+    ]
+
+
+def _fresh_state_solve(rep, x):
+    """``(I - N)^-1 x`` by a fresh ``np.linalg.solve`` in the layout of
+    every state solve: ``coordinates(I)`` beside ``x``."""
+    n = rep.dim**2
+    rhs = np.column_stack([coordinates(np.eye(rep.dim)), x])
+    return np.linalg.solve(np.eye(n) - rep.n_filtered, rhs)[:, 1]
+
+
+def _closed_forms_by_fresh_solves(rep, rho0, p):
+    y = _fresh_state_solve(rep, coordinates(rho0.mat))
+    time_y = np.linalg.solve(np.eye(rep.dim**2) - rep.n_filtered, y)
+    halting = coordinates(dagger(rep.m0) @ rep.m0)
+    return float(coordinates(dagger(rep.m0) @ p.mat @ rep.m0) @ y), float(halting @ time_y)
+
+
+def _closed_forms(rep, rho0, p):
+    return expectation_closed_form(rep, rho0, p), average_running_time(rep, rho0)
+
+
+def test_identity_minus_has_the_bits_of_eye_minus():
+    rng = np.random.default_rng(11)
+    mats = [build_representation(prog).step_matrix for prog in _certified_programs()]
+    mats += [_step_coordinates(random_scheme(d, rng).g.stack) for d in (1, 3, 7)]
+    mats.append(np.array([[0.0, -0.0, 0.5], [-0.0, 1.0, 0.0], [-1.0, 0.0, -0.0]]))
+    for r in mats:
+        assert _identity_minus(r).tobytes() == (np.eye(len(r)) - r).tobytes()
+
+
+@pytest.mark.parametrize("prog", _certified_programs(), ids=["bitflip_p05", "counter6", "random6"])
+def test_solve_counts_of_the_shared_factorization(prog, monkeypatch):
+    # The build's one solve serves the certificate and the start; the
+    # expectation of that start runs none, its running time one, and any
+    # other start one more for each.
+    n = prog.dim**2
+    solve, shapes = np.linalg.solve, []
+
+    def counting(a, b):
+        shapes.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    p = random_observable(prog.dim, np.random.default_rng(1))
+    other = random_density(prog.dim, np.random.default_rng(2))
+    rep = build_representation(prog)
+    assert rep.certificate is not None
+    counts = [len(shapes)]
+    for call in (
+        lambda: expectation_closed_form(rep, prog.rho0, p),
+        lambda: average_running_time(rep, prog.rho0),
+        lambda: expectation_closed_form(rep, other, p),
+        lambda: average_running_time(rep, other),
+    ):
+        before = len(shapes)
+        call()
+        counts.append(len(shapes) - before)
+    assert counts == [1, 0, 1, 1, 2]
+    assert set(shapes) == {(n, n)}
+
+
+@pytest.mark.parametrize("prog", _certified_programs(), ids=["bitflip_p05", "counter6", "random6"])
+def test_closed_forms_equal_fresh_solves_bit_for_bit(prog):
+    rng = np.random.default_rng(prog.dim)
+    rep = build_representation(prog)
+    p = random_observable(prog.dim, rng)
+    for rho0 in (prog.rho0, random_density(prog.dim, rng)):
+        assert _closed_forms(rep, rho0, p) == _closed_forms_by_fresh_solves(rep, rho0, p)
+
+
+@pytest.mark.parametrize("prog", _certified_programs(), ids=["bitflip_p05", "counter6", "random6"])
+def test_no_representation_reads_a_stale_start_solution(prog):
+    rng = np.random.default_rng(prog.dim + 1)
+    rep = build_representation(prog)
+    p = random_observable(prog.dim, rng)
+    x0, y0 = rep.start_solution
+    assert np.array_equal(x0, coordinates(prog.rho0.mat))
+    # The start matches by value: a copy of rho0 reads the kept y0.
+    copy = DensityOperator(prog.rho0.mat.copy())
+    assert _closed_forms(rep, copy, p) == _closed_forms(rep, prog.rho0, p)
+    # A rebuilt representation keeps no y0 and builds its own I - N.
+    for changes in ({}, {"n_filtered": 0.5 * rep.n_filtered}):
+        rebuilt = dataclasses.replace(rep, **changes)
+        assert rebuilt.start_solution is None
+        assert np.array_equal(rebuilt.resolvent, np.eye(prog.dim**2) - rebuilt.n_filtered)
+        expected = _closed_forms_by_fresh_solves(rebuilt, prog.rho0, p)
+        assert _closed_forms(rebuilt, prog.rho0, p) == expected
+    # The same step from another start: each representation reads its own.
+    other = prog.with_initial_state(random_density(prog.dim, rng))
+    other_rep = build_representation(other)
+    assert not np.array_equal(other_rep.start_solution[1], y0)
+    for r in (rep, other_rep):
+        assert _closed_forms(r, other.rho0, p) == _closed_forms_by_fresh_solves(r, other.rho0, p)
+
+
+def test_certificate_reads_the_same_for_a_program_and_its_scheme():
+    rng = np.random.default_rng(12)
+    progs = _certified_programs() + [random_program(d, rng) for d in (2, 4, 9)]
+    for prog in progs:
+        rep = build_representation(prog)
+        scheme_rep = build_representation(ProgramScheme(prog.e, prog.meas))
+        alone = no_unit_certificate(rep.step_matrix, rep.g.stack.shape[0])
+        assert rep.certificate is not None
+        assert rep.certificate == scheme_rep.certificate == alone
+
+
+def test_certified_unit_projector_is_an_all_zero_float64_matrix():
+    for prog in _certified_programs():
+        rep = build_representation(prog)
+        n = prog.dim**2
+        assert rep.unit_projector.shape == (n, n) and rep.unit_projector.dtype == np.float64
+        assert not rep.unit_projector.any()
+        assert np.array_equal(rep.unit_projector @ np.ones(n), np.zeros(n))
+        assert rep.unit_overlap(prog.rho0.mat) == (0.0, True)
