@@ -22,8 +22,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -78,18 +80,31 @@ def encode_matrix(mat: np.ndarray) -> list:
 
 
 def decode_matrix(data, dim: int, name: str) -> np.ndarray:
+    """The ``dim x dim`` complex matrix of ``data``: ``dim`` rows of
+    ``dim`` ``[re, im]`` pairs, every entry a number.  A bool, a string
+    or ``null``, which ``np.asarray`` would convert, is refused like a
+    misshapen array, with :class:`ValidationError` naming ``name``.  The
+    entries are read off flat, which costs less than ``np.asarray`` on the
+    nested lists."""
     try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name}: not a numeric nested array ({exc})") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2:
+        pairs = list(chain.from_iterable(data))
+        entries = list(chain.from_iterable(pairs))
+    except TypeError as exc:
+        raise ValidationError(f"{name}: not a nested array of [re, im] pairs ({exc})") from exc
+    for kind in set(map(type, entries)):
+        if issubclass(kind, bool) or not issubclass(kind, numbers.Real):
+            value = next(x for x in entries if type(x) is kind)
+            raise ValidationError(f"{name}: every entry must be a number, got {value!r}")
+    row_lengths, pair_lengths = set(map(len, data)), set(map(len, pairs))
+    if len(data) != dim or row_lengths != {dim} or pair_lengths != {2}:
         raise ValidationError(
-            f"{name}: expected rows x cols x [re, im], got shape {arr.shape}"
+            f"{name}: expected a {dim}x{dim} matrix of [re, im] pairs, got {len(data)} "
+            f"rows of lengths {sorted(row_lengths)} and pairs of lengths {sorted(pair_lengths)}"
         )
-    if arr.shape[0] != dim or arr.shape[1] != dim:
-        raise ValidationError(
-            f"{name}: expected a {dim}x{dim} matrix, got {arr.shape[0]}x{arr.shape[1]}"
-        )
+    try:
+        arr = np.array(entries, dtype=float).reshape(dim, dim, 2)
+    except OverflowError as exc:
+        raise ValidationError(f"{name}: an entry is too large for a float ({exc})") from exc
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
@@ -203,13 +218,25 @@ def model_from_dict(doc: dict) -> Model:
     return model
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The JSON object of ``pairs``, once no key repeats: ``json`` would
+    keep the last value of a repeated key and drop the others."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValidationError(f"model file repeats the key {key!r}")
+    return doc
+
+
 def loads(text: str) -> Model:
     """Parse and validate a model document.  Besides malformed JSON,
     ``json`` refuses an integer of more than 4300 digits (``ValueError``)
     and nesting deeper than the recursion limit (``RecursionError``);
-    each is a :class:`ValidationError`."""
+    each is a :class:`ValidationError`, and so is a key that appears twice
+    in one object."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"model file is not valid JSON: {exc}") from exc
     return model_from_dict(doc)

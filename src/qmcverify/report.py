@@ -5,16 +5,6 @@ timestamps, stable key order, eigenvalues sorted by descending modulus
 (ties by descending real part, then descending imaginary part).  Infinite
 values serialize as the string ``"inf"`` and NaN as ``"nan"`` to stay
 inside strict JSON.
-
-The JSON is ``json.dumps(report.to_dict(), indent=2, sort_keys=True)``
-byte for byte, but not written by that call: on CPython 3.11 the C
-encoder serves only ``indent=None``, so an indented dump runs the
-pure-Python encoder over every value, and the eigenvalue list, six lines
-per eigenvalue and d^2 eigenvalues, is nearly all of the document.
-:meth:`VerificationReport.to_json` writes the top-level object key by key:
-each eigenvalue row from one template with ``float.__repr__``, which is
-what ``json`` writes for a finite float, and every other value with
-``json.dumps``, indented one level further.
 """
 
 from __future__ import annotations
@@ -84,34 +74,6 @@ def eigenvalue_table(spectral) -> list[dict]:
     ]
 
 
-# One eigenvalue as ``json.dumps(..., indent=2, sort_keys=True)`` writes
-# it inside the report's top-level "eigenvalues" list.
-_EIGENVALUE_ROW = (
-    "    {\n"
-    '      "im": %s,\n'
-    '      "modulus": %s,\n'
-    '      "re": %s,\n'
-    '      "unit_circle": %s\n'
-    "    }"
-)
-
-
-def _eigenvalues_json(rows: list[dict]) -> str:
-    """The eigenvalue list as the top-level value of an indented report.
-    Every number is finite (``linalg`` refuses non-finite eigenvalues), so
-    ``float.__repr__`` is exactly what ``json`` would write."""
-    if not rows:
-        return "[]"
-    num = float.__repr__
-    body = ",\n".join(
-        _EIGENVALUE_ROW
-        % (num(row["im"]), num(row["modulus"]), num(row["re"]),
-           "true" if row["unit_circle"] else "false")
-        for row in rows
-    )
-    return "[\n" + body + "\n  ]"
-
-
 @dataclass
 class VerificationReport:
     command: str
@@ -167,20 +129,7 @@ class VerificationReport:
         return doc
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\\n"``,
-        written key by key (see the module docstring).  An encoded value
-        holds no raw newline, so indenting its text by replacing each
-        newline is exact."""
-        doc = self.to_dict()
-        members = []
-        for key in sorted(doc):
-            if key == "eigenvalues":
-                text = _eigenvalues_json(doc[key])
-            else:
-                text = json.dumps(doc[key], indent=2, sort_keys=True)
-                text = text.replace("\n", "\n  ")
-            members.append(f"  {json.dumps(key)}: {text}")
-        return "{\n" + ",\n".join(members) + "\n}\n"
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def render_text(self) -> str:
         lines = []

@@ -89,21 +89,21 @@ difference of that size whose rounding does not shrink with it.  At d =
 below ``1.5e-11 max(1, ||v||_max)``.
 
 One factorization per command.  :func:`build_representation` builds ``I
-- R`` once, in one array (:func:`_identity_minus`), and solves it once for
-two columns, ``[coordinates(I), coordinates(start)]``: ``v`` for the
-certificate and ``y0 = (I - R)^-1 coordinates(rho0)`` for the closed
-forms, ``start`` being ``rho0`` for a program and ``I`` again for a bare
-scheme.  The slack still holds: it bounds the rounding of what is
-computed from a given ``v``, whatever solve produced it, and each column
-of a multi-column solve is rounded on its own, so column 0 has the same
-bits whatever column 1 holds; ``eta`` and ``lam`` read the same for a
-program and its scheme.  One right-hand side would take LAPACK's
-one-vector triangular kernel, whose bits differ, so every solve of a
-state has this two-column layout (:func:`_state_columns`): a kept ``y0``
-and a fresh solve of the same start agree bit for bit, and so do the
-certificate's build and the eigen path's when ``N = R``.  The expectation
-then runs no solve, and the running time one, ``(I - N)^-1 y0``; a
-certified build runs no eigensolve and allocates no d^2 x d^2 projector.
+- R`` once and solves it once for two columns, ``[coordinates(I),
+coordinates(start)]``: ``v`` for the certificate and ``y0 = (I -
+R)^-1 coordinates(rho0)`` for the closed forms, ``start`` being
+``rho0`` for a program and ``I`` again for a bare scheme.  The slack
+still holds: it bounds the rounding of what is computed from a given
+``v``, whatever solve produced it, and each column of a multi-column
+solve is rounded on its own, so column 0 has the same bits whatever
+column 1 holds; ``eta`` and ``lam`` read the same for a program and its
+scheme.  One right-hand side would take LAPACK's one-vector triangular
+kernel, whose bits differ, so every solve of a state has this
+two-column layout (:func:`_state_columns`): a kept ``y0`` and a fresh
+solve of the same start agree bit for bit, and so do the certificate's
+build and the eigen path's when ``N = R``.  The expectation then runs no
+solve, and the running time one, ``(I - N)^-1 y0``; a certified build
+runs no eigensolve, and its ``unit_projector`` is ``None``.
 """
 from __future__ import annotations
 
@@ -156,30 +156,29 @@ class NoUnitCertificate:
 
 @dataclass(frozen=True, eq=False)
 class ProgramRepresentation:
-    """Hermitian-basis data of a program scheme: ``unit_projector`` and
-    ``n_filtered`` are float64.
+    """Hermitian-basis data of a program scheme, every d^2 x d^2 array in
+    float64.  Each field holds what :func:`build_representation`
+    computed, and a copy made by ``dataclasses.replace`` keeps them.
 
     ``g`` is the survival step, which the termination checks apply on
     d x d matrices, ``step_matrix`` its matrix ``R`` and ``m0`` the d x
     d halting operator ``M0``, from which the closed forms read ``E0*``.
-    ``margin`` is a lower bound on the gap ``1 - max{|lambda| : lambda
-    below the unit circle}``; it quantifies the conditioning of the ``I
-    - N`` solves.  ``certificate`` is the :class:`NoUnitCertificate` that
-    decided the unit circle, with ``n_filtered`` then ``R`` itself and
+    ``unit_projector`` is the spectral projector ``P_u`` onto the
+    unit-circle eigenspace, or ``None`` when no eigenvalue is on the unit
+    circle, and ``n_filtered`` is ``N = R - R P_u``, ``R`` itself without
+    unit spectrum.  ``margin`` is a lower bound on the gap ``1 -
+    max{|lambda| : lambda below the unit circle}``; it quantifies the
+    conditioning of the ``I - N`` solves.  ``certificate`` is the
+    :class:`NoUnitCertificate` that decided the unit circle, with
     ``margin`` the certificate's, or ``None`` when the eigenvalues
-    decided, with ``margin`` their gap.  Without unit spectrum,
-    ``unit_projector`` is a read-only view of one zero, which allocates
-    no d^2 x d^2 array and which :meth:`unit_overlap` reads as ``P_u =
-    0`` without a product.
+    decided, with ``margin`` their gap.
 
     ``resolvent`` is ``I - N``, the matrix every closed-form solve
     factors, and ``start_solution`` what a certified build kept of its
     one solve: the start's coordinates ``x0`` and ``y0 = (I - N)^-1
-    x0`` (module docstring).  The expectation of that start runs no
-    solve and its running time one; any other start costs one more.
-    Neither is a field, so a representation made by
-    ``dataclasses.replace`` builds ``I - N`` afresh from its own
-    ``n_filtered`` and keeps no ``y0``.
+    x0`` (module docstring), ``None`` on the eigen path.  The expectation
+    of that start runs no solve and its running time one; any other start
+    costs one more.
     """
 
     dim: int
@@ -187,10 +186,12 @@ class ProgramRepresentation:
     g: SuperOperator
     step_matrix: np.ndarray
     eps_unit: float
-    unit_projector: np.ndarray
+    unit_projector: np.ndarray | None
     n_filtered: np.ndarray
     margin: float
     certificate: NoUnitCertificate | None
+    resolvent: np.ndarray
+    start_solution: tuple[np.ndarray, np.ndarray] | None
 
     @functools.cached_property
     def spectral(self) -> SpectralData:
@@ -199,27 +200,14 @@ class ProgramRepresentation:
         first read."""
         return spectral_decompose(self.step_matrix, self.eps_unit)
 
-    @functools.cached_property
-    def resolvent(self) -> np.ndarray:
-        """``I - N``: the build's own on a certified build, else built
-        from ``n_filtered`` on first read."""
-        return _identity_minus(self.n_filtered)
-
-    @functools.cached_property
-    def start_solution(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(x0, y0)`` that a certified build kept, else ``None``."""
-        return None
-
     def unit_overlap(self, a: np.ndarray) -> tuple[float, bool]:
         """``||P_u x||`` for ``x = coordinates(a)``, and whether it is
         negligible: at most :data:`UNIT_OVERLAP_RTOL` times ``||x||``.
         For a non-Hermitian ``a`` this reads its Hermitian part."""
-        x = coordinates(a)
-        p_u = self.unit_projector
-        # Every entry of a view with zero strides is the one number in it.
-        if not any(p_u.strides) and p_u.flat[0] == 0.0:
+        if self.unit_projector is None:
             return 0.0, True
-        overlap = float(np.linalg.norm(p_u @ x))
+        x = coordinates(a)
+        overlap = float(np.linalg.norm(self.unit_projector @ x))
         return overlap, overlap <= UNIT_OVERLAP_RTOL * float(np.linalg.norm(x))
 
 
@@ -324,28 +312,12 @@ def _step_coordinates(stack: np.ndarray) -> np.ndarray:
     return r
 
 
-def _identity_minus(n: np.ndarray) -> np.ndarray:
-    """``I - n`` with the bits of ``np.eye(len(n)) - n``, in one array:
-    ``0.0 - n`` off the diagonal, and ``(0.0 - n_ii) + 1.0``, which rounds
-    the same number as ``1.0 - n_ii``, on it."""
-    out = np.subtract(0.0, n)
-    out.reshape(-1)[:: len(n) + 1] += 1.0
-    return out
-
-
 @functools.lru_cache(maxsize=16)
 def _identity_coordinates(d: int) -> np.ndarray:
     """``coordinates(I)`` on dimension ``d``, read-only."""
     e = coordinates(np.eye(d))
     e.setflags(write=False)
     return e
-
-
-@functools.lru_cache(maxsize=16)
-def _zero_projector(n: int) -> np.ndarray:
-    """The ``n x n`` unit projector of a step without unit spectrum: a
-    read-only view of one zero, which allocates nothing."""
-    return np.broadcast_to(0.0, (n, n))
 
 
 def _state_columns(x: np.ndarray) -> np.ndarray:
@@ -373,7 +345,7 @@ def no_unit_certificate(
     e = _identity_coordinates(d)
     try:
         if v is None:
-            v = np.linalg.solve(_identity_minus(r), _state_columns(e))[:, 0]
+            v = np.linalg.solve(np.eye(n) - r, _state_columns(e))[:, 0]
         if not np.isfinite(v).all():
             return None
         v_min, v_max = np.linalg.eigvalsh(from_coordinates(v))[[0, -1]]
@@ -399,8 +371,8 @@ def build_representation(
     :func:`no_unit_certificate` holds on column 0, ``N`` is ``R``,
     nothing is eigensolved and the representation keeps ``I - R`` and
     column 1; otherwise the eigenvalues of ``R`` decide the unit circle,
-    with ``eps_unit`` as the window, and the closed forms solve ``I - N``
-    when they run.
+    with ``eps_unit`` as the window, and the representation keeps ``I -
+    N`` and no solve.
 
     Raises
     ------
@@ -421,7 +393,8 @@ def build_representation(
     common = dict(
         dim=scheme.dim, m0=scheme.meas.m0, g=scheme.g, step_matrix=r, eps_unit=eps_unit
     )
-    resolvent = _identity_minus(r)
+    resolvent = np.eye(len(r))
+    resolvent -= r
     if isinstance(scheme, QuantumProgram):
         start = coordinates(scheme.rho0.mat)
     else:
@@ -432,16 +405,15 @@ def build_representation(
         solved = None
     cert = None if solved is None else no_unit_certificate(r, stack.shape[0], solved[:, 0])
     if cert is not None:
-        rep = ProgramRepresentation(
+        return ProgramRepresentation(
             **common,
-            unit_projector=_zero_projector(len(r)),
+            unit_projector=None,
             n_filtered=r,
             margin=cert.margin,
             certificate=cert,
+            resolvent=resolvent,
+            start_solution=(start, solved[:, 1]),
         )
-        rep.__dict__["resolvent"] = resolvent
-        rep.__dict__["start_solution"] = (start, solved[:, 1])
-        return rep
 
     sd = spectral_decompose(r, eps_unit)
     radius = sd.spectral_radius()
@@ -484,9 +456,9 @@ def build_representation(
                     f"semisimple (nilpotent defect {defect:.3e})"
                 )
         n = r - r_p_u
+        resolvent = np.eye(len(n)) - n
     else:
-        p_u = _zero_projector(len(r))
-        n = r
+        p_u, n = None, r
 
     rep = ProgramRepresentation(
         **common,
@@ -494,12 +466,12 @@ def build_representation(
         n_filtered=n,
         margin=sd.gap(),
         certificate=None,
+        resolvent=resolvent,
+        start_solution=None,
     )
     # The eigendata this build decided on, so that reading rep.spectral
-    # does not decompose R again, and I - R when it is I - N.
+    # does not decompose R again.
     rep.__dict__["spectral"] = sd
-    if n is r:
-        rep.__dict__["resolvent"] = resolvent
     return rep
 
 

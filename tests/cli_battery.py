@@ -27,6 +27,20 @@ numbers moved: the largest relative change over its numeric leaves
 lines it moved in and how far its numbers moved at most, and exits 1 if
 any line differs, else 0.
 
+The committed models are all d <= 3.  A claim that a change keeps the
+CLI's bytes should also cover larger ones, which are not committed,
+because the tier-1 tests run the battery twice on ``models/``:
+
+- ``walk4`` runs the eigen path with unit spectrum at d = 8, and
+  ``walk5`` is certified at d = 10.  Build each from
+  ``helpers.hadamard_walk_scheme(n)`` started in |coin 0, vertex 1>
+  (``rho0`` the projector on basis state 1), give it the observable
+  ``M0`` (the scheme's ``m0``) and write it with ``model.save_model``.
+  The two take about 45 s together on one tree.
+- The perfbench models of seed 1: ``counter_12`` and ``random_12_0``,
+  and ``bitflip_0`` of the ``near_unit`` workload, from
+  ``perfbench/workloads.py``'s ``build``.
+
 The invocations per model: ``verify`` for every observable under each
 ``--method``, ``runtime``, ``terminate`` in both scopes and
 ``spectrum``, each at the model's ``eps_unit`` and with ``--eps-unit``

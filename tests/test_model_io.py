@@ -64,6 +64,64 @@ def test_wrong_matrix_shape_rejected():
         loads(broken)
 
 
+def _bitflip_doc():
+    return json.loads((MODELS_DIR / "bitflip_p05.model").read_text())
+
+
+@pytest.mark.parametrize(
+    "entry, shown",
+    [(True, "True"), ("0.5", "'0.5'"), (None, "None")],
+    ids=["bool", "string", "null"],
+)
+def test_a_matrix_entry_that_is_not_a_number_is_refused(entry, shown):
+    # np.asarray(..., dtype=float) would read true as 1, "0.5" as 0.5 and
+    # null as nan.
+    doc = _bitflip_doc()
+    doc["observables"]["P0"][0][0][0] = entry
+    with pytest.raises(ValidationError, match=rf"observables\['P0'\]: .*number, got {shown}"):
+        loads(json.dumps(doc))
+
+
+def test_a_bool_among_floats_is_refused():
+    # numpy promotes a bool mixed among floats to 1.0 or 0.0.
+    doc = _bitflip_doc()
+    doc["m1"][1][1] = [False, 0.0]
+    with pytest.raises(ValidationError, match="m1: .*got False"):
+        loads(json.dumps(doc))
+
+
+def test_misshapen_matrices_are_refused():
+    for data in ([[1.0, 0.0], [0.0, 1.0]], [[[1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+                 [[[1.0, 0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], 1.0, []):
+        doc = _bitflip_doc()
+        doc["m0"] = data
+        with pytest.raises(ValidationError, match="m0: "):
+            loads(json.dumps(doc))
+
+
+def test_an_integer_too_large_for_a_float_is_refused():
+    text = (MODELS_DIR / "bitflip_p05.model").read_text()
+    huge = text.replace('"m0": [\n    [[1.0,', '"m0": [\n    [[' + "9" * 400 + ",", 1)
+    assert huge != text
+    with pytest.raises(ValidationError, match="m0: .*too large"):
+        loads(huge)
+
+
+def test_a_repeated_key_is_refused():
+    # json keeps the last of two values, so the model would run on the
+    # second m0 and hash as if the first were not there.
+    text = (MODELS_DIR / "bitflip_p05.model").read_text()
+    zero = json.dumps([[[0.0, 0.0]] * 2] * 2)
+    doubled = text.replace('"m0": [', f'"m0": {zero},\n  "m0": [', 1)
+    assert doubled != text
+    with pytest.raises(ValidationError, match="repeats the key 'm0'"):
+        loads(doubled)
+    options = text.replace('"tol": ', '"tol": 1.0,\n    "tol": ', 1)
+    assert options != text
+    with pytest.raises(ValidationError, match="repeats the key 'tol'"):
+        loads(options)
+
+
 def test_unknown_option_rejected():
     model = load_model(MODELS_DIR / "bitflip_p05.model")
     doc = model.to_dict()

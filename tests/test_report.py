@@ -1,6 +1,6 @@
-"""The report's fast paths against their references: ``to_json`` against
-``json.dumps(to_dict(), indent=2, sort_keys=True)``, and the array-code
-eigenvalue table against the scalar loop in ``helpers``."""
+"""The report against its references: ``to_json`` is strict JSON, the
+indented dump of ``to_dict``, and the array-code eigenvalue table matches
+the scalar loop in ``helpers``."""
 
 import json
 import math
@@ -71,9 +71,18 @@ def test_to_json_is_json_dumps_of_to_dict(make):
     assert report.to_json() == reference_json(report)
 
 
+def refuse_constant(name):
+    raise AssertionError(f"{name} is not strict JSON")
+
+
 def test_awkward_report_covers_the_awkward_values():
     text = awkward_report().to_json()
-    doc = json.loads(text)
+    doc = json.loads(text, parse_constant=refuse_constant)
+    assert doc["model"] == doc["observable"] == doc["warnings"][0] == AWKWARD_TEXT
+    assert doc["warnings"][2] == "é\x00" and "\\u00e9\\u0000" in text
+    assert doc["options"]["tail_tol"] == doc["methods"][2]["tolerance"] == "inf"
+    assert doc["methods"][2]["diagnostics"]["margin"] == "-inf"
+    assert doc["methods"][0]["diagnostics"]["residual"] == "nan"
     assert doc["agreement"]["max_delta"] == "nan"
     assert doc["termination"]["terminates_at"] is None
     moduli = [row["modulus"] for row in doc["eigenvalues"]]

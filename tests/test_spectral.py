@@ -30,11 +30,12 @@ from qmcverify import (
     oracle_expectation,
     spectral_decompose,
 )
+from qmcverify.cli import main
 from qmcverify.linalg import SpectralData, dagger, max_abs
+from qmcverify.model import Model, save_model
 from qmcverify.report import eigenvalue_table
 from qmcverify.spectral import (
     _hermitian_basis,
-    _identity_minus,
     _step_coordinates,
     coordinates,
     from_coordinates,
@@ -208,8 +209,9 @@ def test_representation_holds_no_complex_step_matrix(scheme):
     rep = build_representation(scheme)
     assert not hasattr(rep, "m")
     d2 = rep.dim**2
-    for arr in (rep.spectral.matrix, rep.unit_projector, rep.n_filtered):
-        assert arr.shape == (d2, d2) and arr.dtype == np.float64
+    for arr in (rep.spectral.matrix, rep.unit_projector, rep.n_filtered, rep.resolvent):
+        assert arr is None or (arr.shape == (d2, d2) and arr.dtype == np.float64)
+    assert (rep.unit_projector is None) == (not rep.spectral.unit_circle_flags.any())
     for field in dataclasses.fields(rep):
         value = getattr(rep, field.name)
         if isinstance(value, np.ndarray) and value.shape == (d2, d2) and rep.dim > 1:
@@ -726,7 +728,10 @@ def test_real_eigensolve_matches_the_complex_reference(case):
     gap = rep.spectral.gap()
     assert abs(gap - ref.margin) <= 1e-12
     assert 0 < rep.margin <= gap
-    assert max_abs(vec_matrix(rep.unit_projector) - ref.unit_projector) <= 1e-10
+    if rep.unit_projector is None:
+        assert max_abs(ref.unit_projector) <= 1e-10
+    else:
+        assert max_abs(vec_matrix(rep.unit_projector) - ref.unit_projector) <= 1e-10
 
     for check in (
         lambda r: check_program_termination(r, prog.rho0),
@@ -882,15 +887,6 @@ def _closed_forms(rep, rho0, p):
     return expectation_closed_form(rep, rho0, p), average_running_time(rep, rho0)
 
 
-def test_identity_minus_has_the_bits_of_eye_minus():
-    rng = np.random.default_rng(11)
-    mats = [build_representation(prog).step_matrix for prog in _certified_programs()]
-    mats += [_step_coordinates(random_scheme(d, rng).g.stack) for d in (1, 3, 7)]
-    mats.append(np.array([[0.0, -0.0, 0.5], [-0.0, 1.0, 0.0], [-1.0, 0.0, -0.0]]))
-    for r in mats:
-        assert _identity_minus(r).tobytes() == (np.eye(len(r)) - r).tobytes()
-
-
 @pytest.mark.parametrize("prog", _certified_programs(), ids=["bitflip_p05", "counter6", "random6"])
 def test_solve_counts_of_the_shared_factorization(prog, monkeypatch):
     # The build's one solve serves the certificate and the start; the
@@ -941,13 +937,6 @@ def test_no_representation_reads_a_stale_start_solution(prog):
     # The start matches by value: a copy of rho0 reads the kept y0.
     copy = DensityOperator(prog.rho0.mat.copy())
     assert _closed_forms(rep, copy, p) == _closed_forms(rep, prog.rho0, p)
-    # A rebuilt representation keeps no y0 and builds its own I - N.
-    for changes in ({}, {"n_filtered": 0.5 * rep.n_filtered}):
-        rebuilt = dataclasses.replace(rep, **changes)
-        assert rebuilt.start_solution is None
-        assert np.array_equal(rebuilt.resolvent, np.eye(prog.dim**2) - rebuilt.n_filtered)
-        expected = _closed_forms_by_fresh_solves(rebuilt, prog.rho0, p)
-        assert _closed_forms(rebuilt, prog.rho0, p) == expected
     # The same step from another start: each representation reads its own.
     other = prog.with_initial_state(random_density(prog.dim, rng))
     other_rep = build_representation(other)
@@ -967,11 +956,36 @@ def test_certificate_reads_the_same_for_a_program_and_its_scheme():
         assert rep.certificate == scheme_rep.certificate == alone
 
 
-def test_certified_unit_projector_is_an_all_zero_float64_matrix():
+def test_certified_build_has_no_unit_projector():
     for prog in _certified_programs():
         rep = build_representation(prog)
-        n = prog.dim**2
-        assert rep.unit_projector.shape == (n, n) and rep.unit_projector.dtype == np.float64
-        assert not rep.unit_projector.any()
-        assert np.array_equal(rep.unit_projector @ np.ones(n), np.zeros(n))
+        assert rep.certificate is not None and rep.unit_projector is None
+        assert rep.n_filtered is rep.step_matrix
         assert rep.unit_overlap(prog.rho0.mat) == (0.0, True)
+        assert np.array_equal(rep.resolvent, np.eye(prog.dim**2) - rep.step_matrix)
+
+
+def test_eigen_path_without_unit_spectrum_has_no_unit_projector(tmp_path, capsys):
+    # Bitflip from |1> at 1 - p = 1e-15: the certificate's slack exceeds
+    # its minimum, so the eigenvalues decide, and with eps_unit = 0 the
+    # eigenvalue p, 1.1e-15 below one, is not flagged.
+    prog = bitflip_program(1 - 1e-15, 0, 1)
+    rep = build_representation(prog, eps_unit=0)
+    assert rep.certificate is None and rep.start_solution is None
+    assert not rep.spectral.unit_circle_flags.any()
+    assert rep.unit_projector is None
+    assert rep.n_filtered is rep.step_matrix
+    assert rep.margin == pytest.approx(1.1e-15, rel=0.01)
+    assert rep.unit_overlap(prog.rho0.mat) == (0.0, True)
+    assert np.array_equal(rep.resolvent, np.eye(4) - rep.step_matrix)
+
+    path = tmp_path / "bitflip.model"
+    save_model(
+        Model(dim=2, kraus=list(prog.e.kraus), m0=prog.meas.m0, m1=prog.meas.m1,
+              rho0=prog.rho0.mat, observables={}),
+        path,
+    )
+    assert main(["terminate", str(path), "--eps-unit", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "almost terminates: yes" in out
+    assert "decided by eigenvalues" in out
