@@ -269,9 +269,37 @@ def save_model(model: Model, path) -> None:
 
 
 def model_hash(model: Model) -> str:
-    """SHA-256 of the canonical serialization; identifies the instance in
-    reports and golden records."""
-    canonical = json.dumps(
-        model.to_dict(), sort_keys=True, separators=(",", ":"), check_circular=False
+    """SHA-256 that identifies the model in reports and golden records.
+
+    It hashes a fixed binary layout: one header line, the canonical JSON
+    (sorted keys, no spaces) of ``format``, ``dim``, ``kraus`` (the number
+    of Kraus operators), ``rho0`` (whether it is present), ``observables``
+    (the sorted names), ``options`` (:meth:`ModelOptions.to_dict`) and
+    ``shapes`` (each matrix's shape, in the order below), then ``"\\n"``;
+    then every matrix as little-endian complex128 bytes in row-major
+    order (``np.ascontiguousarray(mat, dtype="<c16").tobytes()``): the
+    Kraus operators in order, ``m0``, ``m1``, ``rho0`` if present, and
+    the observables by name.  The hash identifies the model's values, to
+    the bit and signed zeros included, not the file's formatting: key
+    order, spacing, ``0`` for ``0.0`` or an omitted default option leave
+    it alone, and so does a real array in place of the same complex one."""
+    names = sorted(model.observables)
+    matrices = [*model.kraus, model.m0, model.m1]
+    if model.rho0 is not None:
+        matrices.append(model.rho0)
+    matrices += [model.observables[name] for name in names]
+    header = {
+        "format": FORMAT_TAG,
+        "dim": model.dim,
+        "kraus": len(model.kraus),
+        "rho0": model.rho0 is not None,
+        "observables": names,
+        "options": model.options.to_dict(),
+        "shapes": [list(np.shape(mat)) for mat in matrices],
+    }
+    digest = hashlib.sha256(
+        json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"
     )
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    for mat in matrices:
+        digest.update(np.ascontiguousarray(mat, dtype="<c16").tobytes())
+    return digest.hexdigest()

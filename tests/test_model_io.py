@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from qmcverify import ModelOptions, ValidationError, load_model, model_hash
-from qmcverify.model import dumps, encode_matrix, loads, save_model
+from qmcverify.model import Model, dumps, encode_matrix, loads, save_model
 
 MODELS_DIR = Path(__file__).parent.parent / "models"
 MODELS = [
@@ -183,14 +184,17 @@ def test_save_and_reload(tmp_path):
     assert model_hash(model) == model_hash(again)
 
 
-# Pinned so that no change to the encoding can move a hash unnoticed: the
-# hashes identify models in reports and golden records.
+# Pinned so that no change to the layout can move a hash unnoticed: the
+# hashes identify models in reports and golden records.  They moved once,
+# on purpose, when model_hash went from SHA-256 over the canonical JSON
+# text of Model.to_dict() to SHA-256 over the binary layout of its
+# docstring, which hashes the same values without formatting a float.
 MODEL_HASHES = {
-    "bitflip_p05.model": "2aa7c3505bc0b6074d5f35e4b426f49ebd0e53f1680b7ca7cac0121256ced2be",
-    "bitflip_p1.model": "f61cd0d880c35e0f4f682e113db0e978470434b01d24ecf6b41cba44084f5c43",
-    "m1zero.model": "25f933faf5a45d89e20850c4f29c73457faa72be6ecdca8c13bdb424f6fdfebe",
-    "unitary_m0zero.model": "71306035d01f1b788e78acc67f840451a36a93bcc696bb39fa427213d19704b4",
-    "xflip_scheme.model": "3148b5bb062df6f073a185e7502f1431102f57382f8c62c80778930ddeabb15a",
+    "bitflip_p05.model": "d68fba007cdfe98e61a092f8a714cc560b5d2abb7afd8d3fb32495225f472dba",
+    "bitflip_p1.model": "6f6582f07851bad29b37460a3e596e7b49a53d706109458c726add998cc0ff92",
+    "m1zero.model": "d7ab1fe550952715d25a1120020d9e3de3fd4fe65e3fb7571398da5a83ea69fe",
+    "unitary_m0zero.model": "9bc73b864c9257d6b7fb4a97207b4937c0b2c178b68b78b2b018e09a5055bde9",
+    "xflip_scheme.model": "cefe37302ca8fa8af5d7235f8f8736dbc5f724785a09a473ffd7020141bc2325",
 }
 
 
@@ -198,6 +202,171 @@ def test_committed_model_hashes_are_pinned():
     assert sorted(p.name for p in MODELS_DIR.glob("*.model")) == sorted(MODEL_HASHES)
     for name, digest in MODEL_HASHES.items():
         assert model_hash(load_model(MODELS_DIR / name)) == digest, name
+
+
+def test_model_hash_is_the_documented_layout_pinned_by_hand():
+    # The header line and the matrix bytes of bitflip_p05 written out from
+    # model_hash's docstring, not read off a Model.
+    h = 0.7071067811865476
+    header = (
+        '{"dim":2,"format":"qmc-model/1","kraus":2,"observables":["I","P0","Z"],'
+        '"options":{"eps_unit":1e-07,"n_max":1000000,"tail_tol":1e-12,"tol":1e-06},'
+        '"rho0":true,"shapes":[[2,2],[2,2],[2,2],[2,2],[2,2],[2,2],[2,2],[2,2]]}\n'
+    )
+    matrices = [
+        [[h, 0], [0, h]], [[0, h], [h, 0]],  # kraus
+        [[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 0], [0, 1]],  # m0, m1, rho0
+        [[1, 0], [0, 1]], [[1, 0], [0, 0]], [[1, 0], [0, -1]],  # I, P0, Z
+    ]
+    data = header.encode() + b"".join(np.array(m, dtype="<c16").tobytes() for m in matrices)
+    digest = hashlib.sha256(data).hexdigest()
+    assert digest == MODEL_HASHES["bitflip_p05.model"]
+    assert model_hash(load_model(MODELS_DIR / "bitflip_p05.model")) == digest
+
+
+def _layout_matrices(model):
+    """The matrices in model_hash's layout order: Kraus operators, m0,
+    m1, rho0 if present, then the observables by name."""
+    rho0 = [] if model.rho0 is None else [model.rho0]
+    observables = [model.observables[name] for name in sorted(model.observables)]
+    return [*model.kraus, model.m0, model.m1, *rho0, *observables]
+
+
+def _layout_bytes(model):
+    """The matrix part of model_hash's layout, little-endian complex128."""
+    return b"".join(
+        np.ascontiguousarray(m, dtype="<c16").tobytes() for m in _layout_matrices(model)
+    )
+
+
+def _hash_by_hand(model):
+    """model_hash from its documented layout, with hashlib and tobytes."""
+    header = {
+        "format": "qmc-model/1", "dim": model.dim, "kraus": len(model.kraus),
+        "rho0": model.rho0 is not None, "observables": sorted(model.observables),
+        "options": model.options.to_dict(),
+        "shapes": [list(np.shape(m)) for m in _layout_matrices(model)],
+    }
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
+    return hashlib.sha256(text.encode() + _layout_bytes(model)).hexdigest()
+
+
+def _hashes(*models):
+    """Each model's hash, checked against the documented layout."""
+    digests = [model_hash(m) for m in models]
+    assert digests == [_hash_by_hand(m) for m in models]
+    return digests
+
+
+def _bitflip_model(**changes):
+    """bitflip_p05 built in memory, not validated, with ``changes``."""
+    model = load_model(MODELS_DIR / "bitflip_p05.model")
+    fields = dict(
+        dim=model.dim, kraus=[k.copy() for k in model.kraus], m0=model.m0.copy(),
+        m1=model.m1.copy(), rho0=model.rho0.copy(),
+        observables={name: o.copy() for name, o in model.observables.items()},
+        options=model.options,
+    )
+    return Model(**{**fields, **changes})
+
+
+def _reversed_keys(value):
+    if isinstance(value, dict):
+        return {k: _reversed_keys(value[k]) for k in reversed(list(value))}
+    return value
+
+
+def _integer_literals(value):
+    # 0 for 0.0, 1 for 1.0, -1 for -1.0; -0.0 stays.
+    if isinstance(value, list):
+        return [_integer_literals(x) for x in value]
+    if isinstance(value, float) and value.is_integer() and repr(value) != "-0.0":
+        return int(value)
+    return value
+
+
+def test_model_hash_ignores_the_file_formatting(tmp_path):
+    base = load_model(MODELS_DIR / "bitflip_p05.model")
+    assert base.options == ModelOptions()
+    doc = json.loads(dumps(base))
+    matrices = {key: _integer_literals(doc[key]) for key in ("kraus", "m0", "m1", "rho0")}
+    matrices["observables"] = {k: _integer_literals(v) for k, v in doc["observables"].items()}
+    assert matrices["m0"] == [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+    texts = [
+        json.dumps(doc, sort_keys=True) + "\n",  # perfbench's compact writer
+        json.dumps(_reversed_keys(doc), indent=3),
+        json.dumps({k: v for k, v in doc.items() if k != "format"}),
+        json.dumps({k: v for k, v in doc.items() if k != "options"}),
+        json.dumps({**doc, **matrices}),
+    ]
+    save_model(base, tmp_path / "saved.model")
+    models = [base, load_model(tmp_path / "saved.model"), *map(loads, texts)]
+    real = _bitflip_model(
+        kraus=[k.real for k in base.kraus], m0=base.m0.real, rho0=base.rho0.real,
+        observables={**base.observables, "I": base.observables["I"].real},
+    )
+    assert real.m0.dtype == np.float64 and real.observables["I"].dtype == np.float64
+    assert set(_hashes(*models, real)) == {MODEL_HASHES["bitflip_p05.model"]}
+
+
+def test_model_hash_tells_every_bit_of_every_matrix():
+    base = _bitflip_model()
+    names = ["kraus0", "kraus1", "m0", "m1", "rho0", *sorted(base.observables)]
+    variants = []
+    for name in names:
+        for index in np.ndindex(2, 2):
+            for part in (1.0, 1j):
+                model = _bitflip_model()
+                mat = _layout_matrices(model)[names.index(name)]
+                value = (mat[index] * part.conjugate()).real
+                mat[index] += (np.nextafter(value, np.inf) - value) * part
+                variants.append(model)
+    digests = _hashes(base, *variants)
+    assert len(set(digests)) == 1 + 2 * 4 * len(names)
+
+
+def test_model_hash_tells_signed_zeros():
+    digests = []
+    for value in (0.0, complex(-0.0, 0.0), complex(0.0, -0.0)):
+        model = _bitflip_model()
+        model.m0[0, 1] = value
+        digests += _hashes(model)
+    assert len(set(digests)) == 3
+    assert digests[0] == MODEL_HASHES["bitflip_p05.model"]
+
+
+def test_model_hash_tells_options_names_and_structure():
+    base = _bitflip_model()
+    k0, k1 = base.kraus
+    variants = [
+        _bitflip_model(options=dataclasses.replace(ModelOptions(), **{name: value}))
+        for name, value in (("tail_tol", 1e-11), ("n_max", 999_999), ("eps_unit", 2e-7),
+                            ("tol", 1e-5))
+    ]
+    variants += [
+        _bitflip_model(observables={("Q0" if k == "P0" else k): v for k, v in base.observables.items()}),
+        _bitflip_model(rho0=None),
+        _bitflip_model(kraus=[k1, k0]),
+        _bitflip_model(
+            kraus=[k0, k1, base.observables["I"]],
+            observables={k: v for k, v in base.observables.items() if k != "I"},
+        ),
+    ]
+    assert len(set(_hashes(base, *variants))) == 1 + len(variants)
+
+
+def test_model_hash_header_parts_where_the_matrix_bytes_agree():
+    # The same matrices in the same order, cut into Kraus operators, m0,
+    # m1, rho0 and observables in three ways: only the header tells them
+    # apart.
+    a, b, c, o = (np.full((2, 2), x, dtype=complex) for x in (0.25, 0.5, 0.75, 1.0))
+    models = [
+        Model(dim=2, kraus=[a], m0=b, m1=c, rho0=None, observables={"X": o}),
+        Model(dim=2, kraus=[a, b], m0=c, m1=o, rho0=None, observables={}),
+        Model(dim=2, kraus=[a], m0=b, m1=c, rho0=o, observables={}),
+    ]
+    assert len({_layout_bytes(m) for m in models}) == 1
+    assert len(set(_hashes(*models))) == 3
 
 
 def test_encode_matrix_matches_per_element_encoding():
