@@ -161,6 +161,28 @@ def decaying_block_program():
     return scheme.with_initial_state(DensityOperator(rho0))
 
 
+def rotated_chain_program(q, seed=3):
+    """d = 3 chain conjugated by a seeded real orthogonal ``Q``: the body
+    moves |2> to |1> with probability ``q`` and |1> to |0> with
+    probability 0.5, and the loop halts on |0>.  Started in |2>, it runs
+    about ``1/q + 2`` steps; every entry is real, so the exact reference
+    applies."""
+    e = np.eye(3)
+    kraus = [
+        math.sqrt(1.0 - q) * np.outer(e[2], e[2]), math.sqrt(q) * np.outer(e[1], e[2]),
+        math.sqrt(0.5) * np.outer(e[1], e[1]), math.sqrt(0.5) * np.outer(e[0], e[1]),
+        np.outer(e[0], e[0]),
+    ]
+    rotation, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+
+    def conj(m):
+        return rotation @ m @ rotation.T
+
+    meas = TerminationMeasurement(conj(np.diag([1.0, 0.0, 0.0])), conj(np.diag([0.0, 1.0, 1.0])))
+    scheme = ProgramScheme(SuperOperator([conj(k) for k in kraus]), meas)
+    return scheme.with_initial_state(DensityOperator(conj(np.diag([0.0, 0.0, 1.0]))))
+
+
 def reference_termination(rep, a):
     """``(terminates_at, almost_terminates)`` of the runs started in the PSD
     ``a``, by the support search with no early stop: it takes every step

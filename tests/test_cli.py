@@ -1043,8 +1043,8 @@ def _certified_models(tmp_path) -> list[str]:
 
 
 def test_each_command_factors_i_minus_r_as_often_as_it_must(monkeypatch, tmp_path, capsys):
-    # One solve serves the certificate and the start state; only the
-    # running time's second resolvent adds one.
+    # One solve serves the certificate and the start state, and every
+    # closed form of that start reads it.
     solve, shapes = np.linalg.solve, []
 
     def counting(a, b):
@@ -1057,7 +1057,7 @@ def test_each_command_factors_i_minus_r_as_often_as_it_must(monkeypatch, tmp_pat
         n = load_model(path).dim ** 2
         for argv, solves in (
             (["verify", path, "-o", observable], 1),
-            (["runtime", path], 2),
+            (["runtime", path], 1),
             (["terminate", path], 1),
             (["terminate", path, "--scope", "scheme"], 1),
         ):

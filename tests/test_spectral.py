@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -53,12 +54,14 @@ from helpers import (
     count_calls,
     counter_scheme,
     decaying_block_program,
+    exact_running_time,
     filtered_power_residual,
     hadamard_walk_scheme,
     hermitian_basis_reference,
     m1_zero_program,
     power_norm_bound_check,
     real_coordinates_reference,
+    rotated_chain_program,
     schrodinger_closed_form,
     schrodinger_running_time,
     vec,
@@ -878,9 +881,8 @@ def _fresh_state_solve(rep, x):
 
 def _closed_forms_by_fresh_solves(rep, rho0, p):
     y = _fresh_state_solve(rep, coordinates(rho0.mat))
-    time_y = np.linalg.solve(np.eye(rep.dim**2) - rep.n_filtered, y)
-    halting = coordinates(dagger(rep.m0) @ rep.m0)
-    return float(coordinates(dagger(rep.m0) @ p.mat @ rep.m0) @ y), float(halting @ time_y)
+    trace = coordinates(np.eye(rep.dim))
+    return float(coordinates(dagger(rep.m0) @ p.mat @ rep.m0) @ y), float(trace @ y)
 
 
 def _closed_forms(rep, rho0, p):
@@ -890,8 +892,8 @@ def _closed_forms(rep, rho0, p):
 @pytest.mark.parametrize("prog", _certified_programs(), ids=["bitflip_p05", "counter6", "random6"])
 def test_solve_counts_of_the_shared_factorization(prog, monkeypatch):
     # The build's one solve serves the certificate and the start; the
-    # expectation of that start runs none, its running time one, and any
-    # other start one more for each.
+    # expectation and the running time of that start run none, and of any
+    # other start one each.
     n = prog.dim**2
     solve, shapes = np.linalg.solve, []
 
@@ -914,8 +916,37 @@ def test_solve_counts_of_the_shared_factorization(prog, monkeypatch):
         before = len(shapes)
         call()
         counts.append(len(shapes) - before)
-    assert counts == [1, 0, 1, 1, 2]
+    assert counts == [1, 0, 0, 1, 1]
     assert set(shapes) == {(n, n)}
+
+
+# (program, 1 - p, relative error of tr Y at most).  The two-solve
+# formula h . (I - N)^-2 x, h = coordinates(E0*(I)), that the running time
+# used before read 1.4e-8, 1.1e-4 and 1.1e-3 on bitflip and 2.3e-8,
+# 1.4e-4 and 4.3e-3 on the chain: each bound is below that.
+NEAR_UNIT_RUNNING_TIMES = [
+    ("bitflip", 1e-8, 1e-8), ("bitflip", 1e-12, 1e-12), ("bitflip", 1e-13, 1e-13),
+    ("chain", 1e-8, 1.5e-8), ("chain", 1e-12, 1e-6), ("chain", 1e-13, 2e-3),
+]
+
+
+@pytest.mark.parametrize("case, q, bound", NEAR_UNIT_RUNNING_TIMES)
+def test_running_time_is_tr_y_near_the_unit_circle(case, q, bound):
+    # Against the exact rational series sum: tr Y reads the one solve of
+    # the start, and is no less accurate than a second solve against it.
+    prog = bitflip_program(1.0 - q, 0.0, 1.0) if case == "bitflip" else rotated_chain_program(q)
+    rep = build_representation(prog)
+    assert rep.certificate is not None
+    exact = exact_running_time(prog)
+
+    def error(value):
+        return float(abs(Fraction(value) - exact) / exact)
+
+    y0 = rep.start_solution[1]
+    two_solves = float(coordinates(dagger(rep.m0) @ rep.m0) @ np.linalg.solve(rep.resolvent, y0))
+    time = average_running_time(rep, prog.rho0)
+    assert time == float(coordinates(np.eye(rep.dim)) @ y0)
+    assert error(time) <= min(bound, error(two_solves))
 
 
 @pytest.mark.parametrize("prog", _certified_programs(), ids=["bitflip_p05", "counter6", "random6"])
