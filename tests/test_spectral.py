@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import subprocess
 import sys
@@ -559,6 +560,26 @@ def test_unit_overlap_vector_convention():
     rep = build_representation(prog)
     overlap = np.linalg.norm(rep.unit_projector @ coordinates(prog.rho0.mat))
     assert overlap == pytest.approx(0.64, abs=1e-10)
+
+
+@pytest.mark.parametrize("w", [1e-7, 1e-8])
+def test_a_little_weight_on_a_never_halting_state_is_not_negligible(w, tmp_path, capsys):
+    # bitflip_p1 never leaves |1>, so a start with weight w there halts
+    # with probability 1 - w and its mean running time diverges however
+    # small w is.  The overlap is w times ||x||, above UNIT_OVERLAP_RTOL
+    # (1e-9); a cut 1000 times looser would read 1 / (1 - w) steps.
+    model = load_model(MODELS_DIR / "bitflip_p1.model")
+    model.rho0 = np.diag([1.0 - w, w]).astype(complex)
+    model.validate()
+    prog = model.validated.scheme
+    rep = build_representation(prog)
+    assert rep.unit_overlap(prog.rho0.mat)[1] is False
+    assert average_running_time(rep, prog.rho0) == math.inf
+    path, out = tmp_path / "weight.model", tmp_path / "report.json"
+    save_model(model, path)
+    main(["terminate", str(path), "--scope", "program", "--json-out", str(out)])
+    assert "almost terminates: no" in capsys.readouterr().out
+    assert json.loads(out.read_text())["termination"]["almost_terminates"] is False
 
 
 def test_unit_spectrum_build_does_not_import_numpy_ma():
