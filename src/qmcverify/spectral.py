@@ -520,8 +520,8 @@ def average_running_time(rep: ProgramRepresentation, rho0: DensityOperator) -> f
     """Average number of steps ``tr Y``, with ``Y = sum_n G^n(rho0)`` the
     state sum: ``coordinates(I)`` dotted with the expectation's ``(I -
     N)^-1 coordinates(rho0)``.  It is ``sum_n (n + 1) tr E0(G^n(rho0))``
-    because ``tr E0(X) + tr G(X) = tr X``; a certified build's start runs
-    no solve.
+    because ``tr E0(X) + tr G(X) = tr X``, which :class:`ProgramScheme`
+    checks; a certified build's start runs no solve.
 
     Returns ``inf`` when the initial state overlaps the unit-circle
     eigenspace (:meth:`ProgramRepresentation.unit_overlap`): the
