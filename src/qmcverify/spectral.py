@@ -16,10 +16,9 @@ removing their (rank-one, biorthogonal) spectral components yields a
 strictly contracting matrix ``N``.  The halting step ``E0(X) = M0 X
 M0^dag`` vanishes on the unit-circle eigenspace, so ``E0 G^n = E0 N^n``
 for all ``n``.  It is read in the Heisenberg picture, ``tr(P E0(X)) =
-tr(E0*(P) X)`` with ``E0*(P) = M0^dag P M0``: terminal expectations are
-``coordinates(E0*(P))`` dotted with the resolvent solve ``(I - N)^-1
-coordinates(rho0)``, and the average running time is ``coordinates(I)``
-dotted with the same solve.
+tr(E0*(P) X)`` with ``E0*(P) = M0^dag P M0``: terminal expectations and
+the average running time are ``coordinates(E0*(P))`` dotted with
+resolvent solves against ``coordinates(rho0)``.
 
 Most steps have no unit spectrum at all, and that is decided without an
 eigensolve.  ``G`` is positive, and a positive map has spectral radius
@@ -103,9 +102,8 @@ kernel, whose bits differ, so every solve of a state has this
 two-column layout (:func:`_state_columns`): a kept ``y0`` and a fresh
 solve of the same start agree bit for bit, and so do the certificate's
 build and the eigen path's when ``N = R``.  The expectation then runs no
-solve, and neither does the running time, ``coordinates(I) . y0``, so a
-certified ``runtime`` factors ``I - R`` once.  A certified build runs no
-eigensolve, and its ``unit_projector`` is ``None``.
+solve, and the running time one, ``(I - N)^-1 y0``; a certified build
+runs no eigensolve, and its ``unit_projector`` is ``None``.
 """
 from __future__ import annotations
 
@@ -179,8 +177,8 @@ class ProgramRepresentation:
     factors, and ``start_solution`` what a certified build kept of its
     one solve: the start's coordinates ``x0`` and ``y0 = (I - N)^-1
     x0`` (module docstring), ``None`` on the eigen path.  The expectation
-    and the running time of that start run no solve; any other start
-    costs one.
+    of that start runs no solve and its running time one; any other start
+    costs one more.
     """
 
     dim: int
@@ -517,17 +515,16 @@ def expectation_closed_form(
 
 
 def average_running_time(rep: ProgramRepresentation, rho0: DensityOperator) -> float:
-    """Average number of steps ``tr Y``, with ``Y = sum_n G^n(rho0)`` the
-    state sum: ``coordinates(I)`` dotted with the expectation's ``(I -
-    N)^-1 coordinates(rho0)``.  It is ``sum_n (n + 1) tr E0(G^n(rho0))``
-    because ``tr E0(X) + tr G(X) = tr X``, which :class:`ProgramScheme`
-    checks; a certified build's start runs no solve.
+    """Average number of steps ``tr(E0*(I) X)`` with ``coordinates(X) = (I
+    - N)^-2 coordinates(rho0)``: one solve of ``I - N`` against the
+    expectation's ``(I - N)^-1 coordinates(rho0)``.
 
     Returns ``inf`` when the initial state overlaps the unit-circle
     eigenspace (:meth:`ProgramRepresentation.unit_overlap`): the
     termination probability is then below one and the mean genuinely
-    diverges.
+    diverges (or the quadratic form would undercount).
     """
     if not rep.unit_overlap(rho0.mat)[1]:
         return math.inf
-    return float(_identity_coordinates(rep.dim) @ _state_resolvent(rep, rho0))
+    y = _resolvent_solve(rep, _state_resolvent(rep, rho0))
+    return float(_halting_functional(rep, np.eye(rep.dim)) @ y)

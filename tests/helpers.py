@@ -448,17 +448,18 @@ def _exact_entries(mat):
     return [[Fraction(float(x)) for x in row] for row in mat.real]
 
 
-def exact_series_sum(prog):
+def exact_series_sum(prog, rhs=None):
     """``X = sum_n G^n(rho0)`` in exact rational arithmetic, as ``d`` rows
     of ``Fraction``: the float entries of ``G``'s Kraus operators and
     ``rho0`` (real entries only) are taken exactly, and ``(I - M) vec(X) =
     vec(rho0)`` is solved by Gaussian elimination, ``M`` the row-major
-    ``vec`` matrix of ``G``.  A singular ``I - M`` (``G`` with the
-    eigenvalue 1) raises ``ZeroDivisionError``."""
+    ``vec`` matrix of ``G``.  ``rhs``, ``d`` rows of ``Fraction``, takes
+    the place of ``rho0`` when given.  A singular ``I - M`` (``G`` with
+    the eigenvalue 1) raises ``ZeroDivisionError``."""
     d = prog.dim
     n = d * d
     kraus = [_exact_entries(k) for k in prog.g.kraus]
-    rho = _exact_entries(prog.rho0.mat)
+    rho = _exact_entries(prog.rho0.mat) if rhs is None else rhs
     # [I - M | vec(rho0)], with M[i*d + j, a*d + b] = sum_k K[i][a] K[j][b]
     # for real K.
     rows = [
@@ -481,14 +482,11 @@ def exact_series_sum(prog):
     return [[rows[r][n] / rows[r][r] for r in range(i * d, i * d + d)] for i in range(d)]
 
 
-def exact_expectation(prog, p):
-    """The whole series ``sum_n tr(P E0(G^n(rho0)))`` in exact rational
-    arithmetic: ``tr(P M0 X M0^dag)`` for the ``X`` of
-    :func:`exact_series_sum`, with the float entries of ``M0`` and ``P``
-    (real entries only) taken exactly, as a ``Fraction``."""
+def _exact_halting_trace(prog, p, x):
+    """``tr(P M0 X M0^T)`` for real ``M0`` and ``P`` taken exactly and
+    ``X`` given as ``d`` rows of ``Fraction``."""
     d = prog.dim
-    x = exact_series_sum(prog)
-    m0, pm = _exact_entries(prog.meas.m0), _exact_entries(p.mat)
+    m0, pm = _exact_entries(prog.meas.m0), _exact_entries(p)
     # tr(P M0 X M0^T) = sum P[a][b] M0[b][i] X[i][j] M0[a][j]
     return sum(
         pm[a][b] * m0[b][i] * x[i][j] * m0[a][j]
@@ -496,13 +494,23 @@ def exact_expectation(prog, p):
     )
 
 
+def exact_expectation(prog, p):
+    """The whole series ``sum_n tr(P E0(G^n(rho0)))`` in exact rational
+    arithmetic: ``tr(P M0 X M0^dag)`` for the ``X`` of
+    :func:`exact_series_sum`, with the float entries of ``M0`` and ``P``
+    (real entries only) taken exactly, as a ``Fraction``."""
+    return _exact_halting_trace(prog, p.mat, exact_series_sum(prog))
+
+
 def exact_running_time(prog):
-    """``tr X`` for the ``X`` of :func:`exact_series_sum`: ``sum_n tr
-    G^n(rho0)``, the mass that survives each step summed, which is the
-    average running time of an almost-terminating program, as a
-    ``Fraction``."""
-    x = exact_series_sum(prog)
-    return sum(x[i][i] for i in range(prog.dim))
+    """The average running time ``sum_n (n + 1) tr E0(G^n(rho0))`` of an
+    almost-terminating program in exact rational arithmetic, as a
+    ``Fraction``: ``tr E0(Z)`` with ``Z = sum_n (n + 1) G^n(rho0)``, which
+    solves ``Z - G(Z) = X`` for the ``X`` of :func:`exact_series_sum`.
+    It equals ``tr X`` only when ``G + E0`` keeps the trace exactly, which
+    rounded Kraus entries need not."""
+    z = exact_series_sum(prog, exact_series_sum(prog))
+    return _exact_halting_trace(prog, np.eye(prog.dim), z)
 
 
 def eigenvalue_table_reference(spectral) -> list[dict]:

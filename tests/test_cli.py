@@ -279,6 +279,23 @@ def test_runtime_bitflip(capsys):
     assert "3" in out.split("spectral")[1].split()[0]
 
 
+def test_runtime_routes_agree_on_a_step_that_loses_a_little_trace(tmp_path, capsys):
+    # bitflip at p = 0.99 from |1>, sqrt(0.99) written with 9 digits: the
+    # step loses 2.1e-10 of trace (under TOL_TP) and runs about 101 steps.
+    # Both routes sum (n + 1) p_n; the state sum tr Y would read 2.1e-6
+    # more, past the tolerance of 1e-6.
+    doc = json.loads(Path(model("bitflip_p05.model")).read_text())
+    a, b, z = [0.994987437, 0.0], [0.1, 0.0], [0.0, 0.0]
+    doc["kraus"] = [[[a, z], [z, a]], [[z, b], [b, z]]]
+    path, out = tmp_path / "defect.model", tmp_path / "runtime.json"
+    path.write_text(json.dumps(doc))
+    assert main(["runtime", str(path), "--json-out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    assert report["agreement"]["max_delta"] < 1e-8
+    assert [round(row["value"]) for row in report["methods"]] == [101, 101]
+
+
 def test_runtime_m1_zero(capsys):
     code = main(["runtime", model("m1zero.model")])
     out = capsys.readouterr().out
@@ -1043,8 +1060,8 @@ def _certified_models(tmp_path) -> list[str]:
 
 
 def test_each_command_factors_i_minus_r_as_often_as_it_must(monkeypatch, tmp_path, capsys):
-    # One solve serves the certificate and the start state, and every
-    # closed form of that start reads it.
+    # One solve serves the certificate and the start state; only the
+    # running time's second resolvent adds one.
     solve, shapes = np.linalg.solve, []
 
     def counting(a, b):
@@ -1057,7 +1074,7 @@ def test_each_command_factors_i_minus_r_as_often_as_it_must(monkeypatch, tmp_pat
         n = load_model(path).dim ** 2
         for argv, solves in (
             (["verify", path, "-o", observable], 1),
-            (["runtime", path], 1),
+            (["runtime", path], 2),
             (["terminate", path], 1),
             (["terminate", path, "--scope", "scheme"], 1),
         ):
