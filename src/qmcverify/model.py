@@ -279,10 +279,13 @@ def model_hash(model: Model) -> str:
     then every matrix as little-endian complex128 bytes in row-major
     order (``np.ascontiguousarray(mat, dtype="<c16").tobytes()``): the
     Kraus operators in order, ``m0``, ``m1``, ``rho0`` if present, and
-    the observables by name.  The hash identifies the model's values, to
-    the bit and signed zeros included, not the file's formatting: key
-    order, spacing, ``0`` for ``0.0`` or an omitted default option leave
-    it alone, and so does a real array in place of the same complex one."""
+    the observables by name.  The shapes fix where each matrix's bytes
+    end for any ``Model``, also one built in memory and never validated.
+    The hash identifies the model's values to the bit, not the file's
+    formatting: key order, spacing, ``0`` for ``0.0`` or an omitted
+    default option leave it alone, and so does a real array in place of
+    the same complex one.  A signed zero counts in memory, but
+    :func:`decode_matrix` loads some ``-0.0`` parts as ``+0.0``."""
     names = sorted(model.observables)
     matrices = [*model.kraus, model.m0, model.m1]
     if model.rho0 is not None:

@@ -358,16 +358,19 @@ def test_model_hash_tells_options_names_and_structure():
 
 def test_model_hash_header_parts_where_the_matrix_bytes_agree():
     # The same matrices in the same order, cut into Kraus operators, m0,
-    # m1, rho0 and observables in three ways: only the header tells them
-    # apart.
+    # m1, rho0 and observables in four ways: only the header tells them
+    # apart.  The last differs from the first only in where m0's bytes
+    # end, which an unvalidated in-memory Model can do.
     a, b, c, o = (np.full((2, 2), x, dtype=complex) for x in (0.25, 0.5, 0.75, 1.0))
+    both = np.concatenate([b, c])
     models = [
         Model(dim=2, kraus=[a], m0=b, m1=c, rho0=None, observables={"X": o}),
         Model(dim=2, kraus=[a, b], m0=c, m1=o, rho0=None, observables={}),
         Model(dim=2, kraus=[a], m0=b, m1=c, rho0=o, observables={}),
+        Model(dim=2, kraus=[a], m0=both[:3], m1=both[3:], rho0=None, observables={"X": o}),
     ]
     assert len({_layout_bytes(m) for m in models}) == 1
-    assert len(set(_hashes(*models))) == 3
+    assert len(set(_hashes(*models))) == 4
 
 
 def test_encode_matrix_matches_per_element_encoding():
