@@ -25,7 +25,13 @@ certificate, that the step has no unit spectrum; where it holds they run
 no eigensolve and report no eigenvalues, and their margin is the
 certificate's lower bound on the gap.  Where it fails, the eigenvalues
 decide, as ``spectrum``'s do.  The spectral row and the termination
-block say which (``unit_decided_by``).
+block say which (``unit_decided_by``).  ``verify`` and ``runtime`` check
+``V = sum_n G^n(I)`` from the one solve of ``I - R`` that their closed
+forms need.  ``terminate`` and ``spectrum`` need no solve, so they first
+check the forward sum ``sum_{n<N} G^n(I)``, ``N <= d``, on d x d
+matrices: where it holds ``terminate`` builds no step matrix and
+``spectrum`` builds it for its eigenvalues alone, and neither factors
+anything.  Where it is refused, both build as ``verify`` does.
 """
 
 from __future__ import annotations
@@ -48,7 +54,12 @@ from .model import Model, ModelOptions, load_model, model_hash
 from .oracle import oracle_expectation
 from .program import QuantumProgram, step_probabilities
 from .report import VerificationReport, eigenvalue_table, simulation_table
-from .spectral import average_running_time, build_representation, expectation_closed_form
+from .spectral import (
+    average_running_time,
+    build_representation,
+    decide_unit_circle,
+    expectation_closed_form,
+)
 from .termination import check_program_termination, check_scheme_termination
 
 EXIT_OK = 0
@@ -253,11 +264,11 @@ def cmd_terminate(args) -> int:
     model, opts = _load(args)
     if args.scope == "program":
         prog = _program(model)
-        rep = build_representation(prog, eps_unit=opts.eps_unit)
+        rep = decide_unit_circle(prog, eps_unit=opts.eps_unit)
         verdict = check_program_termination(rep, prog.rho0)
     else:
         # A program is a scheme too; only its step enters the representation.
-        rep = build_representation(model.validated.scheme, eps_unit=opts.eps_unit)
+        rep = decide_unit_circle(model.validated.scheme, eps_unit=opts.eps_unit)
         verdict = check_scheme_termination(rep)
 
     report = _new_report("terminate", args, model, opts)
@@ -274,7 +285,7 @@ def cmd_terminate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     model, opts = _load(args)
-    rep = build_representation(model.validated.scheme, eps_unit=opts.eps_unit)
+    rep = decide_unit_circle(model.validated.scheme, eps_unit=opts.eps_unit)
     report = _new_report("spectrum", args, model, opts)
     report.eigenvalues = eigenvalue_table(rep.spectral)
     report.add_method(

@@ -102,10 +102,12 @@ def decode_matrix(data, dim: int, name: str) -> np.ndarray:
             f"rows of lengths {sorted(row_lengths)} and pairs of lengths {sorted(pair_lengths)}"
         )
     try:
-        arr = np.array(entries, dtype=float).reshape(dim, dim, 2)
+        arr = np.array(entries, dtype=float)
     except OverflowError as exc:
         raise ValidationError(f"{name}: an entry is too large for a float ({exc})") from exc
-    return arr[:, :, 0] + 1j * arr[:, :, 1]
+    # The [re, im] pairs are complex128's own layout; a view keeps every
+    # part's bits, signed zeros included, where re + 1j * im would not.
+    return arr.view(complex).reshape(dim, dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,8 +286,9 @@ def model_hash(model: Model) -> str:
     The hash identifies the model's values to the bit, not the file's
     formatting: key order, spacing, ``0`` for ``0.0`` or an omitted
     default option leave it alone, and so does a real array in place of
-    the same complex one.  A signed zero counts in memory, but
-    :func:`decode_matrix` loads some ``-0.0`` parts as ``+0.0``."""
+    the same complex one.  A signed zero counts, and
+    :func:`decode_matrix` keeps it, so a model and its saved copy hash
+    alike."""
     names = sorted(model.observables)
     matrices = [*model.kraus, model.m0, model.m1]
     if model.rho0 is not None:

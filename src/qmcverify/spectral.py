@@ -88,7 +88,53 @@ difference of that size whose rounding does not shrink with it.  At d =
 18 and K = 2, with ``t <= d`` for a trace-nonincreasing step, it is
 below ``1.5e-11 max(1, ||v||_max)``.
 
-One factorization per command.  :func:`build_representation` builds ``I
+The same check on d x d matrices.  Any ``V > 0`` with ``D = V - G(V) >=
+eta I`` proves the bound, not only ``sum_n G^n(I)``, and
+:func:`kraus_certificate` checks a given Hermitian candidate without
+``R``: ``D`` comes from one Kraus step (``G.apply_mat``), then the same
+two ``eigvalsh``.  The candidate is made exactly Hermitian first
+(``(V + V^dag)/2`` rounds the two triangles alike), so the check is on
+that array itself and only ``D`` carries rounding.  Its slack ``s``,
+with ``t``, ``tau``, ``K`` and ``u`` as above and ``w = d max(1,
+||V||_max) >= ||V||_F``, each error bounded entrywise first and then in
+the Frobenius norm, to first order:
+
+- *Each product* ``K_s V`` and then ``(K_s V) K_s^dag`` is a batch of
+  complex inner products of length ``d``.  The real and the imaginary
+  part of one is a real sum of ``2d`` products, in whatever order BLAS
+  takes them, so it errs by at most ``2d u`` times the sum of their
+  moduli, and the complex result by ``2 sqrt2 d u |x|^T |y|``.  Two
+  such products err by ``4 sqrt2 d u |K_s| |V| |K_s|^T``.
+- *The Kraus sum* adds ``K - 1`` terms and *the difference* ``V - G(V)``
+  one more, ``K u A + u |V|`` with ``A = sum_s |K_s| |V| |K_s|^T``,
+  where ``||A||_F <= sum_s ||K_s||_F^2 ||V||_F = t ||V||_F``.
+- *eigvalsh* reads one triangle of the computed ``D``, which multiplies
+  the Frobenius norm of its error by at most ``sqrt2``, and adds its
+  backward error ``d u ||D||_2 <= d u (1 + t) w``.
+
+For ``D`` that is ``u w (sqrt2 ((4 sqrt2 d + K) t + 1) + d (1 + t)) <= u
+w tau (10 d + 2K + 2)``; ``V`` is exact and has only ``eigvalsh``'s ``d u
+w``, so
+
+    s = (10 d + 2K + 2) tau d u max(1, ||V||_max)
+
+covers both.  No ``n = d^2`` term appears: nothing is d^2 long.
+
+:func:`forward_certificate` tries the forward sum ``V_N = sum_{n<N}
+G^n(I)`` for ``N = 1, ..., d``, one Kraus step each.  In exact
+arithmetic ``D = I - G^N(I)``, so the check can hold only where
+``lambda_max(G^N(I))`` is below ``1 - s``.  ``||G^N(I)||_inf`` bounds
+it from above, and the two eigensolves run only once that norm is
+below ``1 - 2s``: a gap that a last-bit rounding of a norm that is one
+in exact arithmetic cannot open, and that leaves room for the rounding
+of ``V_N`` and ``D`` themselves.  A step nilpotent on ``I`` (a counter)
+empties by ``N = d``; a step with unit spectrum never passes the norm
+bound, so a refusal costs at most ``d`` Kraus steps and no eigensolve.
+The d x d path reads the Kraus stack, whose map is positive by
+construction, so unlike the ``R`` path it needs no assumption on the
+matrix it is given.
+
+At most one factorization per build.  :func:`build_representation` builds ``I
 - R`` once and solves it once for two columns, ``[coordinates(I),
 coordinates(start)]``: ``v`` for the certificate and ``y0 = (I -
 R)^-1 coordinates(rho0)`` for the closed forms, ``start`` being
@@ -103,7 +149,15 @@ two-column layout (:func:`_state_columns`): a kept ``y0`` and a fresh
 solve of the same start agree bit for bit, and so do the certificate's
 build and the eigen path's when ``N = R``.  The expectation then runs no
 solve, and the running time one, ``(I - N)^-1 y0``; a certified build
-runs no eigensolve, and its ``unit_projector`` is ``None``.
+runs no eigensolve, and its ``unit_projector`` is ``None``.  So a
+certified ``verify`` factors ``I - R`` once and ``runtime`` twice; they
+need the solve for their closed forms anyway.  The termination checks
+need no closed form: :func:`decide_unit_circle` tries
+:func:`forward_certificate` first and returns a :class:`CertifiedStep`,
+which factors nothing and builds ``R`` only when its eigenvalues are
+read (``spectrum`` reads them, ``terminate`` does not).  Where the
+forward sum is refused, it runs :func:`build_representation` as above,
+one factorization.
 """
 from __future__ import annotations
 
@@ -209,6 +263,33 @@ class ProgramRepresentation:
         x = coordinates(a)
         overlap = float(np.linalg.norm(self.unit_projector @ x))
         return overlap, overlap <= UNIT_OVERLAP_RTOL * float(np.linalg.norm(x))
+
+
+@dataclass(frozen=True, eq=False)
+class CertifiedStep:
+    """A survival step ``g`` that :func:`forward_certificate` proved has
+    spectral radius below one: what the termination checks and the CLI's
+    ``terminate`` and ``spectrum`` read of a representation, with no
+    d^2 x d^2 array until :attr:`spectral` is read.  No eigenvalue is on
+    the unit circle, so no start overlaps it."""
+
+    dim: int
+    g: SuperOperator
+    eps_unit: float
+    certificate: NoUnitCertificate
+
+    @property
+    def margin(self) -> float:
+        return self.certificate.margin
+
+    @functools.cached_property
+    def spectral(self) -> SpectralData:
+        """The eigendata of ``R`` at ``eps_unit``, ``R`` built on first
+        read, bit for bit :func:`build_representation`'s."""
+        return spectral_decompose(_step_coordinates(self.g.stack), self.eps_unit)
+
+    def unit_overlap(self, a: np.ndarray) -> tuple[float, bool]:
+        return 0.0, True
 
 
 @functools.lru_cache(maxsize=16)
@@ -361,6 +442,51 @@ def no_unit_certificate(
     return NoUnitCertificate(eta, lam)
 
 
+def _kraus_slack(stack: np.ndarray, v: np.ndarray) -> float:
+    """The slack ``s`` of the d x d check for the candidate ``v`` (module
+    docstring), from the Kraus operators stacked as ``(K, d, d)``."""
+    k, d = stack.shape[:2]
+    tau = max(1.0, float(np.vdot(stack, stack).real))
+    return (10 * d + 2 * k + 2) * tau * d * 2.0**-53 * max(1.0, max_abs(v))
+
+
+def kraus_certificate(g: SuperOperator, v: np.ndarray) -> NoUnitCertificate | None:
+    """The check of the module docstring on d x d matrices: a proof that
+    ``g`` has spectral radius below one from the Hermitian part of the
+    candidate ``v``, or ``None`` when a part is not finite, an eigensolve
+    does not converge or a minimum does not clear the slack.  ``D = V -
+    G(V)`` is one Kraus step; no ``R`` is built."""
+    v = (v + dagger(v)) / 2
+    if not np.isfinite(v).all():
+        return None
+    try:
+        v_min, v_max = np.linalg.eigvalsh(v)[[0, -1]]
+        d_min = np.linalg.eigvalsh(v - g.apply_mat(v))[0]
+    except np.linalg.LinAlgError:
+        return None
+    slack = _kraus_slack(g.stack, v)
+    eta, lam = float(d_min) - slack, float(v_max) + slack
+    if not (eta > 0 and v_min - slack > 0):
+        return None
+    return NoUnitCertificate(eta, lam)
+
+
+def forward_certificate(g: SuperOperator) -> NoUnitCertificate | None:
+    """:func:`kraus_certificate` of the first forward sum ``V_N =
+    sum_{n<N} G^n(I)``, ``N <= d``, whose ``G^N(I)`` has ``||.||_inf``
+    at most ``1 - 2s`` (module docstring), or ``None`` when none has
+    or the check refuses it.  It takes at most ``d`` Kraus steps, and
+    eigensolves only the one candidate that passes that bound."""
+    term = np.eye(g.dim, dtype=complex)
+    v = term.copy()
+    for _ in range(g.dim):
+        term = g.apply_mat(term)
+        if np.abs(term).sum(axis=1).max() <= 1.0 - 2.0 * _kraus_slack(g.stack, v):
+            return kraus_certificate(g, v)
+        v += term
+    return None
+
+
 def build_representation(
     scheme: ProgramScheme, eps_unit: float = EPS_UNIT
 ) -> ProgramRepresentation:
@@ -473,6 +599,28 @@ def build_representation(
     # does not decompose R again.
     rep.__dict__["spectral"] = sd
     return rep
+
+
+def decide_unit_circle(
+    scheme: ProgramScheme, eps_unit: float = EPS_UNIT
+) -> CertifiedStep | ProgramRepresentation:
+    """What the termination checks read of ``scheme``: a
+    :class:`CertifiedStep` where :func:`forward_certificate` holds, which
+    builds no ``R`` and factors nothing, and otherwise
+    :func:`build_representation`.
+
+    Raises
+    ------
+    ValidationError
+        If ``eps_unit`` is not in [0, 1).
+    RepresentationError
+        As :func:`build_representation`, where the forward sum is refused.
+    """
+    eps_unit = require_number(eps_unit, "option eps_unit", **OPTION_RULES["eps_unit"])
+    cert = forward_certificate(scheme.g)
+    if cert is None:
+        return build_representation(scheme, eps_unit)
+    return CertifiedStep(scheme.dim, scheme.g, eps_unit, cert)
 
 
 def _resolvent_solve(rep: ProgramRepresentation, rhs: np.ndarray) -> np.ndarray:

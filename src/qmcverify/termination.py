@@ -27,7 +27,9 @@ Almost termination means the halting probability
 ``rho0`` carry no unit-modulus spectral component of the step matrix,
 read against the dual eigenbasis since that matrix is not normal: the
 one rule of :meth:`ProgramRepresentation.unit_overlap`, which the running
-time reads too.  Exact termination implies it, or the check fails.
+time reads too.  A :class:`CertifiedStep` has no unit spectrum, so every
+start almost terminates there.  Exact termination implies almost
+termination, or the check fails.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from .channels import DensityOperator
 from .errors import ConsistencyError
-from .spectral import ProgramRepresentation
+from .spectral import CertifiedStep, ProgramRepresentation
 
 # A singular value of a step's matrix counts when it exceeds this many
 # times max(1, the largest one); see _verdict.
@@ -91,7 +93,7 @@ def _range(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return u, s, max(1.0, float(s[0]))
 
 
-def _verdict(rep: ProgramRepresentation, a: np.ndarray) -> TerminationVerdict:
+def _verdict(rep: CertifiedStep | ProgramRepresentation, a: np.ndarray) -> TerminationVerdict:
     """Verdict for the runs started in the PSD ``a``; reads only ``rep``'s
     ``dim``, ``g`` and unit overlap.
 
@@ -155,7 +157,7 @@ def _verdict(rep: ProgramRepresentation, a: np.ndarray) -> TerminationVerdict:
 
 
 def check_program_termination(
-    rep: ProgramRepresentation, rho0: DensityOperator
+    rep: CertifiedStep | ProgramRepresentation, rho0: DensityOperator
 ) -> TerminationVerdict:
     """Termination verdict for the program started in ``rho0``.  The support
     decisions cut eigenvalues of ``rho0`` at :data:`START_RTOL` and
@@ -165,7 +167,7 @@ def check_program_termination(
     return _verdict(rep, rho0.mat)
 
 
-def check_scheme_termination(rep: ProgramRepresentation) -> TerminationVerdict:
+def check_scheme_termination(rep: CertifiedStep | ProgramRepresentation) -> TerminationVerdict:
     """Termination verdict quantified over all initial states.
 
     Evaluated on ``I``, which is ``d`` times the maximally mixed state

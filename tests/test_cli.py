@@ -1061,7 +1061,8 @@ def _certified_models(tmp_path) -> list[str]:
 
 def test_each_command_factors_i_minus_r_as_often_as_it_must(monkeypatch, tmp_path, capsys):
     # One solve serves the certificate and the start state; only the
-    # running time's second resolvent adds one.
+    # running time's second resolvent adds one.  The forward certificate
+    # decides terminate and spectrum on d x d matrices, with no solve.
     solve, shapes = np.linalg.solve, []
 
     def counting(a, b):
@@ -1075,8 +1076,9 @@ def test_each_command_factors_i_minus_r_as_often_as_it_must(monkeypatch, tmp_pat
         for argv, solves in (
             (["verify", path, "-o", observable], 1),
             (["runtime", path], 2),
-            (["terminate", path], 1),
-            (["terminate", path, "--scope", "scheme"], 1),
+            (["terminate", path], 0),
+            (["terminate", path, "--scope", "scheme"], 0),
+            (["spectrum", path], 0),
         ):
             shapes.clear()
             assert main(argv) == 0

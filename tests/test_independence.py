@@ -107,6 +107,19 @@ def test_certificate_reads_only_the_step_matrix():
     assert not {n for n in names if "invariant" in n.lower() or "termination" in n.lower()}
 
 
+def test_forward_certificate_reads_only_the_kraus_stack():
+    # The d x d certificate takes the survival step and its candidate,
+    # and no name in it reaches the invariant route or the termination
+    # checks either.
+    from qmcverify.spectral import _kraus_slack, forward_certificate, kraus_certificate
+
+    assert list(inspect.signature(forward_certificate).parameters) == ["g"]
+    assert list(inspect.signature(kraus_certificate).parameters) == ["g", "v"]
+    for fn in (forward_certificate, kraus_certificate, _kraus_slack):
+        names = source_identifiers(textwrap.dedent(inspect.getsource(fn)))
+        assert not {n for n in names if "invariant" in n.lower() or "termination" in n.lower()}
+
+
 def test_import_scan_sees_relative_and_absolute_imports(tmp_path):
     source = (
         "from .spectral import build_representation\n"

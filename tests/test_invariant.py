@@ -372,6 +372,30 @@ def test_non_psd_increment_in_doubling_stage_raises(monkeypatch):
         least_fixed_point_q(bitflip_program(0.999, 0.0, 1.0), P0)
 
 
+def test_non_psd_increment_in_linear_stage_raises(monkeypatch):
+    # The d = 9 counter from |0> with P = |8><8|: the linear stage runs
+    # (budget 256), and G* shifts |k><k| to |k-1><k-1| and kills |0><0|.
+    # One corrupted step gives the increment L_2 - L_1 = |7><7| - |0><0|/2;
+    # the next step drops the fault, so only the increment check sees it.
+    d = 9
+    prog = counter_scheme(d).with_initial_state(DensityOperator(np.diag(np.eye(d)[0])))
+    p = Observable(np.diag(np.eye(d)[-1]))
+    assert _linear_budget(d) == LARGEST_BUDGET
+    apply_dual_mat, calls = SuperOperator.apply_dual_mat, []
+
+    def corrupted(self, mat):
+        out = apply_dual_mat(self, mat)
+        calls.append(None)
+        if len(calls) == 2:
+            out[0, 0] -= 0.5
+        return out
+
+    monkeypatch.setattr(SuperOperator, "apply_dual_mat", corrupted)
+    with pytest.raises(ConsistencyError, match="Loewner"):
+        least_fixed_point_q(prog, p)
+    assert len(calls) == 2
+
+
 def test_committed_models_and_small_random_programs_stay_linear(monkeypatch, rng):
     # Under the rule's budget of 1 the doubling stage certifies all of
     # these with a finite bound; given the largest budget, the linear stage

@@ -336,6 +336,18 @@ def test_model_hash_tells_signed_zeros():
     assert digests[0] == MODEL_HASHES["bitflip_p05.model"]
 
 
+def test_signed_zeros_round_trip_bit_exactly(tmp_path):
+    model = _bitflip_model()
+    model.m0[0, 1] = complex(0.0, -0.0)
+    model.m0[1, 0] = complex(-0.0, 0.0)
+    model.observables["P0"][0, 1] = complex(-0.0, -0.0)
+    path = tmp_path / "signed_zeros.model"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert _layout_bytes(loaded) == _layout_bytes(model)
+    assert model_hash(loaded) == model_hash(model)
+
+
 def test_model_hash_tells_options_names_and_structure():
     base = _bitflip_model()
     k0, k1 = base.kraus

@@ -37,10 +37,14 @@ from qmcverify.linalg import SpectralData, dagger, max_abs
 from qmcverify.model import Model, save_model
 from qmcverify.report import eigenvalue_table
 from qmcverify.spectral import (
+    CertifiedStep,
     _hermitian_basis,
     _step_coordinates,
     coordinates,
+    decide_unit_circle,
+    forward_certificate,
     from_coordinates,
+    kraus_certificate,
     no_unit_certificate,
 )
 
@@ -1036,3 +1040,150 @@ def test_eigen_path_without_unit_spectrum_has_no_unit_projector(tmp_path, capsys
     out = capsys.readouterr().out
     assert "almost terminates: yes" in out
     assert "decided by eigenvalues" in out
+
+
+# The forward certificate: the same check on d x d matrices, for V_N =
+# sum_{n<N} G^n(I).
+
+
+@settings(deadline=None, derandomize=True)
+@given(programs_without_unit_spectrum())
+def test_forward_margin_bounds_the_gap(case):
+    prog, _ = case
+    cert = forward_certificate(prog.g)
+    if cert is not None:
+        assert 0 < cert.margin <= 1.0 - eigen_path(prog).spectral.spectral_radius()
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [load_model(MODELS_DIR / name).to_scheme() for name in ("bitflip_p1.model", "unitary_m0zero.model")]
+    + [hadamard_walk_scheme(4), block_unitary_scheme()],
+    ids=["bitflip_p1", "unitary_m0zero", "walk4", "block_unitary"],
+)
+def test_forward_certificate_refuses_an_exact_unit_spectrum(scheme, monkeypatch):
+    # The norm bound never passes, so no eigensolve runs.
+    calls = count_calls(monkeypatch, "eigvalsh")
+    assert forward_certificate(scheme.g) is None
+    assert calls == []
+    assert isinstance(decide_unit_circle(scheme), ProgramRepresentation)
+
+
+@pytest.mark.parametrize("d", range(1, 19))
+def test_forward_certificate_holds_on_the_counters_within_d_steps(d, monkeypatch):
+    # G^d(I) = 0, so V_d holds: d forward steps and one for D.
+    steps = []
+    apply_mat = SuperOperator.apply_mat
+
+    def counting(self, mat):
+        steps.append(mat.shape)
+        return apply_mat(self, mat)
+
+    monkeypatch.setattr(SuperOperator, "apply_mat", counting)
+    cert = forward_certificate(counter_scheme(d).g)
+    assert cert is not None
+    assert len(steps) <= d + 1
+    assert 0 < cert.margin <= 1.0 / d
+
+
+@pytest.mark.parametrize("q", [1e-12, 1e-13, 1e-14, 1e-15, 1e-16])
+def test_forward_margin_stays_below_a_near_unit_gap(q):
+    # The step's one nonzero eigenvalue is a^2, a = fl(sqrt(p)) the
+    # rounded Kraus entry, so its exact gap is 1 - a^2.
+    prog = bitflip_program(1.0 - q, 0.0, 1.0)
+    cert = forward_certificate(prog.g)
+    if cert is not None:
+        a = Fraction(float(prog.g.kraus[0][1, 1].real))
+        assert 0 < cert.margin <= min(q, float(1 - a * a))
+
+
+def test_kraus_certificate_refuses_a_candidate_that_does_not_contract():
+    # V = |0><0| is not positive definite, and for V = I on a unitary
+    # step D = 0: neither clears the slack.  The counter steps |0> to |1>
+    # to |2> and halts there, so V = diag(1, 2, 3) has D = I.
+    g = counter_scheme(3).g
+    assert kraus_certificate(g, np.diag([1.0, 0.0, 0.0]).astype(complex)) is None
+    assert kraus_certificate(SuperOperator([np.eye(3)]), np.eye(3, dtype=complex)) is None
+    assert kraus_certificate(g, np.full((3, 3), np.nan, dtype=complex)) is None
+    assert kraus_certificate(g, np.diag([1.0, 2.0, 3.0]).astype(complex)) is not None
+
+
+@settings(deadline=None, derandomize=True)
+@given(representation_cases())
+def test_forward_decision_keeps_the_termination_verdicts(case):
+    prog, _ = case
+    for scheme, check in (
+        (prog, lambda r: check_program_termination(r, prog.rho0)),
+        (ProgramScheme(prog.e, prog.meas), check_scheme_termination),
+    ):
+        rep, built = decide_unit_circle(scheme), build_representation(scheme)
+        assert isinstance(rep, CertifiedStep) == (forward_certificate(scheme.g) is not None)
+        got, want = check(rep), check(built)
+        assert (got.terminates_at, got.almost_terminates, got.nilpotent_check_power) == (
+            want.terminates_at, want.almost_terminates, want.nilpotent_check_power
+        )
+
+
+def test_certified_step_reads_the_eigenvalues_of_the_build():
+    for prog in _certified_programs():
+        step = decide_unit_circle(prog)
+        assert isinstance(step, CertifiedStep)
+        assert step.certificate == forward_certificate(prog.g)
+        assert step.margin == step.certificate.margin
+        assert step.unit_overlap(prog.rho0.mat) == (0.0, True)
+        sd, want = step.spectral, build_representation(prog).spectral
+        assert np.array_equal(sd.eigenvalues, want.eigenvalues)
+        assert np.array_equal(sd.unit_circle_flags, want.unit_circle_flags)
+
+
+def test_decide_unit_circle_validates_eps_unit():
+    with pytest.raises(qmcverify.ValidationError, match="eps_unit"):
+        decide_unit_circle(counter_scheme(3), eps_unit=1.0)
+
+
+def test_certified_terminate_builds_no_step_matrix(tmp_path, capsys):
+    # A d = 18 step matrix alone takes d^4 * 8 bytes; a certified
+    # terminate, model load included, peaks below that.
+    d = 18
+    prog = random_program(d, np.random.default_rng(d))
+    m0 = prog.meas.m0
+    path = tmp_path / "random18.model"
+    save_model(
+        Model(dim=d, kraus=list(prog.e.kraus), m0=m0, m1=prog.meas.m1, rho0=prog.rho0.mat,
+              observables={"P": m0.conj().T @ m0}),
+        path,
+    )
+    for scope in ("program", "scheme"):
+        argv = ["terminate", str(path), "--scope", scope]
+        assert main(argv) == 0  # warm caches and imports
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d**4 * 8, (scope, peak)
+    assert "decided by certificate" in capsys.readouterr().out
+
+
+def test_spectrum_reads_the_same_with_and_without_the_forward_certificate(tmp_path, capsys):
+    paths = [str(p) for p in sorted(MODELS_DIR.glob("*.model"))]
+    paths.append(str(tmp_path / "counter6.model"))
+    scheme = counter_scheme(6)
+    save_model(
+        Model(dim=6, kraus=list(scheme.e.kraus), m0=scheme.meas.m0, m1=scheme.meas.m1,
+              rho0=None, observables={}),
+        paths[-1],
+    )
+    for path in paths:
+        docs = []
+        for refused in (False, True):
+            out = tmp_path / "spectrum.json"
+            with mock.patch.object(
+                qmcverify.spectral, "forward_certificate",
+                **({"return_value": None} if refused else {"wraps": forward_certificate}),
+            ):
+                assert main(["spectrum", path, "--json-out", str(out)]) == 0
+            docs.append(out.read_bytes())
+        assert docs[0] == docs[1], path
+    capsys.readouterr()
