@@ -147,13 +147,19 @@ def _series_row(result, value) -> tuple:
 
 def _unit_decision(rep) -> dict:
     """What decided the unit circle: ``unit_decided_by`` is
-    ``"certificate"``, with the certificate's ``eta`` and ``lambda``, or
-    ``"eigenvalues"``."""
+    ``"certificate"``, with the certificate's ``eta`` and ``lambda`` and
+    the candidate they were checked on, or ``"eigenvalues"``.  ``terminate``
+    checks a forward sum ``V_N`` and ``verify`` and ``runtime`` the
+    resolvent sum, so one step can read different ``eta`` and ``lambda``
+    in the two."""
     cert = rep.certificate
     if cert is None:
         return {"unit_decided_by": "eigenvalues"}
     return {
         "unit_decided_by": "certificate",
+        "certificate_candidate": (
+            "resolvent sum" if cert.terms is None else f"forward sum, N = {cert.terms}"
+        ),
         "certificate_eta": cert.eta,
         "certificate_lambda": cert.lam,
     }

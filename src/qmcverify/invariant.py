@@ -41,15 +41,25 @@ and the iteration runs in two stages:
   operators.  The route imports nothing from the spectral or termination
   layers and takes nothing from them.
 
-The first ``_LOEWNER_CHECKED_STEPS`` linear increments and every
-doubled one are checked to be positive semidefinite (Loewner
-monotonicity), and ``n_max`` caps linear steps plus squarings.  Neither stage can land on a non-least fixed point: both only
-visit iterates ``L_n`` of the same monotone sequence from zero, whose
-limit is the least fixed point.  There is no linear-solve shortcut: the
-equivalent linear system can silently pick a non-least fixed point
-whenever the step representation has unit-modulus spectrum.  On such a
-spectrum ``||A^k||_inf`` stays at one (rounding can put it just below),
-so no bound can be certified; the doubling stage then stops once an
+Every increment ``L_{n+1} - L_n`` of the iteration is positive
+semidefinite (Loewner monotonicity).  The first
+``_LOEWNER_CHECKED_STEPS`` linear increments are checked each as it is
+made, and every doubled one too: the doubling stage keeps up to
+``_LOEWNER_BATCH`` = 32 increments and decides them by one stacked
+eigensolve (:func:`~qmcverify.linalg.psd_flags`) when the batch is full
+and before each return.  So a fault surfaces at most 31 squarings late,
+memory stays at 32 d x d matrices, and the first failing increment in
+order names the fault: a NaN or Inf entry is a numerical fault, a
+negative eigenvalue a loss of monotonicity, both a
+:class:`~qmcverify.errors.ConsistencyError`.  ``n_max`` caps linear
+steps plus squarings.  Neither stage can land on a non-least fixed
+point: both only visit iterates ``L_n`` of the same monotone sequence
+from zero, whose limit is the least fixed point.  There is no
+linear-solve shortcut: the equivalent linear system can silently pick a
+non-least fixed point whenever the step representation has unit-modulus
+spectrum.  On such a spectrum ``||A^k||_inf`` stays at one (rounding
+can put it just below), so no bound can be certified; the doubling
+stage then stops once an
 increment ``A^k L_k`` with ``k >= 256`` falls below ``tol`` and says so,
 with bound ``inf`` whatever the bound formula gives.  It waits for
 ``k = 256`` whatever ``B`` is: on a bitflip that halts at rate
@@ -75,7 +85,14 @@ import numpy as np
 
 from .channels import Observable, matrix_representation
 from .errors import ConsistencyError, ValidationError
-from .linalg import dagger, is_positive_semidefinite, max_abs, psd_split, require_number
+from .linalg import (
+    dagger,
+    is_positive_semidefinite,
+    max_abs,
+    psd_flags,
+    psd_split,
+    require_number,
+)
 from .program import ProgramScheme, QuantumProgram
 
 DEFAULT_FIXED_POINT_TOL = 1e-12
@@ -99,6 +116,10 @@ DEFAULT_FIXED_POINT_N_MAX = 1_000_000
 # program).  A budget in between would pay for linear steps cut off
 # before the ratio bound certifies, which needs at least
 # ``_RATIO_WINDOW + 1`` of them, and then for the squarings as well.
+# These costs were measured while each doubled increment paid its own
+# PSD check; the doubling stage now checks them 32 at a time (module
+# docstring), which makes an iteration cheaper, most of all at small d.
+# The rule was not re-tuned for that.
 _STEP_COST = 2**18
 _MAX_LINEAR_EXP = 8
 
@@ -113,8 +134,10 @@ def _linear_budget(d: int) -> int:
 # ratios, and waits until it has them all: the first ratio compares
 # ``||G*(b)||`` with ``||b||`` and can be far below the contraction rate.
 _RATIO_WINDOW = 4
-# The first linear steps are checked for Loewner monotonicity.
+# The first linear steps are checked for Loewner monotonicity, one at a
+# time; the doubling stage checks its increments this many at a time.
 _LOEWNER_CHECKED_STEPS = 32
+_LOEWNER_BATCH = 32
 _LOEWNER_TOL = 1e-8
 # QV2 holds when the invariance residual is at most this.
 CONDITION_TOL = 1e-8
@@ -170,12 +193,24 @@ def _initial_value(completion: Observable, prog: QuantumProgram) -> float:
     return float(np.trace(completion.mat @ prog.rho0.mat).real)
 
 
-def _check_increment(increment: np.ndarray) -> None:
-    if not is_positive_semidefinite(increment, _LOEWNER_TOL):
+def _check_increments(increments: np.ndarray) -> None:
+    """Raise on the first of a ``(n, d, d)`` stack of increments that is
+    not positive semidefinite, all of them decided by one
+    :func:`~qmcverify.linalg.psd_flags` call (none for an empty stack)."""
+    if not len(increments):
+        return
+    ok = psd_flags(increments, _LOEWNER_TOL)
+    if ok.all():
+        return
+    if not np.isfinite(increments[np.argmin(ok)]).all():
         raise ConsistencyError(
-            "fixed-point iteration lost Loewner monotonicity; "
-            "the input data is inconsistent"
+            "fixed-point iteration produced an increment with NaN or Inf "
+            "entries; a numerical fault"
         )
+    raise ConsistencyError(
+        "fixed-point iteration lost Loewner monotonicity; "
+        "the input data is inconsistent"
+    )
 
 
 def _linear_stage(g, base: np.ndarray, tol: float, steps: int):
@@ -188,8 +223,9 @@ def _linear_stage(g, base: np.ndarray, tol: float, steps: int):
     for n in range(1, steps + 1):
         nxt = base + g.apply_dual_mat(limit)
         prev, delta = delta, max_abs(nxt - limit)
-        if n <= _LOEWNER_CHECKED_STEPS and delta > tol:
-            _check_increment(nxt - limit)
+        # A NaN delta is checked too, so that the fault is named.
+        if n <= _LOEWNER_CHECKED_STEPS and not delta <= tol:
+            _check_increments((nxt - limit)[None])
         limit = nxt
         if delta == 0.0:
             return limit, n, "bound", 0.0
@@ -216,17 +252,25 @@ def _doubling_stage(g, limit: np.ndarray, tol: float, exp: int, cap: int):
         power = power @ power
     s = limit.reshape(-1)
     squarings, small = exp, False
+    # Increments not yet checked; every return checks them first.
+    pending, count = np.empty((_LOEWNER_BATCH, d, d), dtype=complex), 0
     while True:
         norm = float(np.abs(power).sum(axis=1).max())
         bound = norm * max_abs(s) / (1.0 - norm) if norm < 1.0 else math.inf
         for reason, stop in (("bound", bound < tol), ("tol", small), ("n_max", squarings >= cap)):
             if stop:
+                _check_increments(pending[:count])
                 return s.reshape(d, d), squarings, reason, math.inf if reason == "tol" else bound
         increment = power @ s
         if not increment.any():
             # A^k L_k = 0, so every later increment A^{mk} L_k is zero too.
+            _check_increments(pending[:count])
             return s.reshape(d, d), squarings, "bound", 0.0
-        _check_increment(increment.reshape(d, d))
+        pending[count] = increment.reshape(d, d)
+        count += 1
+        if count == _LOEWNER_BATCH:
+            _check_increments(pending)
+            count = 0
         s = s + increment
         # The heuristic stop waits for k = 2**_MAX_LINEAR_EXP (see the
         # module docstring).

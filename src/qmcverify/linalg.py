@@ -134,11 +134,29 @@ def is_positive_semidefinite(a, tol: float = TOL_NUM) -> bool:
         If ``a`` is not square.
     """
     arr = require_square(a)
-    if herm_defect(arr) > TOL_HERM:
-        return False
-    w = np.linalg.eigvalsh((arr + dagger(arr)) / 2)
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    return bool(w.min() >= -tol * scale) if w.size else True
+    return bool(psd_flags(arr[None], tol)[0])
+
+
+def psd_flags(stack: np.ndarray, tol: float = TOL_NUM) -> np.ndarray:
+    """The decision of :func:`is_positive_semidefinite` for each matrix of
+    a ``(n, d, d)`` stack, as a boolean array; a matrix with a NaN or Inf
+    entry is not positive semidefinite.
+
+    One ``isfinite``, one Hermitian-defect max per matrix and one stacked
+    ``eigvalsh`` of the symmetrized stack, which gives each matrix the
+    bits of its own call.  Each scale ``max(1, ||a||)`` is read from the
+    two ends ``lo <= hi`` of the matrix's ascending eigenvalues:
+    ``max |w| = max(-lo, hi)``."""
+    if not stack.shape[-1]:
+        return np.ones(len(stack), dtype=bool)
+    if not np.isfinite(stack).all():
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        return finite & psd_flags(np.where(finite[:, None, None], stack, 0.0), tol)
+    adj = stack.conj().swapaxes(1, 2)
+    ok = np.abs(stack - adj).max(axis=(1, 2)) <= TOL_HERM
+    w = np.linalg.eigvalsh((stack + adj) / 2)
+    lo = w[:, 0]
+    return ok & (lo >= -tol * np.maximum(np.maximum(-lo, w[:, -1]), 1.0))
 
 
 def psd_split(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -178,7 +178,8 @@ class VerificationReport:
             lines.append(f"  largest dropped:   {_fmt_json_num(t['support_dropped_max'])}")
             decided = f"  unit circle:       decided by {t['unit_decided_by']}"
             if "certificate_eta" in t:
-                decided += (f" (eta {_fmt_json_num(t['certificate_eta'])}, "
+                decided += (f" ({t['certificate_candidate']}; "
+                            f"eta {_fmt_json_num(t['certificate_eta'])}, "
                             f"lambda {_fmt_json_num(t['certificate_lambda'])})")
             lines.append(decided)
         for w in self.warnings:

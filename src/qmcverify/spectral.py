@@ -161,6 +161,7 @@ one factorization.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -198,10 +199,13 @@ class NoUnitCertificate:
     """The checked proof of :func:`no_unit_certificate`: ``D >= eta I``
     and ``0 < V <= lam I``, rounding included, so ``G(V) <= (1 -
     eta/lam) V`` and the spectral radius of ``R`` is at most ``1 -
-    margin``."""
+    margin``.  ``terms`` is the ``N`` of the forward sum ``V_N`` that
+    :func:`forward_certificate` checked, ``None`` when the candidate was
+    the resolvent sum ``V = sum_n G^n(I)``, solved from ``I - R``."""
 
     eta: float
     lam: float
+    terms: int | None = None
 
     @property
     def margin(self) -> float:
@@ -476,13 +480,15 @@ def forward_certificate(g: SuperOperator) -> NoUnitCertificate | None:
     sum_{n<N} G^n(I)``, ``N <= d``, whose ``G^N(I)`` has ``||.||_inf``
     at most ``1 - 2s`` (module docstring), or ``None`` when none has
     or the check refuses it.  It takes at most ``d`` Kraus steps, and
-    eigensolves only the one candidate that passes that bound."""
+    eigensolves only the one candidate that passes that bound.  The
+    certificate's ``terms`` is that ``N``."""
     term = np.eye(g.dim, dtype=complex)
     v = term.copy()
-    for _ in range(g.dim):
+    for terms in range(1, g.dim + 1):
         term = g.apply_mat(term)
         if np.abs(term).sum(axis=1).max() <= 1.0 - 2.0 * _kraus_slack(g.stack, v):
-            return kraus_certificate(g, v)
+            cert = kraus_certificate(g, v)
+            return None if cert is None else dataclasses.replace(cert, terms=terms)
         v += term
     return None
 

@@ -5,6 +5,7 @@ Usage::
     PYTHONPATH=src python tests/cli_battery.py [MODEL ...] > battery.txt
     python tests/cli_battery.py --against OTHER_SRC [MODEL ...]
     PYTHONPATH=src python tests/cli_battery.py --reports DIR [MODEL ...]
+    PYTHONPATH=src python tests/cli_battery.py --generated DIR --against OTHER_SRC
 
 With no arguments it runs on ``models/*.model``.  Each invocation runs
 ``qmcverify.cli.main`` in process, with ``--json-out`` into a scratch
@@ -29,17 +30,21 @@ any line differs, else 0.
 
 The committed models are all d <= 3.  A claim that a change keeps the
 CLI's bytes should also cover larger ones, which are not committed,
-because the tier-1 tests run the battery twice on ``models/``:
+because the tier-1 tests run the battery twice on ``models/``.
+``--generated DIR`` writes these into ``DIR`` (:func:`generated`) and
+adds them to the models the battery runs on:
 
 - ``walk4`` runs the eigen path with unit spectrum at d = 8, and
-  ``walk5`` is certified at d = 10.  Build each from
-  ``helpers.hadamard_walk_scheme(n)`` started in |coin 0, vertex 1>
-  (``rho0`` the projector on basis state 1), give it the observable
-  ``M0`` (the scheme's ``m0``) and write it with ``model.save_model``.
-  The two take about 45 s together on one tree.
+  ``walk5`` is certified at d = 10: ``helpers.hadamard_walk_scheme(n)``
+  started in |coin 0, vertex 1> (``rho0`` the projector on basis state
+  1), with the observable ``M0`` (the scheme's ``m0``).  The two take
+  about 45 s together on one tree.
 - The perfbench models of seed 1: ``counter_12`` and ``random_12_0``,
-  and ``bitflip_0`` of the ``near_unit`` workload, from
-  ``perfbench/workloads.py``'s ``build``.
+  and ``bitflip_0`` of the ``near_unit`` workload, whose invariant route
+  runs the doubling stage, from ``perfbench/workloads.py``'s ``build``.
+
+Unlike ``--against`` alone, ``--generated`` needs ``qmcverify``
+importable (``PYTHONPATH=src``) to write the walks.
 
 The invocations per model: ``verify`` for every observable under each
 ``--method``, ``runtime``, ``terminate`` in both scopes and
@@ -100,6 +105,47 @@ def invocations(path: str) -> list[list[str]]:
     for steps in ("0", "2.5"):
         out.append(["simulate", path, "--steps", steps])
     return out
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# Each perfbench model the battery adds, by the workload that builds it.
+PERFBENCH_MODELS = {
+    "near_unit": "bitflip_0.model",
+    "nilpotent_counter": "counter_12.model",
+    "random_wide": "random_12_0.model",
+}
+
+
+def generated(out: Path) -> list[str]:
+    """Write the models that the module docstring lists beyond
+    ``models/`` into ``out``, and return their paths: ``walk4.model``
+    and ``walk5.model``, then the seed-1 perfbench models of
+    :data:`PERFBENCH_MODELS`, each built into a scratch directory with
+    the rest of its workload and copied from there."""
+    import numpy as np
+
+    from helpers import hadamard_walk_scheme
+    from qmcverify.model import Model, save_model
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    out.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for n in (4, 5):
+        scheme = hadamard_walk_scheme(n)
+        rho0 = np.zeros((2 * n, 2 * n))
+        rho0[1, 1] = 1.0
+        meas = scheme.meas
+        paths.append(out / f"walk{n}.model")
+        save_model(Model(dim=2 * n, kraus=list(scheme.e.kraus), m0=meas.m0, m1=meas.m1,
+                         rho0=rho0, observables={"M0": meas.m0}), paths[-1])
+    for workload, name in PERFBENCH_MODELS.items():
+        with tempfile.TemporaryDirectory() as scratch:
+            workloads.build(workload, 1, ROOT, Path(scratch), smoke=False)
+            paths.append(out / name)
+            paths[-1].write_bytes((Path(scratch) / name).read_bytes())
+    return [str(path) for path in paths]
 
 
 def _short(data: bytes) -> str:
@@ -220,7 +266,7 @@ def against(other_src: str, paths: list[str]) -> int:
     in that part of its JSON report, then ``part: count`` for each part
     that moved, with the largest ``X`` over the lines; returns 1 if any
     line differs, else 0."""
-    trees = (other_src, str(Path(__file__).resolve().parent.parent / "src"))
+    trees = (other_src, str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as scratch:
         reports = (Path(scratch) / "before", Path(scratch) / "after")
         outputs = []
@@ -256,9 +302,13 @@ if __name__ == "__main__":
                         help="compare with the battery under this src tree")
     parser.add_argument("--reports", metavar="DIR", type=Path,
                         help="keep each invocation's JSON report in this directory")
+    parser.add_argument("--generated", metavar="DIR", type=Path,
+                        help="write the larger models into this directory and run on them too")
     parser.add_argument("models", nargs="*", metavar="MODEL")
     args = parser.parse_args()
     paths = args.models or sorted(str(p) for p in Path("models").glob("*.model"))
+    if args.generated:
+        paths += generated(args.generated)
     if args.against:
         sys.exit(against(args.against, paths))
     for line in run(paths, args.reports):

@@ -8,7 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmcverify import EigensolverError, ProgramScheme, cli, program, termination
+from qmcverify import (
+    EigensolverError,
+    ProgramScheme,
+    cli,
+    least_fixed_point_q,
+    program,
+    termination,
+)
 from qmcverify.cli import main
 from qmcverify.model import Model, dumps, load_model, save_model
 
@@ -16,6 +23,7 @@ from helpers import (
     MODELS_DIR,
     P0,
     bitflip_program,
+    count_calls,
     counter_scheme,
     exact_expectation,
     exact_running_time,
@@ -174,6 +182,23 @@ def test_numerical_failure_exits_5(monkeypatch, capsys):
     assert code == 5
     assert "eigensolver failed" in capsys.readouterr().err
     capsys.readouterr()
+
+
+def test_invariant_numerical_fault_exits_5(monkeypatch, capsys):
+    # A NaN in the step's matrix reaches the doubling stage's increments:
+    # a fault of the fixed-point iteration, not bad input.
+    from qmcverify import invariant
+
+    representation = invariant.matrix_representation
+
+    def faulty(g):
+        m = representation(g)
+        m[0, 0] = np.nan
+        return m
+
+    monkeypatch.setattr(invariant, "matrix_representation", faulty)
+    assert main(["verify", model("bitflip_p05.model"), "-o", "P0", "--method", "invariant"]) == 5
+    assert "fixed-point iteration produced an increment with NaN" in capsys.readouterr().err
 
 
 def _seed3_model(tmp_path, rho0_scale=1.0):
@@ -1036,13 +1061,19 @@ def test_reports_say_what_decided_the_unit_circle(name, by, tmp_path, capsys):
         else:
             decision = next(m for m in doc["methods"] if m["method"] == "spectral")["diagnostics"]
         assert decision["unit_decided_by"] == by
-        assert ("certificate_eta" in decision) == ("certificate_lambda" in decision) == (
-            by == "certificate"
-        )
+        keys = ("certificate_candidate", "certificate_eta", "certificate_lambda")
+        assert {key in decision for key in keys} == {by == "certificate"}
         if by == "certificate" and command[0] != "terminate":
+            assert decision["certificate_candidate"] == "resolvent sum"
             assert decision["margin"] == decision["certificate_eta"] / decision["certificate_lambda"]
+        if by == "certificate" and command[0] == "terminate":
+            assert decision["certificate_candidate"] == "forward sum, N = 1"
         assert (doc["eigenvalues"] == []) == (by == "certificate")
-    assert f"unit circle:       decided by {by}" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"unit circle:       decided by {by}" in out
+    if by == "certificate":
+        assert "decided by certificate (forward sum, N = 1; eta " in out
+        assert "certificate_candidate=resolvent sum" in out
 
 
 def _certified_models(tmp_path) -> list[str]:
@@ -1093,6 +1124,20 @@ def test_certificate_reads_the_same_in_both_terminate_scopes(tmp_path, capsys):
             out = tmp_path / f"{scope}.json"
             assert main(["terminate", path, "--scope", scope, "--json-out", str(out)]) == 0
             blocks.append(json.loads(out.read_text())["termination"])
-        for key in ("certificate_eta", "certificate_lambda"):
+        for key in ("certificate_candidate", "certificate_eta", "certificate_lambda"):
             assert blocks[0][key] == blocks[1][key], (path, key)
+        assert blocks[0]["certificate_candidate"].startswith("forward sum, N = ")
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("gap", [0.01, 0.006, 0.0035, 1e-13])
+def test_fixed_point_eigensolves_once_per_32_doubled_increments(gap, monkeypatch):
+    # The near-unit bitflips from |1> (d = 2): the linear stage takes one
+    # step, and the doubling stage checks its increments 32 at a time.
+    # Add the observable's own check and the linear step's.
+    prog = bitflip_program(1.0 - gap, 0.0, 1.0)
+    calls = count_calls(monkeypatch, "eigvalsh")
+    cert = least_fixed_point_q(prog, P0)
+    increments = cert.iterations - 1
+    assert cert.stop_reason == "bound" and increments > 10
+    assert len(calls) == 2 + math.ceil(increments / 32)

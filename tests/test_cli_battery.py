@@ -10,7 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import cli_battery
+from qmcverify.model import load_model
 
 from helpers import MODELS_DIR
 
@@ -54,3 +57,13 @@ def test_relative_changes_names_each_part_and_how_far_its_numbers_moved():
     del after["options"]["tol"]
     changes = cli_battery.relative_changes(json.dumps(before).encode(), json.dumps(after).encode())
     assert changes["json.termination"] == changes["json.options"] == math.inf
+
+
+def test_generated_writes_the_larger_models_the_docstring_lists(tmp_path):
+    paths = cli_battery.generated(tmp_path)
+    names = ["walk4", "walk5", "bitflip_0", "counter_12", "random_12_0"]
+    assert paths == [str(tmp_path / f"{name}.model") for name in names]
+    models = [load_model(path) for path in paths]
+    assert [m.dim for m in models] == [8, 10, 2, 12, 12]
+    assert list(models[0].observables) == ["M0"]
+    assert models[0].rho0[1, 1] == 1.0 and np.trace(models[0].rho0) == 1.0

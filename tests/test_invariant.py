@@ -26,10 +26,11 @@ from qmcverify.invariant import (
     _COMBINE_PARTS,
     _MAX_LINEAR_EXP,
     _TAIL_STEPS,
+    _check_increments,
     _linear_budget,
     _qv3_tail_values,
 )
-from qmcverify.linalg import max_abs, psd_split
+from qmcverify.linalg import max_abs, psd_flags, psd_split
 from qmcverify.model import load_model
 
 from helpers import (
@@ -396,6 +397,120 @@ def test_non_psd_increment_in_linear_stage_raises(monkeypatch):
     assert len(calls) == 2
 
 
+NAN_FAULT = "fixed-point iteration produced an increment with NaN or Inf entries"
+
+
+def test_nan_increment_in_linear_stage_is_a_numerical_fault(monkeypatch):
+    # The d = 9 counter as above, with a NaN planted in the second step:
+    # its delta is NaN, which is checked, not skipped, and fails at once.
+    d = 9
+    prog = counter_scheme(d).with_initial_state(DensityOperator(np.diag(np.eye(d)[0])))
+    apply_dual_mat, calls = SuperOperator.apply_dual_mat, []
+
+    def corrupted(self, mat):
+        out = apply_dual_mat(self, mat)
+        calls.append(None)
+        if len(calls) == 2:
+            out[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(SuperOperator, "apply_dual_mat", corrupted)
+    with pytest.raises(ConsistencyError, match=NAN_FAULT):
+        least_fixed_point_q(prog, Observable(np.diag(np.eye(d)[-1])))
+    assert len(calls) == 2
+
+
+def test_nan_increment_in_doubling_stage_is_a_numerical_fault(monkeypatch):
+    def corrupted(g):
+        m = matrix_representation(g)
+        m[0, 0] = np.nan
+        return m
+
+    monkeypatch.setattr("qmcverify.invariant.matrix_representation", corrupted)
+    with pytest.raises(ConsistencyError, match=NAN_FAULT):
+        least_fixed_point_q(bitflip_program(0.5, 0.0, 1.0), P0)
+
+
+def test_the_first_failing_increment_names_the_fault():
+    good, bad, nan = np.eye(2), -np.eye(2), np.full((2, 2), np.nan)
+    _check_increments(np.array([good, good]))
+    _check_increments(np.empty((0, 2, 2)))
+    for stack, message in (([good, nan, bad], NAN_FAULT), ([good, bad, nan], "Loewner")):
+        with pytest.raises(ConsistencyError, match=message):
+            _check_increments(np.array(stack))
+
+
+def _shelved_then_halted():
+    """d = 4 with one unitary Kraus operator: |2> -> |1> -> |0>, which
+    halts, and |3> survives forever.  From ``b = |0><0|`` the doubling
+    stage's increments are |1><1| and |2><2|, then ``A^4 L_4`` is exactly
+    zero while ``||A^k||_inf`` stays at one."""
+    perm = np.zeros((4, 4), dtype=complex)
+    for src, dst in ((2, 1), (1, 0), (0, 2), (3, 3)):
+        perm[dst, src] = 1.0
+    m0 = np.diag([1.0, 0.0, 0.0, 0.0])
+    scheme = ProgramScheme(SuperOperator([perm]), TerminationMeasurement(m0, np.eye(4) - m0))
+    return scheme, Observable(m0), {}
+
+
+def _unit_spectrum_chain():
+    """The d = 3 chain of test_unit_spectrum_stops_on_tol_without_a_bound
+    and its halting observable."""
+    p = 0.999
+    flip = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
+    e = SuperOperator([np.sqrt(p) * np.eye(3), np.sqrt(1 - p) * flip])
+    meas = TerminationMeasurement(np.diag([1.0, 0, 0]), np.diag([0, 1.0, 1.0]))
+    return ProgramScheme(e, meas), Observable(np.diag([1.0, 0, 0])), {}
+
+
+# Doubling-stage runs that end on each stop, each from a linear stage of
+# one step (budget 1), whose one increment is checked on its own.
+DOUBLING_STOPS = {
+    "bound": lambda: (bitflip_program(0.999, 0.0, 1.0), P0, {}),
+    "bound, 48 increments": lambda: (bitflip_program(1 - 1e-13, 0.0, 1.0), P0, {}),
+    "n_max": lambda: (bitflip_program(1 - 1e-13, 0.0, 1.0), P0, {"n_max": 40}),
+    "tol": _unit_spectrum_chain,
+    "zero increment": _shelved_then_halted,
+}
+
+
+def _fault_at(monkeypatch, k):
+    """Spy on the stacked check: record each call's stack size, and make
+    the k-th doubled increment (from 1; 0 for none) negative definite in
+    the stack that checks it."""
+    sizes = []
+
+    def spy(stack, tol):
+        i = k - sum(sizes)  # the linear stage's increment is sizes[0]
+        sizes.append(len(stack))
+        if 0 <= i < len(stack) and len(sizes) > 1:
+            stack = stack.copy()
+            stack[i] = -np.eye(stack.shape[1])
+        return psd_flags(stack, tol)
+
+    monkeypatch.setattr("qmcverify.invariant.psd_flags", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("case", sorted(DOUBLING_STOPS))
+def test_every_doubling_stop_checks_the_increments_it_kept(case, monkeypatch):
+    prog, p, kwargs = DOUBLING_STOPS[case]()
+    force_budget(monkeypatch, 1)
+    sizes = _fault_at(monkeypatch, 0)
+    cert = least_fixed_point_q(prog, p, **kwargs)
+    assert cert.stop_reason == case.split(",")[0].replace("zero increment", "bound")
+    increments = sum(sizes) - 1
+    assert increments >= 2
+    # One check per started group of 32, the last one at the stop; a
+    # fault in the first, the 33rd or the last increment surfaces.
+    groups = [32] * (increments // 32) + [increments % 32] * bool(increments % 32)
+    assert sizes == [1] + groups
+    for k in sorted({1, 33, increments} & set(range(1, increments + 1))):
+        _fault_at(monkeypatch, k)
+        with pytest.raises(ConsistencyError, match="Loewner"):
+            least_fixed_point_q(prog, p, **kwargs)
+
+
 def test_committed_models_and_small_random_programs_stay_linear(monkeypatch, rng):
     # Under the rule's budget of 1 the doubling stage certifies all of
     # these with a finite bound; given the largest budget, the linear stage
@@ -495,12 +610,9 @@ def test_unit_spectrum_stops_on_tol_without_a_bound():
     # d=3: |2> survives forever, |1> flips to the halting |0> with
     # probability 1 - p.  G* keeps |2><2|, so ||A^k||_inf never drops
     # below 1, while the increments, which never reach |2>, still vanish.
-    p = 0.999
-    flip = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
-    e = SuperOperator([np.sqrt(p) * np.eye(3), np.sqrt(1 - p) * flip])
-    meas = TerminationMeasurement(np.diag([1.0, 0, 0]), np.diag([0, 1.0, 1.0]))
-    prog = ProgramScheme(e, meas).with_initial_state(DensityOperator(np.diag([0, 1.0, 0])))
-    cert = least_fixed_point_q(prog, Observable(np.diag([1.0, 0, 0])))
+    scheme, halt, _ = _unit_spectrum_chain()
+    prog = scheme.with_initial_state(DensityOperator(np.diag([0, 1.0, 0])))
+    cert = least_fixed_point_q(prog, halt)
     assert cert.stop_reason == "tol" and not cert.converged
     assert cert.error_bound == np.inf
     assert cert.qv1_value == pytest.approx(1.0, abs=1e-9)

@@ -15,7 +15,7 @@ from qmcverify import (
 )
 from qmcverify import linalg
 from qmcverify.cli import main
-from qmcverify.linalg import TOL_EIG, _cluster_eigenvalues, max_abs
+from qmcverify.linalg import TOL_EIG, TOL_HERM, _cluster_eigenvalues, max_abs
 from qmcverify.model import load_model
 
 from helpers import (
@@ -94,6 +94,67 @@ def test_psd_rejects_non_square():
 
 def test_psd_rejects_non_hermitian():
     assert not is_positive_semidefinite(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def reference_psd(a, tol):
+    """The per-matrix PSD decision, one matrix at a time: finite,
+    Hermitian within TOL_HERM, and a minimum eigenvalue of at least
+    ``-tol * max(1, max |eigenvalue|)``."""
+    if not np.isfinite(a).all() or max_abs(a - a.conj().T) > TOL_HERM:
+        return False
+    w = np.linalg.eigvalsh((a + a.conj().T) / 2)
+    return bool(w.min() >= -tol * max(1.0, float(np.max(np.abs(w)))))
+
+
+def psd_boundary_cases(d, tol, rng):
+    """d x d matrices at the edges of the decision: a minimum eigenvalue
+    one ulp either side of ``-tol * scale`` (diagonal, so that eigvalsh
+    returns it exactly), a Hermitian defect of exactly TOL_HERM and one
+    ulp above, and rotated PSD and non-PSD matrices."""
+    cases = []
+    for top in (0.5, 3.0):
+        edge = -tol * max(1.0, top)
+        for w_min in (np.nextafter(edge, -1.0), edge, np.nextafter(edge, 1.0)):
+            w = np.full(d, top)
+            w[0] = w_min
+            cases.append(np.diag(w).astype(complex))
+    if d > 1:
+        for defect in (TOL_HERM, np.nextafter(TOL_HERM, 1.0)):
+            a = np.eye(d, dtype=complex)
+            a[0, 1] = defect
+            cases.append(a)
+    u = np.linalg.qr(random_complex(rng, d))[0]
+    for shift in (0.0, -1e-3, -1e-12):
+        w = rng.uniform(0.0, 2.0, d)
+        w[0] = shift
+        cases.append((u * w) @ u.conj().T)
+    return cases
+
+
+@pytest.mark.parametrize("d", range(1, 19))
+def test_psd_flags_match_the_per_matrix_reference(d, rng):
+    for tol in (linalg.TOL_NUM, 1e-8):
+        cases = psd_boundary_cases(d, tol, rng)
+        bad = np.eye(d, dtype=complex)
+        bad[-1, -1] = np.nan
+        cases.insert(len(cases) // 2, bad)
+        stack = np.array(cases)
+        want = [reference_psd(a, tol) for a in cases]
+        assert linalg.psd_flags(stack, tol).tolist() == want
+        assert [linalg.psd_flags(a[None], tol)[0] for a in cases] == want
+        for a, ok in zip(cases, want):
+            if np.isfinite(a).all():
+                assert is_positive_semidefinite(a, tol) == ok
+        assert True in want and False in want
+
+
+def test_psd_flags_decide_at_the_ulp():
+    # The diagonal cases hold the minimum exactly: one ulp below the edge
+    # fails, the edge itself and one ulp above pass; a defect of TOL_HERM
+    # passes and one ulp more fails.
+    d, tol = 3, linalg.TOL_NUM
+    cases = psd_boundary_cases(d, tol, np.random.default_rng(0))[:8]
+    assert linalg.psd_flags(np.array(cases), tol).tolist() == [False, True, True] * 2 + [True, False]
 
 
 def test_spectral_diagonal():

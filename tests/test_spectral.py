@@ -1082,7 +1082,7 @@ def test_forward_certificate_holds_on_the_counters_within_d_steps(d, monkeypatch
     monkeypatch.setattr(SuperOperator, "apply_mat", counting)
     cert = forward_certificate(counter_scheme(d).g)
     assert cert is not None
-    assert len(steps) <= d + 1
+    assert len(steps) == cert.terms + 1 <= d + 1
     assert 0 < cert.margin <= 1.0 / d
 
 
