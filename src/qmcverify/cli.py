@@ -25,11 +25,12 @@ certificate, that the step has no unit spectrum; where it holds they run
 no eigensolve and report no eigenvalues, and their margin is the
 certificate's lower bound on the gap.  Where it fails, the eigenvalues
 decide, as ``spectrum``'s do.  The spectral row and the termination
-block say which (``unit_decided_by``).  ``verify`` and ``runtime`` check
-``V = sum_n G^n(I)`` from the one solve of ``I - R`` that their closed
-forms need.  ``terminate`` and ``spectrum`` need no solve, so they first
-check the forward sum ``sum_{n<N} G^n(I)``, ``N <= d``, on d x d
-matrices: where it holds ``terminate`` builds no step matrix and
+block say which (``unit_decided_by``).  The check runs on d x d matrices
+through the Kraus stack; only its candidate differs.  ``verify`` and
+``runtime`` check ``V = sum_n G^n(I)``, read from the one solve of ``I -
+R`` that their closed forms need.  ``terminate`` and ``spectrum`` need no
+solve, so they first check the forward sum ``sum_{n<N} G^n(I)``, ``N <=
+d``: where it holds ``terminate`` builds no step matrix and
 ``spectrum`` builds it for its eigenvalues alone, and neither factors
 anything.  Where it is refused, both build as ``verify`` does.
 """

@@ -5,7 +5,7 @@ except that :func:`spectral_decompose` takes a real matrix as
 ``float64``, so that it gets a real eigensolve; its eigendata come back
 ``complex128`` either way.  That function is the one nontrivial piece.
 ``spectrum`` always runs it; ``verify``, ``runtime`` and ``terminate``
-run it only when :func:`qmcverify.spectral.no_unit_certificate` does not
+run it only when :func:`qmcverify.spectral.kraus_certificate` does not
 prove that the step has no unit spectrum.  It computes all eigenvalues,
 checked as a whole by their power sums against ``tr A`` and ``tr A^2``
 (O(n^2)), and eigenvectors only for the eigenvalues on the unit circle,

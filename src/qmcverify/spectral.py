@@ -25,79 +25,35 @@ eigensolve.  ``G`` is positive, and a positive map has spectral radius
 below one iff some ``V > 0`` has ``G(V) < V`` (Perron-Frobenius theory
 for positive maps; cited from memory: Evans and Hoegh-Krohn, "Spectral
 properties of positive maps on C*-algebras", J. London Math. Soc.
-1978).  :func:`no_unit_certificate` looks for the ``V = sum_n G^n(I)``
-that exists exactly then: ``v`` solves ``(I - R) v = coordinates(I)``,
-and ``V`` and ``D = V - G(V)`` read back from ``v`` and ``v - R v`` by
-:func:`from_coordinates`.  If ``D >= eta I`` and ``0 < V <= lam I``
-with ``eta > 0``, then ``G(V) = V - D <= V - eta I <= (1 - eta/lam) V``,
-so ``G^k(V) <= (1 - eta/lam)^k V`` by positivity; every Hermitian ``X``
-lies between ``-cV`` and ``cV`` for some ``c``, so the spectral radius
-of ``R`` is at most ``1 - eta/lam``.  Then no eigenvalue is on the unit
-circle, ``N = R``, and ``eta/lam`` is a lower bound on the gap ``1 -
-max|lambda|``.  ``v`` itself need not be accurate: the check is on the
-``V`` that the computed ``v`` stands for, ``T^dag v`` in exact
-arithmetic.  When the check fails, the eigenvalues decide as before.
-The argument needs ``R`` to be the matrix of a positive map, which
-every ``R`` that :func:`_step_coordinates` builds from a Kraus stack is;
-for an arbitrary real matrix the check can hold at a radius above ``1 -
-eta/lam``.
+1978).  If ``D = V - G(V) >= eta I`` and ``0 < V <= lam I`` with ``eta
+> 0``, then ``G(V) <= V - eta I <= (1 - eta/lam) V``, so ``G^k(V) <= (1
+- eta/lam)^k V`` by positivity; every Hermitian ``X`` lies between
+``-cV`` and ``cV`` for some ``c``, so the spectral radius of ``G``, and
+of its matrix ``R``, is at most ``1 - eta/lam``.  Then no eigenvalue is
+on the unit circle, ``N = R``, and ``eta/lam`` is a lower bound on the
+gap ``1 - max|lambda|``.  :func:`kraus_certificate` checks a given
+Hermitian candidate ``V`` on d x d matrices: ``D`` comes from one Kraus
+step (``G.apply_mat``), then two ``eigvalsh``.  It reads the Kraus stack,
+whose map is positive by construction, so the check is sound for any
+candidate and for any ``R`` built from that stack: the candidate need not
+be accurate, only an accurate one lets the check pass.  When it fails,
+the eigenvalues decide.  Two candidates are tried:
+:func:`build_representation` checks the resolvent sum ``V = sum_n
+G^n(I)``, read back by :func:`from_coordinates` from the ``v`` that
+solves ``(I - R) v = coordinates(I)``, and :func:`forward_certificate`
+the forward sums below.
 
-The slack ``s``.  The check sets ``eta = lambda_min(D^) - s`` and
-``lam = lambda_max(V^) + s`` and requires ``lambda_min(V^) - s > 0``,
-``D^`` and ``V^`` the computed matrices.  By Weyl's inequality ``s``
-suffices once it bounds the spectral norm of ``D^ - D`` and of ``V^ -
-V``, each with the error of ``eigvalsh`` added.  To first order in the
-unit roundoff ``u = 2^-53``, with ``n = d^2``, ``K`` Kraus operators,
-``t = sum_s ||K_s||_F^2 = tr G(I)``, ``tau = max(1, t)`` and ``w = d
-max(1, ||v||_max) >= ||v||_2``, every error bounded in the Frobenius
-norm, which bounds the 2-norm:
-
-- *R from the Kraus stack.*  Each entry of ``R`` is a sum, over the
-  Kraus index and the slots that ``T`` and ``T^dag`` touch, of
-  ``K_s[..] conj(K_s[..])`` times two of ``1``, ``+-h``, ``+-ih``, with
-  ``h = fl(sqrt(1/2))`` within ``u h`` of ``1/sqrt2``.
-  :func:`_step_coordinates` rounds along any path once per complex
-  product (at most ``2 sqrt2 u``, counted as 3), ``K - 1`` times in the
-  Kraus sum and three times (``h``, product, sum) on each side of
-  ``T``: ``|R^ - R| <= (K + 8) u |T| A |T|^T`` entrywise, ``A = sum_s
-  |K_s| (x) |K_s|``.  ``|T|`` has 2-norm ``sqrt2`` and ``||A||_F <= t``,
-  so ``||(R^ - R) v||_2 <= 2 (K + 8) u t w``.
-- *The product ``R^ v``*, ``n`` terms per row: ``|fl(R^ v) - R^ v| <=
-  n u |R^| |v|``, of 2-norm at most ``n u ||R||_F w <= n u t w``, since
-  ``||R||_F = ||M||_F <= t``.
-- *The difference ``v - R^ v``*: ``u ||v - R^ v||_2 <= u (1 + t) w``.
-- *The back-map* rounds each entry three times (``h``, product, sum)
-  on ``|T|^T |c|``, of norm at most ``sqrt2 ||c||_2``, and ``eigvalsh``
-  reads one triangle, which multiplies the Frobenius norm of an error by
-  at most ``sqrt2``: ``6 u ||c||_2``, with ``||c||_2 <= (1 + t) w`` for
-  ``D`` and ``<= w`` for ``V``.
-- *eigvalsh* is backward stable: its eigenvalues are those of ``H +
-  F`` with ``||F||_2 <= c(d) u ||H||_2``, ``c(d)`` a modest polynomial
-  (Golub and Van Loan, *Matrix Computations*, 8.1), taken as ``d`` as
-  in :func:`qmcverify.linalg._check_power_sums`: ``d u (1 + t) w`` for
-  ``D`` and ``d u w`` for ``V``.
-
-For ``D`` that is ``u w (2 (K + 8) t + n t + (7 + d)(1 + t)) <= u w tau
-(n + 2K + 2d + 30)``, and for ``V`` the smaller ``(6 + d) u w``, so
-
-    s = (d^2 + 2d + 2K + 30) tau d u max(1, ||v||_max)
-
-covers both.  It grows with ``||v||_max``, about ``1 / (1 - max|lambda|)``
-for a step near the unit circle, because ``D = v - R v`` is a
-difference of that size whose rounding does not shrink with it.  At d =
-18 and K = 2, with ``t <= d`` for a trace-nonincreasing step, it is
-below ``1.5e-11 max(1, ||v||_max)``.
-
-The same check on d x d matrices.  Any ``V > 0`` with ``D = V - G(V) >=
-eta I`` proves the bound, not only ``sum_n G^n(I)``, and
-:func:`kraus_certificate` checks a given Hermitian candidate without
-``R``: ``D`` comes from one Kraus step (``G.apply_mat``), then the same
-two ``eigvalsh``.  The candidate is made exactly Hermitian first
-(``(V + V^dag)/2`` rounds the two triangles alike), so the check is on
-that array itself and only ``D`` carries rounding.  Its slack ``s``,
-with ``t``, ``tau``, ``K`` and ``u`` as above and ``w = d max(1,
-||V||_max) >= ||V||_F``, each error bounded entrywise first and then in
-the Frobenius norm, to first order:
+The slack ``s``.  The check sets ``eta = lambda_min(D^) - s`` and ``lam
+= lambda_max(V) + s`` and requires ``lambda_min(V) - s > 0``, ``D^`` the
+computed ``D``.  The candidate is made exactly Hermitian first (``(V +
+V^dag)/2`` rounds the two triangles alike), so the check is on that
+array itself and only ``D`` carries rounding.  By Weyl's inequality
+``s`` suffices once it bounds the spectral norm of ``D^ - D``, with the
+error of ``eigvalsh`` added.  To first order in the unit roundoff ``u =
+2^-53``, with ``K`` Kraus operators, ``t = sum_s ||K_s||_F^2 = tr
+G(I)``, ``tau = max(1, t)`` and ``w = d max(1, ||V||_max) >= ||V||_F``,
+each error bounded entrywise first and then in the Frobenius norm, which
+bounds the 2-norm:
 
 - *Each product* ``K_s V`` and then ``(K_s V) K_s^dag`` is a batch of
   complex inner products of length ``d``.  The real and the imaginary
@@ -109,8 +65,12 @@ the Frobenius norm, to first order:
   one more, ``K u A + u |V|`` with ``A = sum_s |K_s| |V| |K_s|^T``,
   where ``||A||_F <= sum_s ||K_s||_F^2 ||V||_F = t ||V||_F``.
 - *eigvalsh* reads one triangle of the computed ``D``, which multiplies
-  the Frobenius norm of its error by at most ``sqrt2``, and adds its
-  backward error ``d u ||D||_2 <= d u (1 + t) w``.
+  the Frobenius norm of its error by at most ``sqrt2``, and is backward
+  stable: its eigenvalues are those of ``H + F`` with ``||F||_2 <= c(d)
+  u ||H||_2``, ``c(d)`` a modest polynomial (Golub and Van Loan, *Matrix
+  Computations*, 8.1), taken as ``d`` as in
+  :func:`qmcverify.linalg._check_power_sums`: ``d u ||D||_2 <= d u (1 +
+  t) w``.
 
 For ``D`` that is ``u w (sqrt2 ((4 sqrt2 d + K) t + 1) + d (1 + t)) <= u
 w tau (10 d + 2K + 2)``; ``V`` is exact and has only ``eigvalsh``'s ``d u
@@ -118,7 +78,10 @@ w``, so
 
     s = (10 d + 2K + 2) tau d u max(1, ||V||_max)
 
-covers both.  No ``n = d^2`` term appears: nothing is d^2 long.
+covers both.  It grows with ``||V||_max``, about ``1 / (1 - max|lambda|)``
+for the resolvent sum of a step near the unit circle, because ``D = V -
+G(V)`` is a difference of that size whose rounding does not shrink with
+it.
 
 :func:`forward_certificate` tries the forward sum ``V_N = sum_{n<N}
 G^n(I)`` for ``N = 1, ..., d``, one Kraus step each.  In exact
@@ -130,9 +93,6 @@ in exact arithmetic cannot open, and that leaves room for the rounding
 of ``V_N`` and ``D`` themselves.  A step nilpotent on ``I`` (a counter)
 empties by ``N = d``; a step with unit spectrum never passes the norm
 bound, so a refusal costs at most ``d`` Kraus steps and no eigensolve.
-The d x d path reads the Kraus stack, whose map is positive by
-construction, so unlike the ``R`` path it needs no assumption on the
-matrix it is given.
 
 At most one factorization per build.  :func:`build_representation` builds ``I
 - R`` once and solves it once for two columns, ``[coordinates(I),
@@ -140,7 +100,7 @@ coordinates(start)]``: ``v`` for the certificate and ``y0 = (I -
 R)^-1 coordinates(rho0)`` for the closed forms, ``start`` being
 ``rho0`` for a program and ``I`` again for a bare scheme.  The slack
 still holds: it bounds the rounding of what is computed from a given
-``v``, whatever solve produced it, and each column of a multi-column
+candidate, whatever solve produced it, and each column of a multi-column
 solve is rounded on its own, so column 0 has the same bits whatever
 column 1 holds; ``eta`` and ``lam`` read the same for a program and its
 scheme.  One right-hand side would take LAPACK's one-vector triangular
@@ -196,7 +156,7 @@ HERMITIAN_COORD_TOL = 1e-12
 
 @dataclass(frozen=True)
 class NoUnitCertificate:
-    """The checked proof of :func:`no_unit_certificate`: ``D >= eta I``
+    """The checked proof of :func:`kraus_certificate`: ``D >= eta I``
     and ``0 < V <= lam I``, rounding included, so ``G(V) <= (1 -
     eta/lam) V`` and the spectral radius of ``R`` is at most ``1 -
     margin``.  ``terms`` is the ``N`` of the forward sum ``V_N`` that
@@ -412,40 +372,6 @@ def _state_columns(x: np.ndarray) -> np.ndarray:
     return np.column_stack([_identity_coordinates(math.isqrt(x.size)), x])
 
 
-def no_unit_certificate(
-    r: np.ndarray, kraus_count: int, v: np.ndarray | None = None
-) -> NoUnitCertificate | None:
-    """A checked proof, from ``R`` alone, that the step has spectral
-    radius below one (module docstring), or ``None`` when the check
-    fails: a singular solve, a non-finite ``v`` or an eigensolve that
-    does not converge, or a minimum that does not clear the slack.
-    ``kraus_count`` is the number of Kraus operators ``R`` was built from,
-    which the slack's bound on the rounding of ``R`` counts.  ``v`` is
-    the computed solution of ``(I - R) v = coordinates(I)`` to check,
-    column 0 of :func:`build_representation`'s solve, and is solved here
-    when not given.  Any ``v`` gives a sound check; only an accurate one
-    lets it hold."""
-    n = r.shape[0]
-    d = math.isqrt(n)
-    e = _identity_coordinates(d)
-    try:
-        if v is None:
-            v = np.linalg.solve(np.eye(n) - r, _state_columns(e))[:, 0]
-        if not np.isfinite(v).all():
-            return None
-        v_min, v_max = np.linalg.eigvalsh(from_coordinates(v))[[0, -1]]
-        d_min = np.linalg.eigvalsh(from_coordinates(v - r @ v))[0]
-    except np.linalg.LinAlgError:
-        return None
-    tau = max(1.0, float(e @ r @ e))
-    u = 2.0**-53
-    slack = (n + 2 * d + 2 * kraus_count + 30) * tau * d * u * max(1.0, max_abs(v))
-    eta, lam = float(d_min) - slack, float(v_max) + slack
-    if not (eta > 0 and v_min - slack > 0):
-        return None
-    return NoUnitCertificate(eta, lam)
-
-
 def _kraus_slack(stack: np.ndarray, v: np.ndarray) -> float:
     """The slack ``s`` of the d x d check for the candidate ``v`` (module
     docstring), from the Kraus operators stacked as ``(K, d, d)``."""
@@ -455,11 +381,11 @@ def _kraus_slack(stack: np.ndarray, v: np.ndarray) -> float:
 
 
 def kraus_certificate(g: SuperOperator, v: np.ndarray) -> NoUnitCertificate | None:
-    """The check of the module docstring on d x d matrices: a proof that
-    ``g`` has spectral radius below one from the Hermitian part of the
-    candidate ``v``, or ``None`` when a part is not finite, an eigensolve
-    does not converge or a minimum does not clear the slack.  ``D = V -
-    G(V)`` is one Kraus step; no ``R`` is built."""
+    """The check of the module docstring: a proof that ``g`` has
+    spectral radius below one from the Hermitian part of the candidate
+    ``v``, or ``None`` when a part is not finite, an eigensolve does not
+    converge or a minimum does not clear the slack.  ``D = V - G(V)`` is
+    one Kraus step; no ``R`` is read."""
     v = (v + dagger(v)) / 2
     if not np.isfinite(v).all():
         return None
@@ -500,9 +426,9 @@ def build_representation(
 
     ``I - R`` is solved once for ``[coordinates(I), coordinates(start)]``,
     ``start`` the program's ``rho0`` or, for a bare scheme, ``I``.  When
-    :func:`no_unit_certificate` holds on column 0, ``N`` is ``R``,
-    nothing is eigensolved and the representation keeps ``I - R`` and
-    column 1; otherwise the eigenvalues of ``R`` decide the unit circle,
+    :func:`kraus_certificate` holds on the ``V`` of column 0, ``N`` is
+    ``R``, nothing is eigensolved and the representation keeps ``I - R``
+    and column 1; otherwise the eigenvalues of ``R`` decide the unit circle,
     with ``eps_unit`` as the window, and the representation keeps ``I -
     N`` and no solve.
 
@@ -520,8 +446,7 @@ def build_representation(
         corrupted model data.
     """
     eps_unit = require_number(eps_unit, "option eps_unit", **OPTION_RULES["eps_unit"])
-    stack = scheme.g.stack
-    r = _step_coordinates(stack)
+    r = _step_coordinates(scheme.g.stack)
     common = dict(
         dim=scheme.dim, m0=scheme.meas.m0, g=scheme.g, step_matrix=r, eps_unit=eps_unit
     )
@@ -535,7 +460,9 @@ def build_representation(
         solved = np.linalg.solve(resolvent, _state_columns(start))
     except np.linalg.LinAlgError:
         solved = None
-    cert = None if solved is None else no_unit_certificate(r, stack.shape[0], solved[:, 0])
+    cert = None
+    if solved is not None:
+        cert = kraus_certificate(scheme.g, from_coordinates(solved[:, 0]))
     if cert is not None:
         return ProgramRepresentation(
             **common,

@@ -2,7 +2,7 @@
 with the invariant or spectral routes, the invariant route reads nothing
 from the spectral layer, the spectral layer nothing from the invariant
 route or the termination checks (its no-unit certificate reads only
-``R``), and the random programs behind the golden
+the Kraus stack), and the random programs behind the golden
 records are drawn, and the records regenerated, without the invariant
 or spectral route.  Importing the package loads every module, so the
 check reads each module's import statements."""
@@ -24,7 +24,8 @@ FORBIDDEN = {
     "oracle": {"invariant", "spectral", "termination"},
     "program": {"invariant", "spectral", "termination"},
     "invariant": {"spectral", "termination"},
-    # The spectral route decides the unit circle from its own R.
+    # The spectral route decides the unit circle from its own Kraus stack
+    # and R.
     "spectral": {"invariant", "termination"},
     # The programs behind the series oracle's golden records, and the
     # script that recomputes the records from them.
@@ -96,21 +97,14 @@ def test_series_step_matrix_is_not_the_shared_builder():
     assert "matrix_representation" in identifiers(PACKAGE / "invariant.py")
 
 
-def test_certificate_reads_only_the_step_matrix():
-    # The certificate is the spectral route's own: it takes R and the
-    # Kraus count that R's rounding bound counts, and no name in it
-    # reaches the invariant route or the termination checks.
-    from qmcverify.spectral import no_unit_certificate
+def test_forward_certificate_reads_only_the_kraus_stack(monkeypatch):
+    # The certificate is the spectral route's own: it takes the survival
+    # step and its candidate, and no name in it reaches the invariant
+    # route or the termination checks.  The build checks its resolvent
+    # sum with it too, once per build.
+    from helpers import bitflip_program
 
-    assert list(inspect.signature(no_unit_certificate).parameters) == ["r", "kraus_count", "v"]
-    names = source_identifiers(textwrap.dedent(inspect.getsource(no_unit_certificate)))
-    assert not {n for n in names if "invariant" in n.lower() or "termination" in n.lower()}
-
-
-def test_forward_certificate_reads_only_the_kraus_stack():
-    # The d x d certificate takes the survival step and its candidate,
-    # and no name in it reaches the invariant route or the termination
-    # checks either.
+    from qmcverify import ProgramScheme, build_representation, spectral
     from qmcverify.spectral import _kraus_slack, forward_certificate, kraus_certificate
 
     assert list(inspect.signature(forward_certificate).parameters) == ["g"]
@@ -118,6 +112,20 @@ def test_forward_certificate_reads_only_the_kraus_stack():
     for fn in (forward_certificate, kraus_certificate, _kraus_slack):
         names = source_identifiers(textwrap.dedent(inspect.getsource(fn)))
         assert not {n for n in names if "invariant" in n.lower() or "termination" in n.lower()}
+
+    calls = []
+
+    def recording(g, v):
+        calls.append(g)
+        return kraus_certificate(g, v)
+
+    monkeypatch.setattr(spectral, "kraus_certificate", recording)
+    for p in (0.5, 1.0 - 1e-13, 1.0 - 1e-15):
+        prog = bitflip_program(p, 0.6, 0.8)
+        for scheme in (prog, ProgramScheme(prog.e, prog.meas)):
+            calls.clear()
+            build_representation(scheme)
+            assert calls == [scheme.g]
 
 
 def test_import_scan_sees_relative_and_absolute_imports(tmp_path):

@@ -45,7 +45,6 @@ from qmcverify.spectral import (
     forward_certificate,
     from_coordinates,
     kraus_certificate,
-    no_unit_certificate,
 )
 
 from helpers import (
@@ -286,19 +285,30 @@ def test_closed_forms_match_the_schrodinger_reference(prog, p):
         assert time == math.inf
 
 
-def test_representation_rejects_expanding_step():
-    # spectral radius > 1 cannot come from valid programs; feed the builder
-    # a hand-made namespace that bypasses the channel validation
+def _unchecked_step(kraus):
+    """A :class:`SuperOperator` on ``kraus`` that skips the normalization
+    check, for steps no valid program has."""
+    g = object.__new__(SuperOperator)
+    object.__setattr__(g, "kraus", tuple(np.asarray(k, dtype=complex) for k in kraus))
+    return g
+
+
+def _unchecked_scheme(kraus):
+    """What ``build_representation`` reads of a d = 2 scheme whose
+    survival step is :func:`_unchecked_step` of ``kraus``."""
     from types import SimpleNamespace
 
-    prog = bitflip_program(0.5, 0.6, 0.8)
-    fake = SimpleNamespace(
-        dim=2,
-        g=SimpleNamespace(dim=2, stack=(1.1 * prog.meas.m1)[None]),
-        meas=prog.meas,
-    )
-    with pytest.raises(RepresentationError):
-        build_representation(fake)
+    return SimpleNamespace(dim=2, g=_unchecked_step(kraus), meas=bitflip_scheme(0.5).meas)
+
+
+def test_representation_rejects_expanding_step():
+    # Spectral radius > 1 cannot come from valid programs.  For G = 1.1 M1
+    # . 1.1 M1^dag the resolvent sum has D = V - G(V) = I but V = diag(1,
+    # -4.76), so only the certificate's V > 0 test refuses it, and then
+    # the eigenvalues do.
+    m1 = bitflip_scheme(0.5).meas.m1
+    with pytest.raises(RepresentationError, match="spectral radius"):
+        build_representation(_unchecked_scheme([1.1 * m1]))
 
 
 # Householder reflection, to hide the block structure of the crafted R below.
@@ -308,8 +318,11 @@ _Q = np.eye(4) - 2 * np.outer(_U, _U) / (_U @ _U)
 
 def _crafted_step(monkeypatch, r):
     """Make ``build_representation`` of any d = 2 scheme decompose the
-    4 x 4 real ``r`` as its step representation."""
+    4 x 4 real ``r`` as its step representation.  No Kraus stack stands
+    behind ``r``, so the certificate, which would check the scheme's own
+    ``G``, is refused and the eigenvalues decide."""
     monkeypatch.setattr(qmcverify.spectral, "_step_coordinates", lambda stack: r)
+    monkeypatch.setattr(qmcverify.spectral, "kraus_certificate", lambda *args: None)
     return bitflip_scheme(0.5)
 
 
@@ -350,13 +363,8 @@ def test_margin_and_radius_read_the_reported_modulus(b, monkeypatch):
     # For these b, numpy's SIMD complex abs of the computed pair differs
     # from hypot in the last bit (x86-64 with AVX2), so a margin or a
     # radius taken by np.abs would miss the report's modulus by one ulp.
-    # This R is not the matrix of a positive map, which the certificate's
-    # theorem needs (at b = 0.47 it would certify a margin of 0.46 against
-    # a gap of 0.44), so the eigenvalues decide, as for any R no Kraus
-    # stack can give.
     blk = np.diag([0.3, 0.3, 0.5, 0.25])
     blk[0, 1], blk[1, 0] = -b, b
-    monkeypatch.setattr(qmcverify.spectral, "no_unit_certificate", lambda *args: None)
     rep = build_representation(_crafted_step(monkeypatch, _Q @ blk @ _Q.T))
     table = eigenvalue_table(rep.spectral)
     assert not any(row["unit_circle"] for row in table)
@@ -779,7 +787,7 @@ def test_real_eigensolve_matches_the_complex_reference(case):
 def eigen_path(scheme):
     """``build_representation`` with the certificate refused: the
     eigenvalues decide the unit circle."""
-    with mock.patch.object(qmcverify.spectral, "no_unit_certificate", return_value=None):
+    with mock.patch.object(qmcverify.spectral, "kraus_certificate", return_value=None):
         return build_representation(scheme)
 
 
@@ -834,14 +842,22 @@ def test_certificate_refuses_a_rotation_under_a_random_similarity(monkeypatch, r
     # unitary channel of U = diag(1, exp(i phi)), and its R is that
     # channel's R under the similarity A (x) conj(A), which is not
     # orthogonal: a rotation block in a random basis, of a positive map.
+    # The build checks the resolvent sum on K itself wherever the solve of
+    # the singular I - R does not break down.
+    calls = []
+
+    def recording(g, v):
+        calls.append(kraus_certificate(g, v))
+        return calls[-1]
+
+    monkeypatch.setattr(qmcverify.spectral, "kraus_certificate", recording)
     for _ in range(20):
         u = np.diag([1.0, np.exp(1j * rng.uniform(0.1, 3.0))])
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        r = _step_coordinates((a @ u @ np.linalg.inv(a))[None])
-        assert no_unit_certificate(r, 1) is None
-        rep = build_representation(_crafted_step(monkeypatch, r))
+        rep = build_representation(_unchecked_scheme([a @ u @ np.linalg.inv(a)]))
         assert rep.certificate is None
         assert np.count_nonzero(rep.spectral.unit_circle_flags) == 4
+    assert calls and all(cert is None for cert in calls)
 
 
 @pytest.mark.parametrize(
@@ -1002,7 +1018,9 @@ def test_certificate_reads_the_same_for_a_program_and_its_scheme():
     for prog in progs:
         rep = build_representation(prog)
         scheme_rep = build_representation(ProgramScheme(prog.e, prog.meas))
-        alone = no_unit_certificate(rep.step_matrix, rep.g.stack.shape[0])
+        e = coordinates(np.eye(prog.dim))
+        v = np.linalg.solve(np.eye(prog.dim**2) - rep.step_matrix, np.column_stack([e, e]))
+        alone = kraus_certificate(rep.g, from_coordinates(v[:, 0]))
         assert rep.certificate is not None
         assert rep.certificate == scheme_rep.certificate == alone
 
@@ -1089,12 +1107,28 @@ def test_forward_certificate_holds_on_the_counters_within_d_steps(d, monkeypatch
 @pytest.mark.parametrize("q", [1e-12, 1e-13, 1e-14, 1e-15, 1e-16])
 def test_forward_margin_stays_below_a_near_unit_gap(q):
     # The step's one nonzero eigenvalue is a^2, a = fl(sqrt(p)) the
-    # rounded Kraus entry, so its exact gap is 1 - a^2.
+    # rounded Kraus entry, so its exact gap is 1 - a^2.  The build's
+    # resolvent sum holds down to 1 - p = 1e-14; below, its slack
+    # exceeds its minimum.
     prog = bitflip_program(1.0 - q, 0.0, 1.0)
+    a = Fraction(float(prog.g.kraus[0][1, 1].real))
+    gap = min(q, float(1 - a * a))
     cert = forward_certificate(prog.g)
     if cert is not None:
-        a = Fraction(float(prog.g.kraus[0][1, 1].real))
-        assert 0 < cert.margin <= min(q, float(1 - a * a))
+        assert 0 < cert.margin <= gap
+    built = build_representation(prog).certificate
+    assert (built is not None) == (q >= 1e-14)
+    if built is not None:
+        assert 0 < built.margin <= gap
+
+
+@pytest.mark.parametrize("q, certified", [(1e-13, True), (1e-14, False)])
+def test_build_certificate_reaches_the_rotated_chain_to_1e_13(q, certified):
+    prog = rotated_chain_program(q)
+    cert = build_representation(prog).certificate
+    assert (cert is not None) == certified
+    if certified:
+        assert 0 < cert.margin <= 1.0 - eigen_path(prog).spectral.spectral_radius()
 
 
 def test_kraus_certificate_refuses_a_candidate_that_does_not_contract():
