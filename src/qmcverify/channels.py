@@ -42,8 +42,8 @@ from .linalg import (
     TOL_TP,
     dagger,
     herm_defect,
-    is_positive_semidefinite,
     max_abs,
+    psd_flags,
     require_square,
 )
 
@@ -141,7 +141,7 @@ class DensityOperator:
 
     def __init__(self, mat):
         arr = require_square(mat, "density operator")
-        if not is_positive_semidefinite(arr, TOL_NUM):
+        if not psd_flags(arr[None], TOL_NUM)[0]:
             raise ValidationError("density operator is not positive semidefinite")
         tr = complex(np.trace(arr))
         if abs(tr.imag) > TOL_TP or tr.real > 1.0 + TOL_TP:

@@ -43,25 +43,26 @@ and the iteration runs in two stages:
 
 Every increment ``L_{n+1} - L_n`` of the iteration is positive
 semidefinite (Loewner monotonicity).  The first
-``_LOEWNER_CHECKED_STEPS`` linear increments are checked each as it is
-made, and every doubled one too: the doubling stage keeps up to
+``_LOEWNER_CHECKED_STEPS`` linear increments are checked (those above
+``tol``), and every doubled one too: each stage keeps up to
 ``_LOEWNER_BATCH`` = 32 increments and decides them by one stacked
 eigensolve (:func:`~qmcverify.linalg.psd_flags`) when the batch is full
-and before each return.  So a fault surfaces at most 31 squarings late,
-memory stays at 32 d x d matrices, and the first failing increment in
-order names the fault: a NaN or Inf entry is a numerical fault, a
-negative eigenvalue a loss of monotonicity, both a
-:class:`~qmcverify.errors.ConsistencyError`.  ``n_max`` caps linear
-steps plus squarings.  Neither stage can land on a non-least fixed
-point: both only visit iterates ``L_n`` of the same monotone sequence
-from zero, whose limit is the least fixed point.  There is no
-linear-solve shortcut: the equivalent linear system can silently pick a
-non-least fixed point whenever the step representation has unit-modulus
-spectrum.  On such a spectrum ``||A^k||_inf`` stays at one (rounding
-can put it just below), so no bound can be certified; the doubling
-stage then stops once an
-increment ``A^k L_k`` with ``k >= 256`` falls below ``tol`` and says so,
-with bound ``inf`` whatever the bound formula gives.  It waits for
+and before each return.  So a fault surfaces at most 31 steps or
+squarings late, memory stays at 32 d x d matrices, and the first failing
+increment in order names the fault: a NaN or Inf entry is a numerical
+fault, a negative eigenvalue a loss of monotonicity, both a
+:class:`~qmcverify.errors.ConsistencyError`.  A linear increment with a
+NaN or Inf entry is decided at once, so that its fault names its own
+step.  ``n_max`` caps linear steps plus squarings.  Neither stage can
+land on a non-least fixed point: both only visit iterates ``L_n`` of the
+same monotone sequence from zero, whose limit is the least fixed point.
+There is no linear-solve shortcut: the equivalent linear system can
+silently pick a non-least fixed point whenever the step representation
+has unit-modulus spectrum.  On such a spectrum ``||A^k||_inf`` stays at
+one (rounding can put it just below), so no bound can be certified; the
+doubling stage then stops once an increment ``A^k L_k`` with
+``k >= 256`` falls below ``tol`` and says so, with bound ``inf``
+whatever the bound formula gives.  It waits for
 ``k = 256`` whatever ``B`` is: on a bitflip that halts at rate
 ``1e-13`` per step the first increments are below ``tol`` long before
 ``L_k`` nears the value 1.
@@ -116,9 +117,9 @@ DEFAULT_FIXED_POINT_N_MAX = 1_000_000
 # program).  A budget in between would pay for linear steps cut off
 # before the ratio bound certifies, which needs at least
 # ``_RATIO_WINDOW + 1`` of them, and then for the squarings as well.
-# These costs were measured while each doubled increment paid its own
-# PSD check; the doubling stage now checks them 32 at a time (module
-# docstring), which makes an iteration cheaper, most of all at small d.
+# These costs were measured while each increment paid its own PSD check;
+# both stages now check them 32 at a time (module docstring), which makes
+# a checked linear step and an iteration cheaper, most of all at small d.
 # The rule was not re-tuned for that.
 _STEP_COST = 2**18
 _MAX_LINEAR_EXP = 8
@@ -134,8 +135,8 @@ def _linear_budget(d: int) -> int:
 # ratios, and waits until it has them all: the first ratio compares
 # ``||G*(b)||`` with ``||b||`` and can be far below the contraction rate.
 _RATIO_WINDOW = 4
-# The first linear steps are checked for Loewner monotonicity, one at a
-# time; the doubling stage checks its increments this many at a time.
+# The first linear steps are checked for Loewner monotonicity; both
+# stages check their increments this many at a time.
 _LOEWNER_CHECKED_STEPS = 32
 _LOEWNER_BATCH = 32
 _LOEWNER_TOL = 1e-8
@@ -213,21 +214,46 @@ def _check_increments(increments: np.ndarray) -> None:
     )
 
 
+class _PendingIncrements:
+    """Increments kept for one stacked Loewner check: up to
+    ``_LOEWNER_BATCH`` of them, decided by :func:`_check_increments` when
+    the batch is full and on :meth:`flush`, which each stage calls before
+    it returns."""
+
+    def __init__(self):
+        self._kept: list[np.ndarray] = []
+
+    def add(self, increment: np.ndarray) -> None:
+        self._kept.append(increment)
+        if len(self._kept) == _LOEWNER_BATCH:
+            self.flush()
+
+    def flush(self) -> None:
+        _check_increments(np.array(self._kept))
+        self._kept.clear()
+
+
 def _linear_stage(g, base: np.ndarray, tol: float, steps: int):
     """At most ``steps`` linear steps from zero.  Returns the iterate, the
     steps taken, the stop reason (``None`` if not certified) and the
     a-posteriori bound."""
     limit = np.zeros_like(base)
+    pending = _PendingIncrements()
     ratios: list[float] = []
     delta = bound = math.inf
     for n in range(1, steps + 1):
         nxt = base + g.apply_dual_mat(limit)
-        prev, delta = delta, max_abs(nxt - limit)
-        # A NaN delta is checked too, so that the fault is named.
+        increment = nxt - limit
+        prev, delta = delta, max_abs(increment)
+        # A NaN delta is checked too, so that the fault is named, and at
+        # once, so that it is named at its own step.
         if n <= _LOEWNER_CHECKED_STEPS and not delta <= tol:
-            _check_increments((nxt - limit)[None])
+            pending.add(increment)
+            if not math.isfinite(delta):
+                pending.flush()
         limit = nxt
         if delta == 0.0:
+            pending.flush()
             return limit, n, "bound", 0.0
         if n > 1:
             ratios = (ratios + [delta / prev])[-_RATIO_WINDOW:]
@@ -235,7 +261,9 @@ def _linear_stage(g, base: np.ndarray, tol: float, steps: int):
             r = max(ratios)
             bound = delta * r / (1.0 - r) if r < 1.0 else math.inf
             if bound < tol:
+                pending.flush()
                 return limit, n, "bound", bound
+    pending.flush()
     return limit, steps, None, bound
 
 
@@ -252,25 +280,20 @@ def _doubling_stage(g, limit: np.ndarray, tol: float, exp: int, cap: int):
         power = power @ power
     s = limit.reshape(-1)
     squarings, small = exp, False
-    # Increments not yet checked; every return checks them first.
-    pending, count = np.empty((_LOEWNER_BATCH, d, d), dtype=complex), 0
+    pending = _PendingIncrements()
     while True:
         norm = float(np.abs(power).sum(axis=1).max())
         bound = norm * max_abs(s) / (1.0 - norm) if norm < 1.0 else math.inf
         for reason, stop in (("bound", bound < tol), ("tol", small), ("n_max", squarings >= cap)):
             if stop:
-                _check_increments(pending[:count])
+                pending.flush()
                 return s.reshape(d, d), squarings, reason, math.inf if reason == "tol" else bound
         increment = power @ s
         if not increment.any():
             # A^k L_k = 0, so every later increment A^{mk} L_k is zero too.
-            _check_increments(pending[:count])
+            pending.flush()
             return s.reshape(d, d), squarings, "bound", 0.0
-        pending[count] = increment.reshape(d, d)
-        count += 1
-        if count == _LOEWNER_BATCH:
-            _check_increments(pending)
-            count = 0
+        pending.add(increment.reshape(d, d))
         s = s + increment
         # The heuristic stop waits for k = 2**_MAX_LINEAR_EXP (see the
         # module docstring).

@@ -52,7 +52,8 @@ def _as_matrix(a, name: str, dtype) -> np.ndarray:
     arr = np.asarray(a, dtype=dtype)
     if arr.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    # For a complex array, isfinite is true where both parts are finite.
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains NaN or Inf entries")
     return arr
 
@@ -106,7 +107,7 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 def max_abs(a: np.ndarray) -> float:
     """Entrywise max-norm ||A||_max."""
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def modulus(z: np.ndarray) -> np.ndarray:

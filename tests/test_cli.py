@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from qmcverify import (
+    DensityOperator,
     EigensolverError,
+    Observable,
     ProgramScheme,
     cli,
     least_fixed_point_q,
@@ -1141,3 +1143,20 @@ def test_fixed_point_eigensolves_once_per_32_doubled_increments(gap, monkeypatch
     increments = cert.iterations - 1
     assert cert.stop_reason == "bound" and increments > 10
     assert len(calls) == 2 + math.ceil(increments / 32)
+
+
+def test_fixed_point_eigensolves_once_for_the_linear_stage(monkeypatch):
+    # A seeded random program and the counter from |0>, both d = 12: the
+    # linear stage certifies in under 32 steps and checks its increments
+    # by one stacked eigensolve.  Add the observable's own check.  (One
+    # eigensolve per increment would make 22 and 13 calls.)
+    rng = np.random.default_rng(12)
+    prog = random_contracting_program(12, rng)
+    counter = counter_scheme(12).with_initial_state(DensityOperator(np.diag(np.eye(12)[0])))
+    cases = [(prog, random_observable(12, rng, psd=True)), (counter, Observable(counter.meas.m0))]
+    calls = count_calls(monkeypatch, "eigvalsh")
+    for prog, p in cases:
+        calls.clear()
+        cert = least_fixed_point_q(prog, p)
+        assert cert.stop_reason == "bound" and 12 < cert.iterations <= 32
+        assert len(calls) == 2

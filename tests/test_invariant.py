@@ -378,6 +378,8 @@ def test_non_psd_increment_in_linear_stage_raises(monkeypatch):
     # (budget 256), and G* shifts |k><k| to |k-1><k-1| and kills |0><0|.
     # One corrupted step gives the increment L_2 - L_1 = |7><7| - |0><0|/2;
     # the next step drops the fault, so only the increment check sees it.
+    # The stacked check decides it at the stage's return: the tenth
+    # increment is exactly zero.
     d = 9
     prog = counter_scheme(d).with_initial_state(DensityOperator(np.diag(np.eye(d)[0])))
     p = Observable(np.diag(np.eye(d)[-1]))
@@ -394,7 +396,7 @@ def test_non_psd_increment_in_linear_stage_raises(monkeypatch):
     monkeypatch.setattr(SuperOperator, "apply_dual_mat", corrupted)
     with pytest.raises(ConsistencyError, match="Loewner"):
         least_fixed_point_q(prog, p)
-    assert len(calls) == 2
+    assert len(calls) == d + 1
 
 
 NAN_FAULT = "fixed-point iteration produced an increment with NaN or Inf entries"
@@ -440,6 +442,18 @@ def test_the_first_failing_increment_names_the_fault():
             _check_increments(np.array(stack))
 
 
+@pytest.mark.parametrize("w_min, ok", [(-5e-9, True), (-5e-8, False)])
+def test_increments_are_decided_at_a_loewner_tolerance_of_1e_8(w_min, ok):
+    # An increment may fall short of positive by up to 1e-8 of its scale
+    # max(1, ||increment||), here 1, and by no more.
+    stack = np.diag([w_min, 1.0]).astype(complex)[None]
+    if ok:
+        _check_increments(stack)
+    else:
+        with pytest.raises(ConsistencyError, match="Loewner"):
+            _check_increments(stack)
+
+
 def _shelved_then_halted():
     """d = 4 with one unitary Kraus operator: |2> -> |1> -> |0>, which
     halts, and |3> survives forever.  From ``b = |0><0|`` the doubling
@@ -474,16 +488,18 @@ DOUBLING_STOPS = {
 }
 
 
-def _fault_at(monkeypatch, k):
+def _fault_at(monkeypatch, k, linear=False):
     """Spy on the stacked check: record each call's stack size, and make
-    the k-th doubled increment (from 1; 0 for none) negative definite in
-    the stack that checks it."""
+    the k-th doubled increment (from 1; 0 for none), or with ``linear``
+    the k-th checked linear one, negative definite in the stack that
+    checks it.  The linear stage's checked increments are all in the
+    first stack."""
     sizes = []
 
     def spy(stack, tol):
-        i = k - sum(sizes)  # the linear stage's increment is sizes[0]
+        i = k - 1 if linear else k - sum(sizes)
         sizes.append(len(stack))
-        if 0 <= i < len(stack) and len(sizes) > 1:
+        if 0 <= i < len(stack) and (len(sizes) == 1) == linear:
             stack = stack.copy()
             stack[i] = -np.eye(stack.shape[1])
         return psd_flags(stack, tol)
@@ -509,6 +525,48 @@ def test_every_doubling_stop_checks_the_increments_it_kept(case, monkeypatch):
         _fault_at(monkeypatch, k)
         with pytest.raises(ConsistencyError, match="Loewner"):
             least_fixed_point_q(prog, p, **kwargs)
+
+
+def _lazy_counter(d, stay):
+    """``counter_scheme(d)`` from |0>, except that each step stays put
+    with probability ``stay``: a contracting program whose linear stage
+    runs longer the larger ``stay`` is."""
+    counter = counter_scheme(d)
+    e = SuperOperator([np.sqrt(stay) * np.eye(d), np.sqrt(1 - stay) * counter.e.kraus[0]])
+    scheme = ProgramScheme(e, counter.meas)
+    return scheme.with_initial_state(DensityOperator(np.diag(np.eye(d)[0])))
+
+
+# Linear-stage runs at d >= 9 that end on each exit, with their budget
+# and the number of increments the linear stage checks.
+LINEAR_EXITS = {
+    "bound": (lambda: _lazy_counter(9, 0.1), LARGEST_BUDGET, 26),
+    "bound, after 32 checks": (lambda: _lazy_counter(9, 0.3), LARGEST_BUDGET, 32),
+    "delta == 0": (lambda: counter_scheme(18).with_initial_state(
+        DensityOperator(np.diag(np.eye(18)[0]))), LARGEST_BUDGET, 18),
+    "budget spent": (lambda: _lazy_counter(9, 0.3), 16, 16),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LINEAR_EXITS))
+def test_every_linear_exit_checks_the_increments_it_kept(case, monkeypatch):
+    make, budget, checked = LINEAR_EXITS[case]
+    prog = make()
+    p = Observable(prog.meas.m0)
+    force_budget(monkeypatch, budget)
+    sizes = _fault_at(monkeypatch, 0, linear=True)
+    cert = least_fixed_point_q(prog, p)
+    assert cert.stop_reason == "bound"
+    assert (cert.iterations > budget) == (case == "budget spent")
+    # The linear stage decides its increments by one stacked check, at
+    # the 32nd or at its exit; a fault in the 1st, the 17th, the 32nd or
+    # the last of them surfaces.
+    assert sizes[0] == checked
+    assert len(sizes) == 1 + (case == "budget spent")
+    for k in sorted({1, 17, 32, checked} & set(range(1, checked + 1))):
+        _fault_at(monkeypatch, k, linear=True)
+        with pytest.raises(ConsistencyError, match="Loewner"):
+            least_fixed_point_q(prog, p)
 
 
 def test_committed_models_and_small_random_programs_stay_linear(monkeypatch, rng):

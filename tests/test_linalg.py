@@ -303,6 +303,30 @@ def test_eps_unit_outside_zero_one_is_a_validation_error(eps_unit):
             build_representation(scheme, eps_unit=eps_unit)
 
 
+@pytest.mark.parametrize(
+    "entry, dtype",
+    [(complex(0.0, np.nan), complex), (complex(np.inf, 0.0), complex), (-np.inf, float)],
+    ids=["nan_imaginary", "inf_real", "minus_inf_float"],
+)
+def test_require_square_rejects_each_non_finite_part(entry, dtype):
+    # One isfinite pass: for complex entries it is false where either
+    # part is not finite.
+    a = np.eye(2, dtype=dtype)
+    a[0, 1] = entry
+    with pytest.raises(ValidationError, match="^step matrix contains NaN or Inf entries$"):
+        linalg.require_square(a, "step matrix", dtype)
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_require_square_accepts_signed_zeros_and_subnormals(dtype):
+    tiny = np.nextafter(0.0, 1.0)
+    a = np.array([[-0.0, tiny], [-tiny, 0.0]], dtype=dtype)
+    if dtype is complex:
+        a = a + 1j * np.array([[-0.0, -tiny], [tiny, 0.0]])
+    out = linalg.require_square(a, "step matrix", dtype)
+    assert out.tobytes() == a.tobytes()
+
+
 def test_spectral_real_input_rejects_non_square():
     with pytest.raises(DimensionMismatchError):
         spectral_decompose(np.zeros((2, 3)))
